@@ -275,7 +275,7 @@ def _cmd_stats_nondist(config: ExperimentConfig) -> Report:
         raise PreconditionError(
             f"target index {config.target} out of range for context {name_a!r}"
         )
-    direct = stats.born_probability(state, basis_a.projectors[config.target])
+    direct = stats.born_distribution(state, basis_a)[config.target]
     through_table = stats.sequential_distribution(state, basis_b, basis_a)
     through = float(through_table.entries[:, config.target].sum())
     defect = stats.nondistribution_defect(state, basis_a, config.target, basis_b)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import InvariantViolationError, PreconditionError
 from .hilbert import MeasurementBasis, StateVector, principal_vector
-from .stats import SequentialTable, born_distribution, commutation_defect, dispersion
+from .stats import (SequentialTable, born_distribution, chain_rule, commutation_defect,
+                    dispersion, overlap_kernel)
 
 WEIGHT_TOL = 1e-12
 ROW_TOL = 1e-12
@@ -87,11 +88,9 @@ class HiddenEnsemble:
 
     def marginal(self, context: str) -> np.ndarray:
         """Probability of each outcome of ``context`` under the mixture."""
-        basis = self._basis(context)
-        probs = np.zeros(basis.size)
-        for state, weight in self.members:
-            probs[state.value(context)] += weight
-        return probs
+        values = [state.value(context) for state, _ in self.members]
+        weights = [weight for _, weight in self.members]
+        return np.bincount(values, weights=weights, minlength=self._basis(context).size)
 
     def proposition_probability(self, context: str, outcome: int) -> float:
         return float(self.marginal(context)[outcome])
@@ -158,15 +157,6 @@ class HiddenModel:
             raise PreconditionError(f"no kernel declared for order ({first!r}, {then!r})") from None
 
 
-def _overlap_matrix(basis_a: MeasurementBasis, basis_b: MeasurementBasis) -> np.ndarray:
-    """rows[i, j] = tr(P_i Q_j), the squared overlap of the two ray families."""
-    rows = np.empty((basis_a.size, basis_b.size))
-    for i, p in enumerate(basis_a.projectors):
-        for j, q in enumerate(basis_b.projectors):
-            rows[i, j] = float(np.trace(p.matrix @ q.matrix).real)
-    return np.clip(rows, 0.0, None)
-
-
 def build_qm_equivalent_model(
     state: StateVector,
     basis_a: MeasurementBasis,
@@ -197,7 +187,7 @@ def build_qm_equivalent_model(
     total = sum(w for _, w in members)
     members = [(s, w / total) for s, w in members]
 
-    overlaps = _overlap_matrix(basis_a, basis_b)
+    overlaps = overlap_kernel(basis_a, basis_b)
     kernels = {
         (id_a, id_b): TransitionKernel(id_a, id_b, overlaps),
         (id_b, id_a): TransitionKernel(id_b, id_a, overlaps.T),
@@ -207,12 +197,10 @@ def build_qm_equivalent_model(
 
 
 def exact_sequential(model: HiddenModel, order: tuple[str, str]) -> SequentialTable:
-    """Closed-form ordered table: first marginal times the kernel row."""
+    """Closed-form ordered table: the chain rule on the first marginal and the kernel rows."""
     first, then = order
     ensemble = model.ensemble
-    kernel = model.kernel(first, then)
-    marginal = ensemble.marginal(first)
-    entries = marginal[:, None] * kernel.rows
+    entries = chain_rule(ensemble.marginal(first), model.kernel(first, then).rows)
     return SequentialTable(
         first_basis=ensemble.contexts[first],
         second_basis=ensemble.contexts[then],
@@ -227,8 +215,9 @@ def simulate_sequential(
 
     Each trial draws a member by weight, reads off its definite value for the
     first context, then redraws the second-context value from the kernel row
-    (the first measurement disturbs the hidden value for the other context).
-    Deterministic given (seed, n_trials).
+    (the first measurement disturbs the hidden value for the other context);
+    all trials at once, as member counts by weight, then each first outcome's
+    second outcomes from its kernel row.  Deterministic given (seed, n_trials).
     """
     if n_trials < 1:
         raise PreconditionError("need at least one trial")
@@ -239,16 +228,12 @@ def simulate_sequential(
 
     weights = np.array([w for _, w in ensemble.members])
     first_values = np.array([s.value(first) for s, _ in ensemble.members])
-    member_idx = rng.choice(len(weights), size=n_trials, p=weights / weights.sum())
-    firsts = first_values[member_idx]
-
-    cumulative = np.cumsum(kernel.rows, axis=1)
-    cumulative[:, -1] = 1.0
-    draws = rng.random(n_trials)
-    thens = (draws[:, None] > cumulative[firsts]).sum(axis=1)
-
-    counts = np.zeros((ensemble.contexts[first].size, ensemble.contexts[then].size))
-    np.add.at(counts, (firsts, thens), 1.0)
+    member_counts = rng.multinomial(n_trials, weights / weights.sum())
+    counts = np.zeros(kernel.rows.shape)
+    first_counts = np.bincount(first_values, weights=member_counts, minlength=len(counts))
+    for i in np.flatnonzero(first_counts):
+        row = kernel.rows[i]
+        counts[i] = rng.multinomial(int(first_counts[i]), row / row.sum())
     return SequentialTable(
         first_basis=ensemble.contexts[first],
         second_basis=ensemble.contexts[then],
@@ -256,12 +241,12 @@ def simulate_sequential(
     )
 
 
-def _law_lhs(a: int, b: int) -> int:
-    return min(a, max(b, 1 - b))
+def _law_lhs(a, b):
+    return np.minimum(a, np.maximum(b, 1 - b))
 
 
-def _law_rhs(a: int, b: int) -> int:
-    return max(min(a, b), min(a, 1 - b))
+def _law_rhs(a, b):
+    return np.maximum(np.minimum(a, b), np.minimum(a, 1 - b))
 
 
 @dataclass(frozen=True)
@@ -292,7 +277,7 @@ def truth_table_distributivity() -> TruthTableReport:
     definite values always distribute.
     """
     rows = tuple(
-        TruthTableRow(a=a, b=b, lhs=_law_lhs(a, b), rhs=_law_rhs(a, b))
+        TruthTableRow(a=a, b=b, lhs=int(_law_lhs(a, b)), rhs=int(_law_rhs(a, b)))
         for a in (0, 1)
         for b in (0, 1)
     )
@@ -343,23 +328,15 @@ def audit_no_go(
         for name, basis in ensemble.contexts.items()
         for outcome in range(basis.size)
     ]
-
-    value_definite = True
-    distributive = True
-    pairs_checked = 0
-    member_max_dispersion = 0.0
-    for member, _weight in ensemble.members:
-        truths = {prop: member.truth(*prop) for prop in propositions}
-        if any(t not in (0, 1) for t in truths.values()):
-            value_definite = False
-        member_max_dispersion = max(
-            member_max_dispersion, max(dispersion(float(t)) for t in truths.values())
-        )
-        for pa in propositions:
-            for pb in propositions:
-                pairs_checked += 1
-                if _law_lhs(truths[pa], truths[pb]) != _law_rhs(truths[pa], truths[pb]):
-                    distributive = False
+    # truths[m, k] = 1 if member m yields proposition k, else 0
+    truths = np.array(
+        [[member.truth(*prop) for prop in propositions] for member, _ in ensemble.members]
+    )
+    value_definite = bool(((truths == 0) | (truths == 1)).all())
+    member_max_dispersion = float(np.max(truths - truths * truths))
+    a, b = truths[:, :, None], truths[:, None, :]
+    distributive = bool(np.array_equal(_law_lhs(a, b), _law_rhs(a, b)))
+    pairs_checked = truths.shape[0] * len(propositions) ** 2
 
     mixture_max_dispersion = max(
         dispersion(ensemble.proposition_probability(name, outcome))

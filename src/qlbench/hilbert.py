@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,50 +121,59 @@ class Projector:
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """A complete family of pairwise-orthogonal rank-1 projectors with outcome labels."""
+    """A unitary frame with outcome labels: column k is the unit vector of
+    outcome ``labels[k]``.  Its rank-1 projectors are derived from the frame."""
 
-    projectors: tuple[Projector, ...]
+    frame: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        projs = tuple(self.projectors)
+        frame = np.array(self.frame, dtype=complex)
         labels = tuple(str(l) for l in self.labels)
-        if not projs:
+        if frame.ndim != 2 or frame.size == 0:
             raise InvariantViolationError("empty measurement basis")
-        if len(labels) != len(projs):
-            raise InvariantViolationError("one label per projector required")
+        dim, count = frame.shape
+        if dim > MAX_DIM:
+            raise InvariantViolationError(f"dimension {dim} exceeds cap {MAX_DIM}")
+        if len(labels) != count:
+            raise InvariantViolationError("one label per basis vector required")
         if len(set(labels)) != len(labels):
             raise InvariantViolationError(f"duplicate outcome labels: {labels}")
-        dim = projs[0].dim
-        for p in projs:
-            if p.dim != dim:
-                raise DimensionMismatchError("projectors of mixed dimension in one basis")
-            if p.rank != 1:
-                raise InvariantViolationError("measurement basis requires rank-1 projectors")
-        for i, p in enumerate(projs):
-            for q in projs[i + 1:]:
-                if np.max(np.abs(p.matrix @ q.matrix)) > BASIS_TOL:
-                    raise InvariantViolationError("basis projectors are not pairwise orthogonal")
-        total = sum(p.matrix for p in projs)
-        if np.max(np.abs(total - np.eye(dim))) > BASIS_TOL:
-            raise InvariantViolationError("basis projectors do not sum to the identity")
-        object.__setattr__(self, "projectors", projs)
+        error = np.max(np.abs(frame.conj().T @ frame - np.eye(count)))
+        if count != dim or not error <= BASIS_TOL:
+            raise InvariantViolationError(
+                f"not an orthonormal basis of C^{dim}: {count} vectors, Gram error {error:.3g}")
+        object.__setattr__(self, "frame", _frozen(frame))
         object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].dim
+        return self.frame.shape[0]
 
     @property
     def size(self) -> int:
-        return len(self.projectors)
+        return self.frame.shape[1]
+
+    @cached_property
+    def projectors(self) -> tuple[Projector, ...]:
+        """The rank-1 projectors onto the frame's columns, built on first use."""
+        return tuple(Projector(np.outer(f, f.conj())) for f in self.frame.T)
 
     @classmethod
     def from_vectors(cls, vectors, labels=None) -> MeasurementBasis:
-        vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+        """Basis whose k-th outcome is the ray of ``vectors[k]`` (normalized first)."""
+        vecs = [_as_complex_vector(v) for v in vectors]
+        if not vecs:
+            raise InvariantViolationError("empty measurement basis")
+        if any(v.size != vecs[0].size for v in vecs):
+            raise DimensionMismatchError("vectors of mixed dimension in one basis")
+        frame = np.stack(vecs, axis=1)
+        norms = np.linalg.norm(frame, axis=0)
+        if not np.all((norms > 0.0) & np.isfinite(norms)):
+            raise InvariantViolationError("cannot normalize a zero vector")
         if labels is None:
             labels = tuple(str(i) for i in range(len(vecs)))
-        return cls(tuple(Projector.onto(v) for v in vecs), tuple(labels))
+        return cls(frame / norms, tuple(labels))
 
     def __repr__(self) -> str:
         return f"MeasurementBasis(dim={self.dim}, labels={self.labels})"

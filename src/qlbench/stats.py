@@ -1,14 +1,14 @@
 """Sequential-measurement probability calculus.
 
 Two-step statistics are always chain-rule products
-P(first = i, then = j) = P(first = i) * P(then = j | first = i), computed by
-measure, collapse, measure again.  Argument order is named "first"/"then"
-throughout; no spatial notation is used anywhere.
+P(first = i, then = j) = P(first = i) * P(then = j | first = i); measure,
+collapse, measure again gives |U^H psi|^2 times the rows of |U^H V|^2 for
+bases with unitary frames U (first) and V (then).  Argument order is named
+"first"/"then" throughout; no spatial notation is used anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,14 +19,7 @@ from .errors import (
     InvariantViolationError,
     PreconditionError,
 )
-from .hilbert import (
-    MeasurementBasis,
-    StateVector,
-    ZERO_PROBABILITY,
-    born_probability,
-    collapse,
-    commutes,
-)
+from .hilbert import MeasurementBasis, StateVector, ZERO_PROBABILITY
 
 DISTRIBUTION_TOL = 1e-9
 ENTRY_TOL = 1e-12
@@ -118,12 +111,32 @@ class SequentialTable:
         return self.entries.sum(axis=0)
 
 
-def born_distribution(state: StateVector, basis: MeasurementBasis) -> Distribution:
-    """Outcome distribution of one measurement on ``state``."""
+def _born_probs(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
+    """|U^H psi|^2: the probability of each outcome of ``basis``."""
     if state.dim != basis.dim:
         raise DimensionMismatchError(f"state dim {state.dim} vs basis dim {basis.dim}")
-    probs = [born_probability(state, p) for p in basis.projectors]
-    return Distribution(basis.labels, probs)
+    return np.abs(basis.frame.conj().T @ state.amplitudes) ** 2
+
+
+def overlap_kernel(first: MeasurementBasis, then: MeasurementBasis) -> np.ndarray:
+    """|U^H V|^2: row i is P(then = j | first = i), the squared overlaps of the rays."""
+    if first.dim != then.dim:
+        raise DimensionMismatchError(f"basis dims {first.dim} vs {then.dim}")
+    return np.abs(first.frame.conj().T @ then.frame) ** 2
+
+
+def chain_rule(first_probs, kernel, *, zero_tol: float = ZERO_PROBABILITY) -> np.ndarray:
+    """entries[i, j] = P(first = i) * kernel[i, j].
+
+    Rows with first-outcome probability at or below ``zero_tol`` are exactly
+    zero: an impossible branch contributes nothing and is never conditioned on.
+    """
+    return np.where(first_probs > zero_tol, first_probs, 0.0)[:, None] * kernel
+
+
+def born_distribution(state: StateVector, basis: MeasurementBasis) -> Distribution:
+    """Outcome distribution of one measurement on ``state``."""
+    return Distribution(basis.labels, _born_probs(state, basis))
 
 
 def sequential_distribution(
@@ -133,21 +146,10 @@ def sequential_distribution(
     *,
     zero_tol: float = ZERO_PROBABILITY,
 ) -> SequentialTable:
-    """Measure ``first``, collapse on its outcome, then measure ``second``.
-
-    Rows with first-outcome probability below ``zero_tol`` are exactly zero:
-    an impossible branch contributes nothing and is never collapsed on.
-    """
-    if state.dim != first.dim or state.dim != second.dim:
-        raise DimensionMismatchError("state and bases must share one dimension")
-    entries = np.zeros((first.size, second.size))
-    for i, proj in enumerate(first.projectors):
-        p_first = born_probability(state, proj)
-        if p_first <= zero_tol:
-            continue
-        after = collapse(state, proj)
-        for j, then_proj in enumerate(second.projectors):
-            entries[i, j] = p_first * born_probability(after, then_proj)
+    """Measure ``first``, collapse on its outcome, then measure ``second``: the
+    :func:`chain_rule`, so rows at or below ``zero_tol`` are exactly zero."""
+    probs, kernel = _born_probs(state, first), overlap_kernel(first, second)
+    entries = chain_rule(probs, kernel, zero_tol=zero_tol)
     return SequentialTable(first_basis=first, second_basis=second, entries=entries)
 
 
@@ -174,31 +176,39 @@ def nondistribution_defect(
     """
     if not 0 <= target_index < target_basis.size:
         raise PreconditionError(f"outcome index {target_index} out of range")
-    direct = born_probability(state, target_basis.projectors[target_index])
-    through = sequential_distribution(state, interposed, target_basis)
-    return abs(direct - float(through.entries[:, target_index].sum()))
+    direct = _born_probs(state, target_basis)[target_index]
+    through = chain_rule(_born_probs(state, interposed), overlap_kernel(interposed, target_basis))
+    return abs(float(direct) - float(through[:, target_index].sum()))
 
 
 def commutation_defect(
     state: StateVector, basis_a: MeasurementBasis, basis_b: MeasurementBasis
 ) -> float:
     """Largest order asymmetry max_ij |P(a_i then b_j) - P(b_j then a_i)|."""
-    forward = sequential_distribution(state, basis_a, basis_b)
-    reverse = sequential_distribution(state, basis_b, basis_a)
-    return float(np.max(np.abs(forward.entries - reverse.entries.T)))
+    kernel = overlap_kernel(basis_a, basis_b)
+    forward = chain_rule(_born_probs(state, basis_a), kernel)
+    reverse = chain_rule(_born_probs(state, basis_b), kernel.T)
+    return float(np.max(np.abs(forward - reverse.T)))
 
 
 def bases_equal(a: MeasurementBasis, b: MeasurementBasis, tol: float = 1e-9) -> bool:
-    if a.dim != b.dim or a.size != b.size:
+    """Outcome by outcome, the projectors agree entrywise within ``tol``."""
+    if a is b:
+        return True
+    if a.dim != b.dim:
         return False
-    return all(
-        float(np.max(np.abs(p.matrix - q.matrix))) <= tol
-        for p, q in zip(a.projectors, b.projectors)
-    )
+    # stack[k] = |f_k><f_k|, the projector of outcome k
+    stack_a, stack_b = (np.einsum("ik,jk->kij", f, f.conj()) for f in (a.frame, b.frame))
+    return float(np.max(np.abs(stack_a - stack_b))) <= tol
 
 
 def commuting_bases(a: MeasurementBasis, b: MeasurementBasis, tol: float = 1e-10) -> bool:
-    return all(commutes(p, q, tol) for p in a.projectors for q in b.projectors)
+    """Every commutator P_i Q_j - Q_j P_i has all entries at most ``tol``."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    # P_i Q_j = <a_i|b_j> |a_i><b_j|, and Q_j P_i is its conjugate transpose
+    products = np.einsum("ij,ki,lj->ijkl", a.frame.conj().T @ b.frame, a.frame, b.frame.conj())
+    return float(np.max(np.abs(products - products.conj().transpose(0, 1, 3, 2)))) <= tol
 
 
 @dataclass(frozen=True)
@@ -228,7 +238,8 @@ def joint_exists(t_ab: SequentialTable, t_ba: SequentialTable, tol: float = 1e-9
     A joint distribution over outcome pairs exists iff the order of
     measurement is statistically irrelevant: t_ab[i, j] = t_ba[j, i] for all
     entries.  When it exists the common table is returned as a distribution
-    over pairs; otherwise the maximally asymmetric entry is the witness.
+    over pairs; otherwise the maximally asymmetric entry is the witness (the
+    first in row-major order when several tie within ``ENTRY_TOL``).
     """
     if not (
         bases_equal(t_ab.first_basis, t_ba.second_basis)
@@ -236,8 +247,8 @@ def joint_exists(t_ab: SequentialTable, t_ba: SequentialTable, tol: float = 1e-9
     ):
         raise PreconditionError("tables do not cover the same basis pair in opposite orders")
     gap = np.abs(t_ab.entries - t_ba.entries.T)
-    worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    i, j = int(worst[0]), int(worst[1])
+    worst = int(np.argmax(gap >= gap.max() - ENTRY_TOL))
+    i, j = (int(k) for k in np.unravel_index(worst, gap.shape))
     if float(gap[i, j]) <= tol:
         labels = [
             f"({la},{lb})"
@@ -263,11 +274,11 @@ def dispersion(p: float) -> float:
     return p - p * p
 
 
-def binomial_bound(p: float, n_trials: int, z: float = 4.0) -> float:
-    """z standard deviations of a binomial proportion estimate of p."""
+def binomial_bound(p, n_trials: int, z: float = 4.0):
+    """z standard deviations of a binomial proportion estimate of p (or of each p in an array)."""
     if n_trials < 1:
         raise PreconditionError("need at least one trial")
-    return z * math.sqrt(max(p * (1.0 - p), 0.0) / n_trials)
+    return z * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n_trials)
 
 
 def within_binomial_bound(
@@ -276,5 +287,5 @@ def within_binomial_bound(
     """Entrywise |empirical - exact| <= z * sqrt(p(1-p)/n) comparison."""
     if exact.entries.shape != empirical.entries.shape:
         raise DimensionMismatchError("table shapes differ")
-    bounds = np.vectorize(lambda p: binomial_bound(p, n_trials, z))(exact.entries)
+    bounds = binomial_bound(exact.entries, n_trials, z)
     return bool(np.all(np.abs(empirical.entries - exact.entries) <= bounds))

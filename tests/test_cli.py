@@ -4,6 +4,7 @@ import pytest
 
 from qlbench.cli import main
 from qlbench.hidden import load_model
+from qlbench.hilbert import BASIS_TOL
 
 
 def run(capsys, *argv):
@@ -151,6 +152,17 @@ class TestInterface:
         code, _, err = run(capsys, "demo-eq5", "--config", "/nonexistent/path.cfg")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("factor, code", [(1.01, 2), (0.99, 0)])
+    def test_context_vectors_at_basis_tol(self, capsys, tmp_path, factor, code):
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"context vectors 1 0 ; {factor * BASIS_TOL!r} 1\ncontext x\n")
+        got, out, err = run(capsys, "stats-commute", "--config", str(config))
+        assert got == code
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: line 1, column 9: context vectors invalid")
 
     def test_config_error_reports_position(self, capsys, tmp_path):
         config = tmp_path / "exp.cfg"

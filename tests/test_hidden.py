@@ -18,9 +18,16 @@ from qlbench.hidden import (
     truth_table_distributivity,
 )
 from qlbench.hilbert import spin_direction_basis
-from qlbench.sampling import random_direction_pair, random_state, rng_from
+from qlbench.sampling import (
+    random_basis_pair,
+    random_direction_pair,
+    random_state,
+    rng_from,
+)
 from qlbench.stats import (
+    SequentialTable,
     binomial_bound,
+    dispersion,
     sequential_distribution,
     within_binomial_bound,
 )
@@ -151,6 +158,112 @@ class TestSimulateSequential:
     def test_zero_trials_rejected(self, zx_model):
         with pytest.raises(PreconditionError):
             simulate_sequential(zx_model, ("A", "B"), 0, seed=1)
+
+
+def per_trial_simulate(model, order, n_trials, seed):
+    """The per-trial sampler, kept as the oracle for the two-stage one: each
+    trial draws a member, reads its first value and redraws the second from
+    the kernel row."""
+    first, then = order
+    ensemble = model.ensemble
+    kernel = model.kernel(first, then)
+    rng = np.random.default_rng(seed)
+    weights = np.array([w for _, w in ensemble.members])
+    first_values = np.array([s.value(first) for s, _ in ensemble.members])
+    member_idx = rng.choice(len(weights), size=n_trials, p=weights / weights.sum())
+    firsts = first_values[member_idx]
+    cumulative = np.cumsum(kernel.rows, axis=1)
+    cumulative[:, -1] = 1.0
+    thens = (rng.random(n_trials)[:, None] > cumulative[firsts]).sum(axis=1)
+    counts = np.zeros((ensemble.contexts[first].size, ensemble.contexts[then].size))
+    np.add.at(counts, (firsts, thens), 1.0)
+    return SequentialTable(ensemble.contexts[first], ensemble.contexts[then], counts / n_trials)
+
+
+def _models():
+    rng = rng_from(405)
+    models = []
+    for dim in (2, 3, 4):
+        state = random_state(rng, dim)
+        models.append(build_qm_equivalent_model(state, *random_basis_pair(rng, dim)))
+    return models
+
+
+class TestTwoStageSamplerAgainstPerTrial:
+    SAMPLERS = (simulate_sequential, per_trial_simulate)
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("n", (1, 17, 10_000))
+    def test_counts_sum_to_n(self, zx_model, sampler, n):
+        for model in (zx_model, *_models()):
+            for order in (("A", "B"), ("B", "A")):
+                hits = sampler(model, order, n, seed=n).entries * n
+                assert float(np.max(np.abs(hits - np.round(hits)))) <= 1e-6
+                assert int(np.round(hits).sum()) == n
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_zero_probability_cells_stay_zero(self, z_plus, z_basis, x_basis, sampler):
+        # z+ never yields z-, and z then z has identity kernels
+        for model, order in (
+            (build_qm_equivalent_model(z_plus, z_basis, x_basis), ("A", "B")),
+            (build_qm_equivalent_model(z_plus, z_basis, z_basis), ("B", "A")),
+        ):
+            exact = exact_sequential(model, order)
+            for seed in range(5):
+                empirical = sampler(model, order, 50_000, seed)
+                assert np.all(empirical.entries[exact.entries == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_within_four_sigma_on_fixed_seeds(self, zx_model, sampler):
+        n = 100_000
+        for seed, model in enumerate((zx_model, *_models())):
+            for offset, order in enumerate((("A", "B"), ("B", "A"))):
+                exact = exact_sequential(model, order)
+                empirical = sampler(model, order, n, seed=1000 + 2 * seed + offset)
+                assert within_binomial_bound(exact, empirical, n)
+
+
+def per_member_audit_fields(ensemble):
+    """The per-member loop of the no-go audit, kept as the oracle for the
+    truth-matrix version: (value definite, distributive, pairs, max dispersion)."""
+    propositions = [
+        (name, outcome)
+        for name, basis in ensemble.contexts.items()
+        for outcome in range(basis.size)
+    ]
+    value_definite = True
+    distributive = True
+    pairs_checked = 0
+    max_dispersion = 0.0
+    for member, _weight in ensemble.members:
+        truths = {prop: member.truth(*prop) for prop in propositions}
+        if any(t not in (0, 1) for t in truths.values()):
+            value_definite = False
+        max_dispersion = max(max_dispersion, max(dispersion(float(t)) for t in truths.values()))
+        for pa in propositions:
+            for pb in propositions:
+                pairs_checked += 1
+                a, b = truths[pa], truths[pb]
+                if min(a, max(b, 1 - b)) != max(min(a, b), min(a, 1 - b)):
+                    distributive = False
+    return value_definite, distributive, pairs_checked, max_dispersion
+
+
+class TestAuditAgainstPerMemberLoop:
+    def test_member_fields_are_identical(self, z_plus, z_basis, x_basis):
+        rng = rng_from(406)
+        cases = [(z_plus, z_basis, x_basis), (z_plus, z_basis, z_basis)]
+        for dim in (2, 3, 4, 5):
+            cases.append((random_state(rng, dim), *random_basis_pair(rng, dim)))
+        for state, a, b in cases:
+            audit = audit_no_go(state, a, b)
+            model = build_qm_equivalent_model(state, a, b)
+            expected = per_member_audit_fields(model.ensemble)
+            got = (audit.members_value_definite, audit.members_distributive,
+                   audit.member_pairs_checked, audit.member_max_dispersion)
+            assert got == expected
+            assert type(got[2]) is int and type(got[3]) is float
+            assert audit.member_pairs_checked == a.size ** 2 * (2 * a.size) ** 2
 
 
 class TestTruthTable:

@@ -9,6 +9,7 @@ from qlbench.errors import (
     InvariantViolationError,
 )
 from qlbench.hilbert import (
+    BASIS_TOL,
     MeasurementBasis,
     Projector,
     StateVector,
@@ -77,14 +78,59 @@ class TestMeasurementBasis:
 
     def test_requires_completeness(self):
         with pytest.raises(InvariantViolationError):
-            MeasurementBasis(
-                (Projector.onto([1.0, 0.0, 0.0]), Projector.onto([0.0, 1.0, 0.0])),
-                ("0", "1"),
-            )
+            MeasurementBasis.from_vectors([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ("0", "1"))
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(InvariantViolationError):
             MeasurementBasis.from_vectors([[1.0, 0.0], [0.0, 1.0]], ("a", "a"))
+
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    def test_orthogonality_error_at_basis_tol(self, factor, accepted):
+        # after normalization <u0|u1> = eps / sqrt(1 + eps^2), which is eps in floating point
+        eps = factor * BASIS_TOL
+        vectors = [[1.0, 0.0], [eps, 1.0]]
+        if accepted:
+            MeasurementBasis.from_vectors(vectors)
+        else:
+            with pytest.raises(InvariantViolationError):
+                MeasurementBasis.from_vectors(vectors)
+
+    def test_frame_columns_are_the_normalized_vectors(self):
+        basis = MeasurementBasis.from_vectors([[3.0, 4.0j], [4.0, -3.0j]], ("p", "m"))
+        assert np.allclose(basis.frame, np.array([[0.6, 0.8], [0.8j, -0.6j]]), atol=1e-15)
+        assert basis.labels == ("p", "m")
+        with pytest.raises(ValueError):
+            basis.frame[0, 0] = 1.0
+
+    def test_projectors_are_derived_from_the_frame(self):
+        basis = random_basis(rng_from(106), 4)
+        assert len(basis.projectors) == 4
+        assert basis.projectors is basis.projectors
+        for k, proj in enumerate(basis.projectors):
+            assert np.array_equal(proj.matrix, np.outer(basis.frame[:, k], basis.frame[:, k].conj()))
+            assert same_ray(principal_vector(proj), basis.frame[:, k])
+
+    def test_constructor_checks_the_frame_and_copies_it(self):
+        frame = np.eye(2, dtype=complex)
+        basis = MeasurementBasis(frame, ("0", "1"))
+        frame[0, 0] = 5.0
+        assert basis.frame[0, 0] == 1.0
+        with pytest.raises(InvariantViolationError):
+            MeasurementBasis(np.array([[1.0, 1.0], [0.0, 1.0]]), ("0", "1"))
+        with pytest.raises(InvariantViolationError):
+            MeasurementBasis(np.eye(2), ("0",))
+
+    @pytest.mark.parametrize("vectors, error", [
+        ([], InvariantViolationError),
+        ([[0.0, 0.0], [0.0, 1.0]], InvariantViolationError),
+        ([[float("nan"), 0.0], [0.0, 1.0]], InvariantViolationError),
+        ([[1.0, 0.0], [0.0, 1.0, 0.0]], DimensionMismatchError),
+        ([[1.0] + [0.0] * 8] * 9, InvariantViolationError),
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], InvariantViolationError),
+    ])
+    def test_from_vectors_rejects(self, vectors, error):
+        with pytest.raises(error):
+            MeasurementBasis.from_vectors(vectors)
 
 
 class TestBornProbability:

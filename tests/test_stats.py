@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,15 @@ from qlbench.errors import (
     InvariantViolationError,
     PreconditionError,
 )
-from qlbench.hilbert import named_state
+from qlbench.hilbert import (
+    ZERO_PROBABILITY,
+    MeasurementBasis,
+    StateVector,
+    born_probability,
+    collapse,
+    commutes,
+    named_state,
+)
 from qlbench.sampling import (
     random_basis_pair,
     random_commuting_pair,
@@ -22,7 +31,10 @@ from qlbench.stats import (
     Distribution,
     FrequencyTable,
     SequentialTable,
+    bases_equal,
+    binomial_bound,
     born_distribution,
+    chain_rule,
     commutation_defect,
     commuting_bases,
     dispersion,
@@ -264,3 +276,157 @@ class TestBinomialBound:
         exact = sequential_distribution(z_plus, z_basis, x_basis)
         skewed = SequentialTable(z_basis, x_basis, [[0.7, 0.3], [0.0, 0.0]])
         assert not within_binomial_bound(exact, skewed, 100000)
+
+
+# -- the measure-collapse-measure path, kept as the oracle for the frame path ----
+
+
+def oracle_born(state, basis):
+    return np.array([born_probability(state, p) for p in basis.projectors])
+
+
+def oracle_sequential(state, first, second, zero_tol=ZERO_PROBABILITY):
+    entries = np.zeros((first.size, second.size))
+    for i, proj in enumerate(first.projectors):
+        p_first = born_probability(state, proj)
+        if p_first <= zero_tol:
+            continue
+        after = collapse(state, proj)
+        for j, then_proj in enumerate(second.projectors):
+            entries[i, j] = p_first * born_probability(after, then_proj)
+    return entries
+
+
+def oracle_commutation_defect(state, a, b):
+    return float(np.max(np.abs(
+        oracle_sequential(state, a, b) - oracle_sequential(state, b, a).T)))
+
+
+def oracle_nondistribution_defect(state, target_basis, target_index, interposed):
+    direct = born_probability(state, target_basis.projectors[target_index])
+    through = oracle_sequential(state, interposed, target_basis)[:, target_index].sum()
+    return abs(direct - float(through))
+
+
+def oracle_bases_equal(a, b, tol=1e-9):
+    if a.dim != b.dim or a.size != b.size:
+        return False
+    return all(
+        float(np.max(np.abs(p.matrix - q.matrix))) <= tol
+        for p, q in zip(a.projectors, b.projectors)
+    )
+
+
+def oracle_commuting_bases(a, b, tol=1e-10):
+    return all(commutes(p, q, tol) for p in a.projectors for q in b.projectors)
+
+
+def _orthogonal_to_ray(state, basis, k):
+    ray = basis.frame[:, k]
+    rest = state.amplitudes - np.vdot(ray, state.amplitudes) * ray
+    return StateVector.normalized(rest)
+
+
+class TestFramePathAgainstOracle:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        kind=st.sampled_from(("generic", "commuting", "orthogonal")),
+    )
+    def test_tables_marginals_defects_and_equality(self, seed, dim, kind):
+        rng = rng_from(seed)
+        state = random_state(rng, dim)
+        if kind == "commuting":
+            first, second = random_commuting_pair(rng, dim)
+        else:
+            first, second = random_basis_pair(rng, dim)
+        if kind == "orthogonal" and dim > 1:
+            state = _orthogonal_to_ray(state, first, int(rng.integers(dim)))
+        target = int(rng.integers(dim))
+
+        for a, b in ((first, second), (second, first)):
+            assert_table(sequential_distribution(state, a, b).entries,
+                         oracle_sequential(state, a, b))
+            assert_table(born_distribution(state, a).probs, oracle_born(state, a))
+        assert abs(commutation_defect(state, first, second)
+                   - oracle_commutation_defect(state, first, second)) <= 1e-12
+        assert abs(nondistribution_defect(state, first, target, second)
+                   - oracle_nondistribution_defect(state, first, target, second)) <= 1e-12
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
+        phased = MeasurementBasis.from_vectors((first.frame * phases).T, first.labels)
+        assert bases_equal(first, phased)
+        for a, b in ((first, second), (first, first), (first, phased)):
+            assert bases_equal(a, b) == oracle_bases_equal(a, b)
+            assert commuting_bases(a, b) == oracle_commuting_bases(a, b)
+        if kind == "orthogonal" and dim > 1:
+            assert np.count_nonzero(sequential_distribution(state, first, second).entries.sum(axis=1)) < dim
+        if kind == "commuting":
+            assert commuting_bases(first, second)
+
+
+class TestZeroProbabilityThreshold:
+    def _state_with_second_outcome(self, p):
+        return StateVector([math.sqrt(1.0 - p), math.sqrt(p)])
+
+    def test_just_below_zero_tol_zeroes_the_row(self, z_basis, x_basis):
+        state = self._state_with_second_outcome(0.99 * ZERO_PROBABILITY)
+        table = sequential_distribution(state, z_basis, x_basis)
+        assert np.all(table.entries[1] == 0.0)
+
+    def test_just_above_zero_tol_keeps_the_row(self, z_basis, x_basis):
+        p = 1.01 * ZERO_PROBABILITY
+        table = sequential_distribution(self._state_with_second_outcome(p), z_basis, x_basis)
+        assert np.all(table.entries[1] > 0.0)
+        assert abs(float(table.entries[1].sum()) - p) <= 1e-6 * p
+
+    def test_at_zero_tol_the_row_is_zero(self):
+        entries = chain_rule(np.array([1.0 - ZERO_PROBABILITY, ZERO_PROBABILITY]),
+                             np.full((2, 2), 0.5))
+        assert np.all(entries[0] == 0.5 * (1.0 - ZERO_PROBABILITY))
+        assert np.all(entries[1] == 0.0)
+
+    def test_zero_tol_argument_moves_the_threshold(self, z_basis, x_basis):
+        state = self._state_with_second_outcome(1e-9)
+        kept = sequential_distribution(state, z_basis, x_basis)
+        dropped = sequential_distribution(state, z_basis, x_basis, zero_tol=1e-8)
+        assert np.all(kept.entries[1] > 0.0)
+        assert np.all(dropped.entries[1] == 0.0)
+
+
+def _scalar_binomial_bound(p, n, z=4.0):
+    return z * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+
+
+class TestBinomialBoundArray:
+    TABLES = (
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[0.5, 0.5], [0.0, 0.0]],
+        [[0.1, 0.2], [0.3, 0.4]],
+        [[1 / 3, 1 / 6], [0.25, 0.25]],
+        [[1e-17, 1.0 - 1e-12], [1e-12 - 1e-17, 0.0]],
+    )
+
+    @pytest.mark.parametrize("entries", TABLES)
+    @pytest.mark.parametrize("n", (1, 7, 1000, 100_000))
+    def test_array_bounds_equal_the_scalar_function(self, z_basis, x_basis, entries, n):
+        table = SequentialTable(z_basis, x_basis, entries)
+        for z in (4.0, 2.5):
+            bounds = binomial_bound(table.entries, n, z)
+            scalar = [[binomial_bound(float(p), n, z) for p in row] for row in table.entries]
+            oracle = [[_scalar_binomial_bound(float(p), n, z) for p in row] for row in table.entries]
+            assert bounds.tobytes() == np.array(scalar).tobytes()
+            assert bounds.tobytes() == np.array(oracle).tobytes()
+
+    def test_certain_and_impossible_cells_allow_no_deviation(self, z_basis, x_basis):
+        exact = SequentialTable(z_basis, x_basis, [[1.0, 0.0], [0.0, 0.0]])
+        off = SequentialTable(z_basis, x_basis, [[1.0 - 1e-6, 1e-6], [0.0, 0.0]])
+        assert within_binomial_bound(exact, exact, 10)
+        assert not within_binomial_bound(exact, off, 10)
+
+    def test_fewer_than_one_trial_refused(self, z_basis, x_basis):
+        table = SequentialTable(z_basis, x_basis, [[0.5, 0.5], [0.0, 0.0]])
+        with pytest.raises(PreconditionError):
+            binomial_bound(0.5, 0)
+        with pytest.raises(PreconditionError):
+            within_binomial_bound(table, table, 0)
