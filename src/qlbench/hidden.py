@@ -140,8 +140,7 @@ class HiddenModel:
         for (src, dst), kernel in kernels.items():
             if kernel.from_context != src or kernel.to_context != dst:
                 raise InvariantViolationError("kernel key disagrees with kernel contexts")
-            if src not in self.ensemble.contexts or dst not in self.ensemble.contexts:
-                raise InvariantViolationError("kernel references an undeclared context")
+            _check_kernel(kernel, self.ensemble.contexts)
         object.__setattr__(self, "kernels", kernels)
 
     def kernel(self, first: str, then: str) -> TransitionKernel:
@@ -155,6 +154,21 @@ class HiddenModel:
             return self.kernels[(first, then)]
         except KeyError:
             raise PreconditionError(f"no kernel declared for order ({first!r}, {then!r})") from None
+
+
+def _check_kernel(kernel: TransitionKernel, contexts: Mapping[str, MeasurementBasis]) -> None:
+    """Both contexts declared, and one row per outcome of the source context
+    with one entry per outcome of the destination context."""
+    src, dst = kernel.from_context, kernel.to_context
+    for name in (src, dst):
+        if name not in contexts:
+            raise InvariantViolationError(f"kernel references an undeclared context {name!r}")
+    expected = (contexts[src].size, contexts[dst].size)
+    if kernel.rows.shape != expected:
+        raise InvariantViolationError(
+            f"kernel {src} {dst} rows have shape {kernel.rows.shape}, expected {expected} "
+            f"(outcomes of {src} × outcomes of {dst})"
+        )
 
 
 def build_qm_equivalent_model(
@@ -414,6 +428,7 @@ def parse_model(text: str) -> HiddenModel:
     contexts: dict[str, MeasurementBasis] = {}
     members: list[tuple[HiddenState, float]] = []
     kernels: dict[tuple[str, str], TransitionKernel] = {}
+    declared_at: dict = {}  # context name or kernel key -> line number
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -433,6 +448,7 @@ def parse_model(text: str) -> HiddenModel:
                 groups = _split_on_semicolons(rest[split + 1:])
                 vectors = [[complex(tok) for tok in group] for group in groups]
                 contexts[name] = MeasurementBasis.from_vectors(vectors, labels)
+                declared_at[name] = lineno
             elif key == "member":
                 if rest[-2] != "weight":
                     raise ValueError("expected 'weight'")
@@ -449,6 +465,7 @@ def parse_model(text: str) -> HiddenModel:
                 groups = _split_on_semicolons(rest[3:])
                 rows = np.array([[float(tok) for tok in group] for group in groups])
                 kernels[(src, dst)] = TransitionKernel(src, dst, rows)
+                declared_at[(src, dst)] = lineno
             else:
                 raise ValueError(f"unknown key {key!r}")
         except (ValueError, IndexError) as exc:
@@ -456,6 +473,17 @@ def parse_model(text: str) -> HiddenModel:
 
     if dim is None or not contexts or not members:
         raise InvariantViolationError("model file incomplete")
+    for name, basis in contexts.items():
+        if basis.dim != dim:
+            raise InvariantViolationError(
+                f"model line {declared_at[name]}: context {name!r} has vectors of length "
+                f"{basis.dim}, but model-dim is {dim}"
+            )
+    for key, kernel in kernels.items():
+        try:
+            _check_kernel(kernel, contexts)
+        except InvariantViolationError as exc:
+            raise InvariantViolationError(f"model line {declared_at[key]}: {exc}") from exc
     ensemble = HiddenEnsemble(members=tuple(members), contexts=contexts)
     return HiddenModel(ensemble=ensemble, kernels=kernels)
 

@@ -98,6 +98,42 @@ class TestHiddenVariableCommands:
         assert code == 0
         assert "exact tables computed" in out
 
+    THREE_OUTCOME_CONTEXTS = (
+        "context A labels a0 a1 a2 vectors 1 0 0 ; 0 1 0 ; 0 0 1\n"
+        "context B labels b0 b1 b2 vectors 0 1 0 ; 1 0 0 ; 0 0 1\n"
+        "member A=0 B=1 weight 1.0\n"
+    )
+
+    @pytest.mark.parametrize("command", ["hv-build", "hv-exact", "hv-simulate"])
+    @pytest.mark.parametrize("model_text, located", [
+        # 2x2 kernels for two 3-outcome contexts
+        ("model-dim 3\n" + THREE_OUTCOME_CONTEXTS
+         + "kernel A B rows 0.5 0.5 ; 0.5 0.5\nkernel B A rows 0.5 0.5 ; 0.5 0.5\n",
+         "model line 5: kernel A B rows have shape (2, 2), expected (3, 3)"),
+        # a kernel row per outcome, but 2 entries for a 3-outcome destination
+        ("model-dim 3\n" + THREE_OUTCOME_CONTEXTS
+         + "kernel A B rows 1 0 0 ; 0 1 0 ; 0 0 1\nkernel B A rows 1 0 ; 0 1 ; 1 0\n",
+         "model line 6: kernel B A rows have shape (3, 2), expected (3, 3)"),
+        ("model-dim 3\n" + THREE_OUTCOME_CONTEXTS + "kernel A C rows 1 0 0 ; 0 1 0 ; 0 0 1\n",
+         "model line 5: kernel references an undeclared context 'C'"),
+        ("model-dim 2\n" + THREE_OUTCOME_CONTEXTS,
+         "model line 2: context 'A' has vectors of length 3, but model-dim is 2"),
+        (THREE_OUTCOME_CONTEXTS + "model-dim 4\n",
+         "model line 1: context 'A' has vectors of length 3, but model-dim is 4"),
+    ], ids=["square-kernel-too-small", "short-kernel-rows", "undeclared-context",
+            "model-dim-too-small", "model-dim-too-large"])
+    def test_inconsistent_model_is_a_located_error(self, capsys, tmp_path, command,
+                                                   model_text, located):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(model_text)
+        config = tmp_path / "replay.cfg"
+        config.write_text(f"model {model_path}\n")
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and located in err
+        assert "Traceback" not in err
+
     def test_exact_matches_direct_chain(self, capsys):
         code, out, _ = run(capsys, "hv-exact")
         assert code == 0

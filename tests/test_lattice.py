@@ -1,11 +1,19 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlbench.errors import DimensionMismatchError, PreconditionError
+from qlbench.errors import DimensionMismatchError, InvariantViolationError, PreconditionError
 from qlbench.lattice import (
+    INCLUSION_TOL,
+    RANK_TOL,
+    AxiomCheck,
+    LatticeAxiomReport,
     Subspace,
+    _inclusion_matrix,
     absorption_holds,
     check_lattice_axioms,
     de_morgan_holds,
@@ -213,3 +221,204 @@ class TestAlgebraicLaws:
             dim = int(rng.integers(2, 5))
             a, b = random_subspace(rng, dim), random_subspace(rng, dim)
             assert de_morgan_holds(a, b)
+
+
+# -- the slow paths, kept as oracles for the principal-angle meet and the batched check --
+
+
+def oracle_meet(a, b):
+    """The meet through De Morgan: the complement of the join of the complements."""
+    return orthocomplement(join(orthocomplement(a), orthocomplement(b)))
+
+
+def oracle_inclusion_matrix(inner, outer):
+    return np.array([[includes(a, b) for b in outer] for a in inner], dtype=bool)
+
+
+def oracle_check_lattice_axioms(sample, *, pair_limit=4000, triple_limit=4000, seed=0):
+    """The per-pair ``includes`` loop, stopping at the first failure of each axiom."""
+    n = len(sample)
+    rng = np.random.default_rng(seed)
+    if n * n <= pair_limit:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        pairs = [tuple(p) for p in rng.integers(0, n, size=(pair_limit, 2))]
+    if n ** 3 <= triple_limit:
+        triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    else:
+        triples = [tuple(t) for t in rng.integers(0, n, size=(triple_limit, 3))]
+    singles = [(i,) for i in range(n)]
+    inc = lambda i, j: includes(sample[i], sample[j])
+    comp = lambda i: orthocomplement(sample[i])
+    axioms = [
+        ("reflexivity: a ⊆ a", singles, lambda i: inc(i, i)),
+        ("antisymmetry: a ⊆ b and b ⊆ a imply a = b", pairs,
+         lambda i, j: not (inc(i, j) and inc(j, i)) or subspace_equal(sample[i], sample[j])),
+        ("transitivity: a ⊆ b ⊆ c implies a ⊆ c", triples,
+         lambda i, j, k: not (inc(i, j) and inc(j, k)) or inc(i, k)),
+        ("involution: (a')' = a", singles,
+         lambda i: subspace_equal(orthocomplement(comp(i)), sample[i])),
+        ("complement disjointness: a ∧ a' = 0", singles,
+         lambda i: oracle_meet(sample[i], comp(i)).is_zero),
+        ("order reversal: a ⊆ b iff b' ⊆ a'", pairs,
+         lambda i, j: inc(i, j) == includes(comp(j), comp(i))),
+    ]
+    checks = []
+    for name, cases, predicate in axioms:
+        failure, count = None, 0
+        for case in cases:
+            count += 1
+            if not predicate(*case):
+                failure = ", ".join(f"sample[{k}]" for k in case)
+                break
+        checks.append(AxiomCheck(name, count, failure is None, failure))
+    return LatticeAxiomReport(tuple(checks))
+
+
+def _gaussian(rng, dim, k):
+    return rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+
+
+def shared_part_pair(rng, dim):
+    """(a, b, shared dim): a random common part plus independent extras for each."""
+    shared = int(rng.integers(0, dim + 1))
+    common = _gaussian(rng, dim, shared)
+    a, b = (
+        Subspace.from_vectors(
+            dim, np.column_stack([common, _gaussian(rng, dim, int(rng.integers(0, dim - shared + 1)))]).T
+        )
+        for _ in range(2)
+    )
+    return a, b, shared
+
+
+def tilted_ray(dim, sine):
+    """The unit vector cos θ e0 + sin θ e1 in C^dim, as a ray."""
+    v = np.zeros(dim)
+    v[0], v[1] = math.sqrt(1.0 - sine * sine), sine
+    return Subspace.ray(v)
+
+
+class TestMeetAgainstDeMorganOracle:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        kind=st.sampled_from(("random", "nested", "shared")),
+    )
+    def test_same_dimension_and_subspace(self, seed, dim, kind):
+        rng = rng_from(seed)
+        if kind == "random":
+            a, b = random_subspace(rng, dim), random_subspace(rng, dim)
+        elif kind == "nested":
+            a, b = random_nested_pair(rng, dim)
+        else:
+            a, b, shared = shared_part_pair(rng, dim)
+            # independent Gaussian extras are in general position with probability one
+            assert meet(a, b).dim == max(shared, a.dim + b.dim - dim)
+        for left, right in ((a, b), (b, a)):
+            fast, slow = meet(left, right), oracle_meet(left, right)
+            assert fast.dim == slow.dim
+            assert subspace_equal(fast, slow)
+            assert includes(fast, left) and includes(fast, right)
+        if kind == "nested":
+            assert subspace_equal(meet(a, b), a)
+
+
+class TestInclusionMatrixAgainstIncludes:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8), n=st.integers(1, 40))
+    def test_every_pair(self, seed, dim, n):
+        rng = rng_from(seed)
+        sample = [random_subspace(rng, dim) for _ in range(n)]
+        if n >= 2:  # nested members make true off-diagonal inclusions
+            sample[:2] = random_nested_pair(rng, dim)
+        complements = [orthocomplement(s) for s in sample]
+        for inner, outer in ((sample, sample), (complements, complements), (sample, complements)):
+            assert np.array_equal(_inclusion_matrix(inner, outer), oracle_inclusion_matrix(inner, outer))
+
+    def test_rows_larger_than_one_block(self):
+        rng = rng_from(207)
+        sample = [random_subspace(rng, 8) for _ in range(130)]  # 130 * 8 * 8 > 2**13 entries a row
+        assert np.array_equal(_inclusion_matrix(sample, sample), oracle_inclusion_matrix(sample, sample))
+
+
+class TestAxiomCheckAgainstPerPairLoop:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 5),
+        n=st.integers(1, 12),
+        limit=st.sampled_from((20, 4000)),
+        plant=st.booleans(),
+    )
+    def test_counts_and_counterexamples(self, seed, dim, n, limit, plant):
+        rng = rng_from(seed)
+        sample = [random_subspace(rng, dim) for _ in range(n)]
+        if plant:
+            # inclusion at INCLUSION_TOL is not transitive: 0.6 tol + 0.6 tol > tol
+            chain = [tilted_ray(dim, t * INCLUSION_TOL) for t in (0.0, 0.6, 1.2)]
+            for k, ray_k in zip(rng.choice(n + 3, size=3, replace=False), chain):
+                sample.insert(int(k), ray_k)
+        kwargs = dict(pair_limit=limit, triple_limit=limit, seed=seed)
+        assert check_lattice_axioms(sample, **kwargs) == oracle_check_lattice_axioms(sample, **kwargs)
+
+    def test_transitivity_counterexample_is_the_first_failing_triple(self):
+        sample = [tilted_ray(2, t * INCLUSION_TOL) for t in (0.0, 0.6, 1.2)]
+        check = check_lattice_axioms(sample).by_name("transitivity: a ⊆ b ⊆ c implies a ⊆ c")
+        # row-major order: (0,0,0) .. (0,1,1) hold, (0,1,2) is the sixth triple
+        assert check == AxiomCheck(
+            "transitivity: a ⊆ b ⊆ c implies a ⊆ c", 6, False, "sample[0], sample[1], sample[2]"
+        )
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    @pytest.mark.parametrize("factor, meet_dim", [(0.99, 1), (1.01, 0)])
+    def test_meet_of_a_tilted_ray(self, dim, factor, meet_dim):
+        axis = Subspace.ray(e(0, dim))
+        tilted = tilted_ray(dim, factor * RANK_TOL)
+        assert meet(axis, tilted).dim == meet_dim
+        assert meet(tilted, axis).dim == meet_dim
+
+    @pytest.mark.parametrize("factor, included", [(0.99, True), (1.01, False)])
+    def test_inclusion_of_a_tilted_ray(self, factor, included):
+        # the residual is spread over two coordinates, so only its norm decides
+        sine = factor * INCLUSION_TOL
+        axis = Subspace.ray(e(0, 3))
+        tilted = Subspace.ray([math.sqrt(1.0 - sine * sine), sine * INV_SQRT2, sine * INV_SQRT2])
+        assert includes(tilted, axis) is included
+        assert includes(axis, tilted) is included
+        matrix = _inclusion_matrix([tilted, axis], [tilted, axis])
+        assert matrix.tolist() == [[True, included], [included, True]]
+
+
+class TestTrustedFrames:
+    def test_user_frame_is_still_checked(self):
+        with pytest.raises(InvariantViolationError):
+            Subspace(np.array([[1.0], [1.0]]))
+        with pytest.raises(InvariantViolationError):
+            Subspace(np.array([[1.0, 0.6], [0.0, 0.8]]))
+
+    def test_constructor_takes_only_a_frame(self):
+        assert list(inspect.signature(Subspace).parameters) == ["frame"]
+
+    def test_built_frames_are_read_only_and_orthonormal(self):
+        rng = rng_from(208)
+        a, b = random_subspace(rng, 4, 2), random_subspace(rng, 4, 3)
+        built = [
+            join(a, b), meet(a, b), orthocomplement(a), Subspace.zero(4), Subspace.full(4),
+            Subspace.from_vectors(4, [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1j, 0, 1]]),
+        ]
+        for s in built:
+            assert not s.frame.flags.writeable
+            assert s.frame.dtype == complex
+            assert np.allclose(s.frame.conj().T @ s.frame, np.eye(s.dim), atol=1e-12)
+            assert Subspace(s.frame) == s
+
+    @pytest.mark.parametrize("ambient", [0, 9])
+    def test_ambient_dimension_is_checked_on_every_path(self, ambient):
+        for build in (Subspace.zero, Subspace.full,
+                      lambda d: Subspace.from_vectors(d, [np.ones(d)])):
+            with pytest.raises(InvariantViolationError):
+                build(ambient)
