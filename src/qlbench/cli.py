@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hidden, lattice, sampling, stats
 from .coloring import builtin_family, load_ray_family, search_bivalent_assignment
-from .config import ExperimentConfig, load_experiment_config
+from .config import ExperimentConfig, check_setting, load_experiment_config
 from .errors import PreconditionError, QLBenchError
 from .events import OutcomeSpace, Universe, eq10_trace, universe_mismatch_demo
 from .hilbert import MeasurementBasis, StateVector, named_axis_basis, named_state, principal_vector
@@ -118,6 +118,8 @@ def _space_from(config: ExperimentConfig, fallback: OutcomeSpace) -> OutcomeSpac
 def _cmd_demo_eq10(config: ExperimentConfig) -> Report:
     space = _space_from(config, _default_eq10_space())
     labels = space.labels
+    if config.atoms is None and len(labels) < 2:
+        raise PreconditionError("the Eq (10) trace needs 'atoms' or two outcome labels")
     atoms = config.atoms if config.atoms is not None else (labels[0], labels[1])
     trace = eq10_trace(atoms[0], atoms[1], space)
 
@@ -394,6 +396,8 @@ def _cmd_hv_simulate(config: ExperimentConfig) -> Report:
 
 
 def _cmd_hv_audit(config: ExperimentConfig) -> Report:
+    if config.model is not None:
+        raise PreconditionError("hv-audit needs a state and two contexts; a model file has no state")
     state = _resolve_state(config)
     (name_a, basis_a), (name_b, basis_b) = _two_contexts(config)
     _check_dims(state, basis_a, basis_b)
@@ -535,9 +539,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config.seed = args.seed
         if args.trials is not None:
-            config.trials = args.trials
+            config.trials = check_setting("trials", args.trials)
         if args.tol is not None:
-            config.tol = args.tol
+            config.tol = check_setting("tol", args.tol)
 
         model_text = None
         if args.command == "hv-build":

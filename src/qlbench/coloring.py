@@ -15,6 +15,7 @@ from importlib import resources
 
 import numpy as np
 
+from .config import ConfigSemanticError, Line, format_complex, parse_lines
 from .errors import InvariantViolationError, PreconditionError
 
 RAY_TOL = 1e-9
@@ -170,18 +171,12 @@ def search_bivalent_assignment(
             if conflict:
                 return False
             for b in membership[r]:
-                if ones[b] == 1:
-                    queue.extend(
-                        (other, 0)
-                        for other in family.bases[b]
-                        if values[other] == -1
-                    )
-                elif unassigned[b] == 1:
-                    queue.extend(
-                        (other, 1)
-                        for other in family.bases[b]
-                        if values[other] == -1
-                    )
+                # a basis with its 1 forces its other rays to 0; one with a
+                # single open ray and no 1 forces that ray to 1
+                forced = 0 if ones[b] == 1 else 1 if unassigned[b] == 1 else -1
+                if forced != -1:
+                    queue.extend((other, forced) for other in family.bases[b]
+                                 if values[other] == -1)
             if v == 1 and exclusive_pairs:
                 for other in ortho_neighbors[r]:
                     if values[other] == 1:
@@ -200,30 +195,35 @@ def search_bivalent_assignment(
                 if v == 1:
                     ones[b] -= 1
 
-    def next_ray() -> int | None:
-        for r in order:
-            if values[r] == -1:
-                return r
-        return None
-
-    def dfs() -> bool:
-        nonlocal nodes
-        ray = next_ray()
-        if ray is None:
-            return all(count == 1 for count in ones)
-        for value in (1, 0):
+    # Depth-first over an explicit stack of open decisions (position in
+    # ``order``, value, trail mark), trying 1 then 0 at each; every ray before
+    # a decision's position in ``order`` is assigned while it is open.
+    stack: list[tuple[int, int, int]] = []
+    pos, value = 0, 1
+    while True:
+        while pos < n and values[order[pos]] != -1:
+            pos += 1
+        if pos < n:
             nodes += 1
             mark = len(trail)
-            if propagate(ray, value) and dfs():
-                return True
+            if propagate(order[pos], value):
+                stack.append((pos, value, mark))
+                value = 1
+                continue
             undo(mark)
-        return False
-
-    if dfs():
-        return AssignmentSearchResult(
-            assignment=tuple(values), proved_none=False, nodes=nodes
-        )
-    return AssignmentSearchResult(assignment=None, proved_none=True, nodes=nodes)
+            if value == 1:
+                value = 0
+                continue
+        elif all(count == 1 for count in ones):
+            return AssignmentSearchResult(assignment=tuple(values), proved_none=False, nodes=nodes)
+        while stack:
+            pos, value, mark = stack.pop()
+            undo(mark)
+            if value == 1:
+                value = 0
+                break
+        else:
+            return AssignmentSearchResult(assignment=None, proved_none=True, nodes=nodes)
 
 
 def parse_ray_family(text: str) -> RayFamily:
@@ -231,30 +231,28 @@ def parse_ray_family(text: str) -> RayFamily:
 
     Lines: ``dim N``; ``ray c1 c2 ... cN`` (complex literals, unnormalized
     allowed); ``basis i1 ... iN`` (0-based indices into the rays declared so
-    far).  ``#`` starts a comment.
+    far).  ``#`` starts a comment.  Errors in a line name its line and column
+    (``ray-family line L, column C: ...``).
     """
     dim: int | None = None
     vectors: list[list[complex]] = []
     bases: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        key, rest = tokens[0], tokens[1:]
-        try:
-            if key == "dim":
-                dim = int(rest[0])
-            elif key == "ray":
-                if dim is None:
-                    raise ValueError("'dim' must come before 'ray'")
-                vectors.append([complex(tok) for tok in rest])
-            elif key == "basis":
-                bases.append(tuple(int(tok) for tok in rest))
-            else:
-                raise ValueError(f"unknown key {key!r}")
-        except ValueError as exc:
-            raise InvariantViolationError(f"ray-family line {lineno}: {exc}") from exc
+
+    def set_dim(line: Line) -> None:
+        nonlocal dim
+        if dim is not None:
+            raise line.error("'dim' already given", 0, ConfigSemanticError)
+        line.need(1, "one integer")
+        dim = line.number(int, 1)
+
+    def ray(line: Line) -> None:
+        if dim is None:
+            raise line.error("'dim' must come before 'ray'", 0)
+        vectors.append(line.numbers(complex))
+
+    parse_lines(text, {"dim": set_dim, "ray": ray,
+                       "basis": lambda line: bases.append(tuple(line.numbers(int)))},
+                "ray-family")
     if dim is None:
         raise InvariantViolationError("ray-family file declares no dimension")
     return RayFamily.from_vectors(dim, vectors, bases)
@@ -263,10 +261,7 @@ def parse_ray_family(text: str) -> RayFamily:
 def dump_ray_family(family: RayFamily) -> str:
     lines = [f"dim {family.dim}"]
     for ray in family.rays:
-        lines.append("ray " + " ".join(
-            repr(complex(c).real) if complex(c).imag == 0.0 else str(complex(c))
-            for c in ray
-        ))
+        lines.append("ray " + " ".join(map(format_complex, ray)))
     for basis in family.bases:
         lines.append("basis " + " ".join(str(i) for i in basis))
     return "\n".join(lines) + "\n"

@@ -1,7 +1,10 @@
-"""Experiment-file parsing.
+"""Experiment files, and the line reader that model and ray-family files share.
 
 One line-oriented format drives every command, so runs are archivable and
-replayable.  Lines are ``key value ...``; ``#`` starts a comment.  Keys:
+replayable.  Lines are ``key value ...``; ``#`` starts a comment.  The same
+reader (:func:`parse_lines`) reads ``hidden`` model files and ``coloring``
+ray-family files, so all three formats share comments, tokens, ``;`` groups,
+number syntax and located errors.  Experiment-file keys:
 
     state z+ | state 0.6 0.8 | state angles POLAR AZIMUTH
     context z | context angles POLAR AZIMUTH | context vectors c c ; c c
@@ -16,15 +19,21 @@ Unknown keys are rejected.  Complex amplitudes are Python complex literals
 without internal spaces; basis vectors are separated by a standalone ``;``.
 Syntax problems (unknown keys, malformed numbers, wrong arity) and semantic
 problems (non-normalized states, non-orthonormal bases, duplicate labels)
-raise distinct error types, both carrying line and column.
+raise distinct error types, both carrying line and column, as every error
+from the shared reader does.
 """
 
 from __future__ import annotations
 
-import re
+import cmath
+import functools
+import itertools
+import math
+import sys
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
-from .errors import InvariantViolationError, QLBenchError
+from .errors import InvariantViolationError, PreconditionError
 from .events import Universe
 from .hilbert import (
     AXIS_NAMES,
@@ -41,13 +50,15 @@ DEFAULT_SEED = 0xC0FFEE
 DEFAULT_TOL = 1e-9
 DEFAULT_TRIALS = 100_000
 DEFAULT_SAMPLES = 200
+MAX_TRIALS = 2**63 - 1  # numpy draws counts as signed 64-bit integers
 
 
-class ConfigError(QLBenchError, ValueError):
-    """Problem in an experiment file, located by line and column."""
+class ConfigError(InvariantViolationError):
+    """Problem in a line-format file, located by line and column."""
 
-    def __init__(self, message: str, line: int, column: int) -> None:
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int, column: int, source: str = "") -> None:
+        where = f"{source} line" if source else "line"
+        super().__init__(f"{where} {line}, column {column}: {message}")
         self.line = line
         self.column = column
 
@@ -75,210 +86,205 @@ class ExperimentConfig:
     model: str | None = None
 
 
-@dataclass
-class _Token:
-    text: str
-    column: int
+# Number settings: (lowest, highest, message for a value below lowest).
+_RANGES = {
+    "trials": (1, MAX_TRIALS, "trials must be positive"),
+    "seed": (-math.inf, math.inf, ""),
+    "target": (0, math.inf, "target index must be >= 0"),
+    "samples": (1, math.inf, "samples must be positive"),
+    "tol": (math.ulp(0.0), sys.float_info.max, "tol must be positive"),
+}
 
 
-def _tokenize(line: str) -> list[_Token]:
-    return [
-        _Token(m.group(0), m.start() + 1)
-        for m in re.finditer(r"\S+", line)
-    ]
+def check_setting(key: str, value):
+    """Return ``value`` if it is in range for setting ``key``, else raise
+    PreconditionError.  Config lines and command-line flags both come here."""
+    lowest, highest, too_low = _RANGES[key]
+    if not lowest <= value:
+        raise PreconditionError(too_low)
+    if not value <= highest:
+        raise PreconditionError(f"{key} must be at most {highest!r}")
+    return value
 
 
-def _split_groups(tokens: list[_Token]) -> list[list[_Token]]:
-    groups: list[list[_Token]] = [[]]
-    for tok in tokens:
-        if tok.text == ";":
-            groups.append([])
-        else:
-            groups[-1].append(tok)
-    return [g for g in groups if g]
+_NUMBER_KINDS = {
+    int: (functools.partial(int, base=0), "integer"),
+    float: (float, "number"),
+    complex: (complex, "complex number"),
+}
 
 
-class _Parser:
-    def __init__(self) -> None:
-        self.config = ExperimentConfig()
-        self._contexts: list[tuple[str, MeasurementBasis]] = []
-        self._universes: list[Universe] = []
-        self._seen_labels: set[str] = set()
-        self._anon_contexts = 0
+class Line:
+    """One non-blank line of a line-format file with its comment dropped:
+    ``tokens[0]`` is the key, the rest are its values.  Columns are worked
+    out only when an error is raised."""
 
-    def feed(self, lineno: int, line: str) -> None:
-        tokens = _tokenize(line.split("#", 1)[0])
+    __slots__ = ("source", "lineno", "text", "tokens")
+
+    def __init__(self, source: str, lineno: int, text: str, tokens: list[str]) -> None:
+        self.source, self.lineno, self.text, self.tokens = source, lineno, text, tokens
+
+    def column(self, index: int | None) -> int:
+        """1-based column of ``tokens[index]``; 1 when there is no such token."""
+        if index is None or index >= len(self.tokens):
+            return 1
+        end = 0
+        for token in self.tokens[: index + 1]:
+            end = self.text.index(token, end) + len(token)
+        return end - len(self.tokens[index]) + 1
+
+    def error(self, message: str, index: int | None = None,
+              kind: type[ConfigError] = ConfigSyntaxError) -> ConfigError:
+        return kind(message, self.lineno, self.column(index), self.source)
+
+    def build(self, make: Callable, *args, prefix: str = ""):
+        """``make(*args)``, with a ValueError from it raised as a semantic error
+        at the line's first value."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise self.error(prefix + str(exc), 1, ConfigSemanticError) from exc
+
+    def need(self, count: int, what: str) -> None:
+        if len(self.tokens) != count + 1:
+            raise self.error(f"expected {what}", 1)
+
+    def number(self, kind: type, index: int, text: str | None = None):
+        """``tokens[index]`` (or ``text``, a part of it) as an int (base prefixes
+        allowed), or as a finite float or complex."""
+        convert, name = _NUMBER_KINDS[kind]
+        text = self.tokens[index] if text is None else text
+        try:
+            value = convert(text)
+        except ValueError:
+            raise self.error(f"malformed {name} {text!r}", index) from None
+        if kind is not int and not cmath.isfinite(value):
+            raise self.error(f"non-finite {name} {text!r}", index)
+        return value
+
+    def numbers(self, kind: type, start: int = 1, stop: int | None = None) -> list:
+        """``tokens[start:stop]`` as numbers, each as :meth:`number` reads it."""
+        convert, _ = _NUMBER_KINDS[kind]
+        try:
+            values = list(map(convert, self.tokens[start:stop]))
+            if kind is int or all(map(cmath.isfinite, values)):
+                return values
+        except ValueError:
+            pass
+        for index in range(start, len(self.tokens) if stop is None else stop):
+            self.number(kind, index)  # raises at the first bad token
+        raise AssertionError("unreachable")
+
+    def groups(self, kind: type, start: int = 1) -> list[list]:
+        """The numbers from ``tokens[start]`` on, in the non-empty groups
+        that standalone ``;`` tokens separate."""
+        groups = []
+        for index in range(start, len(self.tokens) + 1):
+            if index == len(self.tokens) or self.tokens[index] == ";":
+                if index > start:
+                    groups.append(self.numbers(kind, start, index))
+                start = index + 1
+        return groups
+
+
+def format_complex(value) -> str:
+    """A number as the reader reads it back: a real part alone when the
+    imaginary part is zero."""
+    value = complex(value)
+    return repr(value.real) if value.imag == 0.0 else str(value)
+
+
+def parse_lines(text: str, handlers: Mapping[str, Callable[[Line], None]],
+                source: str = "") -> None:
+    """Call ``handlers[key](line)`` on each non-blank line of ``text``;
+    ``source`` names the format in error messages."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        tokens = body.split()
         if not tokens:
-            return
-        key = tokens[0]
-        handler = getattr(self, f"_key_{key.text.replace('-', '_')}", None)
+            continue
+        line = Line(source, lineno, body, tokens)
+        handler = handlers.get(tokens[0])
         if handler is None:
-            raise ConfigSyntaxError(f"unknown key {key.text!r}", lineno, key.column)
-        handler(lineno, tokens[1:])
-
-    def finish(self) -> ExperimentConfig:
-        self.config.contexts = tuple(self._contexts)
-        self.config.universes = tuple(self._universes)
-        return self.config
-
-    # -- helpers ----------------------------------------------------------
-
-    def _need(self, lineno: int, rest: list[_Token], count: int, what: str) -> None:
-        if len(rest) != count:
-            column = rest[0].column if rest else 1
-            raise ConfigSyntaxError(f"expected {what}", lineno, column)
-
-    def _int(self, lineno: int, tok: _Token) -> int:
-        try:
-            return int(tok.text, 0)
-        except ValueError:
-            raise ConfigSyntaxError(f"malformed integer {tok.text!r}", lineno, tok.column) from None
-
-    def _float(self, lineno: int, tok: _Token) -> float:
-        try:
-            return float(tok.text)
-        except ValueError:
-            raise ConfigSyntaxError(f"malformed number {tok.text!r}", lineno, tok.column) from None
-
-    def _complex(self, lineno: int, tok: _Token) -> complex:
-        try:
-            return complex(tok.text)
-        except ValueError:
-            raise ConfigSyntaxError(
-                f"malformed complex number {tok.text!r}", lineno, tok.column
-            ) from None
-
-    # -- key handlers ------------------------------------------------------
-
-    def _key_state(self, lineno: int, rest: list[_Token]) -> None:
-        if not rest:
-            raise ConfigSyntaxError("state needs a preset, amplitudes, or angles", lineno, 1)
-        head = rest[0]
-        if head.text in STATE_PRESET_NAMES:
-            self._need(lineno, rest, 1, "exactly one preset name")
-            self.config.state = named_state(head.text)
-            return
-        if head.text == "angles":
-            self._need(lineno, rest, 3, "'angles POLAR AZIMUTH'")
-            polar = self._float(lineno, rest[1])
-            azimuth = self._float(lineno, rest[2])
-            basis = spin_direction_basis(polar, azimuth)
-            self.config.state = StateVector(principal_vector(basis.projectors[0]))
-            return
-        amplitudes = [self._complex(lineno, tok) for tok in rest]
-        try:
-            self.config.state = StateVector(amplitudes)
-        except InvariantViolationError as exc:
-            raise ConfigSemanticError(str(exc), lineno, head.column) from exc
-
-    def _key_context(self, lineno: int, rest: list[_Token]) -> None:
-        if not rest:
-            raise ConfigSyntaxError("context needs an axis, angles, or vectors", lineno, 1)
-        head = rest[0]
-        if head.text in AXIS_NAMES:
-            self._need(lineno, rest, 1, "exactly one axis name")
-            self._contexts.append((head.text, named_axis_basis(head.text)))
-            return
-        if head.text == "angles":
-            self._need(lineno, rest, 3, "'angles POLAR AZIMUTH'")
-            polar = self._float(lineno, rest[1])
-            azimuth = self._float(lineno, rest[2])
-            name = f"dir({polar:g},{azimuth:g})"
-            self._contexts.append((name, spin_direction_basis(polar, azimuth)))
-            return
-        if head.text == "vectors":
-            groups = _split_groups(rest[1:])
-            if not groups:
-                raise ConfigSyntaxError("no vectors given", lineno, head.column)
-            vectors = [[self._complex(lineno, tok) for tok in group] for group in groups]
-            self._anon_contexts += 1
-            name = f"basis{self._anon_contexts}"
-            try:
-                basis = MeasurementBasis.from_vectors(vectors)
-            except (InvariantViolationError, ValueError) as exc:
-                raise ConfigSemanticError(
-                    f"context vectors invalid: {exc}", lineno, head.column
-                ) from exc
-            self._contexts.append((name, basis))
-            return
-        raise ConfigSyntaxError(
-            f"context must be one of {AXIS_NAMES}, 'angles', or 'vectors'",
-            lineno,
-            head.column,
-        )
-
-    def _key_universe(self, lineno: int, rest: list[_Token]) -> None:
-        if len(rest) < 2:
-            raise ConfigSyntaxError("universe needs a name and at least one label", lineno, 1)
-        name = rest[0].text
-        labels = [tok.text for tok in rest[1:]]
-        overlap = self._seen_labels.intersection(labels)
-        if overlap:
-            raise ConfigSemanticError(
-                f"label(s) {sorted(overlap)} already used by another universe",
-                lineno,
-                rest[1].column,
-            )
-        try:
-            universe = Universe(name, tuple(labels))
-        except InvariantViolationError as exc:
-            raise ConfigSemanticError(str(exc), lineno, rest[0].column) from exc
-        self._seen_labels.update(labels)
-        self._universes.append(universe)
-
-    def _key_atoms(self, lineno: int, rest: list[_Token]) -> None:
-        self._need(lineno, rest, 2, "exactly two atom labels")
-        self.config.atoms = (rest[0].text, rest[1].text)
-
-    def _key_trials(self, lineno: int, rest: list[_Token]) -> None:
-        self._need(lineno, rest, 1, "one integer")
-        value = self._int(lineno, rest[0])
-        if value < 1:
-            raise ConfigSemanticError("trials must be positive", lineno, rest[0].column)
-        self.config.trials = value
-
-    def _key_seed(self, lineno: int, rest: list[_Token]) -> None:
-        self._need(lineno, rest, 1, "one integer")
-        self.config.seed = self._int(lineno, rest[0])
-
-    def _key_tol(self, lineno: int, rest: list[_Token]) -> None:
-        self._need(lineno, rest, 1, "one number")
-        value = self._float(lineno, rest[0])
-        if value <= 0:
-            raise ConfigSemanticError("tol must be positive", lineno, rest[0].column)
-        self.config.tol = value
-
-    def _key_target(self, lineno: int, rest: list[_Token]) -> None:
-        self._need(lineno, rest, 1, "one integer")
-        value = self._int(lineno, rest[0])
-        if value < 0:
-            raise ConfigSemanticError("target index must be >= 0", lineno, rest[0].column)
-        self.config.target = value
-
-    def _key_samples(self, lineno: int, rest: list[_Token]) -> None:
-        self._need(lineno, rest, 1, "one integer")
-        value = self._int(lineno, rest[0])
-        if value < 1:
-            raise ConfigSemanticError("samples must be positive", lineno, rest[0].column)
-        self.config.samples = value
-
-    def _key_family(self, lineno: int, rest: list[_Token]) -> None:
-        if len(rest) < 1:
-            raise ConfigSyntaxError("family needs a path or builtin:NAME", lineno, 1)
-        self.config.family = " ".join(tok.text for tok in rest)
-
-    def _key_model(self, lineno: int, rest: list[_Token]) -> None:
-        if len(rest) < 1:
-            raise ConfigSyntaxError("model needs a path", lineno, 1)
-        self.config.model = " ".join(tok.text for tok in rest)
+            raise line.error(f"unknown key {tokens[0]!r}", 0)
+        handler(line)
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
     """Parse an experiment file; raises ConfigSyntaxError / ConfigSemanticError."""
-    parser = _Parser()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parser.feed(lineno, line)
-    return parser.finish()
+    config = ExperimentConfig()
+    anonymous = itertools.count(1)
+
+    def state(line: Line) -> None:
+        tokens = line.tokens
+        if len(tokens) == 1:
+            raise line.error("state needs a preset, amplitudes, or angles")
+        if tokens[1] in STATE_PRESET_NAMES:
+            line.need(1, "exactly one preset name")
+            config.state = named_state(tokens[1])
+        elif tokens[1] == "angles":
+            line.need(3, "'angles POLAR AZIMUTH'")
+            basis = spin_direction_basis(*line.numbers(float, 2))
+            config.state = StateVector(principal_vector(basis.projectors[0]))
+        else:
+            config.state = line.build(StateVector, line.numbers(complex))
+
+    def context(line: Line) -> None:
+        tokens = line.tokens
+        if len(tokens) == 1:
+            raise line.error("context needs an axis, angles, or vectors")
+        if tokens[1] in AXIS_NAMES:
+            line.need(1, "exactly one axis name")
+            config.contexts += ((tokens[1], named_axis_basis(tokens[1])),)
+        elif tokens[1] == "angles":
+            line.need(3, "'angles POLAR AZIMUTH'")
+            polar, azimuth = line.numbers(float, 2)
+            config.contexts += ((f"dir({polar:g},{azimuth:g})",
+                                 spin_direction_basis(polar, azimuth)),)
+        elif tokens[1] == "vectors":
+            vectors = line.groups(complex, 2)
+            if not vectors:
+                raise line.error("no vectors given", 1)
+            name = f"basis{next(anonymous)}"
+            basis = line.build(MeasurementBasis.from_vectors, vectors,
+                               prefix="context vectors invalid: ")
+            config.contexts += ((name, basis),)
+        else:
+            raise line.error(f"context must be one of {AXIS_NAMES}, 'angles', or 'vectors'", 1)
+
+    def universe(line: Line) -> None:
+        if len(line.tokens) < 3:
+            raise line.error("universe needs a name and at least one label")
+        labels = tuple(line.tokens[2:])
+        overlap = {o for u in config.universes for o in u.outcomes}.intersection(labels)
+        if overlap:
+            raise line.error(f"label(s) {sorted(overlap)} already used by another universe",
+                             2, ConfigSemanticError)
+        config.universes += (line.build(Universe, line.tokens[1], labels),)
+
+    def atoms(line: Line) -> None:
+        line.need(2, "exactly two atom labels")
+        config.atoms = (line.tokens[1], line.tokens[2])
+
+    def setting(line: Line) -> None:
+        key = line.tokens[0]
+        kind = float if key == "tol" else int
+        line.need(1, f"one {_NUMBER_KINDS[kind][1]}")
+        try:
+            setattr(config, key, check_setting(key, line.number(kind, 1)))
+        except PreconditionError as exc:
+            raise line.error(str(exc), 1, ConfigSemanticError) from None
+
+    def path(line: Line) -> None:
+        key = line.tokens[0]
+        if len(line.tokens) == 1:
+            raise line.error("family needs a path or builtin:NAME" if key == "family"
+                             else "model needs a path")
+        setattr(config, key, " ".join(line.tokens[1:]))
+
+    parse_lines(text, {"state": state, "context": context, "universe": universe, "atoms": atoms,
+                       "family": path, "model": path, **dict.fromkeys(_RANGES, setting)})
+    return config
 
 
 def load_experiment_config(path) -> ExperimentConfig:

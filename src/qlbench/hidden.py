@@ -21,6 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .config import ConfigSemanticError, Line, format_complex, parse_lines
 from .errors import InvariantViolationError, PreconditionError
 from .hilbert import MeasurementBasis, StateVector, principal_vector
 from .stats import (SequentialTable, born_distribution, chain_rule, commutation_defect,
@@ -244,10 +245,11 @@ def simulate_sequential(
     first_values = np.array([s.value(first) for s, _ in ensemble.members])
     member_counts = rng.multinomial(n_trials, weights / weights.sum())
     counts = np.zeros(kernel.rows.shape)
-    first_counts = np.bincount(first_values, weights=member_counts, minlength=len(counts))
+    first_counts = np.zeros(len(counts), dtype=np.int64)  # exact up to 2**63 - 1 trials
+    np.add.at(first_counts, first_values, member_counts)
     for i in np.flatnonzero(first_counts):
         row = kernel.rows[i]
-        counts[i] = rng.multinomial(int(first_counts[i]), row / row.sum())
+        counts[i] = rng.multinomial(first_counts[i], row / row.sum())
     return SequentialTable(
         first_basis=ensemble.contexts[first],
         second_basis=ensemble.contexts[then],
@@ -382,13 +384,6 @@ def audit_no_go(
     )
 
 
-def _format_complex(value) -> str:
-    value = complex(value)
-    if value.imag == 0.0:
-        return repr(value.real)
-    return str(value)
-
-
 def serialize_model(model: HiddenModel) -> str:
     """Render a model in the replayable line-oriented experiment format."""
     ensemble = model.ensemble
@@ -398,7 +393,7 @@ def serialize_model(model: HiddenModel) -> str:
     for name in ids:
         basis = ensemble.contexts[name]
         vectors = " ; ".join(
-            " ".join(_format_complex(c) for c in principal_vector(p))
+            " ".join(map(format_complex, principal_vector(p)))
             for p in basis.projectors
         )
         labels = " ".join(basis.labels)
@@ -412,78 +407,73 @@ def serialize_model(model: HiddenModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_on_semicolons(tokens: list[str]) -> list[list[str]]:
-    groups: list[list[str]] = [[]]
-    for token in tokens:
-        if token == ";":
-            groups.append([])
-        else:
-            groups[-1].append(token)
-    return [g for g in groups if g]
-
-
 def parse_model(text: str) -> HiddenModel:
-    """Parse a model previously produced by :func:`serialize_model`."""
+    """Parse a model previously produced by :func:`serialize_model`.
+
+    Errors name the line and column (``model line L, column C: ...``).
+    """
     dim: int | None = None
     contexts: dict[str, MeasurementBasis] = {}
     members: list[tuple[HiddenState, float]] = []
     kernels: dict[tuple[str, str], TransitionKernel] = {}
-    declared_at: dict = {}  # context name or kernel key -> line number
+    declared_at: dict = {}  # context name or kernel key -> its Line
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        key, rest = tokens[0], tokens[1:]
-        try:
-            if key == "model-dim":
-                dim = int(rest[0])
-            elif key == "context":
-                name = rest[0]
-                if rest[1] != "labels":
-                    raise ValueError("expected 'labels'")
-                split = rest.index("vectors")
-                labels = rest[2:split]
-                groups = _split_on_semicolons(rest[split + 1:])
-                vectors = [[complex(tok) for tok in group] for group in groups]
-                contexts[name] = MeasurementBasis.from_vectors(vectors, labels)
-                declared_at[name] = lineno
-            elif key == "member":
-                if rest[-2] != "weight":
-                    raise ValueError("expected 'weight'")
-                weight = float(rest[-1])
-                values = {}
-                for pair in rest[:-2]:
-                    name, _, idx = pair.partition("=")
-                    values[name] = int(idx)
-                members.append((HiddenState(values), weight))
-            elif key == "kernel":
-                src, dst = rest[0], rest[1]
-                if rest[2] != "rows":
-                    raise ValueError("expected 'rows'")
-                groups = _split_on_semicolons(rest[3:])
-                rows = np.array([[float(tok) for tok in group] for group in groups])
-                kernels[(src, dst)] = TransitionKernel(src, dst, rows)
-                declared_at[(src, dst)] = lineno
-            else:
-                raise ValueError(f"unknown key {key!r}")
-        except (ValueError, IndexError) as exc:
-            raise InvariantViolationError(f"model line {lineno}: {exc}") from exc
+    def declare(key, line: Line, what: str) -> None:
+        if key in declared_at:
+            raise line.error(f"{what} already declared on line {declared_at[key].lineno}",
+                             1, ConfigSemanticError)
+        declared_at[key] = line
 
+    def model_dim(line: Line) -> None:
+        nonlocal dim
+        declare("model-dim", line, "model-dim")
+        line.need(1, "one integer")
+        dim = line.number(int, 1)
+
+    def context(line: Line) -> None:
+        tokens = line.tokens
+        if len(tokens) < 3 or tokens[2] != "labels" or "vectors" not in tokens[3:]:
+            raise line.error("expected 'context NAME labels LABEL ... vectors ...'", 1)
+        name = tokens[1]
+        declare(name, line, f"context {name!r}")
+        split = tokens.index("vectors", 3)
+        vectors = line.groups(complex, split + 1)
+        contexts[name] = line.build(MeasurementBasis.from_vectors, vectors, tokens[3:split])
+
+    def member(line: Line) -> None:
+        tokens = line.tokens
+        if len(tokens) < 3 or tokens[-2] != "weight":
+            raise line.error("expected 'member NAME=INDEX ... weight W'", 1)
+        values = {}
+        for index in range(1, len(tokens) - 2):
+            name, _, outcome = tokens[index].partition("=")
+            values[name] = line.number(int, index, outcome)
+        members.append((HiddenState(values), line.number(float, len(tokens) - 1)))
+
+    def kernel(line: Line) -> None:
+        tokens = line.tokens
+        if len(tokens) < 4 or tokens[3] != "rows":
+            raise line.error("expected 'kernel SRC DST rows ...'", 1)
+        key = (tokens[1], tokens[2])
+        declare(key, line, f"kernel {key[0]} {key[1]}")
+        rows = line.groups(float, 4)
+        kernels[key] = line.build(TransitionKernel, *key, rows)
+
+    parse_lines(text, {"model-dim": model_dim, "context": context, "member": member,
+                       "kernel": kernel}, "model")
     if dim is None or not contexts or not members:
         raise InvariantViolationError("model file incomplete")
+    if len(contexts) != 2:
+        raise declared_at[list(contexts)[-1]].error(
+            f"a model declares exactly two contexts, this one {len(contexts)}", 1,
+            ConfigSemanticError)
     for name, basis in contexts.items():
         if basis.dim != dim:
-            raise InvariantViolationError(
-                f"model line {declared_at[name]}: context {name!r} has vectors of length "
-                f"{basis.dim}, but model-dim is {dim}"
-            )
+            raise declared_at[name].error(
+                f"context {name!r} has vectors of length {basis.dim}, but model-dim is {dim}",
+                1, ConfigSemanticError)
     for key, kernel in kernels.items():
-        try:
-            _check_kernel(kernel, contexts)
-        except InvariantViolationError as exc:
-            raise InvariantViolationError(f"model line {declared_at[key]}: {exc}") from exc
+        declared_at[key].build(_check_kernel, kernel, contexts)
     ensemble = HiddenEnsemble(members=tuple(members), contexts=contexts)
     return HiddenModel(ensemble=ensemble, kernels=kernels)
 

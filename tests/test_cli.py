@@ -40,6 +40,12 @@ class TestDemoCommands:
         assert code == 0
         assert "{u2}" in out
 
+    def test_complement_chain_needs_two_labels(self, capsys, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text("universe w a\n")
+        assert run(capsys, "demo-eq10", "--config", str(config)) == (
+            2, "", "error: the Eq (10) trace needs 'atoms' or two outcome labels\n")
+
     def test_mismatch_demo(self, capsys):
         code, out, _ = run(capsys, "demo-mismatch")
         assert code == 0
@@ -109,17 +115,17 @@ class TestHiddenVariableCommands:
         # 2x2 kernels for two 3-outcome contexts
         ("model-dim 3\n" + THREE_OUTCOME_CONTEXTS
          + "kernel A B rows 0.5 0.5 ; 0.5 0.5\nkernel B A rows 0.5 0.5 ; 0.5 0.5\n",
-         "model line 5: kernel A B rows have shape (2, 2), expected (3, 3)"),
+         "model line 5, column 8: kernel A B rows have shape (2, 2), expected (3, 3)"),
         # a kernel row per outcome, but 2 entries for a 3-outcome destination
         ("model-dim 3\n" + THREE_OUTCOME_CONTEXTS
          + "kernel A B rows 1 0 0 ; 0 1 0 ; 0 0 1\nkernel B A rows 1 0 ; 0 1 ; 1 0\n",
-         "model line 6: kernel B A rows have shape (3, 2), expected (3, 3)"),
+         "model line 6, column 8: kernel B A rows have shape (3, 2), expected (3, 3)"),
         ("model-dim 3\n" + THREE_OUTCOME_CONTEXTS + "kernel A C rows 1 0 0 ; 0 1 0 ; 0 0 1\n",
-         "model line 5: kernel references an undeclared context 'C'"),
+         "model line 5, column 8: kernel references an undeclared context 'C'"),
         ("model-dim 2\n" + THREE_OUTCOME_CONTEXTS,
-         "model line 2: context 'A' has vectors of length 3, but model-dim is 2"),
+         "model line 2, column 9: context 'A' has vectors of length 3, but model-dim is 2"),
         (THREE_OUTCOME_CONTEXTS + "model-dim 4\n",
-         "model line 1: context 'A' has vectors of length 3, but model-dim is 4"),
+         "model line 1, column 9: context 'A' has vectors of length 3, but model-dim is 4"),
     ], ids=["square-kernel-too-small", "short-kernel-rows", "undeclared-context",
             "model-dim-too-small", "model-dim-too-large"])
     def test_inconsistent_model_is_a_located_error(self, capsys, tmp_path, command,
@@ -133,6 +139,29 @@ class TestHiddenVariableCommands:
         assert out == ""
         assert err.startswith("error: ") and located in err
         assert "Traceback" not in err
+
+    ONE_CONTEXT = "model-dim 2\ncontext z labels z+ z- vectors 1 0 ; 0 1\nmember z=0 weight 1\n"
+    ZX = ("model-dim 2\ncontext z labels z+ z- vectors 1 0 ; 0 1\n"
+          "context x labels x+ x- vectors 1 1 ; 1 -1\n"
+          "member z=0 x=0 weight 0.5\nmember z=0 x=1 weight 0.5\n"
+          "kernel z x rows 0.5 0.5 ; 0.5 0.5\n")
+
+    @pytest.mark.parametrize("command", ["hv-build", "hv-exact", "hv-simulate"])
+    @pytest.mark.parametrize("model_text, located", [
+        (ONE_CONTEXT, "model line 2, column 9: a model declares exactly two contexts, this one 1"),
+        (ZX + "context z labels u d vectors 1 0 ; 0 1\n",
+         "model line 7, column 9: context 'z' already declared on line 2"),
+        (ZX + "kernel z x rows 1 0 ; 0 1\n",
+         "model line 7, column 8: kernel z x already declared on line 6"),
+    ], ids=["one-context", "repeated-context", "repeated-kernel"])
+    def test_model_context_checks(self, capsys, tmp_path, command, model_text, located):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(model_text)
+        config = tmp_path / "replay.cfg"
+        config.write_text(f"model {model_path}\n")
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: {located}\n"
 
     def test_exact_matches_direct_chain(self, capsys):
         code, out, _ = run(capsys, "hv-exact")
@@ -148,6 +177,16 @@ class TestHiddenVariableCommands:
         code, out, _ = run(capsys, "hv-audit")
         assert code == 0
         assert "chain broken at 'distributive ⇒ commutative'" in out
+
+    def test_audit_rejects_a_model_file(self, capsys, tmp_path):
+        model_path = tmp_path / "model.txt"
+        assert run(capsys, "hv-build", "--out", str(model_path))[0] == 0
+        config = tmp_path / "replay.cfg"
+        config.write_text(f"model {model_path}\n")
+        code, out, err = run(capsys, "hv-audit", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == ("error: hv-audit needs a state and two contexts; "
+                       "a model file has no state\n")
 
     def test_audit_compatible_contexts(self, capsys, tmp_path):
         config = tmp_path / "exp.cfg"
@@ -247,3 +286,50 @@ class TestInterface:
         _, plain, _ = run(capsys, "hv-simulate", "--trials", "5000",
                           "--seed", "99", "--format", "csv")
         assert with_flag == plain
+
+
+class TestSettingBounds:
+    """The flags meet the config keys' bounds (see test_config.py):
+    ``1 <= trials <= 2**63 - 1`` and a finite, positive ``tol``."""
+
+    @pytest.mark.parametrize("trials", ["1", str(2 ** 63 - 1)])
+    def test_trials_accepted_at_the_bound(self, capsys, trials):
+        code, out, _ = run(capsys, "hv-simulate", "--trials", trials, "--format", "json")
+        assert code in (0, 1)
+        assert json.loads(out)["fields"]["trials"] == int(trials)
+
+    @pytest.mark.parametrize("trials, message", [
+        ("0", "trials must be positive"),
+        (str(2 ** 63), "trials must be at most 9223372036854775807"),
+        ("100000000000000000000", "trials must be at most 9223372036854775807"),
+    ])
+    def test_trials_rejected_past_the_bound(self, capsys, trials, message):
+        assert run(capsys, "hv-simulate", "--trials", trials) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("tol, verdict", [
+        ("5e-324", "noncommuting (defect 0.25 > tol)"),
+        ("1.7976931348623157e308", "commuting within tol"),
+    ])
+    def test_tol_accepted_at_the_bound(self, capsys, tol, verdict):
+        code, out, _ = run(capsys, "stats-commute", "--tol", tol, "--format", "json")
+        assert (code, json.loads(out)["verdict"]) == (0, verdict)
+
+    @pytest.mark.parametrize("tol, message", [
+        ("0", "tol must be positive"),
+        ("-1", "tol must be positive"),
+        ("nan", "tol must be positive"),
+        ("inf", "tol must be at most 1.7976931348623157e+308"),
+    ])
+    def test_tol_rejected_past_the_bound(self, capsys, tol, message):
+        assert run(capsys, "stats-commute", "--tol", tol) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("line, command", [
+        ("tol nan", "stats-commute"),
+        ("trials 100000000000000000000", "hv-simulate"),
+    ])
+    def test_config_values_past_the_bound(self, capsys, tmp_path, line, command):
+        config = tmp_path / "exp.cfg"
+        config.write_text(line + "\n")
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1, column ")

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlbench.coloring import (
+    RAY_TOL,
+    AssignmentSearchResult,
     RayFamily,
     builtin_family,
     dump_ray_family,
@@ -29,6 +33,139 @@ def exhaustive_colorable(family: RayFamily) -> bool:
 
 def assignment_is_valid(family: RayFamily, assignment) -> bool:
     return all(sum(assignment[r] for r in basis) == 1 for basis in family.bases)
+
+
+def recursive_search(family: RayFamily, *, exclusive_pairs: bool = False,
+                     ortho_tol: float = RAY_TOL) -> AssignmentSearchResult:
+    """Oracle: the recursive depth-first search that the iterative one
+    replaced, unchanged.  Python's recursion limit stops it at about 1000
+    decisions deep."""
+    n = len(family.rays)
+    membership: list[list[int]] = [[] for _ in range(n)]
+    for b_idx, basis in enumerate(family.bases):
+        for ray in basis:
+            membership[ray].append(b_idx)
+    order = sorted(range(n), key=lambda r: (-len(membership[r]), r))
+
+    ortho_neighbors: list[list[int]] = [[] for _ in range(n)]
+    if exclusive_pairs:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if abs(np.vdot(family.rays[i], family.rays[j])) <= ortho_tol:
+                    ortho_neighbors[i].append(j)
+                    ortho_neighbors[j].append(i)
+
+    values = [-1] * n
+    ones = [0] * len(family.bases)
+    unassigned = [len(basis) for basis in family.bases]
+    trail: list[int] = []
+    nodes = 0
+
+    def propagate(ray: int, value: int) -> bool:
+        queue = [(ray, value)]
+        while queue:
+            r, v = queue.pop()
+            if values[r] != -1:
+                if values[r] != v:
+                    return False
+                continue
+            values[r] = v
+            trail.append(r)
+            conflict = False
+            for b in membership[r]:
+                unassigned[b] -= 1
+                if v == 1:
+                    ones[b] += 1
+                if ones[b] > 1 or (unassigned[b] == 0 and ones[b] == 0):
+                    conflict = True
+            if conflict:
+                return False
+            for b in membership[r]:
+                if ones[b] == 1:
+                    queue.extend((other, 0) for other in family.bases[b] if values[other] == -1)
+                elif unassigned[b] == 1:
+                    queue.extend((other, 1) for other in family.bases[b] if values[other] == -1)
+            if v == 1 and exclusive_pairs:
+                for other in ortho_neighbors[r]:
+                    if values[other] == 1:
+                        return False
+                    if values[other] == -1:
+                        queue.append((other, 0))
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            r = trail.pop()
+            v = values[r]
+            values[r] = -1
+            for b in membership[r]:
+                unassigned[b] += 1
+                if v == 1:
+                    ones[b] -= 1
+
+    def next_ray() -> int | None:
+        for r in order:
+            if values[r] == -1:
+                return r
+        return None
+
+    def dfs() -> bool:
+        nonlocal nodes
+        ray = next_ray()
+        if ray is None:
+            return all(count == 1 for count in ones)
+        for value in (1, 0):
+            nodes += 1
+            mark = len(trail)
+            if propagate(ray, value) and dfs():
+                return True
+            undo(mark)
+        return False
+
+    if dfs():
+        return AssignmentSearchResult(assignment=tuple(values), proved_none=False, nodes=nodes)
+    return AssignmentSearchResult(assignment=None, proved_none=True, nodes=nodes)
+
+
+def random_rotation(rng, dim: int) -> np.ndarray:
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def triad_tree(rng, triads: int) -> RayFamily:
+    """Triads in dimension 3, each sharing one ray with an earlier triad:
+    a tree of bases, so an assignment always exists."""
+    rays = list(random_rotation(rng, 3).T)
+    bases = [(0, 1, 2)]
+    for _ in range(triads - 1):
+        shared = int(rng.choice(bases[int(rng.integers(len(bases)))]))
+        u = rays[shared]
+        p = np.cross(u, rng.normal(size=3)).conj()
+        p /= np.linalg.norm(p)
+        q = np.cross(u, p).conj()
+        rays += [p, q / np.linalg.norm(q)]
+        bases.append((shared, len(rays) - 2, len(rays) - 1))
+    return RayFamily.from_vectors(3, rays, bases)
+
+
+def peres_rays() -> tuple[list[np.ndarray], list[tuple[int, int, int]]]:
+    """Peres' 33 rays in dimension 3 (components 0, ±1, √2) and their 16
+    orthogonal triads."""
+    s2 = math.sqrt(2.0)
+    rays: list[np.ndarray] = []
+    for seed in ((0, 0, 1), (0, 1, 1), (0, -1, 1), (0, 1, s2), (0, -1, s2),
+                 (1, 1, s2), (1, -1, s2), (-1, 1, s2), (-1, -1, s2)):
+        for perm in sorted(set(itertools.permutations(seed))):
+            v = np.array(perm, dtype=float) / np.linalg.norm(perm)
+            if not any(abs(abs(v @ r) - 1.0) < 1e-9 for r in rays):
+                rays.append(v)
+    triads = [t for t in itertools.combinations(range(len(rays)), 3)
+              if all(abs(rays[i] @ rays[j]) < 1e-9 for i, j in itertools.combinations(t, 2))]
+    return rays, triads
+
+
+PERES_RAYS, PERES_TRIADS = peres_rays()
 
 
 class TestIdentifyRays:
@@ -167,3 +304,63 @@ class TestRayFamilyFiles:
     def test_unknown_builtin(self):
         with pytest.raises(PreconditionError):
             builtin_family("nope")
+
+
+class TestIterativeSearch:
+    """The iterative search against the recursive oracle: same assignment,
+    same verdict, same node count."""
+
+    @staticmethod
+    def assert_same(family, exclusive_pairs):
+        got = search_bivalent_assignment(family, exclusive_pairs=exclusive_pairs)
+        want = recursive_search(family, exclusive_pairs=exclusive_pairs)
+        assert (got.assignment, got.proved_none, got.nodes) == (
+            want.assignment, want.proved_none, want.nodes)
+        if got.found:
+            assert assignment_is_valid(family, got.assignment)
+
+    def test_peres_family_shape(self):
+        assert (len(PERES_RAYS), len(PERES_TRIADS)) == (33, 16)
+        family = RayFamily.from_vectors(3, PERES_RAYS, PERES_TRIADS)
+        assert search_bivalent_assignment(family, exclusive_pairs=True).proved_none
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), triads=st.integers(1, 60),
+           exclusive_pairs=st.booleans())
+    def test_matches_recursive_on_triad_trees(self, seed, triads, exclusive_pairs):
+        family = triad_tree(np.random.default_rng(seed), triads)
+        self.assert_same(family, exclusive_pairs)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), drop=st.sets(st.integers(0, 15), max_size=12),
+           exclusive_pairs=st.booleans())
+    def test_matches_recursive_on_peres_subfamilies(self, seed, drop, exclusive_pairs):
+        rotation = random_rotation(np.random.default_rng(seed), 3)
+        rays = [rotation @ ray for ray in PERES_RAYS]
+        bases = [t for i, t in enumerate(PERES_TRIADS) if i not in drop]
+        self.assert_same(RayFamily.from_vectors(3, rays, bases), exclusive_pairs)
+
+    @pytest.mark.parametrize("exclusive_pairs", [False, True])
+    def test_matches_recursive_on_peres_less_one_triad(self, exclusive_pairs):
+        # with exclusive_pairs, the whole family and three of these are proved-none
+        for drop in range(-1, 16):
+            bases = [t for i, t in enumerate(PERES_TRIADS) if i != drop]
+            self.assert_same(RayFamily.from_vectors(3, PERES_RAYS, bases), exclusive_pairs)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(drop=st.sets(st.integers(0, 8), max_size=8), exclusive_pairs=st.booleans())
+    def test_matches_recursive_on_ks18_subfamilies(self, drop, exclusive_pairs):
+        ks18 = builtin_family("ks18-d4")
+        bases = tuple(b for i, b in enumerate(ks18.bases) if i not in drop)
+        self.assert_same(RayFamily(4, ks18.rays, bases), exclusive_pairs)
+
+    def test_1200_disjoint_triads_find_an_assignment(self):
+        # deeper than Python's default recursion limit of 1000
+        rng = np.random.default_rng(1200)
+        rays = [ray for _ in range(1200) for ray in random_rotation(rng, 3).T]
+        family = RayFamily.from_vectors(3, rays, [(3 * k, 3 * k + 1, 3 * k + 2)
+                                                  for k in range(1200)])
+        result = search_bivalent_assignment(family)
+        assert result.found
+        assert result.nodes == 1200
+        assert assignment_is_valid(family, result.assignment)

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from qlbench.coloring import parse_ray_family
 from qlbench.config import (
     ConfigSemanticError,
     ConfigSyntaxError,
     DEFAULT_SEED,
+    MAX_TRIALS,
     parse_experiment_config,
 )
+from qlbench.errors import InvariantViolationError
 from qlbench.hilbert import named_state, same_ray
 
 
@@ -126,3 +129,76 @@ class TestErrorReporting:
     def test_comments_and_blank_lines_ignored(self):
         config = parse_experiment_config("# a comment\n\nstate z+  # trailing\n")
         assert config.state is not None
+
+
+class TestSettingBounds:
+    """``1 <= trials <= 2**63 - 1`` and a finite, positive ``tol``; the same
+    bounds hold for the command-line flags (see test_cli.py)."""
+
+    @pytest.mark.parametrize("key, text, value", [
+        ("trials", "1", 1),
+        ("trials", str(MAX_TRIALS), 2 ** 63 - 1),
+        ("tol", "5e-324", 5e-324),
+        ("tol", "1.7976931348623157e308", 1.7976931348623157e308),
+    ])
+    def test_accepted_at_the_bound(self, key, text, value):
+        assert getattr(parse_experiment_config(f"{key} {text}\n"), key) == value
+
+    @pytest.mark.parametrize("key, text, error, message", [
+        ("trials", "0", ConfigSemanticError, "trials must be positive"),
+        ("trials", str(MAX_TRIALS + 1), ConfigSemanticError,
+         "trials must be at most 9223372036854775807"),
+        ("trials", "100000000000000000000", ConfigSemanticError,
+         "trials must be at most 9223372036854775807"),
+        ("tol", "0", ConfigSemanticError, "tol must be positive"),
+        ("tol", "-1", ConfigSemanticError, "tol must be positive"),
+        ("tol", "nan", ConfigSyntaxError, "non-finite number 'nan'"),
+        ("tol", "inf", ConfigSyntaxError, "non-finite number 'inf'"),
+        ("tol", "1e999", ConfigSyntaxError, "non-finite number '1e999'"),
+    ])
+    def test_rejected_past_the_bound(self, key, text, error, message):
+        with pytest.raises(error) as info:
+            parse_experiment_config(f"{key} {text}\n")
+        column = len(key) + 2
+        assert str(info.value) == f"line 1, column {column}: {message}"
+
+
+class TestSharedReader:
+    def test_errors_are_invariant_violations(self):
+        with pytest.raises(InvariantViolationError):
+            parse_experiment_config("state 1 1\n")
+
+    def test_ray_family_errors_are_located(self):
+        with pytest.raises(ConfigSyntaxError) as info:
+            parse_ray_family("dim 3\n# comment\nray 1 0 0\n ray 0  x 0\n")
+        assert str(info.value) == "ray-family line 4, column 9: malformed complex number 'x'"
+
+    @pytest.mark.parametrize("text, message", [
+        ("ray 1 0 0\n", "line 1, column 1: 'dim' must come before 'ray'"),
+        ("dim 3 4\n", "line 1, column 5: expected one integer"),
+        ("dim 3\nray 1 nan 0\n", "line 2, column 7: non-finite complex number 'nan'"),
+        ("dim 3\nbasis 0 1 two\n", "line 2, column 11: malformed integer 'two'"),
+        ("dim 3\nbeam 0\n", "line 2, column 1: unknown key 'beam'"),
+    ])
+    def test_ray_family_syntax(self, text, message):
+        with pytest.raises(ConfigSyntaxError) as info:
+            parse_ray_family(text)
+        assert str(info.value) == f"ray-family {message}"
+
+    def test_ray_family_dim_given_once(self):
+        with pytest.raises(ConfigSemanticError) as info:
+            parse_ray_family("dim 3\nray 1 0 0\ndim 4\n")
+        assert str(info.value) == "ray-family line 3, column 1: 'dim' already given"
+
+    def test_integers_take_base_prefixes_everywhere(self):
+        family = parse_ray_family("dim 0x3\nray 1 0 0\nray 0 1 0\nray 0 0 1\nbasis 0 0b1 0o2\n")
+        assert family.bases == ((0, 1, 2),)
+
+    def test_non_finite_amplitude_is_syntax_error(self):
+        with pytest.raises(ConfigSyntaxError, match="column 9: non-finite complex number 'nan'"):
+            parse_experiment_config("state 1 nan\n")
+
+    def test_repeated_token_columns(self):
+        with pytest.raises(ConfigSyntaxError) as info:
+            parse_experiment_config("context vectors 1 1 ; 11 1x\n")
+        assert (info.value.line, info.value.column) == (1, 26)

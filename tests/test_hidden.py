@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_table
+from qlbench.config import ConfigSemanticError, ConfigSyntaxError
 from qlbench.errors import InvariantViolationError, PreconditionError
 from qlbench.hidden import (
     CHAIN_BROKEN,
@@ -345,3 +346,54 @@ class TestModelSerialization:
     def test_incomplete_text_rejected(self):
         with pytest.raises(InvariantViolationError):
             parse_model("model-dim 2\n")
+
+
+ZX_CONTEXTS = (
+    "context z labels z+ z- vectors 1 0 ; 0 1\n"
+    "context x labels x+ x- vectors 0.7071067811865476 0.7071067811865476 ; "
+    "0.7071067811865476 -0.7071067811865476\n"
+)
+ZX_KERNEL = "kernel z x rows 0.5 0.5 ; 0.5 0.5\n"
+ZX_MEMBERS = "member z=0 x=0 weight 0.5\nmember z=0 x=1 weight 0.5\n"
+
+
+class TestModelFileChecks:
+    def test_well_formed(self):
+        model = parse_model("model-dim 2\n" + ZX_CONTEXTS + ZX_MEMBERS + ZX_KERNEL)
+        assert model.ensemble.context_ids() == ("z", "x")
+
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("model-dim 2\n" + ZX_CONTEXTS + "context z labels u d vectors 1 0 ; 0 1\n"
+         + ZX_MEMBERS + ZX_KERNEL,
+         4, 9, "context 'z' already declared on line 2"),
+        ("model-dim 2\n" + ZX_CONTEXTS + ZX_MEMBERS + ZX_KERNEL
+         + "kernel z x rows 1 0 ; 0 1\n",
+         7, 8, "kernel z x already declared on line 6"),
+        ("model-dim 2\ncontext z labels z+ z- vectors 1 0 ; 0 1\nmember z=0 weight 1\n",
+         2, 9, "a model declares exactly two contexts, this one 1"),
+        ("model-dim 2\n" + ZX_CONTEXTS + "context y labels y+ y- vectors 1 1j ; 1 -1j\n"
+         + "member z=0 x=0 y=0 weight 1\n",
+         4, 9, "a model declares exactly two contexts, this one 3"),
+        ("model-dim 3\nmodel-dim 2\n" + ZX_CONTEXTS + ZX_MEMBERS + ZX_KERNEL,
+         2, 11, "model-dim already declared on line 1"),
+    ], ids=["repeated-context", "repeated-kernel", "one-context", "three-contexts",
+            "repeated-model-dim"])
+    def test_semantic_errors_are_located(self, text, line, column, message):
+        with pytest.raises(ConfigSemanticError) as info:
+            parse_model(text)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value) == f"model line {line}, column {column}: {message}"
+        assert isinstance(info.value, InvariantViolationError)
+
+    @pytest.mark.parametrize("bad_line, column, message", [
+        ("member z=0 x=one weight 1", 12, "malformed integer 'one'"),
+        ("member z=0 x=0 weight nan", 23, "non-finite number 'nan'"),
+        ("member z=0 x=0 1", 8, "expected 'member NAME=INDEX ... weight W'"),
+        ("kernel z x rows 0.5 0.5 ; 0.5 x", 31, "malformed number 'x'"),
+        ("context y labels a b", 9, "expected 'context NAME labels LABEL ... vectors ...'"),
+        ("   frobnicate 1", 4, "unknown key 'frobnicate'"),
+    ])
+    def test_syntax_errors_are_located(self, bad_line, column, message):
+        with pytest.raises(ConfigSyntaxError) as info:
+            parse_model("model-dim 2\n" + ZX_CONTEXTS + bad_line + "\n")
+        assert str(info.value) == f"model line 4, column {column}: {message}"
