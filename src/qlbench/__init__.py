@@ -12,7 +12,6 @@ from .coloring import (
 from .config import ExperimentConfig, load_experiment_config, parse_experiment_config
 from .errors import (
     DimensionMismatchError,
-    ImpossibleOutcomeError,
     InvariantViolationError,
     PreconditionError,
     QLBenchError,
@@ -29,7 +28,6 @@ from .events import (
 from .hidden import (
     HiddenEnsemble,
     HiddenModel,
-    HiddenState,
     TransitionKernel,
     audit_no_go,
     build_qm_equivalent_model,
@@ -39,11 +37,7 @@ from .hidden import (
 )
 from .hilbert import (
     MeasurementBasis,
-    Projector,
     StateVector,
-    born_probability,
-    collapse,
-    commutes,
     named_axis_basis,
     named_state,
     spin_direction_basis,
@@ -60,7 +54,6 @@ from .lattice import (
 )
 from .stats import (
     Distribution,
-    FrequencyTable,
     SequentialTable,
     born_distribution,
     commutation_defect,

@@ -88,7 +88,7 @@ def _cmd_demo_eq5(config: ExperimentConfig) -> Report:
     _check_dims(state, b_basis)
 
     a = lattice.Subspace.ray(state.amplitudes)
-    b_vector = principal_vector(b_basis.projectors[0])
+    b_vector = principal_vector(b_basis.frame[:, 0])
     b = lattice.Subspace.ray(b_vector)
     c = lattice.orthocomplement(b)
     verdict = lattice.distributes(a, b, c)
@@ -319,15 +319,14 @@ def _cmd_hv_build(config: ExperimentConfig) -> tuple[Report, str]:
 
     report = Report(title="dispersion-free ensemble construction")
     report.add("contexts", f"{id_a}, {id_b}")
-    report.add("members", len(ensemble.members))
+    report.add("members", len(ensemble.weights))
+    labels_a, labels_b = ensemble.contexts[id_a].labels, ensemble.contexts[id_b].labels
     report.add_table(
         "ensemble (definite values and weights)",
         [id_a, id_b, "weight"],
         [
-            [ensemble.contexts[id_a].labels[member.value(id_a)],
-             ensemble.contexts[id_b].labels[member.value(id_b)],
-             weight]
-            for member, weight in ensemble.members
+            [labels_a[a], labels_b[b], weight]
+            for (a, b), weight in zip(ensemble.values.tolist(), ensemble.weights.tolist())
         ],
     )
     for (src, dst), kernel in model.kernels.items():

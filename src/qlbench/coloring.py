@@ -42,7 +42,7 @@ class RayFamily:
             vec = np.asarray(ray, dtype=complex).reshape(-1)
             if vec.size != self.dim:
                 raise InvariantViolationError(f"ray {k} has length {vec.size}, expected {self.dim}")
-            if abs(float(np.linalg.norm(vec)) - 1.0) > RAY_TOL:
+            if not abs(float(np.linalg.norm(vec)) - 1.0) <= RAY_TOL:
                 raise InvariantViolationError(f"ray {k} is not unit-norm")
             vec.setflags(write=False)
             rays.append(vec)
@@ -57,7 +57,7 @@ class RayFamily:
                     raise InvariantViolationError(f"basis {b_idx} references unknown ray {i}")
             for pos, i in enumerate(basis):
                 for j in basis[pos + 1:]:
-                    if abs(np.vdot(rays[i], rays[j])) > RAY_TOL:
+                    if not abs(np.vdot(rays[i], rays[j])) <= RAY_TOL:
                         raise InvariantViolationError(
                             f"rays {i} and {j} in basis {b_idx} are not orthogonal"
                         )

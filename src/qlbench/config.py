@@ -225,7 +225,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         elif tokens[1] == "angles":
             line.need(3, "'angles POLAR AZIMUTH'")
             basis = spin_direction_basis(*line.numbers(float, 2))
-            config.state = StateVector(principal_vector(basis.projectors[0]))
+            config.state = StateVector(principal_vector(basis.frame[:, 0]))
         else:
             config.state = line.build(StateVector, line.numbers(complex))
 

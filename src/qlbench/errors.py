@@ -13,9 +13,5 @@ class InvariantViolationError(QLBenchError, ValueError):
     """A value failed its construction invariant."""
 
 
-class ImpossibleOutcomeError(QLBenchError, ValueError):
-    """Conditioning on an outcome of (numerically) zero probability."""
-
-
 class PreconditionError(QLBenchError, ValueError):
     """An operation was called outside its stated precondition."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ConfigSemanticError, Line, format_complex, parse_lines
 from .errors import InvariantViolationError, PreconditionError
-from .hilbert import MeasurementBasis, StateVector, principal_vector
+from .hilbert import MeasurementBasis, StateVector, _frozen, principal_vector
 from .stats import (SequentialTable, born_distribution, chain_rule, commutation_defect,
                     dispersion, overlap_kernel)
 
@@ -35,72 +35,60 @@ CHAIN_NOT_EXERCISED = "not exercised (compatible observables)"
 
 
 @dataclass(frozen=True)
-class HiddenState:
-    """A value-definite state: one definite outcome index per declared context."""
-
-    values: Mapping[str, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", MappingProxyType({str(k): int(v) for k, v in self.values.items()})
-        )
-
-    def value(self, context: str) -> int:
-        try:
-            return self.values[context]
-        except KeyError:
-            raise PreconditionError(f"context {context!r} not declared for this state") from None
-
-    def truth(self, context: str, outcome: int) -> int:
-        """1 if this state yields ``outcome`` in ``context``, else 0."""
-        return 1 if self.value(context) == outcome else 0
-
-
-@dataclass(frozen=True)
 class HiddenEnsemble:
-    """Convex mixture of value-definite states over declared contexts."""
+    """Convex mixture of value-definite members over declared contexts.
 
-    members: tuple[tuple[HiddenState, float], ...]
+    One integer matrix and one weight vector hold the ensemble: member m
+    yields outcome ``values[m, c]`` in the c-th declared context (in
+    ``contexts`` order) and has weight ``weights[m]``.
+    """
+
+    values: np.ndarray
+    weights: np.ndarray
     contexts: Mapping[str, MeasurementBasis]
 
     def __post_init__(self) -> None:
         contexts = MappingProxyType(dict(self.contexts))
-        members = tuple((state, float(weight)) for state, weight in self.members)
-        if not members or not contexts:
+        values = np.array(self.values)
+        weights = np.array(self.weights, dtype=float)
+        if values.ndim != 2 or values.size == 0 or not contexts:
             raise InvariantViolationError("ensemble needs members and declared contexts")
-        total = 0.0
-        for state, weight in members:
-            if weight < 0.0:
-                raise InvariantViolationError(f"negative weight {weight!r}")
-            total += weight
-            for name, basis in contexts.items():
-                outcome = state.value(name)  # raises if not total on contexts
-                if not 0 <= outcome < basis.size:
-                    raise InvariantViolationError(
-                        f"outcome {outcome} out of range for context {name!r}"
-                    )
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if values.dtype.kind not in "iu":
+            raise InvariantViolationError("outcome values must be integers")
+        if weights.shape != values.shape[:1] or values.shape[1] != len(contexts):
+            raise InvariantViolationError(
+                f"values of shape {values.shape} with weights of shape {weights.shape} for "
+                f"{len(contexts)} contexts: need one row per weight, one column per context")
+        sizes = [basis.size for basis in contexts.values()]
+        outside = np.argwhere((values < 0) | (values >= sizes))
+        if outside.size:
+            m, c = outside[0]
+            raise InvariantViolationError(
+                f"outcome {values[m, c]} out of range for context {list(contexts)[c]!r}")
+        if not np.all(weights >= 0.0):
+            bad = float(weights[~(weights >= 0.0)][0])
+            raise InvariantViolationError(f"weight {bad!r} is not a nonnegative number")
+        total = sum(weights.tolist())
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise InvariantViolationError(f"weights sum to {total!r}, not 1")
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "values", _frozen(values.astype(np.int64, copy=False)))
+        object.__setattr__(self, "weights", _frozen(weights))
         object.__setattr__(self, "contexts", contexts)
 
     def context_ids(self) -> tuple[str, ...]:
         return tuple(self.contexts)
 
+    def column(self, context: str) -> int:
+        """The column of ``values`` that holds ``context``."""
+        ids = self.context_ids()
+        if context not in ids:
+            raise PreconditionError(f"context {context!r} not declared")
+        return ids.index(context)
+
     def marginal(self, context: str) -> np.ndarray:
         """Probability of each outcome of ``context`` under the mixture."""
-        values = [state.value(context) for state, _ in self.members]
-        weights = [weight for _, weight in self.members]
-        return np.bincount(values, weights=weights, minlength=self._basis(context).size)
-
-    def proposition_probability(self, context: str, outcome: int) -> float:
-        return float(self.marginal(context)[outcome])
-
-    def _basis(self, context: str) -> MeasurementBasis:
-        try:
-            return self.contexts[context]
-        except KeyError:
-            raise PreconditionError(f"context {context!r} not declared") from None
+        return np.bincount(self.values[:, self.column(context)], weights=self.weights,
+                           minlength=self.contexts[context].size)
 
 
 @dataclass(frozen=True)
@@ -116,17 +104,15 @@ class TransitionKernel:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
+        rows = np.array(self.rows, dtype=float)
         if rows.ndim != 2:
             raise InvariantViolationError("kernel rows must form a matrix")
-        if np.any(rows < 0.0):
-            raise InvariantViolationError("negative kernel entry")
+        if not np.all(rows >= 0.0):
+            raise InvariantViolationError("kernel entry negative or not a number")
         sums = rows.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_TOL):
+        if not np.all(np.abs(sums - 1.0) <= ROW_TOL):
             raise InvariantViolationError(f"kernel rows sum to {sums!r}, not 1")
-        rows = rows.copy()
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _frozen(rows))
 
 
 @dataclass(frozen=True)
@@ -192,22 +178,18 @@ def build_qm_equivalent_model(
     if state.dim != basis_a.dim or state.dim != basis_b.dim:
         raise PreconditionError("state and bases must share one dimension")
 
-    marginal_a = born_distribution(state, basis_a).probs
-    marginal_b = born_distribution(state, basis_b).probs
-    members = []
-    for i in range(basis_a.size):
-        for j in range(basis_b.size):
-            weight = float(marginal_a[i] * marginal_b[j])
-            members.append((HiddenState({id_a: i, id_b: j}), weight))
-    total = sum(w for _, w in members)
-    members = [(s, w / total) for s, w in members]
+    # member (i, j), in row-major order, has outcome i in a and j in b
+    values = np.indices((basis_a.size, basis_b.size)).reshape(2, -1).T
+    weights = np.outer(born_distribution(state, basis_a).probs,
+                       born_distribution(state, basis_b).probs).ravel()
+    weights = weights / sum(weights.tolist())
 
     overlaps = overlap_kernel(basis_a, basis_b)
     kernels = {
         (id_a, id_b): TransitionKernel(id_a, id_b, overlaps),
         (id_b, id_a): TransitionKernel(id_b, id_a, overlaps.T),
     }
-    ensemble = HiddenEnsemble(members=tuple(members), contexts={id_a: basis_a, id_b: basis_b})
+    ensemble = HiddenEnsemble(values, weights, {id_a: basis_a, id_b: basis_b})
     return HiddenModel(ensemble=ensemble, kernels=kernels)
 
 
@@ -241,12 +223,11 @@ def simulate_sequential(
     kernel = model.kernel(first, then)
     rng = np.random.default_rng(seed)
 
-    weights = np.array([w for _, w in ensemble.members])
-    first_values = np.array([s.value(first) for s, _ in ensemble.members])
+    weights = ensemble.weights
     member_counts = rng.multinomial(n_trials, weights / weights.sum())
     counts = np.zeros(kernel.rows.shape)
     first_counts = np.zeros(len(counts), dtype=np.int64)  # exact up to 2**63 - 1 trials
-    np.add.at(first_counts, first_values, member_counts)
+    np.add.at(first_counts, ensemble.values[:, ensemble.column(first)], member_counts)
     for i in np.flatnonzero(first_counts):
         row = kernel.rows[i]
         counts[i] = rng.multinomial(first_counts[i], row / row.sum())
@@ -339,24 +320,20 @@ def audit_no_go(
     ensemble = model.ensemble
     id_a, id_b = context_ids
 
-    propositions = [
-        (name, outcome)
-        for name, basis in ensemble.contexts.items()
-        for outcome in range(basis.size)
-    ]
-    # truths[m, k] = 1 if member m yields proposition k, else 0
-    truths = np.array(
-        [[member.truth(*prop) for prop in propositions] for member, _ in ensemble.members]
-    )
+    # proposition k is (context columns[k], outcome outcomes[k]), context by
+    # context; truths[m, k] = 1 if member m yields proposition k, else 0
+    sizes = [basis.size for basis in ensemble.contexts.values()]
+    columns = np.repeat(np.arange(len(sizes)), sizes)
+    outcomes = np.concatenate([np.arange(size) for size in sizes])
+    truths = (ensemble.values[:, columns] == outcomes).astype(int)
     value_definite = bool(((truths == 0) | (truths == 1)).all())
     member_max_dispersion = float(np.max(truths - truths * truths))
     a, b = truths[:, :, None], truths[:, None, :]
     distributive = bool(np.array_equal(_law_lhs(a, b), _law_rhs(a, b)))
-    pairs_checked = truths.shape[0] * len(propositions) ** 2
+    pairs_checked = truths.shape[0] * truths.shape[1] ** 2
 
     mixture_max_dispersion = max(
-        dispersion(ensemble.proposition_probability(name, outcome))
-        for name, outcome in propositions
+        dispersion(float(p)) for name in ensemble.contexts for p in ensemble.marginal(name)
     )
 
     table_ab = exact_sequential(model, (id_a, id_b))
@@ -368,7 +345,7 @@ def audit_no_go(
 
     return NoGoAudit(
         context_ids=context_ids,
-        member_count=len(ensemble.members),
+        member_count=len(ensemble.weights),
         members_value_definite=value_definite,
         members_distributive=distributive,
         member_pairs_checked=pairs_checked,
@@ -393,13 +370,13 @@ def serialize_model(model: HiddenModel) -> str:
     for name in ids:
         basis = ensemble.contexts[name]
         vectors = " ; ".join(
-            " ".join(map(format_complex, principal_vector(p)))
-            for p in basis.projectors
+            " ".join(map(format_complex, principal_vector(column)))
+            for column in basis.frame.T
         )
         labels = " ".join(basis.labels)
         lines.append(f"context {name} labels {labels} vectors {vectors}")
-    for member, weight in ensemble.members:
-        values = " ".join(f"{name}={member.value(name)}" for name in ids)
+    for row, weight in zip(ensemble.values.tolist(), ensemble.weights.tolist()):
+        values = " ".join(f"{name}={value}" for name, value in zip(ids, row))
         lines.append(f"member {values} weight {weight!r}")
     for (src, dst), kernel in model.kernels.items():
         rows = " ; ".join(" ".join(repr(float(x)) for x in row) for row in kernel.rows)
@@ -414,7 +391,8 @@ def parse_model(text: str) -> HiddenModel:
     """
     dim: int | None = None
     contexts: dict[str, MeasurementBasis] = {}
-    members: list[tuple[HiddenState, float]] = []
+    members: list[tuple[Line, list[str], list[int]]] = []  # line, context names, outcomes
+    weights: list[float] = []
     kernels: dict[tuple[str, str], TransitionKernel] = {}
     declared_at: dict = {}  # context name or kernel key -> its Line
 
@@ -444,11 +422,11 @@ def parse_model(text: str) -> HiddenModel:
         tokens = line.tokens
         if len(tokens) < 3 or tokens[-2] != "weight":
             raise line.error("expected 'member NAME=INDEX ... weight W'", 1)
-        values = {}
-        for index in range(1, len(tokens) - 2):
-            name, _, outcome = tokens[index].partition("=")
-            values[name] = line.number(int, index, outcome)
-        members.append((HiddenState(values), line.number(float, len(tokens) - 1)))
+        pairs = [token.partition("=") for token in tokens[1:-2]]
+        outcomes = [line.number(int, index, outcome)
+                    for index, (_, _, outcome) in enumerate(pairs, start=1)]
+        members.append((line, [name for name, _, _ in pairs], outcomes))
+        weights.append(line.number(float, len(tokens) - 1))
 
     def kernel(line: Line) -> None:
         tokens = line.tokens
@@ -474,7 +452,26 @@ def parse_model(text: str) -> HiddenModel:
                 1, ConfigSemanticError)
     for key, kernel in kernels.items():
         declared_at[key].build(_check_kernel, kernel, contexts)
-    ensemble = HiddenEnsemble(members=tuple(members), contexts=contexts)
+    ids = tuple(contexts)
+    values = np.empty((len(members), len(ids)), dtype=np.int64)
+    for row, (line, names, outcomes) in zip(values, members):
+        given: dict[str, int] = {}  # context name -> its token index
+        for index, (name, outcome) in enumerate(zip(names, outcomes), start=1):
+            if name not in contexts:
+                raise line.error(f"context {name!r} not declared", index, ConfigSemanticError)
+            if name in given:
+                raise line.error(f"context {name!r} already given at column "
+                                 f"{line.column(given[name])}", index, ConfigSemanticError)
+            if not 0 <= outcome < contexts[name].size:
+                raise line.error(f"outcome {outcome} out of range for context {name!r}, "
+                                 f"which has {contexts[name].size}", index, ConfigSemanticError)
+            given[name] = index
+            row[ids.index(name)] = outcome
+        missing = [name for name in ids if name not in given]
+        if missing:
+            raise line.error(f"no value for context {missing[0]!r}", len(line.tokens) - 2,
+                             ConfigSemanticError)
+    ensemble = HiddenEnsemble(values, weights, contexts)
     return HiddenModel(ensemble=ensemble, kernels=kernels)
 
 

@@ -1,8 +1,12 @@
-"""States, projectors, and measurement bases on a low-dimensional complex space.
+"""States and measurement bases on a low-dimensional complex space.
 
-All values are immutable and every operation is a pure function, so the whole
-layer is safe for unrestricted concurrent use.  Dimensions are capped at 8;
-the structure of interest already appears in dimension 2.
+A measurement basis is a unitary frame: its columns are the outcome rays,
+and each rank-1 proposition "outcome k" is column k of that frame.  Born
+probabilities and the measure-collapse-measure chain rule are computed on
+frames in ``stats``.  All values are immutable and every operation is a pure
+function, so the whole layer is safe for unrestricted concurrent use.
+Dimensions are capped at 8; the structure of interest already appears in
+dimension 2.
 """
 
 from __future__ import annotations
@@ -10,25 +14,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    ImpossibleOutcomeError,
-    InvariantViolationError,
-    PreconditionError,
-)
+from .errors import DimensionMismatchError, InvariantViolationError, PreconditionError
 
 MAX_DIM = 8
 
 NORM_TOL = 1e-12          # allowed deviation of a state's squared norm from 1
-HERMITIAN_TOL = 1e-12
-IDEMPOTENT_TOL = 1e-10
 BASIS_TOL = 1e-10         # orthogonality / completeness of measurement bases
-COMMUTATOR_TOL = 1e-10
-PROBABILITY_TOL = 1e-9    # slack before clamping Born values into [0, 1]
 ZERO_PROBABILITY = 1e-12  # below this, conditioning on the outcome is refused
 PHASE_TOL = 1e-10         # ray equality: global phase is quotiented out
 
@@ -56,7 +50,7 @@ class StateVector:
     def __post_init__(self) -> None:
         amps = _as_complex_vector(self.amplitudes)
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise InvariantViolationError(
                 f"state not normalized: squared norm {norm_sq!r}"
             )
@@ -80,49 +74,9 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class Projector:
-    """A Hermitian idempotent matrix; acts as a yes-no question on states."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvariantViolationError(f"projector matrix must be square, got {mat.shape}")
-        if mat.shape[0] < 1 or mat.shape[0] > MAX_DIM:
-            raise InvariantViolationError(f"dimension {mat.shape[0]} outside [1, {MAX_DIM}]")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
-            raise InvariantViolationError("matrix is not Hermitian")
-        if np.max(np.abs(mat @ mat - mat)) > IDEMPOTENT_TOL:
-            raise InvariantViolationError("matrix is not idempotent")
-        object.__setattr__(self, "matrix", _frozen(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return int(round(float(np.trace(self.matrix).real)))
-
-    @classmethod
-    def onto(cls, vector) -> Projector:
-        """Rank-1 projector onto the ray spanned by ``vector`` (normalized first)."""
-        v = StateVector.normalized(vector).amplitudes
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def identity(cls, dim: int) -> Projector:
-        return cls(np.eye(dim, dtype=complex))
-
-    def __repr__(self) -> str:
-        return f"Projector(dim={self.dim}, rank={self.rank})"
-
-
-@dataclass(frozen=True)
 class MeasurementBasis:
     """A unitary frame with outcome labels: column k is the unit vector of
-    outcome ``labels[k]``.  Its rank-1 projectors are derived from the frame."""
+    outcome ``labels[k]``, the one form of that outcome's proposition."""
 
     frame: np.ndarray
     labels: tuple[str, ...]
@@ -154,11 +108,6 @@ class MeasurementBasis:
     def size(self) -> int:
         return self.frame.shape[1]
 
-    @cached_property
-    def projectors(self) -> tuple[Projector, ...]:
-        """The rank-1 projectors onto the frame's columns, built on first use."""
-        return tuple(Projector(np.outer(f, f.conj())) for f in self.frame.T)
-
     @classmethod
     def from_vectors(cls, vectors, labels=None) -> MeasurementBasis:
         """Basis whose k-th outcome is the ray of ``vectors[k]`` (normalized first)."""
@@ -177,47 +126,6 @@ class MeasurementBasis:
 
     def __repr__(self) -> str:
         return f"MeasurementBasis(dim={self.dim}, labels={self.labels})"
-
-
-def _require_same_dim(a_dim: int, b_dim: int) -> None:
-    if a_dim != b_dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a_dim} vs {b_dim}")
-
-
-def born_probability(state: StateVector, proj: Projector, *, tol: float = PROBABILITY_TOL) -> float:
-    """Probability <psi|P|psi> of the yes outcome, clamped into [0, 1].
-
-    Raises if the raw expectation value falls outside [0, 1] by more than
-    ``tol`` (that would mean the inputs were not a state and a projector).
-    """
-    _require_same_dim(state.dim, proj.dim)
-    raw = float(np.vdot(state.amplitudes, proj.matrix @ state.amplitudes).real)
-    if raw < -tol or raw > 1.0 + tol:
-        raise InvariantViolationError(f"expectation {raw!r} outside [0, 1]")
-    return min(1.0, max(0.0, raw))
-
-
-def collapse(state: StateVector, proj: Projector, *, zero_tol: float = ZERO_PROBABILITY) -> StateVector:
-    """Project-and-renormalize: P|psi> / ||P|psi>||.
-
-    Conditioning on an outcome of probability <= ``zero_tol`` is impossible
-    and raises rather than returning NaN amplitudes.
-    """
-    _require_same_dim(state.dim, proj.dim)
-    projected = proj.matrix @ state.amplitudes
-    weight = float(np.vdot(projected, projected).real)
-    if weight <= zero_tol:
-        raise ImpossibleOutcomeError(
-            f"impossible outcome: probability {weight!r} <= {zero_tol!r}"
-        )
-    return StateVector(projected / math.sqrt(weight))
-
-
-def commutes(a: Projector, b: Projector, tol: float = COMMUTATOR_TOL) -> bool:
-    """True iff the largest entry of AB - BA is at most ``tol``."""
-    _require_same_dim(a.dim, b.dim)
-    commutator = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return float(np.max(np.abs(commutator))) <= tol
 
 
 def spin_direction_basis(polar: float, azimuth: float) -> MeasurementBasis:
@@ -281,14 +189,15 @@ def same_ray(u, v, tol: float = PHASE_TOL) -> bool:
     return abs(abs(np.vdot(ua, va)) - 1.0) <= tol
 
 
-def principal_vector(proj: Projector) -> np.ndarray:
-    """Unit vector spanning a rank-1 projector's range.
+def principal_vector(column) -> np.ndarray:
+    """The ray of a frame column, phase-fixed so that its largest-magnitude
+    component is real and positive, which makes serialized output reproducible.
 
-    Phase-fixed so the largest-magnitude component is real and positive,
-    which makes serialized output reproducible.
+    This is column j of the projector |f><f| divided by sqrt(<j|f><f|j>),
+    for j the largest-magnitude index, with the same floating-point
+    operations, so it matches that projector column bit for bit.
     """
-    if proj.rank != 1:
-        raise PreconditionError(f"rank-1 projector required, got rank {proj.rank}")
-    diag = np.real(np.diag(proj.matrix))
-    j = int(np.argmax(diag))
-    return proj.matrix[:, j] / math.sqrt(diag[j])
+    column = np.asarray(column, dtype=complex)
+    weights = (column * column.conj()).real
+    j = int(np.argmax(weights))
+    return column * column[j].conj() / math.sqrt(weights[j])

@@ -1,18 +1,18 @@
 """Seeded pseudorandom generators for property runs.
 
 Everything below is deterministic given the seed, so any property failure is
-reproducible from its seed alone.  The default seed is shared across the
-package and the command-line runner.
+reproducible from its seed alone.  The default seed is the experiment
+files' default (``config.DEFAULT_SEED``), so property runs and the
+command-line runner draw the same streams.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .config import DEFAULT_SEED
 from .hilbert import MeasurementBasis, StateVector
 from .lattice import Subspace, _orthonormal_frame
-
-DEFAULT_SEED = 0xC0FFEE
 
 
 def rng_from(seed: int = DEFAULT_SEED) -> np.random.Generator:

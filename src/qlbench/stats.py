@@ -10,7 +10,6 @@ bases with unitary frames U (first) and V (then).  Argument order is named
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,37 +22,6 @@ from .hilbert import MeasurementBasis, StateVector, ZERO_PROBABILITY
 
 DISTRIBUTION_TOL = 1e-9
 ENTRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Raw outcome counts; probabilities are exact rationals n_i / n."""
-
-    labels: tuple[str, ...]
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        labels = tuple(str(l) for l in self.labels)
-        counts = tuple(int(c) for c in self.counts)
-        if len(labels) != len(counts) or not labels:
-            raise InvariantViolationError("labels and counts must be nonempty and aligned")
-        if any(c < 0 for c in counts):
-            raise InvariantViolationError("negative count")
-        if sum(counts) == 0:
-            raise InvariantViolationError("no trials recorded")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def probabilities(self) -> tuple[Fraction, ...]:
-        total = self.total
-        return tuple(Fraction(c, total) for c in self.counts)
-
-    def to_distribution(self) -> Distribution:
-        return Distribution(self.labels, [float(p) for p in self.probabilities()])
 
 
 @dataclass(frozen=True)

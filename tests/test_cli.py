@@ -141,9 +141,9 @@ class TestHiddenVariableCommands:
         assert "Traceback" not in err
 
     ONE_CONTEXT = "model-dim 2\ncontext z labels z+ z- vectors 1 0 ; 0 1\nmember z=0 weight 1\n"
-    ZX = ("model-dim 2\ncontext z labels z+ z- vectors 1 0 ; 0 1\n"
-          "context x labels x+ x- vectors 1 1 ; 1 -1\n"
-          "member z=0 x=0 weight 0.5\nmember z=0 x=1 weight 0.5\n"
+    ZX_CONTEXTS = ("model-dim 2\ncontext z labels z+ z- vectors 1 0 ; 0 1\n"
+                   "context x labels x+ x- vectors 1 1 ; 1 -1\n")
+    ZX = (ZX_CONTEXTS + "member z=0 x=0 weight 0.5\nmember z=0 x=1 weight 0.5\n"
           "kernel z x rows 0.5 0.5 ; 0.5 0.5\n")
 
     @pytest.mark.parametrize("command", ["hv-build", "hv-exact", "hv-simulate"])
@@ -153,7 +153,19 @@ class TestHiddenVariableCommands:
          "model line 7, column 9: context 'z' already declared on line 2"),
         (ZX + "kernel z x rows 1 0 ; 0 1\n",
          "model line 7, column 8: kernel z x already declared on line 6"),
-    ], ids=["one-context", "repeated-context", "repeated-kernel"])
+        (ZX_CONTEXTS + "member z=0 q=0 weight 1\n",
+         "model line 4, column 12: context 'q' not declared"),
+        (ZX_CONTEXTS + "member z=0 x=0 q=7 weight 1\n",
+         "model line 4, column 16: context 'q' not declared"),
+        (ZX_CONTEXTS + "member z=0 z=1 x=0 weight 1\n",
+         "model line 4, column 12: context 'z' already given at column 8"),
+        (ZX_CONTEXTS + "member z=5 x=0 weight 1\n",
+         "model line 4, column 8: outcome 5 out of range for context 'z', which has 2"),
+        (ZX_CONTEXTS + "member x=1 weight 1\n",
+         "model line 4, column 12: no value for context 'z'"),
+    ], ids=["one-context", "repeated-context", "repeated-kernel", "member-context-missing",
+            "member-context-undeclared", "member-context-repeated", "member-outcome-out-of-range",
+            "member-context-omitted"])
     def test_model_context_checks(self, capsys, tmp_path, command, model_text, located):
         model_path = tmp_path / "model.txt"
         model_path.write_text(model_text)

@@ -205,6 +205,32 @@ class TestRayFamilyValidation:
         with pytest.raises(InvariantViolationError):
             RayFamily.from_vectors(3, [[1, 0, 0], [0, 1, 0]], [(0, 1)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_rejects_non_finite_ray(self, bad):
+        with pytest.raises(InvariantViolationError):
+            RayFamily(3, ([bad, 0, 0], [0, 1, 0], [0, 0, 1]), ((0, 1, 2),))
+
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ray_norm_at_ray_tol(self, factor, accepted, sign):
+        rays = ([1.0 + sign * factor * RAY_TOL, 0, 0], [0, 1, 0], [0, 0, 1])
+        if accepted:
+            RayFamily(3, rays, ((0, 1, 2),))
+        else:
+            with pytest.raises(InvariantViolationError):
+                RayFamily(3, rays, ((0, 1, 2),))
+
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    def test_ray_overlap_at_ray_tol(self, factor, accepted):
+        # the overlap of rays 0 and 1 is eps; their norms are 1 within eps**2 / 2
+        eps = factor * RAY_TOL
+        rays = ([1.0, 0, 0], [eps, math.sqrt(1.0 - eps * eps), 0], [0, 0, 1])
+        if accepted:
+            RayFamily(3, rays, ((0, 1, 2),))
+        else:
+            with pytest.raises(InvariantViolationError):
+                RayFamily(3, rays, ((0, 1, 2),))
+
 
 class TestSearchColorable:
     def test_single_triad(self):

@@ -7,8 +7,9 @@ from qlbench.errors import InvariantViolationError, PreconditionError
 from qlbench.hidden import (
     CHAIN_BROKEN,
     CHAIN_NOT_EXERCISED,
+    ROW_TOL,
+    WEIGHT_TOL,
     HiddenEnsemble,
-    HiddenState,
     TransitionKernel,
     audit_no_go,
     build_qm_equivalent_model,
@@ -41,8 +42,9 @@ def zx_model(z_plus, z_basis, x_basis):
 
 class TestBuildModel:
     def test_weights_are_product_of_marginals(self, zx_model):
+        ensemble = zx_model.ensemble
         weights = {
-            (m.value("A"), m.value("B")): w for m, w in zx_model.ensemble.members
+            tuple(row): w for row, w in zip(ensemble.values.tolist(), ensemble.weights.tolist())
         }
         assert abs(weights[(0, 0)] - 0.5) < 1e-12
         assert abs(weights[(0, 1)] - 0.5) < 1e-12
@@ -66,7 +68,7 @@ class TestBuildModel:
             first = spin_direction_basis(*p1)
             second = spin_direction_basis(*p2)
             model = build_qm_equivalent_model(state, first, second)
-            total = sum(w for _, w in model.ensemble.members)
+            total = sum(model.ensemble.weights.tolist())
             assert abs(total - 1.0) < 1e-12
             for kernel in model.kernels.values():
                 assert_table(kernel.rows.sum(axis=1), np.ones(2))
@@ -78,23 +80,85 @@ class TestBuildModel:
 
 class TestEnsembleInvariants:
     def test_weights_must_be_convex(self, z_basis):
-        state = HiddenState({"A": 0})
         with pytest.raises(InvariantViolationError):
-            HiddenEnsemble(((state, 0.5),), {"A": z_basis})
+            HiddenEnsemble([[0]], [0.5], {"A": z_basis})
 
     def test_negative_weight_rejected(self, z_basis):
-        good = HiddenState({"A": 0})
         with pytest.raises(InvariantViolationError):
-            HiddenEnsemble(((good, -0.5), (good, 1.5)), {"A": z_basis})
+            HiddenEnsemble([[0], [0]], [-0.5, 1.5], {"A": z_basis})
 
     def test_member_must_cover_all_contexts(self, z_basis, x_basis):
-        partial = HiddenState({"A": 0})
-        with pytest.raises(PreconditionError):
-            HiddenEnsemble(((partial, 1.0),), {"A": z_basis, "B": x_basis})
+        with pytest.raises(InvariantViolationError):
+            HiddenEnsemble([[0]], [1.0], {"A": z_basis, "B": x_basis})
 
     def test_kernel_rows_must_be_stochastic(self):
         with pytest.raises(InvariantViolationError):
             TransitionKernel("A", "B", [[0.5, 0.2], [0.5, 0.5]])
+
+    def test_values_and_weights_are_read_only_arrays(self, z_basis, x_basis):
+        ensemble = HiddenEnsemble([[0, 1], [1, 0]], [0.25, 0.75], {"A": z_basis, "B": x_basis})
+        assert ensemble.values.dtype == np.int64 and ensemble.weights.dtype == float
+        assert ensemble.column("B") == 1
+        assert_table(ensemble.marginal("B"), [0.75, 0.25])
+        with pytest.raises(ValueError):
+            ensemble.values[0, 0] = 1
+        with pytest.raises(ValueError):
+            ensemble.weights[0] = 1.0
+        with pytest.raises(PreconditionError):
+            ensemble.marginal("C")
+
+    @pytest.mark.parametrize("values, weights", [
+        ([[2]], [1.0]),                 # outcome out of range
+        ([[-1]], [1.0]),
+        ([[0.0]], [1.0]),               # not an integer
+        ([[0], [1]], [1.0]),            # a row without a weight
+        ([], []),
+    ])
+    def test_malformed_values_rejected(self, z_basis, values, weights):
+        with pytest.raises(InvariantViolationError):
+            HiddenEnsemble(values, weights, {"A": z_basis})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, z_basis, bad):
+        with pytest.raises(InvariantViolationError):
+            HiddenEnsemble([[0], [1]], [bad, 1.0], {"A": z_basis})
+        with pytest.raises(InvariantViolationError):
+            HiddenEnsemble([[0]], [bad], {"A": z_basis})
+
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_weight_total_at_weight_tol(self, z_basis, factor, accepted, sign):
+        weights = [0.5, 0.5 + sign * factor * WEIGHT_TOL]
+        if accepted:
+            HiddenEnsemble([[0], [1]], weights, {"A": z_basis})
+        else:
+            with pytest.raises(InvariantViolationError):
+                HiddenEnsemble([[0], [1]], weights, {"A": z_basis})
+
+    def test_weight_sign_boundary(self, z_basis):
+        HiddenEnsemble([[0], [1]], [0.0, 1.0], {"A": z_basis})
+        with pytest.raises(InvariantViolationError):
+            HiddenEnsemble([[0], [1]], [-5e-324, 1.0], {"A": z_basis})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_kernel_entry_rejected(self, bad):
+        with pytest.raises(InvariantViolationError):
+            TransitionKernel("A", "B", [[bad, 1.0], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_kernel_row_sum_at_row_tol(self, factor, accepted, sign):
+        rows = [[0.5, 0.5 + sign * factor * ROW_TOL], [0.5, 0.5]]
+        if accepted:
+            TransitionKernel("A", "B", rows)
+        else:
+            with pytest.raises(InvariantViolationError):
+                TransitionKernel("A", "B", rows)
+
+    def test_kernel_sign_boundary(self):
+        TransitionKernel("A", "B", [[0.0, 1.0], [0.5, 0.5]])
+        with pytest.raises(InvariantViolationError):
+            TransitionKernel("A", "B", [[-5e-324, 1.0], [0.5, 0.5]])
 
 
 class TestExactSequential:
@@ -169,8 +233,8 @@ def per_trial_simulate(model, order, n_trials, seed):
     ensemble = model.ensemble
     kernel = model.kernel(first, then)
     rng = np.random.default_rng(seed)
-    weights = np.array([w for _, w in ensemble.members])
-    first_values = np.array([s.value(first) for s, _ in ensemble.members])
+    weights = ensemble.weights
+    first_values = ensemble.values[:, ensemble.context_ids().index(first)]
     member_idx = rng.choice(len(weights), size=n_trials, p=weights / weights.sum())
     firsts = first_values[member_idx]
     cumulative = np.cumsum(kernel.rows, axis=1)
@@ -228,16 +292,16 @@ def per_member_audit_fields(ensemble):
     """The per-member loop of the no-go audit, kept as the oracle for the
     truth-matrix version: (value definite, distributive, pairs, max dispersion)."""
     propositions = [
-        (name, outcome)
-        for name, basis in ensemble.contexts.items()
+        (column, outcome)
+        for column, basis in enumerate(ensemble.contexts.values())
         for outcome in range(basis.size)
     ]
     value_definite = True
     distributive = True
     pairs_checked = 0
     max_dispersion = 0.0
-    for member, _weight in ensemble.members:
-        truths = {prop: member.truth(*prop) for prop in propositions}
+    for member in ensemble.values.tolist():
+        truths = {(c, outcome): 1 if member[c] == outcome else 0 for c, outcome in propositions}
         if any(t not in (0, 1) for t in truths.values()):
             value_definite = False
         max_dispersion = max(max_dispersion, max(dispersion(float(t)) for t in truths.values()))
@@ -324,9 +388,8 @@ class TestModelSerialization:
                 exact_sequential(zx_model, order).entries,
                 1e-12,
             )
-        original = [w for _, w in zx_model.ensemble.members]
-        restored = [w for _, w in loaded.ensemble.members]
-        assert original == restored
+        assert loaded.ensemble.weights.tolist() == zx_model.ensemble.weights.tolist()
+        assert np.array_equal(loaded.ensemble.values, zx_model.ensemble.values)
 
     def test_round_trip_generic_direction_pair(self):
         rng = rng_from(404)

@@ -2,20 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlbench.errors import (
-    DimensionMismatchError,
+from projector_oracle import (
     ImpossibleOutcomeError,
-    InvariantViolationError,
-)
-from qlbench.hilbert import (
-    BASIS_TOL,
-    MeasurementBasis,
     Projector,
-    StateVector,
     born_probability,
     collapse,
     commutes,
+    projector_principal_vector,
+    projectors,
+)
+from qlbench.errors import DimensionMismatchError, InvariantViolationError
+from qlbench.hilbert import (
+    BASIS_TOL,
+    NORM_TOL,
+    MeasurementBasis,
+    StateVector,
     named_axis_basis,
     named_state,
     principal_vector,
@@ -51,6 +55,21 @@ class TestStateVector:
         state = named_state("z+")
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(InvariantViolationError):
+            StateVector([bad, 1.0])
+
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_norm_error_at_norm_tol(self, factor, accepted, sign):
+        amplitudes = [math.sqrt(1.0 + sign * factor * NORM_TOL), 0.0]
+        if accepted:
+            StateVector(amplitudes)
+        else:
+            with pytest.raises(InvariantViolationError):
+                StateVector(amplitudes)
 
 
 class TestProjector:
@@ -102,13 +121,12 @@ class TestMeasurementBasis:
         with pytest.raises(ValueError):
             basis.frame[0, 0] = 1.0
 
-    def test_projectors_are_derived_from_the_frame(self):
+    def test_frame_columns_are_the_oracle_projectors_rays(self):
         basis = random_basis(rng_from(106), 4)
-        assert len(basis.projectors) == 4
-        assert basis.projectors is basis.projectors
-        for k, proj in enumerate(basis.projectors):
+        assert len(projectors(basis)) == 4
+        for k, proj in enumerate(projectors(basis)):
             assert np.array_equal(proj.matrix, np.outer(basis.frame[:, k], basis.frame[:, k].conj()))
-            assert same_ray(principal_vector(proj), basis.frame[:, k])
+            assert same_ray(principal_vector(basis.frame[:, k]), basis.frame[:, k])
 
     def test_constructor_checks_the_frame_and_copies_it(self):
         frame = np.eye(2, dtype=complex)
@@ -155,7 +173,7 @@ class TestBornProbability:
             dim = int(rng.integers(2, 5))
             state = random_state(rng, dim)
             basis = random_basis(rng, dim)
-            total = sum(born_probability(state, p) for p in basis.projectors)
+            total = sum(born_probability(state, p) for p in projectors(basis))
             assert abs(total - 1.0) < 1e-10
 
 
@@ -177,7 +195,7 @@ class TestCollapse:
         for _ in range(50):
             dim = int(rng.integers(2, 5))
             state = random_state(rng, dim)
-            proj = random_basis(rng, dim).projectors[0]
+            proj = projectors(random_basis(rng, dim))[0]
             if born_probability(state, proj) < 1e-6:
                 continue
             once = collapse(state, proj)
@@ -224,13 +242,13 @@ class TestCommutes:
 class TestSpinDirectionBasis:
     def test_polar_zero_is_standard_basis(self):
         basis = spin_direction_basis(0.0, 0.0)
-        assert same_ray(principal_vector(basis.projectors[0]), [1.0, 0.0])
-        assert same_ray(principal_vector(basis.projectors[1]), [0.0, 1.0])
+        assert same_ray(principal_vector(basis.frame[:, 0]), [1.0, 0.0])
+        assert same_ray(principal_vector(basis.frame[:, 1]), [0.0, 1.0])
 
     def test_equator(self):
         basis = spin_direction_basis(math.pi / 2.0, 0.0)
-        assert same_ray(principal_vector(basis.projectors[0]), [INV_SQRT2, INV_SQRT2])
-        assert same_ray(principal_vector(basis.projectors[1]), [INV_SQRT2, -INV_SQRT2])
+        assert same_ray(principal_vector(basis.frame[:, 0]), [INV_SQRT2, INV_SQRT2])
+        assert same_ray(principal_vector(basis.frame[:, 1]), [INV_SQRT2, -INV_SQRT2])
 
     def test_completeness_for_any_angles(self):
         rng = rng_from(105)
@@ -238,7 +256,7 @@ class TestSpinDirectionBasis:
             polar = float(rng.uniform(-10.0, 10.0))
             azimuth = float(rng.uniform(-10.0, 10.0))
             basis = spin_direction_basis(polar, azimuth)
-            total = sum(p.matrix for p in basis.projectors)
+            total = sum(p.matrix for p in projectors(basis))
             assert float(np.max(np.abs(total - np.eye(2)))) < 1e-12
 
 
@@ -261,3 +279,38 @@ class TestSameRay:
 
     def test_different_rays(self):
         assert not same_ray([1.0, 0.0], [INV_SQRT2, INV_SQRT2])
+
+
+@st.composite
+def frame_columns(draw):
+    """A column of a random unitary frame (d = 1..8), of a spin-direction
+    basis, or a unit vector whose largest-magnitude entries tie exactly."""
+    kind = draw(st.sampled_from(["random", "spin", "tie"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        dim = draw(st.integers(1, 8))
+        return random_basis(rng, dim).frame[:, draw(st.integers(0, dim - 1))]
+    if kind == "spin":
+        polar, azimuth = rng.uniform(-10.0, 10.0, size=2)
+        return spin_direction_basis(polar, azimuth).frame[:, draw(st.integers(0, 1))]
+    dim = draw(st.integers(2, 8))
+    ties = draw(st.integers(2, dim))
+    tied = rng.choice(np.array([1.0, -1.0, 1.0j, -1.0j]), ties)
+    rest = rng.uniform(0.0, 0.9, dim - ties) * np.exp(2j * np.pi * rng.random(dim - ties))
+    column = rng.permutation(np.concatenate([tied, rest]))
+    return column / np.linalg.norm(column)
+
+
+class TestPrincipalVectorAgainstProjectorPath:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(frame_columns())
+    def test_bit_for_bit(self, column):
+        expected = projector_principal_vector(Projector(np.outer(column, column.conj())))
+        assert np.array_equal(principal_vector(column), expected)
+
+    def test_tie_takes_the_first_largest_entry(self):
+        column = np.array([0.5j, -0.5, 0.5, 0.5])
+        vector = principal_vector(column)
+        assert vector[0] == 0.5
+        assert np.array_equal(vector, projector_principal_vector(Projector.onto(column)))

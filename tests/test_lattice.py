@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qlbench.errors import DimensionMismatchError, InvariantViolationError, PreconditionError
 from qlbench.lattice import (
+    FRAME_TOL,
     INCLUSION_TOL,
     RANK_TOL,
     AxiomCheck,
@@ -144,6 +145,25 @@ class TestLatticeAxioms:
         with pytest.raises(PreconditionError):
             check_lattice_axioms([])
 
+    @pytest.mark.parametrize("factor, passed", [(0.99, True), (1.01, False), (1.3, False)])
+    def test_antisymmetry_fails_on_mutually_included_unequal_planes(self, factor, passed):
+        # a = span(e1, e2) and b = span(b1, e2), b1 = cos t e1 + sin t e3, stored as
+        # (x ± e2)/√2 frames: each frame vector is t/√2 from the other plane, inside
+        # INCLUSION_TOL, but the projectors differ by cos t sin t ≈ t
+        t = factor * INCLUSION_TOL
+        e1, e2, e3 = (e(k, 4) for k in range(3))
+        b1 = math.cos(t) * e1 + math.sin(t) * e3
+        a, b = (Subspace(np.column_stack([(x + e2) * INV_SQRT2, (x - e2) * INV_SQRT2]))
+                for x in (e1, b1))
+        assert includes(a, b) and includes(b, a)
+        name = "antisymmetry: a ⊆ b and b ⊆ a imply a = b"
+        check = check_lattice_axioms([a, b]).by_name(name)
+        if passed:
+            assert check == AxiomCheck(name, 4, True, None)
+        else:
+            # row-major pairs: (0, 0) holds, (0, 1) is the second
+            assert check == AxiomCheck(name, 2, False, "sample[0], sample[1]")
+
 
 class TestDistributes:
     def test_witness_triple_fails_distribution(self):
@@ -235,6 +255,11 @@ def oracle_inclusion_matrix(inner, outer):
     return np.array([[includes(a, b) for b in outer] for a in inner], dtype=bool)
 
 
+def projector_gap(a, b):
+    """max|P_a − P_b| over the entries of the two orthogonal projectors."""
+    return float(np.max(np.abs(a.frame @ a.frame.conj().T - b.frame @ b.frame.conj().T)))
+
+
 def oracle_check_lattice_axioms(sample, *, pair_limit=4000, triple_limit=4000, seed=0):
     """The per-pair ``includes`` loop, stopping at the first failure of each axiom."""
     n = len(sample)
@@ -253,7 +278,8 @@ def oracle_check_lattice_axioms(sample, *, pair_limit=4000, triple_limit=4000, s
     axioms = [
         ("reflexivity: a ⊆ a", singles, lambda i: inc(i, i)),
         ("antisymmetry: a ⊆ b and b ⊆ a imply a = b", pairs,
-         lambda i, j: not (inc(i, j) and inc(j, i)) or subspace_equal(sample[i], sample[j])),
+         lambda i, j: not (inc(i, j) and inc(j, i))
+         or projector_gap(sample[i], sample[j]) <= INCLUSION_TOL),
         ("transitivity: a ⊆ b ⊆ c implies a ⊆ c", triples,
          lambda i, j, k: not (inc(i, j) and inc(j, k)) or inc(i, k)),
         ("involution: (a')' = a", singles,
@@ -394,6 +420,21 @@ class TestThresholds:
 
 
 class TestTrustedFrames:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(float("nan"), 0.0)])
+    def test_non_finite_frame_rejected(self, bad):
+        with pytest.raises(InvariantViolationError):
+            Subspace([[bad], [0.0]])
+
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gram_error_at_frame_tol(self, factor, accepted, sign):
+        frame = [[math.sqrt(1.0 + sign * factor * FRAME_TOL)], [0.0]]
+        if accepted:
+            Subspace(frame)
+        else:
+            with pytest.raises(InvariantViolationError):
+                Subspace(frame)
+
     def test_user_frame_is_still_checked(self):
         with pytest.raises(InvariantViolationError):
             Subspace(np.array([[1.0], [1.0]]))
