@@ -60,12 +60,12 @@ class HiddenEnsemble:
                 f"values of shape {values.shape} with weights of shape {weights.shape} for "
                 f"{len(contexts)} contexts: need one row per weight, one column per context")
         sizes = [basis.size for basis in contexts.values()]
-        outside = np.argwhere((values < 0) | (values >= sizes))
-        if outside.size:
-            m, c = outside[0]
+        outside = (values < 0) | (values >= sizes)
+        if outside.any():
+            m, c = np.argwhere(outside)[0]
             raise InvariantViolationError(
                 f"outcome {values[m, c]} out of range for context {list(contexts)[c]!r}")
-        if not np.all(weights >= 0.0):
+        if not (weights >= 0.0).all():
             bad = float(weights[~(weights >= 0.0)][0])
             raise InvariantViolationError(f"weight {bad!r} is not a nonnegative number")
         total = sum(weights.tolist())
@@ -107,10 +107,10 @@ class TransitionKernel:
         rows = np.array(self.rows, dtype=float)
         if rows.ndim != 2:
             raise InvariantViolationError("kernel rows must form a matrix")
-        if not np.all(rows >= 0.0):
+        if not (rows >= 0.0).all():
             raise InvariantViolationError("kernel entry negative or not a number")
         sums = rows.sum(axis=1)
-        if not np.all(np.abs(sums - 1.0) <= ROW_TOL):
+        if not (np.abs(sums - 1.0) <= ROW_TOL).all():
             raise InvariantViolationError(f"kernel rows sum to {sums!r}, not 1")
         object.__setattr__(self, "rows", _frozen(rows))
 

@@ -207,8 +207,9 @@ class TestRayFamilyValidation:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
     def test_rejects_non_finite_ray(self, bad):
+        # ray 3 is in no basis, so only its norm check can refuse it
         with pytest.raises(InvariantViolationError):
-            RayFamily(3, ([bad, 0, 0], [0, 1, 0], [0, 0, 1]), ((0, 1, 2),))
+            RayFamily(3, ([1, 0, 0], [0, 1, 0], [0, 0, 1], [bad, 0, 0]), ((0, 1, 2),))
 
     @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])

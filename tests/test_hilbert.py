@@ -308,9 +308,3 @@ class TestPrincipalVectorAgainstProjectorPath:
     def test_bit_for_bit(self, column):
         expected = projector_principal_vector(Projector(np.outer(column, column.conj())))
         assert np.array_equal(principal_vector(column), expected)
-
-    def test_tie_takes_the_first_largest_entry(self):
-        column = np.array([0.5j, -0.5, 0.5, 0.5])
-        vector = principal_vector(column)
-        assert vector[0] == 0.5
-        assert np.array_equal(vector, projector_principal_vector(Projector.onto(column)))
