@@ -6,7 +6,10 @@ format on their defaults; the 9 quantum commands in every format on four
 experiment files in ``golden/configs`` (d = 4 and d = 8 random vectors, a
 commuting d = 3 pair, and spin angles); and, for the default and each of
 those files, the model that ``hv-build --out`` writes plus the
-``hv-exact``/``hv-simulate`` output that replays it.
+``hv-exact``/``hv-simulate`` output that replays it; and ``ks-search`` in
+every format on ``builtin:triads-d3`` and on a chain of 12 complex triads.
+Every case runs with ``golden/configs`` as its working directory, where a
+family path in a config file is found.
 
 Regenerate after a deliberate output change, and record why in CHANGES.md::
 
@@ -62,12 +65,35 @@ def _commuting_config(seed: int, d: int) -> str:
             f"context vectors {_vectors(frame[:, rng.permutation(d)])}\n")
 
 
+def _chain_family(seed: int, triads: int) -> str:
+    """Triads in dimension 3 of complex rays, each sharing its first ray with
+    the last ray of the triad before it."""
+    rng = np.random.default_rng(seed)
+    rays = list(_unitary(rng, 3).T)
+    bases = [(0, 1, 2)]
+    for _ in range(triads - 1):
+        shared = rays[-1]
+        p = rng.normal(size=3) + 1j * rng.normal(size=3)
+        p -= np.vdot(shared, p) * shared
+        p /= np.linalg.norm(p)
+        rays += [p, np.cross(shared, p).conj()]
+        bases.append((len(rays) - 3, len(rays) - 2, len(rays) - 1))
+    return "dim 3\n" + "".join(f"ray {_vector(ray)}\n" for ray in rays) + "".join(
+        "basis " + " ".join(map(str, basis)) + "\n" for basis in bases)
+
+
+FAMILIES = {"chain": _chain_family(12, 12)}
+
 CONFIGS = {
     "random-d4": _random_config(4, 4),
     "random-d8": _random_config(8, 8),
     "commuting-d3": _commuting_config(3, 3),
     "angles": "state angles 0.7 2.1\ncontext angles 0 0\ncontext angles 1.9 -0.4\ntrials 5000\n",
+    "triads-d3": "family builtin:triads-d3\n",
+    "chain": "family chain.rays\n",
 }
+QUANTUM_CONFIGS = ("random-d4", "random-d8", "commuting-d3", "angles")
+FAMILY_CONFIGS = ("triads-d3", "chain")
 
 
 def cases():
@@ -75,17 +101,18 @@ def cases():
     for command in COMMANDS:
         for fmt in FORMATS:
             yield f"default/{command}.{fmt}", [command, "--format", fmt]
-    for config in CONFIGS:
-        for command in QUANTUM:
-            for fmt in FORMATS:
-                yield (f"{config}/{command}.{fmt}",
-                       [command, "--config", "{%s}" % config, "--format", fmt])
+    for configs, commands in ((QUANTUM_CONFIGS, QUANTUM), (FAMILY_CONFIGS, ("ks-search",))):
+        for config in configs:
+            for command in commands:
+                for fmt in FORMATS:
+                    yield (f"{config}/{command}.{fmt}",
+                           [command, "--config", "{%s}" % config, "--format", fmt])
 
 
 def models():
     """(name, config or None) per ``hv-build --out`` replay case."""
     yield "default", None
-    yield from ((config, config) for config in CONFIGS)
+    yield from ((config, config) for config in QUANTUM_CONFIGS)
 
 
 def run(argv) -> tuple[int, str]:
@@ -93,7 +120,7 @@ def run(argv) -> tuple[int, str]:
     from qlbench import cli
 
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.chdir(GOLDEN / "configs"), contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, out.getvalue()
 
@@ -125,6 +152,8 @@ def regenerate() -> None:
     (GOLDEN / "configs").mkdir(parents=True, exist_ok=True)
     for name, text in CONFIGS.items():
         Path(config_path(name)).write_text(text, encoding="utf-8")
+    for name, text in FAMILIES.items():
+        (GOLDEN / "configs" / f"{name}.rays").write_text(text, encoding="utf-8")
     for name, argv in cases():
         code, out = run(resolve(argv))
         (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)

@@ -39,6 +39,7 @@ def test_corpus_has_no_stray_files():
     expected = {name for name, _ in cases()} | set(EXIT_CODES)
     expected |= {f"models/{name}.model" for name, _ in models()}
     expected |= {f"configs/{name}.cfg" for name in golden_cases.CONFIGS}
+    expected |= {f"configs/{name}.rays" for name in golden_cases.FAMILIES}
     expected.add("exit_codes.json")
     found = {str(p.relative_to(GOLDEN)) for p in GOLDEN.rglob("*") if p.is_file()}
     assert found == expected
