@@ -5,7 +5,6 @@ from .coloring import (
     AssignmentSearchResult,
     RayFamily,
     builtin_family,
-    identify_rays,
     load_ray_family,
     search_bivalent_assignment,
 )

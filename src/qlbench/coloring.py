@@ -28,76 +28,72 @@ BUILTIN_FAMILIES = {
 
 @dataclass(frozen=True)
 class RayFamily:
-    """Unit rays in dimension >= 3 plus bases given as ray-index tuples."""
+    """Unit rays in dimension >= 3, the rows of one read-only (n, dim) complex
+    matrix, plus bases given as ray-index tuples.
+
+    A refusal names what is at fault in the error's ``part``: ``("dim", 0,
+    0)``, ``("ray", k, 0)``, or ``("basis", b, p)`` for entry p of basis b.
+    """
 
     dim: int
-    rays: tuple[np.ndarray, ...]
+    rays: np.ndarray
     bases: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if self.dim < 3:
-            raise InvariantViolationError("ray families need ambient dimension >= 3")
-        rays = []
-        for k, ray in enumerate(self.rays):
-            vec = np.asarray(ray, dtype=complex).reshape(-1)
-            if vec.size != self.dim:
-                raise InvariantViolationError(f"ray {k} has length {vec.size}, expected {self.dim}")
-            if not abs(float(np.linalg.norm(vec)) - 1.0) <= RAY_TOL:
-                raise InvariantViolationError(f"ray {k} is not unit-norm")
-            vec.setflags(write=False)
-            rays.append(vec)
+            raise InvariantViolationError("ray families need ambient dimension >= 3", ("dim", 0, 0))
+        rays = _ray_matrix(self.dim, self.rays)
+        unit = np.isfinite(rays).all(axis=1)
+        if unit.all():  # the norm of an infinite entry warns on its way to NaN
+            unit = abs(np.linalg.norm(rays, axis=1) - 1.0) <= RAY_TOL
+        if not unit.all():
+            k = int(np.argmin(unit))
+            raise InvariantViolationError(f"ray {k} is not unit-norm", ("ray", k, 0))
         bases = tuple(tuple(int(i) for i in basis) for basis in self.bases)
-        for b_idx, basis in enumerate(bases):
+        for b, basis in enumerate(bases):
             if len(basis) != self.dim or len(set(basis)) != self.dim:
-                raise InvariantViolationError(
-                    f"basis {b_idx} must name {self.dim} distinct rays"
-                )
-            for i in basis:
+                raise InvariantViolationError(f"basis {b} must name {self.dim} distinct rays",
+                                              ("basis", b, 0))
+            for p, i in enumerate(basis):
                 if not 0 <= i < len(rays):
-                    raise InvariantViolationError(f"basis {b_idx} references unknown ray {i}")
-            for pos, i in enumerate(basis):
-                for j in basis[pos + 1:]:
-                    if not abs(np.vdot(rays[i], rays[j])) <= RAY_TOL:
-                        raise InvariantViolationError(
-                            f"rays {i} and {j} in basis {b_idx} are not orthogonal"
-                        )
-        object.__setattr__(self, "rays", tuple(rays))
+                    raise InvariantViolationError(f"basis {b} references unknown ray {i}",
+                                                  ("basis", b, p))
+        if bases:
+            frames = rays[np.array(bases)]
+            overlaps = np.abs(frames @ frames.conj().transpose(0, 2, 1))
+            bad = np.triu(~(overlaps <= RAY_TOL), 1)
+            if bad.any():
+                b, p, q = np.argwhere(bad)[0]
+                raise InvariantViolationError(
+                    f"rays {bases[b][p]} and {bases[b][q]} in basis {b} are not orthogonal",
+                    ("basis", int(b), int(q)))
+        rays.setflags(write=False)
+        object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "bases", bases)
 
     @classmethod
     def from_vectors(cls, dim: int, vectors, bases) -> RayFamily:
         """Build a family from arbitrary nonzero vectors (normalized here)."""
-        rays = []
-        for vec in vectors:
-            v = np.asarray(vec, dtype=complex).reshape(-1)
-            norm = float(np.linalg.norm(v))
-            if norm == 0.0:
-                raise InvariantViolationError("zero vector cannot define a ray")
-            rays.append(v / norm)
-        return cls(dim=dim, rays=tuple(rays), bases=tuple(bases))
+        rays = _ray_matrix(dim, vectors)
+        if np.isfinite(rays).all():
+            norms = np.linalg.norm(rays, axis=1)
+            if not norms.all():
+                k = int(np.argmin(norms))
+                raise InvariantViolationError(f"ray {k} is a zero vector", ("ray", k, 0))
+            rays /= norms[:, None]
+        return cls(dim=dim, rays=rays, bases=tuple(bases))
 
 
-def identify_rays(vectors, tol: float = RAY_TOL) -> list[int]:
-    """Group unit vectors into rays: same id iff |<u|v>| >= 1 - tol.
-
-    Phase-insensitive, so a vector and any phase multiple of it share an id.
-    """
-    ids: list[int] = []
-    representatives: list[np.ndarray] = []
-    for vec in vectors:
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        if abs(float(np.linalg.norm(v)) - 1.0) > tol:
-            raise PreconditionError("non-unit input vector")
-        if representatives and v.size != representatives[0].size:
-            raise PreconditionError("vectors of mixed dimension")
-        for rid, rep in enumerate(representatives):
-            if abs(np.vdot(rep, v)) >= 1.0 - tol:
-                ids.append(rid)
-                break
-        else:
-            ids.append(len(representatives))
-            representatives.append(v)
-    return ids
+def _ray_matrix(dim: int, rays) -> np.ndarray:
+    """A fresh (n, dim) complex matrix whose row k is ``rays[k]`` flattened."""
+    try:
+        return np.array(rays, dtype=complex).reshape(len(rays), dim)
+    except ValueError:  # a ray of the wrong length, or rays of mixed shapes
+        for k, ray in enumerate(rays):
+            if np.size(ray) != dim:
+                raise InvariantViolationError(f"ray {k} has length {np.size(ray)}, expected {dim}",
+                                              ("ray", k, 0)) from None
+        return np.array([np.ravel(ray) for ray in rays], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -113,9 +109,8 @@ class AssignmentSearchResult:
         return self.assignment is not None
 
 
-def search_bivalent_assignment(
-    family: RayFamily, *, exclusive_pairs: bool = False, ortho_tol: float = RAY_TOL
-) -> AssignmentSearchResult:
+def search_bivalent_assignment(family: RayFamily, *,
+                               exclusive_pairs: bool = False) -> AssignmentSearchResult:
     """Exhaustive backtracking for a 0/1 assignment with exactly one 1 per basis.
 
     Rays are ordered most-constrained first (descending basis membership).
@@ -126,99 +121,86 @@ def search_bivalent_assignment(
     tried, not propagated forcings.
 
     With ``exclusive_pairs`` set, at most one of any two orthogonal rays may
-    take the value 1, whether or not they share a declared basis.
+    take the value 1, whether or not they share a declared basis; the pairs
+    are read off the Gram matrix ``|R Rᴴ| <= RAY_TOL``.
+
+    The state is two bitmasks over the rays, ``ones`` and ``zeros``.
     """
     n = len(family.rays)
-    membership: list[list[int]] = [[] for _ in range(n)]
-    for b_idx, basis in enumerate(family.bases):
+    bits = [1 << r for r in range(n)]
+    masks: list[list[int]] = [[] for _ in range(n)]  # per ray, the masks of its bases
+    for basis in family.bases:
+        mask = sum(map(bits.__getitem__, basis))
         for ray in basis:
-            membership[ray].append(b_idx)
-    order = sorted(range(n), key=lambda r: (-len(membership[r]), r))
+            masks[ray].append(mask)
+    # the rays' bits, most-constrained first; the sort is stable, so ties keep index order
+    order = [bits[r] for r in sorted(range(n), key=lambda r: -len(masks[r]))]
+    if exclusive_pairs:  # per ray, the mask of the rays orthogonal to it
+        rays = family.rays
+        neighbours = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                      for row in np.abs(rays @ rays.conj().T) <= RAY_TOL]
 
-    ortho_neighbors: list[list[int]] = [[] for _ in range(n)]
-    if exclusive_pairs:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(np.vdot(family.rays[i], family.rays[j])) <= ortho_tol:
-                    ortho_neighbors[i].append(j)
-                    ortho_neighbors[j].append(i)
-
-    values = [-1] * n
-    ones = [0] * len(family.bases)
-    unassigned = [len(basis) for basis in family.bases]
-    trail: list[int] = []
-    nodes = 0
-
-    def propagate(ray: int, value: int) -> bool:
-        queue = [(ray, value)]
-        while queue:
-            r, v = queue.pop()
-            if values[r] != -1:
-                if values[r] != v:
-                    return False
-                continue
-            # Counter updates must cover every basis of r before any conflict
-            # return, because undo() reverses the full membership of r.
-            values[r] = v
-            trail.append(r)
-            conflict = False
-            for b in membership[r]:
-                unassigned[b] -= 1
-                if v == 1:
-                    ones[b] += 1
-                if ones[b] > 1 or (unassigned[b] == 0 and ones[b] == 0):
-                    conflict = True
-            if conflict:
-                return False
-            for b in membership[r]:
+    def propagate(ones: int, zeros: int, pending: int, value: int) -> tuple[int, int] | None:
+        """The two masks after setting the ray of bit ``pending`` to ``value``
+        and everything it forces, or None on a conflict."""
+        if value:
+            ones |= pending
+        else:
+            zeros |= pending
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            r = low.bit_length() - 1
+            if exclusive_pairs and ones & low:
+                if neighbours[r] & ones:
+                    return None
+                fresh = neighbours[r] & ~zeros
+                zeros |= fresh
+                pending |= fresh
+            for mask in masks[r]:
                 # a basis with its 1 forces its other rays to 0; one with a
                 # single open ray and no 1 forces that ray to 1
-                forced = 0 if ones[b] == 1 else 1 if unassigned[b] == 1 else -1
-                if forced != -1:
-                    queue.extend((other, forced) for other in family.bases[b]
-                                 if values[other] == -1)
-            if v == 1 and exclusive_pairs:
-                for other in ortho_neighbors[r]:
-                    if values[other] == 1:
-                        return False
-                    if values[other] == -1:
-                        queue.append((other, 0))
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            r = trail.pop()
-            v = values[r]
-            values[r] = -1
-            for b in membership[r]:
-                unassigned[b] += 1
-                if v == 1:
-                    ones[b] -= 1
+                one = mask & ones
+                if one:
+                    if one & (one - 1):
+                        return None
+                    fresh = mask & ~(ones | zeros)
+                    zeros |= fresh
+                else:
+                    fresh = mask & ~zeros
+                    if not fresh:
+                        return None
+                    if fresh & (fresh - 1):
+                        continue
+                    ones |= fresh
+                pending |= fresh
+        return ones, zeros
 
     # Depth-first over an explicit stack of open decisions (position in
-    # ``order``, value, trail mark), trying 1 then 0 at each; every ray before
-    # a decision's position in ``order`` is assigned while it is open.
-    stack: list[tuple[int, int, int]] = []
-    pos, value = 0, 1
+    # ``order``, value, the masks before it), trying 1 then 0 at each; every
+    # ray before a decision's position in ``order`` is assigned while it is open.
+    nodes = 0
+    stack: list[tuple[int, int, int, int]] = []
+    pos, value, ones, zeros = 0, 1, 0, 0
     while True:
-        while pos < n and values[order[pos]] != -1:
+        assigned = ones | zeros
+        while pos < n and assigned & order[pos]:
             pos += 1
-        if pos < n:
-            nodes += 1
-            mark = len(trail)
-            if propagate(order[pos], value):
-                stack.append((pos, value, mark))
-                value = 1
-                continue
-            undo(mark)
-            if value == 1:
-                value = 0
-                continue
-        elif all(count == 1 for count in ones):
-            return AssignmentSearchResult(assignment=tuple(values), proved_none=False, nodes=nodes)
+        if pos == n:
+            assignment = tuple(1 if ones & bit else 0 for bit in bits)
+            return AssignmentSearchResult(assignment=assignment, proved_none=False, nodes=nodes)
+        nodes += 1
+        state = propagate(ones, zeros, order[pos], value)
+        if state is not None:
+            stack.append((pos, value, ones, zeros))
+            ones, zeros = state
+            value = 1
+            continue
+        if value == 1:
+            value = 0
+            continue
         while stack:
-            pos, value, mark = stack.pop()
-            undo(mark)
+            pos, value, ones, zeros = stack.pop()
             if value == 1:
                 value = 0
                 break
@@ -230,13 +212,15 @@ def parse_ray_family(text: str) -> RayFamily:
     """Parse the line-oriented ray-family format.
 
     Lines: ``dim N``; ``ray c1 c2 ... cN`` (complex literals, unnormalized
-    allowed); ``basis i1 ... iN`` (0-based indices into the rays declared so
-    far).  ``#`` starts a comment.  Errors in a line name its line and column
-    (``ray-family line L, column C: ...``).
+    allowed); ``basis i1 ... iN`` (0-based indices into the file's rays).
+    ``#`` starts a comment.  Errors name a line and column (``ray-family line
+    L, column C: ...``), those that :class:`RayFamily` finds included: it
+    names the ray or basis at fault, and the line that declared it is given.
     """
     dim: int | None = None
     vectors: list[list[complex]] = []
     bases: list[tuple[int, ...]] = []
+    lines: dict[str, list[Line]] = {"dim": [], "ray": [], "basis": []}
 
     def set_dim(line: Line) -> None:
         nonlocal dim
@@ -244,18 +228,28 @@ def parse_ray_family(text: str) -> RayFamily:
             raise line.error("'dim' already given", 0, ConfigSemanticError)
         line.need(1, "one integer")
         dim = line.number(int, 1)
+        lines["dim"].append(line)
 
     def ray(line: Line) -> None:
         if dim is None:
             raise line.error("'dim' must come before 'ray'", 0)
         vectors.append(line.numbers(complex))
+        lines["ray"].append(line)
 
-    parse_lines(text, {"dim": set_dim, "ray": ray,
-                       "basis": lambda line: bases.append(tuple(line.numbers(int)))},
-                "ray-family")
+    def basis(line: Line) -> None:
+        bases.append(tuple(line.numbers(int)))
+        lines["basis"].append(line)
+
+    parse_lines(text, {"dim": set_dim, "ray": ray, "basis": basis}, "ray-family")
     if dim is None:
         raise InvariantViolationError("ray-family file declares no dimension")
-    return RayFamily.from_vectors(dim, vectors, bases)
+    try:
+        return RayFamily.from_vectors(dim, vectors, bases)
+    except InvariantViolationError as exc:
+        if exc.part is None:
+            raise
+        kind, index, position = exc.part
+        raise lines[kind][index].error(str(exc), position + 1, ConfigSemanticError) from None
 
 
 def dump_ray_family(family: RayFamily) -> str:

@@ -10,7 +10,16 @@ class DimensionMismatchError(QLBenchError, ValueError):
 
 
 class InvariantViolationError(QLBenchError, ValueError):
-    """A value failed its construction invariant."""
+    """A value failed its construction invariant.
+
+    ``part`` names the offending part when the constructor knows it, as a
+    tuple such as ``("ray", 3, 0)``, so that a file parser can point at the
+    line that declared it.
+    """
+
+    def __init__(self, message: str = "", part: tuple | None = None) -> None:
+        super().__init__(message)
+        self.part = part
 
 
 class PreconditionError(QLBenchError, ValueError):

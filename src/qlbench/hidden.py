@@ -40,7 +40,9 @@ class HiddenEnsemble:
 
     One integer matrix and one weight vector hold the ensemble: member m
     yields outcome ``values[m, c]`` in the c-th declared context (in
-    ``contexts`` order) and has weight ``weights[m]``.
+    ``contexts`` order) and has weight ``weights[m]``.  A weight error names
+    its member in the error's ``part``, ``("weight", m)``; a total that is not
+    1 names the last member.
     """
 
     values: np.ndarray
@@ -66,11 +68,13 @@ class HiddenEnsemble:
             raise InvariantViolationError(
                 f"outcome {values[m, c]} out of range for context {list(contexts)[c]!r}")
         if not (weights >= 0.0).all():
-            bad = float(weights[~(weights >= 0.0)][0])
-            raise InvariantViolationError(f"weight {bad!r} is not a nonnegative number")
+            m = int(np.argmin(weights >= 0.0))
+            raise InvariantViolationError(
+                f"weight {float(weights[m])!r} is not a nonnegative number", ("weight", m))
         total = sum(weights.tolist())
         if not abs(total - 1.0) <= WEIGHT_TOL:
-            raise InvariantViolationError(f"weights sum to {total!r}, not 1")
+            raise InvariantViolationError(f"weights sum to {total!r}, not 1",
+                                          ("weight", len(weights) - 1))
         object.__setattr__(self, "values", _frozen(values.astype(np.int64, copy=False)))
         object.__setattr__(self, "weights", _frozen(weights))
         object.__setattr__(self, "contexts", contexts)
@@ -471,7 +475,13 @@ def parse_model(text: str) -> HiddenModel:
         if missing:
             raise line.error(f"no value for context {missing[0]!r}", len(line.tokens) - 2,
                              ConfigSemanticError)
-    ensemble = HiddenEnsemble(values, weights, contexts)
+    try:
+        ensemble = HiddenEnsemble(values, weights, contexts)
+    except InvariantViolationError as exc:
+        if exc.part is None:
+            raise
+        line = members[exc.part[1]][0]  # a weight error: its member line, weight column
+        raise line.error(str(exc), len(line.tokens) - 1, ConfigSemanticError) from None
     return HiddenModel(ensemble=ensemble, kernels=kernels)
 
 

@@ -62,6 +62,8 @@ class Subspace:
         _check_ambient(d)
         if k > d:
             raise InvariantViolationError(f"frame has {k} vectors in dimension {d}")
+        if not np.isfinite(frame).all():  # an infinite entry warns in the Gram product
+            raise InvariantViolationError("frame has a non-finite entry")
         if k:
             gram = frame.conj().T @ frame
             if not np.max(np.abs(gram - np.eye(k))) <= FRAME_TOL:

@@ -36,10 +36,11 @@ class Distribution:
         probs = np.asarray(self.probs, dtype=float).reshape(-1)
         if len(labels) != probs.size or not labels:
             raise InvariantViolationError("labels and probabilities must align")
-        if np.any(probs < -ENTRY_TOL) or np.any(probs > 1.0 + ENTRY_TOL):
+        if not ((-ENTRY_TOL <= probs) & (probs <= 1.0 + ENTRY_TOL)).all():
             raise InvariantViolationError("probability outside [0, 1]")
-        if abs(float(probs.sum()) - 1.0) > DISTRIBUTION_TOL:
-            raise InvariantViolationError(f"probabilities sum to {probs.sum()!r}, not 1")
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= DISTRIBUTION_TOL:
+            raise InvariantViolationError(f"probabilities sum to {total!r}, not 1")
         probs = np.clip(probs, 0.0, 1.0)
         probs.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -64,10 +65,11 @@ class SequentialTable:
         expected = (self.first_basis.size, self.second_basis.size)
         if entries.shape != expected:
             raise InvariantViolationError(f"entries shape {entries.shape}, expected {expected}")
-        if np.any(entries < -ENTRY_TOL):
-            raise InvariantViolationError("negative table entry")
-        if abs(float(entries.sum()) - 1.0) > DISTRIBUTION_TOL:
-            raise InvariantViolationError(f"table sums to {entries.sum()!r}, not 1")
+        if not (entries >= -ENTRY_TOL).all():
+            raise InvariantViolationError("table entry negative or not a number")
+        total = float(entries.sum())
+        if not abs(total - 1.0) <= DISTRIBUTION_TOL:
+            raise InvariantViolationError(f"table sums to {total!r}, not 1")
         entries = np.clip(entries, 0.0, None)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)

@@ -163,9 +163,15 @@ class TestHiddenVariableCommands:
          "model line 4, column 8: outcome 5 out of range for context 'z', which has 2"),
         (ZX_CONTEXTS + "member x=1 weight 1\n",
          "model line 4, column 12: no value for context 'z'"),
+        (ZX_CONTEXTS + "member z=0 x=0 weight 1.5\nmember z=1 x=0 weight -0.5\n",
+         "model line 5, column 23: weight -0.5 is not a nonnegative number"),
+        (ZX_CONTEXTS + "member z=0 x=0 weight 0.5\nmember z=1 x=0 weight nan\n",
+         "model line 5, column 23: non-finite number 'nan'"),
+        (ZX_CONTEXTS + "member z=0 x=0 weight 1\nmember  z=1 x=0 weight 1\n",
+         "model line 5, column 24: weights sum to 2.0, not 1"),
     ], ids=["one-context", "repeated-context", "repeated-kernel", "member-context-missing",
             "member-context-undeclared", "member-context-repeated", "member-outcome-out-of-range",
-            "member-context-omitted"])
+            "member-context-omitted", "negative-weight", "nan-weight", "weight-total"])
     def test_model_context_checks(self, capsys, tmp_path, command, model_text, located):
         model_path = tmp_path / "model.txt"
         model_path.write_text(model_text)
@@ -220,6 +226,28 @@ class TestSearchCommands:
         code, out, _ = run(capsys, "ks-search", "--config", str(config))
         assert code == 0
         assert "assignment found" in out
+
+    TRIAD = "dim 3\nray 1 0 0\nray 0 1 0\nray 0 0 1\n"
+
+    @pytest.mark.parametrize("family_text, located", [
+        ("dim 3\nray 1 0 0\nray 1 1 0\nray 0 0 1\nbasis 0 1 2\n",
+         "line 5, column 9: rays 0 and 1 in basis 0 are not orthogonal"),
+        (TRIAD + "basis 0 1 2\nbasis 2 1 7\n", "line 6, column 11: basis 1 references unknown ray 7"),
+        (TRIAD + "basis 0 -1 2\n", "line 5, column 9: basis 0 references unknown ray -1"),
+        (TRIAD + "basis 0 1\n", "line 5, column 7: basis 0 must name 3 distinct rays"),
+        (TRIAD + "basis 0 1 1\n", "line 5, column 7: basis 0 must name 3 distinct rays"),
+        ("dim 3\nray 1 0 0\n# comment\nray 0 1\n", "line 4, column 5: ray 1 has length 2, expected 3"),
+        (TRIAD + "ray 0 0 0\n", "line 5, column 5: ray 3 is a zero vector"),
+        ("dim 2\nray 1 0\n", "line 1, column 5: ray families need ambient dimension >= 3"),
+    ], ids=["not-orthogonal", "unknown-ray", "negative-ray", "short-basis", "repeated-ray",
+            "ray-length", "zero-vector", "low-dimension"])
+    def test_family_errors_are_located(self, capsys, tmp_path, family_text, located):
+        (tmp_path / "f.rays").write_text(family_text)
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"family {tmp_path / 'f.rays'}\n")
+        code, out, err = run(capsys, "ks-search", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: ray-family {located}\n"
 
     def test_lattice_check(self, capsys, tmp_path):
         config = tmp_path / "exp.cfg"

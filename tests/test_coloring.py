@@ -12,7 +12,6 @@ from qlbench.coloring import (
     RayFamily,
     builtin_family,
     dump_ray_family,
-    identify_rays,
     parse_ray_family,
     search_bivalent_assignment,
 )
@@ -35,8 +34,7 @@ def assignment_is_valid(family: RayFamily, assignment) -> bool:
     return all(sum(assignment[r] for r in basis) == 1 for basis in family.bases)
 
 
-def recursive_search(family: RayFamily, *, exclusive_pairs: bool = False,
-                     ortho_tol: float = RAY_TOL) -> AssignmentSearchResult:
+def recursive_search(family: RayFamily, *, exclusive_pairs: bool = False) -> AssignmentSearchResult:
     """Oracle: the recursive depth-first search that the iterative one
     replaced, unchanged.  Python's recursion limit stops it at about 1000
     decisions deep."""
@@ -51,7 +49,7 @@ def recursive_search(family: RayFamily, *, exclusive_pairs: bool = False,
     if exclusive_pairs:
         for i in range(n):
             for j in range(i + 1, n):
-                if abs(np.vdot(family.rays[i], family.rays[j])) <= ortho_tol:
+                if abs(np.vdot(family.rays[i], family.rays[j])) <= RAY_TOL:
                     ortho_neighbors[i].append(j)
                     ortho_neighbors[j].append(i)
 
@@ -127,6 +125,102 @@ def recursive_search(family: RayFamily, *, exclusive_pairs: bool = False,
     return AssignmentSearchResult(assignment=None, proved_none=True, nodes=nodes)
 
 
+def trail_search(family: RayFamily, *, exclusive_pairs: bool = False) -> AssignmentSearchResult:
+    """Oracle: the explicit-stack search with a trail, an undo and per-basis
+    counters that the bitmask search replaced, unchanged."""
+    n = len(family.rays)
+    membership: list[list[int]] = [[] for _ in range(n)]
+    for b_idx, basis in enumerate(family.bases):
+        for ray in basis:
+            membership[ray].append(b_idx)
+    order = sorted(range(n), key=lambda r: (-len(membership[r]), r))
+
+    ortho_neighbors: list[list[int]] = [[] for _ in range(n)]
+    if exclusive_pairs:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if abs(np.vdot(family.rays[i], family.rays[j])) <= RAY_TOL:
+                    ortho_neighbors[i].append(j)
+                    ortho_neighbors[j].append(i)
+
+    values = [-1] * n
+    ones = [0] * len(family.bases)
+    unassigned = [len(basis) for basis in family.bases]
+    trail: list[int] = []
+    nodes = 0
+
+    def propagate(ray: int, value: int) -> bool:
+        queue = [(ray, value)]
+        while queue:
+            r, v = queue.pop()
+            if values[r] != -1:
+                if values[r] != v:
+                    return False
+                continue
+            # Counter updates must cover every basis of r before any conflict
+            # return, because undo() reverses the full membership of r.
+            values[r] = v
+            trail.append(r)
+            conflict = False
+            for b in membership[r]:
+                unassigned[b] -= 1
+                if v == 1:
+                    ones[b] += 1
+                if ones[b] > 1 or (unassigned[b] == 0 and ones[b] == 0):
+                    conflict = True
+            if conflict:
+                return False
+            for b in membership[r]:
+                forced = 0 if ones[b] == 1 else 1 if unassigned[b] == 1 else -1
+                if forced != -1:
+                    queue.extend((other, forced) for other in family.bases[b]
+                                 if values[other] == -1)
+            if v == 1 and exclusive_pairs:
+                for other in ortho_neighbors[r]:
+                    if values[other] == 1:
+                        return False
+                    if values[other] == -1:
+                        queue.append((other, 0))
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            r = trail.pop()
+            v = values[r]
+            values[r] = -1
+            for b in membership[r]:
+                unassigned[b] += 1
+                if v == 1:
+                    ones[b] -= 1
+
+    stack: list[tuple[int, int, int]] = []
+    pos, value = 0, 1
+    while True:
+        while pos < n and values[order[pos]] != -1:
+            pos += 1
+        if pos < n:
+            nodes += 1
+            mark = len(trail)
+            if propagate(order[pos], value):
+                stack.append((pos, value, mark))
+                value = 1
+                continue
+            undo(mark)
+            if value == 1:
+                value = 0
+                continue
+        elif all(count == 1 for count in ones):
+            return AssignmentSearchResult(assignment=tuple(values), proved_none=False, nodes=nodes)
+        while stack:
+            pos, value, mark = stack.pop()
+            undo(mark)
+            if value == 1:
+                value = 0
+                break
+        else:
+            return AssignmentSearchResult(assignment=None, proved_none=True, nodes=nodes)
+
+
 def random_rotation(rng, dim: int) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
@@ -168,28 +262,6 @@ def peres_rays() -> tuple[list[np.ndarray], list[tuple[int, int, int]]]:
 PERES_RAYS, PERES_TRIADS = peres_rays()
 
 
-class TestIdentifyRays:
-    def test_phase_multiples_share_an_id(self):
-        v = np.array([0.6, 0.8], dtype=complex)
-        ids = identify_rays([v, np.exp(1.3j) * v])
-        assert ids[0] == ids[1]
-
-    def test_orthogonal_vectors_differ(self):
-        ids = identify_rays([[1.0, 0.0], [0.0, 1.0]])
-        assert ids[0] != ids[1]
-
-    def test_tiny_perturbation_is_the_same_ray(self):
-        v = np.array([1.0, 0.0])
-        w = np.array([1.0, 1e-12])
-        w = w / np.linalg.norm(w)
-        ids = identify_rays([v, w], tol=1e-9)
-        assert ids[0] == ids[1]
-
-    def test_non_unit_input_rejected(self):
-        with pytest.raises(PreconditionError):
-            identify_rays([[2.0, 0.0]])
-
-
 class TestRayFamilyValidation:
     def test_rejects_low_dimension(self):
         with pytest.raises(InvariantViolationError):
@@ -206,10 +278,18 @@ class TestRayFamilyValidation:
             RayFamily.from_vectors(3, [[1, 0, 0], [0, 1, 0]], [(0, 1)])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
-    def test_rejects_non_finite_ray(self, bad):
+    @pytest.mark.parametrize("make", [RayFamily, RayFamily.from_vectors])
+    def test_rejects_non_finite_ray(self, make, bad):
         # ray 3 is in no basis, so only its norm check can refuse it
-        with pytest.raises(InvariantViolationError):
-            RayFamily(3, ([1, 0, 0], [0, 1, 0], [0, 0, 1], [bad, 0, 0]), ((0, 1, 2),))
+        with pytest.raises(InvariantViolationError, match="ray 3 is not unit-norm"):
+            make(3, ([1, 0, 0], [0, 1, 0], [0, 0, 1], [bad, 0, 0]), ((0, 1, 2),))
+
+    def test_rays_are_one_read_only_matrix(self):
+        family = RayFamily.from_vectors(3, [[2, 0, 0], [0, 1j, 0], [[0], [0], [3]]], [(0, 1, 2)])
+        assert family.rays.shape == (3, 3) and family.rays.dtype == complex
+        assert np.array_equal(family.rays, np.diag([1, 1j, 1]))
+        with pytest.raises(ValueError):
+            family.rays[0, 0] = 0.0
 
     @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -334,15 +414,16 @@ class TestRayFamilyFiles:
 
 
 class TestIterativeSearch:
-    """The iterative search against the recursive oracle: same assignment,
-    same verdict, same node count."""
+    """The bitmask search against both oracles, the recursive search and the
+    trail-and-undo search: same assignment, same verdict, same node count."""
 
     @staticmethod
     def assert_same(family, exclusive_pairs):
         got = search_bivalent_assignment(family, exclusive_pairs=exclusive_pairs)
-        want = recursive_search(family, exclusive_pairs=exclusive_pairs)
-        assert (got.assignment, got.proved_none, got.nodes) == (
-            want.assignment, want.proved_none, want.nodes)
+        for oracle in (recursive_search, trail_search):
+            want = oracle(family, exclusive_pairs=exclusive_pairs)
+            assert (got.assignment, got.proved_none, got.nodes) == (
+                want.assignment, want.proved_none, want.nodes)
         if got.found:
             assert assignment_is_valid(family, got.assignment)
 

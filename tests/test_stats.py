@@ -25,6 +25,8 @@ from qlbench.sampling import (
     rng_from,
 )
 from qlbench.stats import (
+    DISTRIBUTION_TOL,
+    ENTRY_TOL,
     Distribution,
     SequentialTable,
     bases_equal,
@@ -50,6 +52,34 @@ class TestDistribution:
     def test_rejects_negative(self):
         with pytest.raises(InvariantViolationError):
             Distribution(("a", "b"), (-0.2, 1.2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvariantViolationError, match="probability outside"):
+            Distribution(("a", "b"), (bad, 1.0))
+
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("probs", [
+        lambda eps: (-eps, 0.5 + eps, 0.5),     # below 0, total 1
+        lambda eps: (1.0 + eps, 0.0, 0.0),      # above 1, total within DISTRIBUTION_TOL
+    ], ids=["lower", "upper"])
+    def test_entry_range_at_entry_tol(self, probs, factor, accepted):
+        check_accepts(accepted, Distribution, ("a", "b", "c"), probs(factor * ENTRY_TOL))
+
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_total_at_distribution_tol(self, factor, accepted, sign):
+        check_accepts(accepted, Distribution, ("a", "b"),
+                      (0.5, 0.5 + sign * factor * DISTRIBUTION_TOL))
+
+
+def check_accepts(accepted, make, *args):
+    """``make(*args)`` builds when ``accepted``, else raises InvariantViolationError."""
+    if accepted:
+        make(*args)
+    else:
+        with pytest.raises(InvariantViolationError):
+            make(*args)
 
 
 class TestBornDistribution:
@@ -114,6 +144,24 @@ class TestSequentialTableInvariants:
     def test_rejects_bad_total(self, z_basis, x_basis):
         with pytest.raises(InvariantViolationError):
             SequentialTable(z_basis, x_basis, [[0.5, 0.5], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("bad, message", [(math.nan, "negative or not a number"),
+                                              (-math.inf, "negative or not a number"),
+                                              (math.inf, "table sums to inf")])
+    def test_rejects_non_finite(self, z_basis, x_basis, bad, message):
+        with pytest.raises(InvariantViolationError, match=message):
+            SequentialTable(z_basis, x_basis, [[bad, 0.5], [0.5, 0.0]])
+
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    def test_negative_entry_at_entry_tol(self, z_basis, x_basis, factor, accepted):
+        eps = factor * ENTRY_TOL
+        check_accepts(accepted, SequentialTable, z_basis, x_basis, [[-eps, 0.5 + eps], [0.5, 0.0]])
+
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_total_at_distribution_tol(self, z_basis, x_basis, factor, accepted, sign):
+        check_accepts(accepted, SequentialTable, z_basis, x_basis,
+                      [[0.5, 0.5 + sign * factor * DISTRIBUTION_TOL], [0.0, 0.0]])
 
 
 class TestMarginalIdentity:
