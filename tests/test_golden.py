@@ -9,7 +9,7 @@ import json
 import pytest
 
 import golden_cases
-from golden_cases import GOLDEN, REPLAY, cases, models, replay, resolve, run
+from golden_cases import FORMATS, GOLDEN, REPLAY, cases, config_path, models, replay, resolve, run
 
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
 
@@ -33,6 +33,15 @@ def test_model_file_and_replay_match_golden(name, config, tmp_path):
     for command in REPLAY:
         path = f"models/{name}.{command}.text"
         assert outputs[command] == (EXIT_CODES[path], (GOLDEN / path).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name, config", list(models()), ids=[name for name, _ in models()])
+def test_hv_build_with_out_prints_the_golden_report(name, config, fmt, tmp_path):
+    settings = [] if config is None else ["--config", config_path(config)]
+    code, out = run(["hv-build", "--out", str(tmp_path / "m.model"), "--format", fmt, *settings])
+    assert out == (GOLDEN / name / f"hv-build.{fmt}").read_text(encoding="utf-8")
+    assert code == EXIT_CODES[f"{name}/hv-build.{fmt}"] == 0
 
 
 def test_corpus_has_no_stray_files():
