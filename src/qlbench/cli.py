@@ -30,20 +30,24 @@ def _resolve_state(config: ExperimentConfig) -> StateVector:
     return config.state if config.state is not None else named_state(_DEF_STATE)
 
 
-def _two_contexts(config: ExperimentConfig) -> tuple[tuple[str, MeasurementBasis], tuple[str, MeasurementBasis]]:
-    if len(config.contexts) >= 2:
-        return config.contexts[0], config.contexts[1]
-    if len(config.contexts) == 1:
-        raise PreconditionError("this command needs two contexts (got 1)")
-    return ("z", named_axis_basis("z")), ("x", named_axis_basis("x"))
-
-
 def _check_dims(state: StateVector, *bases: MeasurementBasis) -> None:
     for basis in bases:
         if basis.dim != state.dim:
             raise PreconditionError(
                 f"state dimension {state.dim} does not match context dimension {basis.dim}"
             )
+
+
+def _quantum_inputs(config: ExperimentConfig):
+    """The state and two (name, basis) contexts of a two-context command,
+    by default z+ measured in z and x, with their dimensions checked."""
+    state = _resolve_state(config)
+    if len(config.contexts) == 1:
+        raise PreconditionError("this command needs two contexts (got 1)")
+    first, second = config.contexts[:2] or (
+        ("z", named_axis_basis("z")), ("x", named_axis_basis("x")))
+    _check_dims(state, first[1], second[1])
+    return state, first, second
 
 
 def _fmt_vector(vector) -> str:
@@ -60,18 +64,16 @@ def _fmt_set(members) -> str:
     return "{" + ", ".join(sorted(members)) + "}"
 
 
-def _table_rows(table: stats.SequentialTable):
-    headers = ["first\\then", *table.second_basis.labels]
-    rows = [
-        [label, *[float(x) for x in table.entries[i]]]
-        for i, label in enumerate(table.first_basis.labels)
-    ]
-    return headers, rows
-
-
 def _add_sequential(report: Report, name: str, table: stats.SequentialTable) -> None:
-    headers, rows = _table_rows(table)
-    report.add_table(name, headers, rows)
+    report.add_table(
+        name,
+        ["first\\then", *table.second_basis.labels],
+        [[label, *map(float, row)] for label, row in zip(table.first_basis.labels, table.entries)],
+    )
+
+
+def _space(config: ExperimentConfig, *default_universes: Universe) -> OutcomeSpace:
+    return OutcomeSpace(config.universes or default_universes)
 
 
 # -- demos ------------------------------------------------------------------
@@ -79,12 +81,8 @@ def _add_sequential(report: Report, name: str, table: stats.SequentialTable) -> 
 
 def _cmd_demo_eq5(config: ExperimentConfig) -> Report:
     state = _resolve_state(config)
-    if len(config.contexts) >= 2:
-        b_basis = config.contexts[1][1]
-    elif len(config.contexts) == 1:
-        b_basis = config.contexts[0][1]
-    else:
-        b_basis = named_axis_basis("x")
+    # b is the second context, or the only one
+    b_basis = config.contexts[:2][-1][1] if config.contexts else named_axis_basis("x")
     _check_dims(state, b_basis)
 
     a = lattice.Subspace.ray(state.amplitudes)
@@ -105,18 +103,8 @@ def _cmd_demo_eq5(config: ExperimentConfig) -> Report:
     return report
 
 
-def _default_eq10_space() -> OutcomeSpace:
-    return OutcomeSpace((Universe("omega", ("a", "b", "c", "d")),))
-
-
-def _space_from(config: ExperimentConfig, fallback: OutcomeSpace) -> OutcomeSpace:
-    if config.universes:
-        return OutcomeSpace(config.universes)
-    return fallback
-
-
 def _cmd_demo_eq10(config: ExperimentConfig) -> Report:
-    space = _space_from(config, _default_eq10_space())
+    space = _space(config, Universe("omega", ("a", "b", "c", "d")))
     labels = space.labels
     if config.atoms is None and len(labels) < 2:
         raise PreconditionError("the Eq (10) trace needs 'atoms' or two outcome labels")
@@ -137,14 +125,8 @@ def _cmd_demo_eq10(config: ExperimentConfig) -> Report:
     return report
 
 
-def _default_mismatch_space() -> OutcomeSpace:
-    return OutcomeSpace(
-        (Universe("omega_a", ("a1", "a2")), Universe("omega_b", ("b1", "b2")))
-    )
-
-
 def _cmd_demo_mismatch(config: ExperimentConfig) -> Report:
-    space = _space_from(config, _default_mismatch_space())
+    space = _space(config, Universe("omega_a", ("a1", "a2")), Universe("omega_b", ("b1", "b2")))
     if config.atoms is not None:
         a_label, b_label = config.atoms
     else:
@@ -185,9 +167,7 @@ def _cmd_demo_mismatch(config: ExperimentConfig) -> Report:
 
 
 def _cmd_stats_seq(config: ExperimentConfig) -> Report:
-    state = _resolve_state(config)
-    (name_a, basis_a), (name_b, basis_b) = _two_contexts(config)
-    _check_dims(state, basis_a, basis_b)
+    state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
     forward = stats.sequential_distribution(state, basis_a, basis_b)
     reverse = stats.sequential_distribution(state, basis_b, basis_a)
 
@@ -218,9 +198,7 @@ def _cmd_stats_seq(config: ExperimentConfig) -> Report:
 
 
 def _cmd_stats_commute(config: ExperimentConfig) -> Report:
-    state = _resolve_state(config)
-    (name_a, basis_a), (name_b, basis_b) = _two_contexts(config)
-    _check_dims(state, basis_a, basis_b)
+    state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
     defect = stats.commutation_defect(state, basis_a, basis_b)
 
     report = Report(title="Eq (7) — order-asymmetry (commutation) defect")
@@ -237,9 +215,7 @@ def _cmd_stats_commute(config: ExperimentConfig) -> Report:
 
 
 def _cmd_stats_joint(config: ExperimentConfig) -> Report:
-    state = _resolve_state(config)
-    (name_a, basis_a), (name_b, basis_b) = _two_contexts(config)
-    _check_dims(state, basis_a, basis_b)
+    state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
     forward = stats.sequential_distribution(state, basis_a, basis_b)
     reverse = stats.sequential_distribution(state, basis_b, basis_a)
     verdict = stats.joint_exists(forward, reverse, tol=config.tol)
@@ -270,9 +246,7 @@ def _cmd_stats_joint(config: ExperimentConfig) -> Report:
 
 
 def _cmd_stats_nondist(config: ExperimentConfig) -> Report:
-    state = _resolve_state(config)
-    (name_a, basis_a), (name_b, basis_b) = _two_contexts(config)
-    _check_dims(state, basis_a, basis_b)
+    state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
     if not 0 <= config.target < basis_a.size:
         raise PreconditionError(
             f"target index {config.target} out of range for context {name_a!r}"
@@ -306,14 +280,12 @@ def _build_model(config: ExperimentConfig):
         model = hidden.load_model(config.model)
         ids = model.ensemble.context_ids()
         return model, (ids[0], ids[1]), None
-    state = _resolve_state(config)
-    (name_a, basis_a), (name_b, basis_b) = _two_contexts(config)
-    _check_dims(state, basis_a, basis_b)
+    state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
     model = hidden.build_qm_equivalent_model(state, basis_a, basis_b, (name_a, name_b))
     return model, (name_a, name_b), state
 
 
-def _cmd_hv_build(config: ExperimentConfig) -> tuple[Report, str]:
+def _cmd_hv_build(config: ExperimentConfig) -> Report:
     model, (id_a, id_b), _state = _build_model(config)
     ensemble = model.ensemble
 
@@ -340,7 +312,8 @@ def _cmd_hv_build(config: ExperimentConfig) -> tuple[Report, str]:
         )
     report.verdict = "model constructed; every member is value-definite"
     report.ok = True
-    return report, hidden.serialize_model(model)
+    report.attachment = hidden.serialize_model(model)
+    return report
 
 
 def _cmd_hv_exact(config: ExperimentConfig) -> Report:
@@ -397,9 +370,7 @@ def _cmd_hv_simulate(config: ExperimentConfig) -> Report:
 def _cmd_hv_audit(config: ExperimentConfig) -> Report:
     if config.model is not None:
         raise PreconditionError("hv-audit needs a state and two contexts; a model file has no state")
-    state = _resolve_state(config)
-    (name_a, basis_a), (name_b, basis_b) = _two_contexts(config)
-    _check_dims(state, basis_a, basis_b)
+    state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
     audit = hidden.audit_no_go(state, basis_a, basis_b, (name_a, name_b))
 
     report = Report(title="no-go chain audit (Eq (4) truth tables vs Eq (7) defect)")
@@ -427,15 +398,12 @@ def _cmd_hv_audit(config: ExperimentConfig) -> Report:
 # -- search / feasibility -------------------------------------------------------
 
 
-def _resolve_family(config: ExperimentConfig):
-    spec = config.family if config.family is not None else "builtin:ks18-d4"
-    if spec.startswith("builtin:"):
-        return spec, builtin_family(spec.split(":", 1)[1])
-    return spec, load_ray_family(spec)
-
-
 def _cmd_ks_search(config: ExperimentConfig) -> Report:
-    source, family = _resolve_family(config)
+    source = config.family if config.family is not None else "builtin:ks18-d4"
+    if source.startswith("builtin:"):
+        family = builtin_family(source.split(":", 1)[1])
+    else:
+        family = load_ray_family(source)
     result = search_bivalent_assignment(family)
 
     report = Report(title="bivalent noncontextual assignment search")
@@ -497,7 +465,7 @@ COMMANDS = {
     "stats-commute": _cmd_stats_commute,
     "stats-joint": _cmd_stats_joint,
     "stats-nondist": _cmd_stats_nondist,
-    "hv-build": None,  # special-cased: returns (report, model text)
+    "hv-build": _cmd_hv_build,
     "hv-exact": _cmd_hv_exact,
     "hv-simulate": _cmd_hv_simulate,
     "hv-audit": _cmd_hv_audit,
@@ -528,10 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            config = load_experiment_config(args.config)
-        else:
-            config = ExperimentConfig()
+        config = (load_experiment_config(args.config) if args.config is not None
+                  else ExperimentConfig())
         env_seed = os.environ.get("QLBENCH_SEED")
         if env_seed is not None:
             config.seed = int(env_seed, 0)
@@ -542,22 +508,19 @@ def main(argv=None) -> int:
         if args.tol is not None:
             config.tol = check_setting("tol", args.tol)
 
-        model_text = None
-        if args.command == "hv-build":
-            report, model_text = _cmd_hv_build(config)
-        else:
-            report = COMMANDS[args.command](config)
+        report = COMMANDS[args.command](config)
     except (QLBenchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # --out takes the report's attachment if it has one, else the report itself
     rendered = render(report, args.format)
-    if args.command == "hv-build" and args.out is not None:
-        args.out.write_text(model_text, encoding="utf-8")
+    if args.out is None:
         sys.stdout.write(rendered)
-    elif args.out is not None:
+    elif report.attachment is None:
         args.out.write_text(rendered, encoding="utf-8")
     else:
+        args.out.write_text(report.attachment, encoding="utf-8")
         sys.stdout.write(rendered)
     return 0 if report.ok else 1
 

@@ -45,13 +45,17 @@ class ReportTable:
 
 @dataclass
 class Report:
-    """One command's output: scalar fields, optional tables, and a verdict."""
+    """One command's output: scalar fields, optional tables, and a verdict.
+
+    ``attachment`` is text that ``--out`` writes in place of the rendered
+    report (``hv-build``'s model); the renderers ignore it."""
 
     title: str
     fields: list[tuple[str, object]] = field(default_factory=list)
     tables: list[ReportTable] = field(default_factory=list)
     verdict: str = ""
     ok: bool = True
+    attachment: str | None = None
 
     def add(self, key: str, value) -> None:
         self.fields.append((key, value))

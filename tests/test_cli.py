@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qlbench import cli, hidden
 from qlbench.cli import main
 from qlbench.hidden import load_model
 from qlbench.hilbert import BASIS_TOL
@@ -87,6 +88,15 @@ class TestStatsCommands:
         code, _, err = run(capsys, "stats-seq", "--config", str(config))
         assert code == 2
         assert "two contexts" in err
+
+    @pytest.mark.parametrize("command", ["stats-seq", "stats-commute", "stats-joint",
+                                         "stats-nondist", "hv-build", "hv-exact",
+                                         "hv-simulate", "hv-audit"])
+    def test_one_context_is_refused_before_the_dimension_check(self, capsys, tmp_path, command):
+        config = tmp_path / "exp.cfg"
+        config.write_text("state 0.6 0.8 0\ncontext x\n")  # a 3-dim state, a 2-dim context
+        assert run(capsys, command, "--config", str(config)) == (
+            2, "", "error: this command needs two contexts (got 1)\n")
 
 
 class TestHiddenVariableCommands:
@@ -309,6 +319,25 @@ class TestInterface:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["verdict"] == "nondistributive"
+
+    def test_main_calls_the_loaders_by_their_module_names(self, capsys, tmp_path, monkeypatch):
+        # a benchmark trace wraps exactly these three names
+        calls = []
+        for module, name in ((cli, "load_experiment_config"), (cli, "load_ray_family"),
+                             (hidden, "load_model")):
+            def traced(*args, _load=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _load(*args)
+            monkeypatch.setattr(module, name, traced)
+        family = tmp_path / "t.rays"
+        family.write_text("dim 3\nray 1 0 0\nray 0 1 0\nray 0 0 1\nbasis 0 1 2\n")
+        (tmp_path / "family.cfg").write_text(f"family {family}\n")
+        run(capsys, "hv-build", "--out", str(tmp_path / "m.model"))
+        (tmp_path / "model.cfg").write_text(f"model {tmp_path / 'm.model'}\n")
+        assert run(capsys, "hv-exact", "--config", str(tmp_path / "model.cfg"))[0] == 0
+        assert run(capsys, "ks-search", "--config", str(tmp_path / "family.cfg"))[0] == 0
+        assert calls == ["load_experiment_config", "load_model",
+                         "load_experiment_config", "load_ray_family"]
 
     def test_seed_flag_and_env_agree(self, capsys, tmp_path, monkeypatch):
         _, by_flag, _ = run(capsys, "hv-simulate", "--trials", "5000",
