@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import ConfigSemanticError, Line, format_complex, parse_lines
 from .errors import InvariantViolationError, PreconditionError
+from .hilbert import unit_vectors
 
 RAY_TOL = 1e-9
 
@@ -75,12 +76,11 @@ class RayFamily:
     def from_vectors(cls, dim: int, vectors, bases) -> RayFamily:
         """Build a family from arbitrary nonzero vectors (normalized here)."""
         rays = _ray_matrix(dim, vectors)
-        if np.isfinite(rays).all():
-            norms = np.linalg.norm(rays, axis=1)
-            if not norms.all():
-                k = int(np.argmin(norms))
+        if np.isfinite(rays).all():  # a non-finite ray is refused as not unit-norm
+            rays, ok = unit_vectors(rays, axis=1)
+            if not ok.all():
+                k = int(np.argmin(ok))
                 raise InvariantViolationError(f"ray {k} is a zero vector", ("ray", k, 0))
-            rays /= norms[:, None]
         return cls(dim=dim, rays=rays, bases=tuple(bases))
 
 

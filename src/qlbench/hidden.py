@@ -29,6 +29,7 @@ from .stats import (SequentialTable, born_distribution, chain_rule, commutation_
 
 WEIGHT_TOL = 1e-12
 ROW_TOL = 1e-12
+NONCOMMUTING_TOL = 1e-6  # commutation defect above which the audit exercises the chain
 
 CHAIN_BROKEN = "broken at 'distributive ⇒ commutative'"
 CHAIN_NOT_EXERCISED = "not exercised (compatible observables)"
@@ -114,8 +115,10 @@ class TransitionKernel:
         if not (rows >= 0.0).all():
             raise InvariantViolationError("kernel entry negative or not a number")
         sums = rows.sum(axis=1)
-        if not (np.abs(sums - 1.0) <= ROW_TOL).all():
-            raise InvariantViolationError(f"kernel rows sum to {sums!r}, not 1")
+        bad = ~(np.abs(sums - 1.0) <= ROW_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvariantViolationError(f"kernel row {i} sums to {float(sums[i])!r}, not 1")
         object.__setattr__(self, "rows", _frozen(rows))
 
 
@@ -316,8 +319,6 @@ def audit_no_go(
     basis_a: MeasurementBasis,
     basis_b: MeasurementBasis,
     context_ids: tuple[str, str] = ("A", "B"),
-    *,
-    defect_tol: float = 1e-6,
 ) -> NoGoAudit:
     """Build the model and check every auditable link of the chain."""
     model = build_qm_equivalent_model(state, basis_a, basis_b, context_ids)
@@ -345,7 +346,7 @@ def audit_no_go(
     hv_defect = float(np.max(np.abs(table_ab.entries - table_ba.entries.T)))
     qm_defect = commutation_defect(state, basis_a, basis_b)
     defects_match = abs(hv_defect - qm_defect) <= 1e-9
-    noncommuting = qm_defect > defect_tol
+    noncommuting = qm_defect > NONCOMMUTING_TOL
 
     return NoGoAudit(
         context_ids=context_ids,

@@ -36,6 +36,29 @@ def _as_complex_vector(values) -> np.ndarray:
     return vec
 
 
+def unit_vectors(vectors: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The complex ``vectors`` scaled to unit norm along ``axis`` (None: a
+    1-D vector), and a mask, with the reduced axis kept, of the vectors that
+    are nonzero and finite; the others come back as zeros.
+
+    Each vector is first multiplied by the power of two that brings its
+    largest real or imaginary part into [0.5, 1), so its norm can neither
+    overflow nor underflow.  That scaling is exact: wherever no squared entry
+    of the unscaled vector over- or underflows, the result is bit for bit the
+    unscaled quotient.
+    """
+    peak = np.maximum(abs(vectors.real), abs(vectors.imag)).max(axis=axis, keepdims=True)
+    ok = np.isfinite(peak) & (peak > 0.0)
+    exponent = -np.frexp(np.where(ok, peak, 1.0))[1]
+    scaled = np.empty_like(vectors)
+    # ldexp scales each part without forming 2**-exponent, which overflows
+    # for a subnormal peak
+    scaled.real = np.where(ok, np.ldexp(vectors.real, exponent), 0.0)
+    scaled.imag = np.where(ok, np.ldexp(vectors.imag, exponent), 0.0)
+    norms = np.linalg.norm(scaled, axis=axis, keepdims=True)
+    return scaled / np.where(ok, norms, 1.0), ok
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -63,11 +86,10 @@ class StateVector:
     @classmethod
     def normalized(cls, values) -> StateVector:
         """Scale an arbitrary nonzero vector onto the unit sphere."""
-        vec = _as_complex_vector(values)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0 or not math.isfinite(norm):
+        unit, ok = unit_vectors(_as_complex_vector(values))
+        if not ok.all():
             raise InvariantViolationError("cannot normalize a zero vector")
-        return cls(vec / norm)
+        return cls(unit)
 
     def __repr__(self) -> str:
         return f"StateVector({np.array2string(self.amplitudes, precision=6)})"
@@ -116,13 +138,12 @@ class MeasurementBasis:
             raise InvariantViolationError("empty measurement basis")
         if any(v.size != vecs[0].size for v in vecs):
             raise DimensionMismatchError("vectors of mixed dimension in one basis")
-        frame = np.stack(vecs, axis=1)
-        norms = np.linalg.norm(frame, axis=0)
-        if not np.all((norms > 0.0) & np.isfinite(norms)):
+        frame, ok = unit_vectors(np.stack(vecs, axis=1), axis=0)
+        if not ok.all():
             raise InvariantViolationError("cannot normalize a zero vector")
         if labels is None:
             labels = tuple(str(i) for i in range(len(vecs)))
-        return cls(frame / norms, tuple(labels))
+        return cls(frame, tuple(labels))
 
     def __repr__(self) -> str:
         return f"MeasurementBasis(dim={self.dim}, labels={self.labels})"

@@ -31,12 +31,12 @@ INCLUSION_TOL = 1e-9   # residual norm allowed when testing containment
 _BLOCK_ENTRIES = 2 ** 13
 
 
-def _orthonormal_frame(columns: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def _orthonormal_frame(columns: np.ndarray) -> np.ndarray:
     """Rank-revealing orthonormalization of a (dim, k) column stack."""
     if columns.shape[1] == 0:
         return columns
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    rank = int(np.sum(s > rank_tol))
+    rank = int(np.sum(s > RANK_TOL))
     return np.ascontiguousarray(u[:, :rank])
 
 
@@ -181,17 +181,17 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     return _subspace(a.frame @ vh[sines <= RANK_TOL].conj().T)
 
 
-def includes(a: Subspace, b: Subspace, tol: float = INCLUSION_TOL) -> bool:
+def includes(a: Subspace, b: Subspace) -> bool:
     """Is ``a`` contained in ``b``?  True iff each frame vector of ``a``
-    projects onto ``b`` with residual norm at most ``tol``."""
+    projects onto ``b`` with residual norm at most ``INCLUSION_TOL``."""
     _require_same_ambient(a, b)
     if a.is_zero:
         return True
-    return float(np.max(np.linalg.norm(_residual(a.frame, b.frame), axis=0))) <= tol
+    return float(np.max(np.linalg.norm(_residual(a.frame, b.frame), axis=0))) <= INCLUSION_TOL
 
 
-def subspace_equal(a: Subspace, b: Subspace, tol: float = INCLUSION_TOL) -> bool:
-    return includes(a, b, tol) and includes(b, a, tol)
+def subspace_equal(a: Subspace, b: Subspace) -> bool:
+    return includes(a, b) and includes(b, a)
 
 
 def _padded_frames(subspaces) -> np.ndarray:
@@ -258,27 +258,24 @@ def distributes(a: Subspace, b: Subspace, c: Subspace) -> DistributivityVerdict:
     return DistributivityVerdict(lhs=lhs, rhs=rhs, distributive=subspace_equal(lhs, rhs))
 
 
-def orthomodular_holds(a: Subspace, b: Subspace, tol: float = INCLUSION_TOL) -> bool:
+def orthomodular_holds(a: Subspace, b: Subspace) -> bool:
     """For a ⊆ b, check b = a ∨ (b ∧ a')."""
     _require_same_ambient(a, b)
-    if not includes(a, b, tol):
+    if not includes(a, b):
         raise PreconditionError("orthomodular law requires a ⊆ b")
     rebuilt = join(a, meet(b, orthocomplement(a)))
-    return subspace_equal(rebuilt, b, tol)
+    return subspace_equal(rebuilt, b)
 
 
-def absorption_holds(a: Subspace, b: Subspace, tol: float = INCLUSION_TOL) -> bool:
+def absorption_holds(a: Subspace, b: Subspace) -> bool:
     """a ∧ (a ∨ b) = a and a ∨ (a ∧ b) = a."""
-    return subspace_equal(meet(a, join(a, b)), a, tol) and subspace_equal(
-        join(a, meet(a, b)), a, tol
-    )
+    return subspace_equal(meet(a, join(a, b)), a) and subspace_equal(join(a, meet(a, b)), a)
 
 
-def de_morgan_holds(a: Subspace, b: Subspace, tol: float = INCLUSION_TOL) -> bool:
+def de_morgan_holds(a: Subspace, b: Subspace) -> bool:
     """(a ∧ b)' = a' ∨ b'."""
-    return subspace_equal(
-        orthocomplement(meet(a, b)), join(orthocomplement(a), orthocomplement(b)), tol
-    )
+    return subspace_equal(orthocomplement(meet(a, b)),
+                          join(orthocomplement(a), orthocomplement(b)))
 
 
 @dataclass(frozen=True)

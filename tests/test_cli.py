@@ -82,6 +82,14 @@ class TestStatsCommands:
         assert code == 0
         assert "0.5" in out
 
+    @pytest.mark.parametrize("scale", ["1e-200", "1e200", "1e-310"])
+    def test_contexts_of_any_finite_magnitude(self, capsys, tmp_path, scale):
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"context vectors {scale} 0 ; 0 {scale}\ncontext x\n")
+        code, out, err = run(capsys, "stats-seq", "--config", str(config))
+        assert (code, err) == (0, "")
+        assert "marginal identity max gap  0\n" in out
+
     def test_single_context_is_input_error(self, capsys, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text("context x\n")

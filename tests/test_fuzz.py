@@ -86,7 +86,9 @@ def config_lines(root):
             "state z+", "state x-", "state 0.6 0.8", "state 0.6 0.8j", "state 1 1",
             "state 0.6 0.8 0", "state angles 1.1 0.3", "context z", "context x", "context y",
             "context angles 0 0", "context vectors 1 0 ; 0 1", "context vectors 1 0 0 ; 0 1 0",
-            "context vectors 1 0 ; 1 1", "universe u a b c", "universe v d e", "universe w a",
+            "context vectors 1 0 ; 1 1", "context vectors 1e-200 0 ; 0 1e-200",
+            "context vectors 1e200 0 ; 0 1e200", "context vectors 1e-310 1e-310 ; 1e-310 -1e-310",
+            "state 1e-310 1e-310j", "universe u a b c", "universe v d e", "universe w a",
             "atoms a b", "atoms a d", "atoms q r", "family builtin:ks18-d4",
             "family builtin:triads-d3", "family builtin:none", "family /missing.rays",
             "model /missing.model",

@@ -95,6 +95,12 @@ class TestEnsembleInvariants:
         with pytest.raises(InvariantViolationError):
             TransitionKernel("A", "B", [[0.5, 0.2], [0.5, 0.5]])
 
+    def test_kernel_row_sum_error_names_the_first_bad_row(self):
+        with pytest.raises(InvariantViolationError) as caught:
+            TransitionKernel("A", "B", [[1.0, 0.0], [0.5, 0.2], [0.25, 0.25]])
+        assert str(caught.value) == "kernel row 1 sums to 0.7, not 1"
+        assert "array(" not in str(caught.value)
+
     def test_values_and_weights_are_read_only_arrays(self, z_basis, x_basis):
         ensemble = HiddenEnsemble([[0, 1], [1, 0]], [0.25, 0.75], {"A": z_basis, "B": x_basis})
         assert ensemble.values.dtype == np.int64 and ensemble.weights.dtype == float

@@ -25,6 +25,7 @@ from qlbench.hilbert import (
     principal_vector,
     same_ray,
     spin_direction_basis,
+    unit_vectors,
 )
 from qlbench.sampling import random_basis, random_state, rng_from
 
@@ -149,6 +150,41 @@ class TestMeasurementBasis:
     def test_from_vectors_rejects(self, vectors, error):
         with pytest.raises(error):
             MeasurementBasis.from_vectors(vectors)
+
+
+class TestUnitVectors:
+    @pytest.mark.parametrize("scale", [5e-324, 1e-310, 1e-200, 1.0, 1e200, 1e308])
+    def test_any_finite_magnitude_normalizes(self, scale):
+        state = StateVector.normalized([scale, scale * 1j])
+        assert np.allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2 * 1j], rtol=0.0, atol=1e-15)
+        basis = MeasurementBasis.from_vectors([[scale, 0.0], [0.0, -scale]])
+        assert np.array_equal(basis.frame, np.diag([1.0, -1.0]))
+
+    def test_matches_the_unscaled_quotient_bit_for_bit(self):
+        # wherever no squared entry over- or underflows, the power-of-two
+        # scaling changes no bit of the result
+        rng = np.random.default_rng(8)
+        for dim in range(1, 9):
+            for exponent in (-140, -20, 0, 20, 140):
+                vectors = (rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))) * 10.0 ** exponent
+                units, ok = unit_vectors(vectors, axis=0)
+                assert ok.all() and np.array_equal(units, vectors / np.linalg.norm(vectors, axis=0))
+                unit, ok = unit_vectors(vectors[:, 0])
+                assert ok.all() and np.array_equal(unit, vectors[:, 0] / np.linalg.norm(vectors[:, 0]))
+
+    def test_zero_and_non_finite_vectors_are_masked_out(self):
+        vectors = np.array([[0, 3, np.inf, np.nan], [0, 4j, 1, 1]], dtype=complex)
+        units, ok = unit_vectors(vectors, axis=0)
+        assert ok.tolist() == [[False, True, False, False]]
+        assert np.allclose(units[:, 1], [0.6, 0.8j], rtol=0.0, atol=1e-15)
+        assert not units[:, [0, 2, 3]].any()
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [math.inf, 1.0], [math.nan, 1.0], [1e308j, -math.inf]])
+    def test_zero_and_non_finite_are_refused(self, bad):
+        with pytest.raises(InvariantViolationError, match="^cannot normalize a zero vector$"):
+            StateVector.normalized(bad)
+        with pytest.raises(InvariantViolationError, match="^cannot normalize a zero vector$"):
+            MeasurementBasis.from_vectors([bad, [0.0, 1.0]])
 
 
 class TestBornProbability:
