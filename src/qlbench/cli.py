@@ -513,7 +513,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    # --out takes the report's attachment if it has one, else the report itself
     rendered = render(report, args.format)
     if args.out is None:
         sys.stdout.write(rendered)

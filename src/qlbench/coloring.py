@@ -77,9 +77,8 @@ class RayFamily:
         """Build a family from arbitrary nonzero vectors (normalized here)."""
         rays = _ray_matrix(dim, vectors)
         if np.isfinite(rays).all():  # a non-finite ray is refused as not unit-norm
-            rays, ok = unit_vectors(rays, axis=1)
-            if not ok.all():
-                k = int(np.argmin(ok))
+            rays, k = unit_vectors(rays, axis=1)
+            if k is not None:
                 raise InvariantViolationError(f"ray {k} is a zero vector", ("ray", k, 0))
         return cls(dim=dim, rays=rays, bases=tuple(bases))
 

@@ -26,6 +26,11 @@ BASIS_TOL = 1e-10         # orthogonality / completeness of measurement bases
 ZERO_PROBABILITY = 1e-12  # below this, conditioning on the outcome is refused
 PHASE_TOL = 1e-10         # ray equality: global phase is quotiented out
 
+# A norm in this range has a sum of squares between 1e-300 and 1e300: no
+# square overflowed, and squares lost to underflow (each below 2.3e-308)
+# change it by less than rounding.
+_PLAIN_NORMS = (1e-150, 1e150)
+
 
 def _as_complex_vector(values) -> np.ndarray:
     vec = np.asarray(values, dtype=complex).reshape(-1)
@@ -36,17 +41,20 @@ def _as_complex_vector(values) -> np.ndarray:
     return vec
 
 
-def unit_vectors(vectors: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def unit_vectors(vectors: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, int | None]:
     """The complex ``vectors`` scaled to unit norm along ``axis`` (None: a
-    1-D vector), and a mask, with the reduced axis kept, of the vectors that
-    are nonzero and finite; the others come back as zeros.
+    1-D vector), and the index of the first vector that is zero or not
+    finite (None when there is none); such vectors come back as zeros.
 
-    Each vector is first multiplied by the power of two that brings its
-    largest real or imaginary part into [0.5, 1), so its norm can neither
-    overflow nor underflow.  That scaling is exact: wherever no squared entry
-    of the unscaled vector over- or underflows, the result is bit for bit the
-    unscaled quotient.
+    A norm inside ``_PLAIN_NORMS`` is exact to rounding and divides directly.
+    Otherwise each vector is first multiplied by the power of two that brings
+    its largest real or imaginary part into [0.5, 1), so that no square in
+    its norm overflows or underflows.
     """
+    with np.errstate(all="ignore"):  # an overflowed or NaN norm is taken up below
+        norms = np.linalg.norm(vectors, axis=axis, keepdims=axis is not None)
+    if all(_PLAIN_NORMS[0] <= n <= _PLAIN_NORMS[1] for n in np.ravel(norms).tolist()):
+        return vectors / norms, None
     peak = np.maximum(abs(vectors.real), abs(vectors.imag)).max(axis=axis, keepdims=True)
     ok = np.isfinite(peak) & (peak > 0.0)
     exponent = -np.frexp(np.where(ok, peak, 1.0))[1]
@@ -56,7 +64,7 @@ def unit_vectors(vectors: np.ndarray, axis: int | None = None) -> tuple[np.ndarr
     scaled.real = np.where(ok, np.ldexp(vectors.real, exponent), 0.0)
     scaled.imag = np.where(ok, np.ldexp(vectors.imag, exponent), 0.0)
     norms = np.linalg.norm(scaled, axis=axis, keepdims=True)
-    return scaled / np.where(ok, norms, 1.0), ok
+    return scaled / np.where(ok, norms, 1.0), None if ok.all() else int(np.argmin(ok))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -86,8 +94,8 @@ class StateVector:
     @classmethod
     def normalized(cls, values) -> StateVector:
         """Scale an arbitrary nonzero vector onto the unit sphere."""
-        unit, ok = unit_vectors(_as_complex_vector(values))
-        if not ok.all():
+        unit, bad = unit_vectors(_as_complex_vector(values))
+        if bad is not None:
             raise InvariantViolationError("cannot normalize a zero vector")
         return cls(unit)
 
@@ -138,8 +146,8 @@ class MeasurementBasis:
             raise InvariantViolationError("empty measurement basis")
         if any(v.size != vecs[0].size for v in vecs):
             raise DimensionMismatchError("vectors of mixed dimension in one basis")
-        frame, ok = unit_vectors(np.stack(vecs, axis=1), axis=0)
-        if not ok.all():
+        frame, bad = unit_vectors(np.stack(vecs, axis=1), axis=0)
+        if bad is not None:
             raise InvariantViolationError("cannot normalize a zero vector")
         if labels is None:
             labels = tuple(str(i) for i in range(len(vecs)))

@@ -286,12 +286,9 @@ class TestRayFamilyValidation:
 
     @pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e200])
     def test_rays_of_any_finite_magnitude_load(self, scale):
-        family = parse_ray_family(f"dim 3\nray {scale} 0 0\nray 0 {scale}j 0\nray 0 0 1\nbasis 0 1 2\n")
+        family = parse_ray_family(
+            f"dim 3\nray {scale} 0 0\nray 0 {scale}j 0\nray 0 0 1\nbasis 0 1 2\n")
         assert np.array_equal(family.rays, np.diag([1, 1j, 1]))
-
-    def test_zero_ray_is_refused_by_index(self):
-        with pytest.raises(InvariantViolationError, match="^ray 1 is a zero vector$"):
-            RayFamily.from_vectors(3, [[1, 0, 0], [0, 0, 0], [0, 0, 1]], [(0, 1, 2)])
 
     def test_rays_are_one_read_only_matrix(self):
         family = RayFamily.from_vectors(3, [[2, 0, 0], [0, 1j, 0], [[0], [0], [3]]], [(0, 1, 2)])

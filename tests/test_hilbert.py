@@ -162,24 +162,32 @@ class TestUnitVectors:
 
     def test_matches_the_unscaled_quotient_bit_for_bit(self):
         # wherever no squared entry over- or underflows, the power-of-two
-        # scaling changes no bit of the result
+        # scaling changes no bit of the result; a 1e-200 column forces it
         rng = np.random.default_rng(8)
         for dim in range(1, 9):
-            for exponent in (-140, -20, 0, 20, 140):
-                vectors = (rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))) * 10.0 ** exponent
-                units, ok = unit_vectors(vectors, axis=0)
-                assert ok.all() and np.array_equal(units, vectors / np.linalg.norm(vectors, axis=0))
-                unit, ok = unit_vectors(vectors[:, 0])
-                assert ok.all() and np.array_equal(unit, vectors[:, 0] / np.linalg.norm(vectors[:, 0]))
+            for exponent in (-150, -140, -20, 0, 20, 140, 150):  # both sides of _PLAIN_NORMS
+                shape = (dim, 3)
+                vectors = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** exponent
+                expected = vectors / np.linalg.norm(vectors, axis=0)
+                for frame in (vectors, np.column_stack([vectors, np.full(dim, 1e-200)])):
+                    units, bad = unit_vectors(frame, axis=0)
+                    assert bad is None and np.array_equal(units[:, :3], expected)
+                unit, bad = unit_vectors(vectors[:, 0])
+                assert bad is None
+                assert np.array_equal(unit, vectors[:, 0] / np.linalg.norm(vectors[:, 0]))
 
-    def test_zero_and_non_finite_vectors_are_masked_out(self):
-        vectors = np.array([[0, 3, np.inf, np.nan], [0, 4j, 1, 1]], dtype=complex)
-        units, ok = unit_vectors(vectors, axis=0)
-        assert ok.tolist() == [[False, True, False, False]]
+    @pytest.mark.parametrize("bad_column",
+                             [[0, 0], [np.inf, 1], [np.nan, 1], [complex(0, np.inf), 1]])
+    def test_the_first_zero_or_non_finite_vector_is_named(self, bad_column):
+        vectors = np.array([[1e-200, 0], [3, 4j]] + [bad_column] * 2, dtype=complex).T
+        units, bad = unit_vectors(vectors, axis=0)
+        assert bad == 2
+        assert np.array_equal(units[:, 0], [1, 0])
         assert np.allclose(units[:, 1], [0.6, 0.8j], rtol=0.0, atol=1e-15)
-        assert not units[:, [0, 2, 3]].any()
+        assert not units[:, 2:].any()
 
-    @pytest.mark.parametrize("bad", [[0.0, 0.0], [math.inf, 1.0], [math.nan, 1.0], [1e308j, -math.inf]])
+    @pytest.mark.parametrize("bad",
+                             [[0.0, 0.0], [math.inf, 1.0], [math.nan, 1.0], [1e308j, -math.inf]])
     def test_zero_and_non_finite_are_refused(self, bad):
         with pytest.raises(InvariantViolationError, match="^cannot normalize a zero vector$"):
             StateVector.normalized(bad)
