@@ -500,9 +500,9 @@ def main(argv=None) -> int:
                   else ExperimentConfig())
         env_seed = os.environ.get("QLBENCH_SEED")
         if env_seed is not None:
-            config.seed = int(env_seed, 0)
+            config.seed = check_setting("seed", int(env_seed, 0))
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = check_setting("seed", args.seed)
         if args.trials is not None:
             config.trials = check_setting("trials", args.trials)
         if args.tol is not None:

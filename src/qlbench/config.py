@@ -89,7 +89,7 @@ class ExperimentConfig:
 # Number settings: (lowest, highest, message for a value below lowest).
 _RANGES = {
     "trials": (1, MAX_TRIALS, "trials must be positive"),
-    "seed": (-math.inf, math.inf, ""),
+    "seed": (0, math.inf, "seed must be >= 0"),
     "target": (0, math.inf, "target index must be >= 0"),
     "samples": (1, math.inf, "samples must be positive"),
     "tol": (math.ulp(0.0), sys.float_info.max, "tol must be positive"),

@@ -177,14 +177,6 @@ def _event(space: OutcomeSpace, mask: int) -> EventSet:
     return event
 
 
-def union(a: EventSet, b: EventSet) -> EventSet:
-    return a.union(b)
-
-
-def intersect(a: EventSet, b: EventSet) -> EventSet:
-    return a.intersect(b)
-
-
 def complement_relative(event: EventSet, within: Universe | OutcomeSpace) -> EventSet:
     """Complement of ``event`` relative to an explicitly chosen universe.
 
@@ -215,12 +207,14 @@ def complement_relative(event: EventSet, within: Universe | OutcomeSpace) -> Eve
 def restricted_to(event: EventSet, within: Universe, *, coerce: bool = False) -> EventSet:
     """View an event inside one universe.
 
-    Refuses when members fall outside ``within`` unless ``coerce`` is set, in
-    which case the outside members are dropped.  Coercion is the deliberate,
+    Refuses a universe of another space, and members outside ``within``
+    unless ``coerce`` is set, which drops them.  Coercion is the deliberate,
     logged act of confusing universes; callers record that they did it.
     """
     space = event.space
-    pool = space.mask_of(space.label_set.intersection(within.outcomes))
+    if within not in space.universes:
+        raise SpaceMismatchError("complement universe from a different outcome space")
+    pool = space.mask_of(within.outcomes)
     stray = event.mask & ~pool
     if stray and not coerce:
         raise ComplementUniverseError(

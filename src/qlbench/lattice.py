@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvariantViolationError, PreconditionError
-from .hilbert import MAX_DIM
+from .hilbert import MAX_DIM, unit_vectors
 
 RANK_TOL = 1e-10       # singular values below this count as zero
 FRAME_TOL = 1e-10      # orthonormality of stored frames
@@ -100,7 +100,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> Subspace:
-        """Span of arbitrary (possibly dependent, unnormalized) vectors."""
+        """Span of arbitrary (possibly dependent, unnormalized) vectors; rank is
+        decided on their unit directions, and a non-finite entry is refused."""
         vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
         if not vecs:
             return cls.zero(ambient_dim)
@@ -110,7 +111,10 @@ class Subspace:
                     f"vector of length {v.size} in ambient dimension {ambient_dim}"
                 )
         _check_ambient(ambient_dim)
-        return _subspace(_orthonormal_frame(np.column_stack(vecs)))
+        columns = np.column_stack(vecs)
+        if not np.isfinite(columns).all():
+            raise InvariantViolationError("vector has a non-finite entry")
+        return _subspace(_orthonormal_frame(unit_vectors(columns, axis=0)[0]))
 
     @classmethod
     def ray(cls, vector) -> Subspace:

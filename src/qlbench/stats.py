@@ -22,6 +22,8 @@ from .hilbert import MeasurementBasis, StateVector, ZERO_PROBABILITY
 
 DISTRIBUTION_TOL = 1e-9
 ENTRY_TOL = 1e-12
+BASES_EQUAL_TOL = 1e-9   # entrywise projector agreement in bases_equal
+COMMUTATOR_TOL = 1e-10   # entrywise commutator size in commuting_bases
 
 
 @dataclass(frozen=True)
@@ -77,9 +79,6 @@ class SequentialTable:
     def first_marginal(self) -> np.ndarray:
         return self.entries.sum(axis=1)
 
-    def second_marginal(self) -> np.ndarray:
-        return self.entries.sum(axis=0)
-
 
 def _born_probs(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
     """|U^H psi|^2: the probability of each outcome of ``basis``."""
@@ -95,13 +94,14 @@ def overlap_kernel(first: MeasurementBasis, then: MeasurementBasis) -> np.ndarra
     return np.abs(first.frame.conj().T @ then.frame) ** 2
 
 
-def chain_rule(first_probs, kernel, *, zero_tol: float = ZERO_PROBABILITY) -> np.ndarray:
+def chain_rule(first_probs, kernel) -> np.ndarray:
     """entries[i, j] = P(first = i) * kernel[i, j].
 
-    Rows with first-outcome probability at or below ``zero_tol`` are exactly
-    zero: an impossible branch contributes nothing and is never conditioned on.
+    Rows with first-outcome probability at or below ``ZERO_PROBABILITY`` are
+    exactly zero: an impossible branch contributes nothing and is never
+    conditioned on.
     """
-    return np.where(first_probs > zero_tol, first_probs, 0.0)[:, None] * kernel
+    return np.where(first_probs > ZERO_PROBABILITY, first_probs, 0.0)[:, None] * kernel
 
 
 def born_distribution(state: StateVector, basis: MeasurementBasis) -> Distribution:
@@ -110,16 +110,11 @@ def born_distribution(state: StateVector, basis: MeasurementBasis) -> Distributi
 
 
 def sequential_distribution(
-    state: StateVector,
-    first: MeasurementBasis,
-    second: MeasurementBasis,
-    *,
-    zero_tol: float = ZERO_PROBABILITY,
+    state: StateVector, first: MeasurementBasis, second: MeasurementBasis
 ) -> SequentialTable:
     """Measure ``first``, collapse on its outcome, then measure ``second``: the
-    :func:`chain_rule`, so rows at or below ``zero_tol`` are exactly zero."""
-    probs, kernel = _born_probs(state, first), overlap_kernel(first, second)
-    entries = chain_rule(probs, kernel, zero_tol=zero_tol)
+    :func:`chain_rule`, so rows at or below ``ZERO_PROBABILITY`` are exactly zero."""
+    entries = chain_rule(_born_probs(state, first), overlap_kernel(first, second))
     return SequentialTable(first_basis=first, second_basis=second, entries=entries)
 
 
@@ -161,24 +156,25 @@ def commutation_defect(
     return float(np.max(np.abs(forward - reverse.T)))
 
 
-def bases_equal(a: MeasurementBasis, b: MeasurementBasis, tol: float = 1e-9) -> bool:
-    """Outcome by outcome, the projectors agree entrywise within ``tol``."""
+def bases_equal(a: MeasurementBasis, b: MeasurementBasis) -> bool:
+    """Outcome by outcome, the projectors agree entrywise within ``BASES_EQUAL_TOL``."""
     if a is b:
         return True
     if a.dim != b.dim:
         return False
     # stack[k] = |f_k><f_k|, the projector of outcome k
     stack_a, stack_b = (np.einsum("ik,jk->kij", f, f.conj()) for f in (a.frame, b.frame))
-    return float(np.max(np.abs(stack_a - stack_b))) <= tol
+    return float(np.max(np.abs(stack_a - stack_b))) <= BASES_EQUAL_TOL
 
 
-def commuting_bases(a: MeasurementBasis, b: MeasurementBasis, tol: float = 1e-10) -> bool:
-    """Every commutator P_i Q_j - Q_j P_i has all entries at most ``tol``."""
+def commuting_bases(a: MeasurementBasis, b: MeasurementBasis) -> bool:
+    """Every commutator P_i Q_j - Q_j P_i has all entries at most ``COMMUTATOR_TOL``."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     # P_i Q_j = <a_i|b_j> |a_i><b_j|, and Q_j P_i is its conjugate transpose
     products = np.einsum("ij,ki,lj->ijkl", a.frame.conj().T @ b.frame, a.frame, b.frame.conj())
-    return float(np.max(np.abs(products - products.conj().transpose(0, 1, 3, 2)))) <= tol
+    commutators = products - products.conj().transpose(0, 1, 3, 2)
+    return float(np.max(np.abs(commutators))) <= COMMUTATOR_TOL
 
 
 @dataclass(frozen=True)

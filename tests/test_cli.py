@@ -400,6 +400,31 @@ class TestSettingBounds:
     def test_tol_rejected_past_the_bound(self, capsys, tol, message):
         assert run(capsys, "stats-commute", "--tol", tol) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("route", ["config", "flag", "env"])
+    def test_seed_zero_accepted_by_every_route(self, capsys, tmp_path, monkeypatch, route):
+        code, out, _ = run(capsys, *self._seed_argv(tmp_path, monkeypatch, route, "0"))
+        assert code in (0, 1)
+        assert json.loads(out)["fields"]["seed"] == 0
+
+    @pytest.mark.parametrize("route, where", [
+        ("config", "line 1, column 6: "), ("flag", ""), ("env", "")])
+    def test_negative_seed_refused_by_every_route(self, capsys, tmp_path, monkeypatch,
+                                                  route, where):
+        argv = self._seed_argv(tmp_path, monkeypatch, route, "-1")
+        assert run(capsys, *argv) == (2, "", f"error: {where}seed must be >= 0\n")
+
+    @staticmethod
+    def _seed_argv(tmp_path, monkeypatch, route, seed):
+        argv = ["hv-simulate", "--trials", "100", "--format", "json"]
+        if route == "config":
+            config = tmp_path / "exp.cfg"
+            config.write_text(f"seed {seed}\n")
+            return argv + ["--config", str(config)]
+        if route == "flag":
+            return argv + ["--seed", seed]
+        monkeypatch.setenv("QLBENCH_SEED", seed)
+        return argv
+
     @pytest.mark.parametrize("line, command", [
         ("tol nan", "stats-commute"),
         ("trials 100000000000000000000", "hv-simulate"),

@@ -245,6 +245,12 @@ class TestComplementRelative:
         coerced = restricted_to(pair_space.atom("a1"), omega_b, coerce=True)
         assert coerced.members == set()
 
+    @pytest.mark.parametrize("coerce", [False, True])
+    def test_restricted_to_refuses_a_foreign_universe(self, pair_space, coerce):
+        foreign = Universe("other", ("a1", "zz"))
+        with pytest.raises(SpaceMismatchError, match="from a different outcome space"):
+            restricted_to(pair_space.atom("a1"), foreign, coerce=coerce)
+
 
 class TestClassicalDistributivity:
     def test_concrete_triple(self):

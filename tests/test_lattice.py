@@ -419,6 +419,38 @@ class TestThresholds:
         assert matrix.tolist() == [[True, included], [included, True]]
 
 
+class TestFromVectors:
+    @pytest.mark.parametrize("vectors, dim", [
+        ([[1e-11, 0]], 1),
+        ([[1e-200, 0]], 1),
+        ([[1, 0], [0, 1e-11]], 2),
+        ([[0, 0], [1e-300, 1e-300]], 1),
+        ([[0, 0]], 0),
+    ])
+    def test_rank_does_not_depend_on_length(self, vectors, dim):
+        assert Subspace.from_vectors(2, vectors).dim == dim
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), complex(0.0, float("nan"))])
+    def test_non_finite_entry_refused(self, bad):
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            Subspace.ray([bad, 0])
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            Subspace.from_vectors(2, [[1, 0], [0, bad]])
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5), count=st.integers(1, 4))
+    def test_power_of_two_scaling_leaves_span_unchanged(self, data, dim, count):
+        parts = st.lists(st.integers(-4, 4), min_size=2 * dim, max_size=2 * dim)
+        vectors = [np.array(p[:dim]) + 1j * np.array(p[dim:])
+                   for p in data.draw(st.lists(parts, min_size=count, max_size=count))]
+        powers = data.draw(st.lists(st.integers(-900, 900), min_size=count, max_size=count))
+        plain = Subspace.from_vectors(dim, vectors)
+        scaled = Subspace.from_vectors(dim, [np.ldexp(v.real, k) + 1j * np.ldexp(v.imag, k)
+                                             for v, k in zip(vectors, powers)])
+        assert scaled.dim == plain.dim
+        assert np.array_equal(scaled.frame, plain.frame)
+
+
 class TestTrustedFrames:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(float("nan"), 0.0)])
     def test_non_finite_frame_rejected(self, bad):

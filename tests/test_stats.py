@@ -409,13 +409,6 @@ class TestZeroProbabilityThreshold:
         assert np.all(entries[0] == 0.5 * (1.0 - ZERO_PROBABILITY))
         assert np.all(entries[1] == 0.0)
 
-    def test_zero_tol_argument_moves_the_threshold(self, z_basis, x_basis):
-        state = self._state_with_second_outcome(1e-9)
-        kept = sequential_distribution(state, z_basis, x_basis)
-        dropped = sequential_distribution(state, z_basis, x_basis, zero_tol=1e-8)
-        assert np.all(kept.entries[1] > 0.0)
-        assert np.all(dropped.entries[1] == 0.0)
-
 
 def _scalar_binomial_bound(p, n, z=4.0):
     return z * math.sqrt(max(p * (1.0 - p), 0.0) / n)
