@@ -434,21 +434,21 @@ def _cmd_lattice_check(config: ExperimentConfig) -> Report:
     law_rows = []
     for dim in (2, 3, 4):
         rng = sampling.rng_from(config.seed + dim)
-        sample = [sampling.random_subspace(rng, dim) for _ in range(config.samples)]
+        sample = sampling.random_subspaces(rng, dim, config.samples)
         axioms = lattice.check_lattice_axioms(sample, seed=config.seed)
         for check in axioms.checks:
             axiom_rows.append(
                 [dim, check.name, check.checked, check.passed, check.counterexample or ""]
             )
             all_ok = all_ok and check.passed
-        pairs = list(zip(sample, sample[1:] + sample[:1]))
-        absorption = all(lattice.absorption_holds(a, b) for a, b in pairs)
-        de_morgan = all(lattice.de_morgan_holds(a, b) for a, b in pairs)
-        nested = [sampling.random_nested_pair(rng, dim) for _ in range(config.samples)]
-        orthomodular = all(lattice.orthomodular_holds(a, b) for a, b in nested)
-        law_rows.append([dim, "absorption", len(pairs), absorption])
-        law_rows.append([dim, "De Morgan", len(pairs), de_morgan])
-        law_rows.append([dim, "orthomodular", len(nested), orthomodular])
+        rotated = sample[1:] + sample[:1]
+        absorption = bool(lattice.absorption_holds_stacked(sample, rotated).all())
+        de_morgan = bool(lattice.de_morgan_holds_stacked(sample, rotated).all())
+        inner, outer = sampling.random_nested_pairs(rng, dim, config.samples)
+        orthomodular = bool(lattice.orthomodular_holds_stacked(inner, outer).all())
+        law_rows.append([dim, "absorption", len(sample), absorption])
+        law_rows.append([dim, "De Morgan", len(sample), de_morgan])
+        law_rows.append([dim, "orthomodular", len(inner), orthomodular])
         all_ok = all_ok and absorption and de_morgan and orthomodular
     report.add_table("ordering and complement axioms", ["dim", "axiom", "checked", "passed", "counterexample"], axiom_rows)
     report.add_table("lattice laws", ["dim", "law", "checked", "passed"], law_rows)

@@ -51,6 +51,9 @@ DEFAULT_TOL = 1e-9
 DEFAULT_TRIALS = 100_000
 DEFAULT_SAMPLES = 200
 MAX_TRIALS = 2**63 - 1  # numpy draws counts as signed 64-bit integers
+# lattice-check builds two samples × samples boolean inclusion matrices, 100 MB
+# each at this bound
+MAX_SAMPLES = 10_000
 
 
 class ConfigError(InvariantViolationError):
@@ -91,7 +94,7 @@ _RANGES = {
     "trials": (1, MAX_TRIALS, "trials must be positive"),
     "seed": (0, math.inf, "seed must be >= 0"),
     "target": (0, math.inf, "target index must be >= 0"),
-    "samples": (1, math.inf, "samples must be positive"),
+    "samples": (1, MAX_SAMPLES, "samples must be positive"),
     "tol": (math.ulp(0.0), sys.float_info.max, "tol must be positive"),
 }
 

@@ -49,12 +49,21 @@ def unit_vectors(vectors: np.ndarray, axis: int | None = None) -> tuple[np.ndarr
     A norm inside ``_PLAIN_NORMS`` is exact to rounding and divides directly.
     Otherwise each vector is first multiplied by the power of two that brings
     its largest real or imaginary part into [0.5, 1), so that no square in
-    its norm overflows or underflows.
+    its norm overflows or underflows.  The plain norms are formed with the
+    operations ``np.linalg.norm`` uses, without its dispatch, which costs as
+    much as the arithmetic on vectors this short.
     """
+    low, high = _PLAIN_NORMS
     with np.errstate(all="ignore"):  # an overflowed or NaN norm is taken up below
-        norms = np.linalg.norm(vectors, axis=axis, keepdims=axis is not None)
-    if all(_PLAIN_NORMS[0] <= n <= _PLAIN_NORMS[1] for n in np.ravel(norms).tolist()):
-        return vectors / norms, None
+        if axis is None:
+            real, imag = vectors.real, vectors.imag
+            norm = math.sqrt(real.dot(real) + imag.dot(imag))
+            if low <= norm <= high:
+                return vectors / norm, None
+        else:
+            norms = np.sqrt(np.add.reduce((vectors.conj() * vectors).real, axis=axis, keepdims=True))
+            if all(low <= n <= high for n in norms.ravel().tolist()):
+                return vectors / norms, None
     peak = np.maximum(abs(vectors.real), abs(vectors.imag)).max(axis=axis, keepdims=True)
     ok = np.isfinite(peak) & (peak > 0.0)
     exponent = -np.frexp(np.where(ok, peak, 1.0))[1]

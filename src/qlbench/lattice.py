@@ -10,6 +10,12 @@ sines of those angles, and the directions of a whose sine is at most
 for orthonormality; the frames built here (join, orthocomplement, meet, zero,
 full and the SVD frame of ``from_vectors``) are orthonormal by construction
 and skip that check.
+
+The laws also come in stacked forms (``absorption_holds_stacked`` and the
+rest) that check many pairs at once.  They run the same constructions on
+padded frames, (n, d, d) stacks that hold each frame in its first columns and
+zeros after, with each item's dimension kept as a count; one stacked SVD
+serves every pair of a row block.  The per-pair functions are their oracle.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ RANK_TOL = 1e-10       # singular values below this count as zero
 FRAME_TOL = 1e-10      # orthonormality of stored frames
 INCLUSION_TOL = 1e-9   # residual norm allowed when testing containment
 
-# Complex entries in one row block of the batched inclusion residuals: each
-# temporary of a block stays near 128 kB for any sample size, so the batch
-# adds nothing measurable to peak memory.
+# Complex entries in one row block of a stacked computation: each temporary
+# of a block stays near 128 kB for any sample size, so the stacks add nothing
+# measurable to peak memory.
 _BLOCK_ENTRIES = 2 ** 13
 
 
@@ -141,6 +147,20 @@ def _subspace(frame: np.ndarray) -> Subspace:
     return subspace
 
 
+def _spans(ambient_dim: int, column_sets) -> list[Subspace]:
+    """The span of each (ambient_dim, k) column set, with the frame that
+    ``_orthonormal_frame`` gives it bit for bit, from one stacked SVD per k."""
+    spans = [Subspace.zero(ambient_dim)] * len(column_sets)
+    for k in range(1, ambient_dim + 1):
+        members = [i for i, columns in enumerate(column_sets) if columns.shape[1] == k]
+        if members:
+            u, s, _ = np.linalg.svd(np.stack([column_sets[i] for i in members]),
+                                    full_matrices=False)
+            for i, frame, rank in zip(members, u, np.sum(s > RANK_TOL, axis=1).tolist()):
+                spans[i] = _subspace(frame[:, :rank].copy())
+    return spans
+
+
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(
@@ -149,8 +169,9 @@ def _require_same_ambient(a: Subspace, b: Subspace) -> None:
 
 
 def _residual(frame: np.ndarray, onto: np.ndarray) -> np.ndarray:
-    """The columns of ``frame`` minus their projections onto the span of ``onto``."""
-    return frame - onto @ (onto.conj().T @ frame)
+    """The columns of ``frame`` minus their projections onto the span of
+    ``onto``; on (n, d, k) stacks, item by item."""
+    return frame - onto @ (onto.conj().swapaxes(-1, -2) @ frame)
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
@@ -204,34 +225,128 @@ def _padded_frames(subspaces) -> np.ndarray:
     d = subspaces[0].ambient_dim
     stack = np.zeros((len(subspaces), d, d), dtype=complex)
     for i, s in enumerate(subspaces):
-        stack[i, :, : s.dim] = s.frame
+        frame = s.frame
+        if frame.shape[0] != d:
+            raise DimensionMismatchError(f"ambient dimension mismatch: {d} vs {frame.shape[0]}")
+        stack[i, :, : frame.shape[1]] = frame
     return stack
 
 
-def _projectors(subspaces) -> np.ndarray:
-    """(n, d, d) stack of the orthogonal projectors F Fᴴ onto the subspaces."""
-    frames = _padded_frames(subspaces)
-    return frames @ frames.conj().transpose(0, 2, 1)
+@dataclass(frozen=True)
+class _Stack:
+    """n subspaces of one C^d: item i is spanned by the first ``dims[i]``
+    columns of ``frames[i]``, and its other columns are zero."""
+
+    frames: np.ndarray  # (n, d, d) complex
+    dims: np.ndarray    # (n,) int
+
+    def __getitem__(self, rows: slice) -> _Stack:
+        return _Stack(self.frames[rows], self.dims[rows])
 
 
-def _inclusion_matrix(inner, outer) -> np.ndarray:
-    """Boolean matrix whose (i, j) entry is ``includes(inner[i], outer[j])``.
+def _stack(subspaces) -> _Stack:
+    return _Stack(_padded_frames(subspaces), np.array([s.dim for s in subspaces]))
 
-    The residual of every pair is formed directly, against a stack of the
-    projectors of ``outer``, in row blocks of at most ``_BLOCK_ENTRIES``
-    entries (one row when a single row is larger).  Its norm is never taken
-    as 1 − ‖F_bᴴf‖², whose cancellation leaves errors near 1e-8, above
-    ``INCLUSION_TOL``.
+
+def _kept(frames: np.ndarray, dims: np.ndarray) -> _Stack:
+    """The stack of ``frames`` with the columns of item i from ``dims[i]`` on
+    set to zero."""
+    return _Stack(frames * (np.arange(frames.shape[-1]) < dims[:, None])[:, None, :], dims)
+
+
+def _row_blocks(n: int, row_entries: int) -> list[slice]:
+    """Slices covering ``range(n)`` whose temporaries of ``row_entries``
+    entries a row hold at most ``_BLOCK_ENTRIES`` entries (one row when a
+    single row is larger)."""
+    rows = max(1, _BLOCK_ENTRIES // row_entries)
+    return [slice(start, start + rows) for start in range(0, n, rows)]
+
+
+def _join_stacked(a: _Stack, b: _Stack) -> _Stack:
+    """``join`` of each pair: one SVD of the (d, 2d) concatenated frames,
+    whose zero columns add only zero singular values."""
+    u, s, _ = np.linalg.svd(np.concatenate([a.frames, b.frames], axis=2), full_matrices=False)
+    return _kept(u, np.sum(s > RANK_TOL, axis=1))
+
+
+def _orthocomplement_stacked(a: _Stack) -> _Stack:
+    """``orthocomplement`` of each item.  A complete QR of a padded frame
+    spans the item with the first ``dims[i]`` columns of Q and its complement
+    with the rest, which reversing the columns moves to the front; a frame
+    built or checked here is orthonormal, so its rank is its dimension."""
+    q = np.linalg.qr(a.frames, mode="complete").Q
+    return _kept(q[:, :, ::-1], q.shape[-1] - a.dims)
+
+
+def _meet_stacked(a: _Stack, b: _Stack) -> _Stack:
+    """``meet`` of each pair, decided on the sines of the principal angles.
+
+    A padding column of a would add a zero sine, and a right singular vector
+    mixing it into the meet.  So each padding column gets a unit entry in d
+    extra rows: its singular value is 1 and it never enters a meet, while
+    the genuine columns keep their sines, since the extra rows are zero under
+    them.  Singular values come in descending order, so the directions at or
+    below ``RANK_TOL`` are the last rows of Vᴴ; reversed, they come first.
     """
-    frames = _padded_frames(inner)
-    projectors = _projectors(outer)
-    n, m, d = len(frames), len(projectors), frames.shape[1]
-    rows = max(1, _BLOCK_ENTRIES // (m * d * d))
+    d = a.frames.shape[-1]
+    padding = np.eye(d) * (np.arange(d) >= a.dims[:, None])[:, None, :]
+    extended = np.concatenate([_residual(a.frames, b.frames), padding], axis=1)
+    _, sines, vh = np.linalg.svd(extended, full_matrices=False)
+    directions = vh[:, ::-1].conj().swapaxes(1, 2)
+    return _kept(a.frames @ directions, np.sum(sines <= RANK_TOL, axis=1))
+
+
+def _includes_stacked(a: _Stack, b: _Stack) -> np.ndarray:
+    """``includes(a[i], b[i])`` for each i; a padding column has no residual."""
+    residual = _residual(a.frames, b.frames)
+    return np.linalg.norm(residual, axis=1).max(axis=1) <= INCLUSION_TOL
+
+
+def _equal_stacked(a: _Stack, b: _Stack) -> np.ndarray:
+    return _includes_stacked(a, b) & _includes_stacked(b, a)
+
+
+def _pairwise(law, a, b) -> np.ndarray:
+    """``law`` on the stacks of a[i], b[i], in row blocks whose largest
+    temporaries, (rows, d, 2d) and (rows, 2d, d), hold at most
+    ``_BLOCK_ENTRIES`` entries."""
+    if len(a) != len(b):
+        raise PreconditionError(f"{len(a)} first and {len(b)} second subspaces")
+    result = np.ones(len(a), dtype=bool)
+    if not result.size:
+        return result
+    both = _stack([*a, *b])
+    first, second = both[: len(a)], both[len(a):]
+    d = both.frames.shape[-1]
+    for rows in _row_blocks(len(a), 2 * d * d):
+        result[rows] = law(first[rows], second[rows])
+    return result
+
+
+def _inclusion_matrix(inner: np.ndarray, outer_complements: np.ndarray) -> np.ndarray:
+    """Boolean matrix whose (i, j) entry is ``includes(inner[i], outer[j])``,
+    from the padded frames of the inner subspaces and of the complements of
+    the outer ones.
+
+    A frame vector f of inner[i] has residual norm ‖(I − P_j)f‖ = ‖C_jᴴf‖
+    against outer[j], for C_j a frame of its complement.  The right side has
+    no cancellation, unlike 1 − ‖F_jᴴf‖², whose errors near 1e-8 lie above
+    ``INCLUSION_TOL``.  Every C_jᴴf of a row block comes from one product of
+    the block's frame vectors, one a row, with every conj(C_j) column; a block
+    holds at most ``_BLOCK_ENTRIES`` of those entries (one inner subspace
+    when a single one has more).
+    """
+    n, d, _ = inner.shape
+    m = len(outer_complements)
+    vectors = inner.swapaxes(1, 2).reshape(n * d, d)
+    complement_columns = outer_complements.conj().transpose(1, 0, 2).reshape(d, m * d)
     result = np.empty((n, m), dtype=bool)
-    for start in range(0, n, rows):
-        block = frames[start:start + rows]
-        residual = block[:, None] - np.einsum("jab,ibc->ijac", projectors, block)
-        result[start:start + rows] = np.linalg.norm(residual, axis=2).max(axis=2) <= INCLUSION_TOL
+    ones = np.ones(2 * d)  # sums a row's 2d squared parts; a sum over a short axis is slow
+    for rows in _row_blocks(n, m * d * d):
+        # row (i, c), column (j, a, real or imaginary part) of C_jᴴ f_ic
+        parts = (vectors[rows.start * d: rows.stop * d] @ complement_columns).view(float)
+        squares = (np.square(parts, out=parts).reshape(-1, 2 * d) @ ones).reshape(-1, d, m)
+        result[rows] = np.sqrt(squares.max(axis=1)) <= INCLUSION_TOL
     return result
 
 
@@ -282,6 +397,32 @@ def de_morgan_holds(a: Subspace, b: Subspace) -> bool:
                           join(orthocomplement(a), orthocomplement(b)))
 
 
+def orthomodular_holds_stacked(a, b) -> np.ndarray:
+    """``orthomodular_holds(a[i], b[i])`` for each i, in stacked calls; every
+    pair must have a[i] ⊆ b[i]."""
+    def law(a, b):
+        if not _includes_stacked(a, b).all():
+            raise PreconditionError("orthomodular law requires a ⊆ b")
+        return _equal_stacked(_join_stacked(a, _meet_stacked(b, _orthocomplement_stacked(a))), b)
+    return _pairwise(law, a, b)
+
+
+def absorption_holds_stacked(a, b) -> np.ndarray:
+    """``absorption_holds(a[i], b[i])`` for each i, in stacked calls."""
+    def law(a, b):
+        return (_equal_stacked(_meet_stacked(a, _join_stacked(a, b)), a)
+                & _equal_stacked(_join_stacked(a, _meet_stacked(a, b)), a))
+    return _pairwise(law, a, b)
+
+
+def de_morgan_holds_stacked(a, b) -> np.ndarray:
+    """``de_morgan_holds(a[i], b[i])`` for each i, in stacked calls."""
+    def law(a, b):
+        return _equal_stacked(_orthocomplement_stacked(_meet_stacked(a, b)),
+                              _join_stacked(_orthocomplement_stacked(a), _orthocomplement_stacked(b)))
+    return _pairwise(law, a, b)
+
+
 @dataclass(frozen=True)
 class AxiomCheck:
     name: str
@@ -328,7 +469,8 @@ def check_lattice_axioms(
     counts the tuples up to and including its first failure and names that
     failure.  The orthocomplements and the inclusion matrices of the sample
     and of its complements are computed once, so the ordering axioms are
-    lookups.  Antisymmetry holds a pair's mutual inclusion against equality
+    lookups; the involution and disjointness rows are stacked constructions
+    over the whole sample.  Antisymmetry holds a pair's mutual inclusion against equality
     of their projectors, max|P_a − P_b| ≤ ``INCLUSION_TOL``, so it fails
     where two subspaces include each other within tolerance yet differ by
     more than it.
@@ -336,19 +478,24 @@ def check_lattice_axioms(
     sample = list(sample)
     if not sample:
         raise PreconditionError("empty sample")
-    ambient = sample[0].ambient_dim
-    for s in sample:
-        if s.ambient_dim != ambient:
-            raise DimensionMismatchError("mixed ambient dimensions in sample")
-
-    n = len(sample)
+    stack = _stack(sample)
+    n, d, _ = stack.frames.shape
     rng = np.random.default_rng(seed)
     singles = np.arange(n)[:, None]
     pairs = _index_tuples(n, 2, pair_limit, rng)
     triples = _index_tuples(n, 3, triple_limit, rng)
-    complements = [orthocomplement(s) for s in sample]
-    inc = _inclusion_matrix(sample, sample)
-    inc_complements = _inclusion_matrix(complements, complements)
+    complements = np.empty_like(stack.frames)
+    involution = np.empty(n, dtype=bool)
+    disjoint = np.empty(n, dtype=bool)
+    for rows in _row_blocks(n, 2 * d * d):
+        block = stack[rows]
+        complement = _orthocomplement_stacked(block)
+        complements[rows] = complement.frames
+        involution[rows] = _equal_stacked(_orthocomplement_stacked(complement), block)
+        disjoint[rows] = _meet_stacked(block, complement).dims == 0
+    # the sample spans the complements of its complements
+    inc = _inclusion_matrix(stack.frames, complements)
+    inc_complements = _inclusion_matrix(complements, stack.frames)
     checks = []
 
     def record(name, cases, ok):
@@ -363,8 +510,11 @@ def check_lattice_axioms(
                                      counterexample=None))
 
     i, j = pairs.T
-    projectors = _projectors(sample)
-    equal = np.abs(projectors[i] - projectors[j]).max(axis=(1, 2)) <= INCLUSION_TOL
+    projectors = stack.frames @ stack.frames.conj().swapaxes(1, 2)
+    equal = np.empty(len(pairs), dtype=bool)
+    for rows in _row_blocks(len(pairs), d * d):
+        gap = projectors[i[rows]] - projectors[j[rows]]
+        equal[rows] = np.abs(gap).max(axis=(1, 2)) <= INCLUSION_TOL
     record("reflexivity: a ⊆ a", singles, np.diagonal(inc))
     record(
         "antisymmetry: a ⊆ b and b ⊆ a imply a = b",
@@ -377,15 +527,7 @@ def check_lattice_axioms(
         triples,
         ~(inc[ti, tj] & inc[tj, tk]) | inc[ti, tk],
     )
-    record(
-        "involution: (a')' = a",
-        singles,
-        np.array([subspace_equal(orthocomplement(c), s) for s, c in zip(sample, complements)]),
-    )
-    record(
-        "complement disjointness: a ∧ a' = 0",
-        singles,
-        np.array([meet(s, c).is_zero for s, c in zip(sample, complements)]),
-    )
+    record("involution: (a')' = a", singles, involution)
+    record("complement disjointness: a ∧ a' = 0", singles, disjoint)
     record("order reversal: a ⊆ b iff b' ⊆ a'", pairs, inc[i, j] == inc_complements[j, i])
     return LatticeAxiomReport(checks=tuple(checks))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import DEFAULT_SEED
 from .hilbert import MeasurementBasis, StateVector
-from .lattice import Subspace, _orthonormal_frame
+from .lattice import Subspace, _orthonormal_frame, _spans, _subspace
 
 
 def rng_from(seed: int = DEFAULT_SEED) -> np.random.Generator:
@@ -90,3 +90,32 @@ def random_nested_pair(rng: np.random.Generator, ambient_dim: int) -> tuple[Subs
     pick = rng.permutation(outer_dim)[:inner_dim]
     inner = Subspace(np.ascontiguousarray(outer.frame[:, sorted(pick)]))
     return inner, outer
+
+
+def random_subspaces(rng: np.random.Generator, ambient_dim: int, count: int) -> list[Subspace]:
+    """``count`` calls of ``random_subspace(rng, ambient_dim)``: the same
+    draws in the same order and the same frames, orthonormalized in stacks."""
+    column_sets = []
+    for _ in range(count):
+        dim = int(rng.integers(0, ambient_dim + 1))
+        column_sets.append(_gaussian_complex(rng, (ambient_dim, dim)) if dim
+                           else np.zeros((ambient_dim, 0), dtype=complex))
+    return _spans(ambient_dim, column_sets)
+
+
+def random_nested_pairs(
+    rng: np.random.Generator, ambient_dim: int, count: int
+) -> tuple[list[Subspace], list[Subspace]]:
+    """The inner and the outer subspaces of ``count`` calls of
+    ``random_nested_pair(rng, ambient_dim)``: the same draws in the same
+    order and the same frames, orthonormalized in stacks."""
+    column_sets, picks = [], []
+    for _ in range(count):
+        outer_dim = int(rng.integers(1, ambient_dim + 1))
+        column_sets.append(_gaussian_complex(rng, (ambient_dim, outer_dim)))
+        inner_dim = int(rng.integers(0, outer_dim + 1))
+        picks.append(sorted(rng.permutation(outer_dim)[:inner_dim]))
+    outers = _spans(ambient_dim, column_sets)
+    # columns of an orthonormal frame are orthonormal
+    inners = [_subspace(outer.frame[:, pick]) for outer, pick in zip(outers, picks)]
+    return inners, outers

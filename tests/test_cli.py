@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qlbench import cli, hidden
@@ -274,6 +275,24 @@ class TestSearchCommands:
         assert code == 0
         assert "all laws hold" in out
 
+    def test_lattice_check_factorizes_in_stacks(self, capsys, monkeypatch):
+        # per dimension d of 2, 3, 4: one SVD per rank in each of the two
+        # samples (2d), nine SVDs and six QRs for the laws and axioms; a
+        # per-pair loop over the 200 samples would make thousands
+        calls = []
+
+        def counted(factorize):
+            def wrapper(*args, **kwargs):
+                calls.append(factorize.__name__)
+                return factorize(*args, **kwargs)
+            return wrapper
+
+        for name in ("svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        code, out, _ = run(capsys, "lattice-check")
+        assert (code, out.splitlines()[-1]) == (0, "verdict: all laws hold")
+        assert 0 < len(calls) <= 25 * len((2, 3, 4))
+
 
 class TestInterface:
     def test_unknown_command_exits_two(self, capsys):
@@ -428,6 +447,7 @@ class TestSettingBounds:
     @pytest.mark.parametrize("line, command", [
         ("tol nan", "stats-commute"),
         ("trials 100000000000000000000", "hv-simulate"),
+        ("samples 10001", "lattice-check"),
     ])
     def test_config_values_past_the_bound(self, capsys, tmp_path, line, command):
         config = tmp_path / "exp.cfg"

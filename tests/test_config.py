@@ -8,6 +8,7 @@ from qlbench.config import (
     ConfigSemanticError,
     ConfigSyntaxError,
     DEFAULT_SEED,
+    MAX_SAMPLES,
     MAX_TRIALS,
     parse_experiment_config,
 )
@@ -132,12 +133,15 @@ class TestErrorReporting:
 
 
 class TestSettingBounds:
-    """``1 <= trials <= 2**63 - 1`` and a finite, positive ``tol``; the same
-    bounds hold for the command-line flags (see test_cli.py)."""
+    """``1 <= trials <= 2**63 - 1``, ``1 <= samples <= 10_000`` and a finite,
+    positive ``tol``; the same bounds hold for the command-line flags (see
+    test_cli.py)."""
 
     @pytest.mark.parametrize("key, text, value", [
         ("trials", "1", 1),
         ("trials", str(MAX_TRIALS), 2 ** 63 - 1),
+        ("samples", "1", 1),
+        ("samples", str(MAX_SAMPLES), 10_000),
         ("tol", "5e-324", 5e-324),
         ("tol", "1.7976931348623157e308", 1.7976931348623157e308),
     ])
@@ -150,6 +154,8 @@ class TestSettingBounds:
          "trials must be at most 9223372036854775807"),
         ("trials", "100000000000000000000", ConfigSemanticError,
          "trials must be at most 9223372036854775807"),
+        ("samples", "0", ConfigSemanticError, "samples must be positive"),
+        ("samples", str(MAX_SAMPLES + 1), ConfigSemanticError, "samples must be at most 10000"),
         ("tol", "0", ConfigSemanticError, "tol must be positive"),
         ("tol", "-1", ConfigSemanticError, "tol must be positive"),
         ("tol", "nan", ConfigSyntaxError, "non-finite number 'nan'"),

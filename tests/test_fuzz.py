@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qlbench.cli import COMMANDS, main
 from qlbench.coloring import parse_ray_family
-from qlbench.config import parse_experiment_config
+from qlbench.config import MAX_SAMPLES, parse_experiment_config
 from qlbench.errors import QLBenchError
 from qlbench.hidden import parse_model
 
@@ -95,7 +95,9 @@ def config_lines(root):
         ]),
         st.sampled_from([f"family {p}" for p in paths] + [f"model {p}" for p in paths]),
         st.builds("{} {}".format, st.sampled_from(["trials", "seed", "tol", "target"]), value),
-        st.builds("samples {}".format, st.integers(-1, 5)),
+        # past MAX_SAMPLES a value is refused; below it only small ones run
+        st.builds("samples {}".format, st.one_of(st.integers(-1, 5),
+                                                 st.integers(MAX_SAMPLES + 1, 2 ** 64))),
     )
 
 

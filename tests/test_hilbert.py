@@ -152,6 +152,23 @@ class TestMeasurementBasis:
             MeasurementBasis.from_vectors(vectors)
 
 
+def general_norm_unit_vectors(vectors, axis=None):
+    """``unit_vectors`` with its plain norms taken by ``np.linalg.norm``: the
+    reference for the bits of its result."""
+    with np.errstate(all="ignore"):
+        norms = np.linalg.norm(vectors, axis=axis, keepdims=axis is not None)
+    if all(1e-150 <= n <= 1e150 for n in np.ravel(norms).tolist()):
+        return vectors / norms, None
+    peak = np.maximum(abs(vectors.real), abs(vectors.imag)).max(axis=axis, keepdims=True)
+    ok = np.isfinite(peak) & (peak > 0.0)
+    exponent = -np.frexp(np.where(ok, peak, 1.0))[1]
+    scaled = np.empty_like(vectors)
+    scaled.real = np.where(ok, np.ldexp(vectors.real, exponent), 0.0)
+    scaled.imag = np.where(ok, np.ldexp(vectors.imag, exponent), 0.0)
+    norms = np.linalg.norm(scaled, axis=axis, keepdims=True)
+    return scaled / np.where(ok, norms, 1.0), None if ok.all() else int(np.argmin(ok))
+
+
 class TestUnitVectors:
     @pytest.mark.parametrize("scale", [5e-324, 1e-310, 1e-200, 1.0, 1e200, 1e308])
     def test_any_finite_magnitude_normalizes(self, scale):
@@ -175,6 +192,22 @@ class TestUnitVectors:
                 unit, bad = unit_vectors(vectors[:, 0])
                 assert bad is None
                 assert np.array_equal(unit, vectors[:, 0] / np.linalg.norm(vectors[:, 0]))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 8), count=st.integers(0, 8))
+    def test_same_bits_as_through_the_general_norm(self, data, dim, count):
+        # count 0 draws one 1-D vector, otherwise a (dim, count) matrix of columns
+        shape = (dim, count) if count else (dim,)
+        size = math.prod(shape)
+        parts = st.lists(st.one_of(st.floats(-10.0, 10.0), st.floats()), min_size=size, max_size=size)
+        vectors = np.empty(shape, dtype=complex)
+        vectors.real = np.reshape(data.draw(parts), shape)  # 1j * inf would warn
+        vectors.imag = np.reshape(data.draw(parts), shape)
+        axis = 0 if count else None
+        units, bad = unit_vectors(vectors, axis=axis)
+        expected, expected_bad = general_norm_unit_vectors(vectors, axis=axis)
+        assert bad == expected_bad
+        assert units.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bad_column",
                              [[0, 0], [np.inf, 1], [np.nan, 1], [complex(0, np.inf), 1]])

@@ -15,21 +15,32 @@ from qlbench.lattice import (
     LatticeAxiomReport,
     Subspace,
     _inclusion_matrix,
+    _includes_stacked,
+    _join_stacked,
+    _meet_stacked,
+    _orthocomplement_stacked,
+    _padded_frames,
+    _stack,
     absorption_holds,
+    absorption_holds_stacked,
     check_lattice_axioms,
     de_morgan_holds,
+    de_morgan_holds_stacked,
     distributes,
     includes,
     join,
     meet,
     orthocomplement,
     orthomodular_holds,
+    orthomodular_holds_stacked,
     subspace_equal,
 )
 from qlbench.sampling import (
     DEFAULT_SEED,
     random_nested_pair,
+    random_nested_pairs,
     random_subspace,
+    random_subspaces,
     random_unitary,
     rng_from,
 )
@@ -255,6 +266,13 @@ def oracle_inclusion_matrix(inner, outer):
     return np.array([[includes(a, b) for b in outer] for a in inner], dtype=bool)
 
 
+def inclusion_matrix(inner, outer):
+    """``_inclusion_matrix`` on the padded frames of ``inner`` and of the
+    complements of ``outer``."""
+    return _inclusion_matrix(_padded_frames(inner),
+                             _padded_frames([orthocomplement(b) for b in outer]))
+
+
 def projector_gap(a, b):
     """max|P_a − P_b| over the entries of the two orthogonal projectors."""
     return float(np.max(np.abs(a.frame @ a.frame.conj().T - b.frame @ b.frame.conj().T)))
@@ -361,12 +379,12 @@ class TestInclusionMatrixAgainstIncludes:
             sample[:2] = random_nested_pair(rng, dim)
         complements = [orthocomplement(s) for s in sample]
         for inner, outer in ((sample, sample), (complements, complements), (sample, complements)):
-            assert np.array_equal(_inclusion_matrix(inner, outer), oracle_inclusion_matrix(inner, outer))
+            assert np.array_equal(inclusion_matrix(inner, outer), oracle_inclusion_matrix(inner, outer))
 
     def test_rows_larger_than_one_block(self):
         rng = rng_from(207)
         sample = [random_subspace(rng, 8) for _ in range(130)]  # 130 * 8 * 8 > 2**13 entries a row
-        assert np.array_equal(_inclusion_matrix(sample, sample), oracle_inclusion_matrix(sample, sample))
+        assert np.array_equal(inclusion_matrix(sample, sample), oracle_inclusion_matrix(sample, sample))
 
 
 class TestAxiomCheckAgainstPerPairLoop:
@@ -398,6 +416,129 @@ class TestAxiomCheckAgainstPerPairLoop:
         )
 
 
+def unstacked(stack):
+    """The items of a stack as checked subspaces, so each frame is orthonormal."""
+    return [Subspace(frame[:, :k]) for frame, k in zip(stack.frames, stack.dims.tolist())]
+
+
+PAIR_KINDS = ("random", "nested", "shared", "zero", "full", "meet", "join", "inclusion")
+
+# the quantity each planted kind puts next to its tolerance: the sine of the
+# angle between two rays decides their meet and their inclusion, and the
+# smaller singular value of their two frame vectors, √2 sin(θ/2), their join
+PLANTED_SINES = {"meet": RANK_TOL, "join": math.sqrt(2.0) * RANK_TOL, "inclusion": INCLUSION_TOL}
+
+
+def draw_pair(rng, dim, kind, factor):
+    """A pair of subspaces of C^dim of the given kind; the planted kinds are
+    two rays, turned by a Haar unitary, whose deciding quantity is ``factor``
+    times its tolerance."""
+    if kind in PLANTED_SINES and dim >= 2:
+        unitary = random_unitary(rng, dim)
+        sine = factor * PLANTED_SINES[kind]
+        return (Subspace.ray(unitary[:, 0]),
+                Subspace.ray(unitary @ tilted_ray(dim, sine).frame[:, 0]))
+    if kind == "nested":
+        return random_nested_pair(rng, dim)
+    if kind == "shared":
+        return shared_part_pair(rng, dim)[:2]
+    if kind == "zero":
+        return Subspace.zero(dim), random_subspace(rng, dim)
+    if kind == "full":
+        return random_subspace(rng, dim), Subspace.full(dim)
+    return random_subspace(rng, dim), random_subspace(rng, dim)
+
+
+class TestStackedAgainstPerPair:
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_planted_pairs_sit_on_the_side_of_their_threshold(self, factor):
+        rng = rng_from(209)
+        below = factor < 1
+        for dim in (2, 5, 8):
+            pairs = {kind: draw_pair(rng, dim, kind, factor) for kind in PLANTED_SINES}
+            assert meet(*pairs["meet"]).dim == (1 if below else 0)
+            assert join(*pairs["join"]).dim == (1 if below else 2)
+            assert includes(*pairs["inclusion"]) is below
+            a, b = (_stack([s]) for s in pairs["meet"])
+            assert _meet_stacked(a, b).dims.tolist() == [1 if below else 0]
+            a, b = (_stack([s]) for s in pairs["join"])
+            assert _join_stacked(a, b).dims.tolist() == [1 if below else 2]
+            a, b = (_stack([s]) for s in pairs["inclusion"])
+            assert _includes_stacked(a, b).tolist() == [below]
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 6),
+        kinds=st.lists(st.sampled_from(PAIR_KINDS), min_size=1, max_size=10),
+        factor=st.sampled_from((0.99, 1.01)),
+        swap=st.booleans(),
+    )
+    def test_operations_and_laws(self, seed, dim, kinds, factor, swap):
+        rng = rng_from(seed)
+        pairs = [draw_pair(rng, dim, kind, factor) for kind in kinds]
+        if swap:
+            pairs = [(b, a) for a, b in pairs]
+        a, b = (list(side) for side in zip(*pairs))
+        first, second = _stack(a), _stack(b)
+        for stacked, single in (
+            (_join_stacked(first, second), [join(x, y) for x, y in pairs]),
+            (_meet_stacked(first, second), [meet(x, y) for x, y in pairs]),
+            (_orthocomplement_stacked(first), [orthocomplement(x) for x in a]),
+        ):
+            assert stacked.dims.tolist() == [s.dim for s in single]
+            # a plane spanned by two rays 1e-10 apart is fixed only to ~1e-6
+            assert all(subspace_equal(x, y) for x, y, kind in zip(unstacked(stacked), single, kinds)
+                       if kind not in PLANTED_SINES)
+        assert _includes_stacked(first, second).tolist() == [includes(x, y) for x, y in pairs]
+        assert absorption_holds_stacked(a, b).tolist() == [absorption_holds(x, y) for x, y in pairs]
+        assert de_morgan_holds_stacked(a, b).tolist() == [de_morgan_holds(x, y) for x, y in pairs]
+        nested = [(x, y) for x, y in pairs if includes(x, y)]
+        if nested:
+            inner, outer = (list(side) for side in zip(*nested))
+            assert (orthomodular_holds_stacked(inner, outer).tolist()
+                    == [orthomodular_holds(x, y) for x, y in nested])
+
+    def test_rows_larger_than_one_block(self):
+        rng = rng_from(210)
+        a = random_subspaces(rng, 8, 130)  # 64 rows of 2 * 8 * 8 entries fill a block
+        b = a[1:] + a[:1]
+        inner, outer = random_nested_pairs(rng, 8, 130)
+        assert absorption_holds_stacked(a, b).tolist() == [absorption_holds(x, y) for x, y in zip(a, b)]
+        assert de_morgan_holds_stacked(a, b).tolist() == [de_morgan_holds(x, y) for x, y in zip(a, b)]
+        assert (orthomodular_holds_stacked(inner, outer).tolist()
+                == [orthomodular_holds(x, y) for x, y in zip(inner, outer)])
+
+    def test_orthomodular_needs_every_pair_nested(self):
+        inner, outer = random_nested_pairs(rng_from(211), 3, 5)
+        inner[3], outer[3] = ray(1, 0, 0), ray(0, 1, 0)
+        with pytest.raises(PreconditionError):
+            orthomodular_holds_stacked(inner, outer)
+
+    def test_mismatched_inputs_are_refused(self):
+        with pytest.raises(PreconditionError):
+            absorption_holds_stacked([ray(1, 0)], [])
+        with pytest.raises(DimensionMismatchError):
+            de_morgan_holds_stacked([ray(1, 0)], [Subspace.ray(e(0, 3))])
+        assert absorption_holds_stacked([], []).tolist() == []
+
+
+class TestStackedSampling:
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    def test_same_draws_and_frames_as_one_at_a_time(self, dim):
+        one, many = rng_from(dim), rng_from(dim)
+        for expected, got in (
+            ([random_subspace(one, dim) for _ in range(60)], random_subspaces(many, dim, 60)),
+            (list(zip(*(random_nested_pair(one, dim) for _ in range(60)))),
+             random_nested_pairs(many, dim, 60)),
+        ):
+            for x, y in zip(np.ravel(expected), np.ravel(got)):
+                assert x.frame.shape == y.frame.shape
+                assert np.array_equal(x.frame, y.frame)
+                assert not y.frame.flags.writeable
+            assert one.bit_generator.state == many.bit_generator.state
+
+
 class TestThresholds:
     @pytest.mark.parametrize("dim", [2, 5, 8])
     @pytest.mark.parametrize("factor, meet_dim", [(0.99, 1), (1.01, 0)])
@@ -415,7 +556,7 @@ class TestThresholds:
         tilted = Subspace.ray([math.sqrt(1.0 - sine * sine), sine * INV_SQRT2, sine * INV_SQRT2])
         assert includes(tilted, axis) is included
         assert includes(axis, tilted) is included
-        matrix = _inclusion_matrix([tilted, axis], [tilted, axis])
+        matrix = inclusion_matrix([tilted, axis], [tilted, axis])
         assert matrix.tolist() == [[True, included], [included, True]]
 
 
