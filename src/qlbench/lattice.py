@@ -274,7 +274,7 @@ def _orthocomplement_stacked(a: _Stack) -> _Stack:
     spans the item with the first ``dims[i]`` columns of Q and its complement
     with the rest, which reversing the columns moves to the front; a frame
     built or checked here is orthonormal, so its rank is its dimension."""
-    q = np.linalg.qr(a.frames, mode="complete").Q
+    q = np.linalg.qr(a.frames, mode="complete")[0]
     return _kept(q[:, :, ::-1], q.shape[-1] - a.dims)
 
 
