@@ -12,21 +12,33 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import hidden, lattice, sampling, stats
-from .coloring import builtin_family, load_ray_family, search_bivalent_assignment
 from .config import ExperimentConfig, check_setting, load_experiment_config
 from .errors import PreconditionError, QLBenchError
-from .events import OutcomeSpace, Universe, eq10_trace, universe_mismatch_demo
-from .hilbert import MeasurementBasis, StateVector, named_axis_basis, named_state, principal_vector
 from .reports import FORMATS, Report, render
+
+if TYPE_CHECKING:
+    from .events import OutcomeSpace
+    from .hilbert import MeasurementBasis, StateVector
+    from .stats import SequentialTable
+
+# Each command imports the modules it uses when it runs, so that a command
+# loads only those: the event demos never load numpy.
 
 _DEF_STATE = "z+"
 
 
+def load_ray_family(path):
+    """``coloring.load_ray_family``, importing ``coloring`` when it is called."""
+    from . import coloring
+
+    return coloring.load_ray_family(path)
+
+
 def _resolve_state(config: ExperimentConfig) -> StateVector:
+    from .hilbert import named_state
+
     return config.state if config.state is not None else named_state(_DEF_STATE)
 
 
@@ -41,6 +53,8 @@ def _check_dims(state: StateVector, *bases: MeasurementBasis) -> None:
 def _quantum_inputs(config: ExperimentConfig):
     """The state and two (name, basis) contexts of a two-context command,
     by default z+ measured in z and x, with their dimensions checked."""
+    from .hilbert import named_axis_basis
+
     state = _resolve_state(config)
     if len(config.contexts) == 1:
         raise PreconditionError("this command needs two contexts (got 1)")
@@ -52,7 +66,7 @@ def _quantum_inputs(config: ExperimentConfig):
 
 def _fmt_vector(vector) -> str:
     parts = []
-    for c in np.asarray(vector, dtype=complex):
+    for c in map(complex, vector):
         if c.imag == 0.0:
             parts.append(f"{c.real:.6g}")
         else:
@@ -64,7 +78,7 @@ def _fmt_set(members) -> str:
     return "{" + ", ".join(sorted(members)) + "}"
 
 
-def _add_sequential(report: Report, name: str, table: stats.SequentialTable) -> None:
+def _add_sequential(report: Report, name: str, table: SequentialTable) -> None:
     report.add_table(
         name,
         ["first\\then", *table.second_basis.labels],
@@ -72,14 +86,21 @@ def _add_sequential(report: Report, name: str, table: stats.SequentialTable) -> 
     )
 
 
-def _space(config: ExperimentConfig, *default_universes: Universe) -> OutcomeSpace:
-    return OutcomeSpace(config.universes or default_universes)
+def _space(config: ExperimentConfig, **default_universes: tuple[str, ...]) -> OutcomeSpace:
+    """The config's outcome space, or one made of the (name=labels) defaults."""
+    from .events import OutcomeSpace, Universe
+
+    return OutcomeSpace(config.universes or tuple(
+        Universe(name, labels) for name, labels in default_universes.items()))
 
 
 # -- demos ------------------------------------------------------------------
 
 
 def _cmd_demo_eq5(config: ExperimentConfig) -> Report:
+    from . import lattice
+    from .hilbert import named_axis_basis, principal_vector
+
     state = _resolve_state(config)
     # b is the second context, or the only one
     b_basis = config.contexts[:2][-1][1] if config.contexts else named_axis_basis("x")
@@ -104,7 +125,9 @@ def _cmd_demo_eq5(config: ExperimentConfig) -> Report:
 
 
 def _cmd_demo_eq10(config: ExperimentConfig) -> Report:
-    space = _space(config, Universe("omega", ("a", "b", "c", "d")))
+    from .events import eq10_trace
+
+    space = _space(config, omega=("a", "b", "c", "d"))
     labels = space.labels
     if config.atoms is None and len(labels) < 2:
         raise PreconditionError("the Eq (10) trace needs 'atoms' or two outcome labels")
@@ -126,7 +149,9 @@ def _cmd_demo_eq10(config: ExperimentConfig) -> Report:
 
 
 def _cmd_demo_mismatch(config: ExperimentConfig) -> Report:
-    space = _space(config, Universe("omega_a", ("a1", "a2")), Universe("omega_b", ("b1", "b2")))
+    from .events import universe_mismatch_demo
+
+    space = _space(config, omega_a=("a1", "a2"), omega_b=("b1", "b2"))
     if config.atoms is not None:
         a_label, b_label = config.atoms
     else:
@@ -167,13 +192,15 @@ def _cmd_demo_mismatch(config: ExperimentConfig) -> Report:
 
 
 def _cmd_stats_seq(config: ExperimentConfig) -> Report:
+    from . import stats
+
     state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
     forward = stats.sequential_distribution(state, basis_a, basis_b)
     reverse = stats.sequential_distribution(state, basis_b, basis_a)
 
     born_first = stats.born_distribution(state, basis_a)
     marginal = stats.marginal_over_second(forward)
-    gap = float(np.max(np.abs(marginal.probs - born_first.probs)))
+    gap = float(abs(marginal.probs - born_first.probs).max())
 
     report = Report(title="Eq (6) — ordered tables and the marginal identity")
     report.add("state", _fmt_vector(state.amplitudes))
@@ -198,6 +225,8 @@ def _cmd_stats_seq(config: ExperimentConfig) -> Report:
 
 
 def _cmd_stats_commute(config: ExperimentConfig) -> Report:
+    from . import stats
+
     state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
     defect = stats.commutation_defect(state, basis_a, basis_b)
 
@@ -215,6 +244,8 @@ def _cmd_stats_commute(config: ExperimentConfig) -> Report:
 
 
 def _cmd_stats_joint(config: ExperimentConfig) -> Report:
+    from . import stats
+
     state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
     forward = stats.sequential_distribution(state, basis_a, basis_b)
     reverse = stats.sequential_distribution(state, basis_b, basis_a)
@@ -246,6 +277,8 @@ def _cmd_stats_joint(config: ExperimentConfig) -> Report:
 
 
 def _cmd_stats_nondist(config: ExperimentConfig) -> Report:
+    from . import stats
+
     state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
     if not 0 <= config.target < basis_a.size:
         raise PreconditionError(
@@ -276,6 +309,8 @@ def _cmd_stats_nondist(config: ExperimentConfig) -> Report:
 
 
 def _build_model(config: ExperimentConfig):
+    from . import hidden
+
     if config.model is not None:
         model = hidden.load_model(config.model)
         ids = model.ensemble.context_ids()
@@ -286,6 +321,8 @@ def _build_model(config: ExperimentConfig):
 
 
 def _cmd_hv_build(config: ExperimentConfig) -> Report:
+    from . import hidden
+
     model, (id_a, id_b), _state = _build_model(config)
     ensemble = model.ensemble
 
@@ -317,6 +354,8 @@ def _cmd_hv_build(config: ExperimentConfig) -> Report:
 
 
 def _cmd_hv_exact(config: ExperimentConfig) -> Report:
+    from . import hidden, stats
+
     model, (id_a, id_b), state = _build_model(config)
     forward = hidden.exact_sequential(model, (id_a, id_b))
     reverse = hidden.exact_sequential(model, (id_b, id_a))
@@ -334,8 +373,8 @@ def _cmd_hv_exact(config: ExperimentConfig) -> Report:
             state, model.ensemble.contexts[id_b], model.ensemble.contexts[id_a]
         )
         gap = max(
-            float(np.max(np.abs(forward.entries - qm_forward.entries))),
-            float(np.max(np.abs(reverse.entries - qm_reverse.entries))),
+            float(abs(forward.entries - qm_forward.entries).max()),
+            float(abs(reverse.entries - qm_reverse.entries).max()),
         )
         report.add("max gap to direct-chain statistics", gap)
         ok = gap <= 1e-9
@@ -345,6 +384,8 @@ def _cmd_hv_exact(config: ExperimentConfig) -> Report:
 
 
 def _cmd_hv_simulate(config: ExperimentConfig) -> Report:
+    from . import hidden, stats
+
     model, (id_a, id_b), _state = _build_model(config)
     report = Report(title="dispersion-free ensemble — Monte-Carlo run")
     report.add("contexts", f"{id_a}, {id_b}")
@@ -368,6 +409,8 @@ def _cmd_hv_simulate(config: ExperimentConfig) -> Report:
 
 
 def _cmd_hv_audit(config: ExperimentConfig) -> Report:
+    from . import hidden
+
     if config.model is not None:
         raise PreconditionError("hv-audit needs a state and two contexts; a model file has no state")
     state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
@@ -399,6 +442,8 @@ def _cmd_hv_audit(config: ExperimentConfig) -> Report:
 
 
 def _cmd_ks_search(config: ExperimentConfig) -> Report:
+    from .coloring import builtin_family, search_bivalent_assignment
+
     source = config.family if config.family is not None else "builtin:ks18-d4"
     if source.startswith("builtin:"):
         family = builtin_family(source.split(":", 1)[1])
@@ -426,6 +471,8 @@ def _cmd_ks_search(config: ExperimentConfig) -> Report:
 
 
 def _cmd_lattice_check(config: ExperimentConfig) -> Report:
+    from . import lattice, sampling
+
     report = Report(title="subspace lattice law check")
     report.add("samples per dimension", config.samples)
     report.add("seed", config.seed)

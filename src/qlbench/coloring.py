@@ -11,11 +11,11 @@ constrained unless the stricter pairwise-exclusive variant is switched on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigSemanticError, Line, format_complex, parse_lines
+from .config import ConfigSemanticError, Line, parse_lines
 from .errors import InvariantViolationError, PreconditionError
 from .hilbert import unit_vectors
 
@@ -251,15 +251,6 @@ def parse_ray_family(text: str) -> RayFamily:
         raise lines[kind][index].error(str(exc), position + 1, ConfigSemanticError) from None
 
 
-def dump_ray_family(family: RayFamily) -> str:
-    lines = [f"dim {family.dim}"]
-    for ray in family.rays:
-        lines.append("ray " + " ".join(map(format_complex, ray)))
-    for basis in family.bases:
-        lines.append("basis " + " ".join(str(i) for i in basis))
-    return "\n".join(lines) + "\n"
-
-
 def load_ray_family(path) -> RayFamily:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_ray_family(handle.read())
@@ -273,5 +264,4 @@ def builtin_family(name: str) -> RayFamily:
         raise PreconditionError(
             f"unknown builtin family {name!r}; choices: {sorted(BUILTIN_FAMILIES)}"
         ) from None
-    text = resources.files(__package__).joinpath("data", filename).read_text(encoding="utf-8")
-    return parse_ray_family(text)
+    return load_ray_family(Path(__file__).parent / "data" / filename)

@@ -31,20 +31,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import InvariantViolationError, PreconditionError
-from .events import Universe
-from .hilbert import (
-    AXIS_NAMES,
-    MeasurementBasis,
-    STATE_PRESET_NAMES,
-    StateVector,
-    named_axis_basis,
-    named_state,
-    principal_vector,
-    spin_direction_basis,
-)
+
+if TYPE_CHECKING:
+    from .events import Universe
+    from .hilbert import MeasurementBasis, StateVector
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_TOL = 1e-9
@@ -218,7 +211,12 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     config = ExperimentConfig()
     anonymous = itertools.count(1)
 
+    # hilbert (and so numpy) and events are imported by the handlers that
+    # need them, so a file without state or context lines never loads numpy
     def state(line: Line) -> None:
+        from .hilbert import (STATE_PRESET_NAMES, StateVector, named_state, principal_vector,
+                              spin_direction_basis)
+
         tokens = line.tokens
         if len(tokens) == 1:
             raise line.error("state needs a preset, amplitudes, or angles")
@@ -233,6 +231,8 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             config.state = line.build(StateVector, line.numbers(complex))
 
     def context(line: Line) -> None:
+        from .hilbert import AXIS_NAMES, MeasurementBasis, named_axis_basis, spin_direction_basis
+
         tokens = line.tokens
         if len(tokens) == 1:
             raise line.error("context needs an axis, angles, or vectors")
@@ -256,6 +256,8 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             raise line.error(f"context must be one of {AXIS_NAMES}, 'angles', or 'vectors'", 1)
 
     def universe(line: Line) -> None:
+        from .events import Universe
+
         if len(line.tokens) < 3:
             raise line.error("universe needs a name and at least one label")
         labels = tuple(line.tokens[2:])

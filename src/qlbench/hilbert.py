@@ -24,7 +24,6 @@ MAX_DIM = 8
 NORM_TOL = 1e-12          # allowed deviation of a state's squared norm from 1
 BASIS_TOL = 1e-10         # orthogonality / completeness of measurement bases
 ZERO_PROBABILITY = 1e-12  # below this, conditioning on the outcome is refused
-PHASE_TOL = 1e-10         # ray equality: global phase is quotiented out
 
 # A norm in this range has a sum of squares between 1e-300 and 1e300: no
 # square overflowed, and squares lost to underflow (each below 2.3e-308)
@@ -216,15 +215,6 @@ def named_axis_basis(axis: str) -> MeasurementBasis:
         [named_state(plus).amplitudes, named_state(minus).amplitudes],
         labels=(plus, minus),
     )
-
-
-def same_ray(u, v, tol: float = PHASE_TOL) -> bool:
-    """Equality of unit vectors up to global phase: | <u|v> | = 1 within tol."""
-    ua = u.amplitudes if isinstance(u, StateVector) else _as_complex_vector(u)
-    va = v.amplitudes if isinstance(v, StateVector) else _as_complex_vector(v)
-    if ua.size != va.size:
-        return False
-    return abs(abs(np.vdot(ua, va)) - 1.0) <= tol
 
 
 def principal_vector(column) -> np.ndarray:

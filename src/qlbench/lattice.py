@@ -90,10 +90,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    @property
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
         _check_ambient(ambient_dim)
@@ -438,12 +434,6 @@ class LatticeAxiomReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def by_name(self, name: str) -> AxiomCheck:
-        for check in self.checks:
-            if check.name == name:
-                return check
-        raise KeyError(name)
 
 
 def _index_tuples(n: int, arity: int, limit: int, rng: np.random.Generator) -> np.ndarray:

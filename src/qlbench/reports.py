@@ -6,9 +6,6 @@ invocations render byte-identically.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 
 FORMATS = ("text", "csv", "json")
@@ -85,6 +82,9 @@ def render_text(report: Report) -> str:
 
 
 def render_csv(report: Report) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["title", report.title])
@@ -100,6 +100,8 @@ def render_csv(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
+    import json
+
     payload = {
         "title": report.title,
         "fields": {key: _json_value(value) for key, value in report.fields},

@@ -20,7 +20,12 @@ def rng_from(seed: int = DEFAULT_SEED) -> np.random.Generator:
 
 
 def _gaussian_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    """Real parts from one ``rng.normal(size=shape)`` draw, then imaginary
+    parts from a second, written into one complex array."""
+    values = np.empty(shape, dtype=complex)
+    values.real = rng.normal(size=shape)
+    values.imag = rng.normal(size=shape)
+    return values
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:

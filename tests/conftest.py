@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from qlbench.hilbert import named_axis_basis, named_state
+from qlbench.hilbert import StateVector, named_axis_basis, named_state
+
+PHASE_TOL = 1e-10  # ray equality: global phase is quotiented out
 
 
 @pytest.fixture
@@ -17,6 +19,15 @@ def z_basis():
 @pytest.fixture
 def x_basis():
     return named_axis_basis("x")
+
+
+def same_ray(u, v, tol: float = PHASE_TOL) -> bool:
+    """Equality of unit vectors up to global phase: | <u|v> | = 1 within tol."""
+    ua, va = (w.amplitudes if isinstance(w, StateVector) else np.asarray(w, dtype=complex).ravel()
+              for w in (u, v))
+    if ua.size != va.size:
+        return False
+    return abs(abs(np.vdot(ua, va)) - 1.0) <= tol
 
 
 def assert_close(actual, expected, tol=1e-12):

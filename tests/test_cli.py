@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qlbench import cli, hidden
+from qlbench import cli, coloring, hidden
 from qlbench.cli import main
 from qlbench.hidden import load_model
 from qlbench.hilbert import BASIS_TOL
@@ -348,11 +348,12 @@ class TestInterface:
         assert json.loads(target.read_text())["verdict"] == "nondistributive"
 
     def test_main_calls_the_loaders_by_their_module_names(self, capsys, tmp_path, monkeypatch):
-        # a benchmark trace wraps exactly these three names
+        # a benchmark trace wraps the first three names, so each command must
+        # look them up when it runs; cli's ray-family loader is coloring's
         calls = []
         for module, name in ((cli, "load_experiment_config"), (cli, "load_ray_family"),
-                             (hidden, "load_model")):
-            def traced(*args, _load=getattr(module, name), _name=name):
+                             (hidden, "load_model"), (coloring, "load_ray_family")):
+            def traced(*args, _load=getattr(module, name), _name=f"{module.__name__}.{name}"):
                 calls.append(_name)
                 return _load(*args)
             monkeypatch.setattr(module, name, traced)
@@ -363,8 +364,9 @@ class TestInterface:
         (tmp_path / "model.cfg").write_text(f"model {tmp_path / 'm.model'}\n")
         assert run(capsys, "hv-exact", "--config", str(tmp_path / "model.cfg"))[0] == 0
         assert run(capsys, "ks-search", "--config", str(tmp_path / "family.cfg"))[0] == 0
-        assert calls == ["load_experiment_config", "load_model",
-                         "load_experiment_config", "load_ray_family"]
+        assert calls == ["qlbench.cli.load_experiment_config", "qlbench.hidden.load_model",
+                         "qlbench.cli.load_experiment_config", "qlbench.cli.load_ray_family",
+                         "qlbench.coloring.load_ray_family"]
 
     def test_seed_flag_and_env_agree(self, capsys, tmp_path, monkeypatch):
         _, by_flag, _ = run(capsys, "hv-simulate", "--trials", "5000",

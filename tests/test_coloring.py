@@ -11,13 +11,23 @@ from qlbench.coloring import (
     AssignmentSearchResult,
     RayFamily,
     builtin_family,
-    dump_ray_family,
     parse_ray_family,
     search_bivalent_assignment,
 )
+from qlbench.config import format_complex
 from qlbench.errors import InvariantViolationError, PreconditionError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def dump_ray_family(family: RayFamily) -> str:
+    """The family in the ray-family file format, as ``parse_ray_family`` reads it."""
+    lines = [f"dim {family.dim}"]
+    for ray in family.rays:
+        lines.append("ray " + " ".join(map(format_complex, ray)))
+    for basis in family.bases:
+        lines.append("basis " + " ".join(str(i) for i in basis))
+    return "\n".join(lines) + "\n"
 
 
 def exhaustive_colorable(family: RayFamily) -> bool:

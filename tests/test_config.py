@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import same_ray
 from qlbench.coloring import parse_ray_family
 from qlbench.config import (
     ConfigSemanticError,
@@ -13,7 +14,7 @@ from qlbench.config import (
     parse_experiment_config,
 )
 from qlbench.errors import InvariantViolationError
-from qlbench.hilbert import named_state, same_ray
+from qlbench.hilbert import named_state
 
 
 class TestStateParsing:

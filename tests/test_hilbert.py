@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_ray
 from projector_oracle import (
     ImpossibleOutcomeError,
     Projector,
@@ -23,7 +24,6 @@ from qlbench.hilbert import (
     named_axis_basis,
     named_state,
     principal_vector,
-    same_ray,
     spin_direction_basis,
     unit_vectors,
 )

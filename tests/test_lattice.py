@@ -37,6 +37,7 @@ from qlbench.lattice import (
 )
 from qlbench.sampling import (
     DEFAULT_SEED,
+    _gaussian_complex,
     random_nested_pair,
     random_nested_pairs,
     random_subspace,
@@ -50,6 +51,15 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def ray(*coords):
     return Subspace.ray(list(coords))
+
+
+def is_full(s: Subspace) -> bool:
+    return s.dim == s.ambient_dim
+
+
+def by_name(report: LatticeAxiomReport, name: str) -> AxiomCheck:
+    (check,) = (check for check in report.checks if check.name == name)
+    return check
 
 
 def e(i, dim):
@@ -83,13 +93,13 @@ class TestMeet:
 
 class TestJoin:
     def test_orthogonal_rays_span_everything(self):
-        assert join(ray(1, 0), ray(0, 1)).is_full
+        assert is_full(join(ray(1, 0), ray(0, 1)))
 
     def test_oblique_rays_span_everything(self):
         # rank of the concatenated frame, checked independently
         stacked = np.column_stack([[1.0, 0.0], [INV_SQRT2, INV_SQRT2]])
         assert np.linalg.matrix_rank(stacked) == 2
-        assert join(ray(1, 0), ray(INV_SQRT2, INV_SQRT2)).is_full
+        assert is_full(join(ray(1, 0), ray(INV_SQRT2, INV_SQRT2)))
 
     def test_zero_is_identity_element(self):
         a = ray(0.6, 0.8)
@@ -101,7 +111,7 @@ class TestOrthocomplement:
         assert subspace_equal(orthocomplement(ray(1, 0)), ray(0, 1))
 
     def test_zero_subspace(self):
-        assert orthocomplement(Subspace.zero(2)).is_full
+        assert is_full(orthocomplement(Subspace.zero(2)))
 
     def test_oblique_ray(self):
         result = orthocomplement(ray(INV_SQRT2, INV_SQRT2))
@@ -168,7 +178,7 @@ class TestLatticeAxioms:
                 for x in (e1, b1))
         assert includes(a, b) and includes(b, a)
         name = "antisymmetry: a ⊆ b and b ⊆ a imply a = b"
-        check = check_lattice_axioms([a, b]).by_name(name)
+        check = by_name(check_lattice_axioms([a, b]), name)
         if passed:
             assert check == AxiomCheck(name, 4, True, None)
         else:
@@ -409,7 +419,7 @@ class TestAxiomCheckAgainstPerPairLoop:
 
     def test_transitivity_counterexample_is_the_first_failing_triple(self):
         sample = [tilted_ray(2, t * INCLUSION_TOL) for t in (0.0, 0.6, 1.2)]
-        check = check_lattice_axioms(sample).by_name("transitivity: a ⊆ b ⊆ c implies a ⊆ c")
+        check = by_name(check_lattice_axioms(sample), "transitivity: a ⊆ b ⊆ c implies a ⊆ c")
         # row-major order: (0,0,0) .. (0,1,1) hold, (0,1,2) is the sixth triple
         assert check == AxiomCheck(
             "transitivity: a ⊆ b ⊆ c implies a ⊆ c", 6, False, "sample[0], sample[1], sample[2]"
@@ -524,6 +534,19 @@ class TestStackedAgainstPerPair:
 
 
 class TestStackedSampling:
+    @given(seed=st.integers(0, 2**64 - 1),
+           shape=st.one_of(st.integers(0, 8), st.tuples(st.integers(0, 8), st.integers(0, 8))))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_gaussian_complex_matches_the_sum_of_two_draws(self, seed, shape):
+        # the oracle is the two-temporary expression; the draws are never zero,
+        # so adding 1j * b to a changes no bit
+        one, other = rng_from(seed), rng_from(seed)
+        expected = one.normal(size=shape) + 1j * one.normal(size=shape)
+        got = _gaussian_complex(other, shape)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert one.bit_generator.state == other.bit_generator.state
+
     @pytest.mark.parametrize("dim", [1, 2, 4, 8])
     def test_same_draws_and_frames_as_one_at_a_time(self, dim):
         one, many = rng_from(dim), rng_from(dim)
