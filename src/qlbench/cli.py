@@ -377,7 +377,7 @@ def _cmd_hv_exact(config: ExperimentConfig) -> Report:
             float(abs(reverse.entries - qm_reverse.entries).max()),
         )
         report.add("max gap to direct-chain statistics", gap)
-        ok = gap <= 1e-9
+        ok = gap <= hidden.AGREEMENT_TOL
     report.verdict = "exact tables computed" + ("" if ok else " (MISMATCH vs direct chain)")
     report.ok = ok
     return report

@@ -10,7 +10,6 @@ constrained unless the stricter pairwise-exclusive variant is switched on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,6 @@ BUILTIN_FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
 class RayFamily:
     """Unit rays in dimension >= 3, the rows of one read-only (n, dim) complex
     matrix, plus bases given as ray-index tuples.
@@ -36,24 +34,22 @@ class RayFamily:
     0)``, ``("ray", k, 0)``, or ``("basis", b, p)`` for entry p of basis b.
     """
 
-    dim: int
-    rays: np.ndarray
-    bases: tuple[tuple[int, ...], ...]
+    __slots__ = ("dim", "rays", "bases")
 
-    def __post_init__(self) -> None:
-        if self.dim < 3:
+    def __init__(self, dim: int, rays: np.ndarray, bases: tuple[tuple[int, ...], ...]) -> None:
+        if dim < 3:
             raise InvariantViolationError("ray families need ambient dimension >= 3", ("dim", 0, 0))
-        rays = _ray_matrix(self.dim, self.rays)
+        rays = _ray_matrix(dim, rays)
         unit = np.isfinite(rays).all(axis=1)
         if unit.all():  # the norm of an infinite entry warns on its way to NaN
             unit = abs(np.linalg.norm(rays, axis=1) - 1.0) <= RAY_TOL
         if not unit.all():
             k = int(np.argmin(unit))
             raise InvariantViolationError(f"ray {k} is not unit-norm", ("ray", k, 0))
-        bases = tuple(tuple(int(i) for i in basis) for basis in self.bases)
+        bases = tuple(tuple(int(i) for i in basis) for basis in bases)
         for b, basis in enumerate(bases):
-            if len(basis) != self.dim or len(set(basis)) != self.dim:
-                raise InvariantViolationError(f"basis {b} must name {self.dim} distinct rays",
+            if len(basis) != dim or len(set(basis)) != dim:
+                raise InvariantViolationError(f"basis {b} must name {dim} distinct rays",
                                               ("basis", b, 0))
             for p, i in enumerate(basis):
                 if not 0 <= i < len(rays):
@@ -69,8 +65,7 @@ class RayFamily:
                     f"rays {bases[b][p]} and {bases[b][q]} in basis {b} are not orthogonal",
                     ("basis", int(b), int(q)))
         rays.setflags(write=False)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "bases", bases)
+        self.dim, self.rays, self.bases = dim, rays, bases
 
     @classmethod
     def from_vectors(cls, dim: int, vectors, bases) -> RayFamily:
@@ -95,13 +90,13 @@ def _ray_matrix(dim: int, rays) -> np.ndarray:
         return np.array([np.ravel(ray) for ray in rays], dtype=complex)
 
 
-@dataclass(frozen=True)
 class AssignmentSearchResult:
     """Outcome of the exhaustive backtracking search."""
 
-    assignment: tuple[int, ...] | None
-    proved_none: bool
-    nodes: int
+    __slots__ = ("assignment", "proved_none", "nodes")
+
+    def __init__(self, assignment: tuple[int, ...] | None, proved_none: bool, nodes: int) -> None:
+        self.assignment, self.proved_none, self.nodes = assignment, proved_none, nodes
 
     @property
     def found(self) -> bool:

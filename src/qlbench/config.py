@@ -30,7 +30,6 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import InvariantViolationError, PreconditionError
@@ -67,19 +66,29 @@ class ConfigSemanticError(ConfigError):
     pass
 
 
-@dataclass
 class ExperimentConfig:
-    state: StateVector | None = None
-    contexts: tuple[tuple[str, MeasurementBasis], ...] = ()
-    universes: tuple[Universe, ...] = ()
-    atoms: tuple[str, str] | None = None
-    trials: int = DEFAULT_TRIALS
-    seed: int = DEFAULT_SEED
-    tol: float = DEFAULT_TOL
-    target: int = 0
-    samples: int = DEFAULT_SAMPLES
-    family: str | None = None
-    model: str | None = None
+    """The settings of one run: what an experiment file sets, defaults elsewhere."""
+
+    __slots__ = ("state", "contexts", "universes", "atoms", "trials", "seed", "tol", "target",
+                 "samples", "family", "model")
+
+    def __init__(
+        self,
+        state: StateVector | None = None,
+        contexts: tuple[tuple[str, MeasurementBasis], ...] = (),
+        universes: tuple[Universe, ...] = (),
+        atoms: tuple[str, str] | None = None,
+        trials: int = DEFAULT_TRIALS,
+        seed: int = DEFAULT_SEED,
+        tol: float = DEFAULT_TOL,
+        target: int = 0,
+        samples: int = DEFAULT_SAMPLES,
+        family: str | None = None,
+        model: str | None = None,
+    ) -> None:
+        self.state, self.contexts, self.universes, self.atoms = state, contexts, universes, atoms
+        self.trials, self.seed, self.tol, self.target = trials, seed, tol, target
+        self.samples, self.family, self.model = samples, family, model
 
 
 # Number settings: (lowest, highest, message for a value below lowest).

@@ -8,7 +8,6 @@ the fallacy can only be reproduced through an explicit coercion flag.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 from .errors import InvariantViolationError, PreconditionError, QLBenchError
@@ -22,31 +21,59 @@ class ComplementUniverseError(PreconditionError):
     """An event reaches outside its chosen complementation universe."""
 
 
-@dataclass(frozen=True)
+def _refuse_assignment(self, name, value):
+    from dataclasses import FrozenInstanceError  # loaded only to refuse
+
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    from dataclasses import FrozenInstanceError  # loaded only to refuse
+
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class Universe:
-    """One experiment's outcome set: an ordered tuple of distinct labels."""
+    """One experiment's outcome set: an ordered tuple of distinct labels.
 
-    name: str
-    outcomes: tuple[str, ...]
+    Universes are immutable and compare and hash by name and outcomes.
+    """
 
-    def __post_init__(self) -> None:
-        outcomes = tuple(str(o) for o in self.outcomes)
+    __slots__ = ("name", "outcomes")
+
+    def __init__(self, name: str, outcomes: tuple[str, ...]) -> None:
+        outcomes = tuple(str(o) for o in outcomes)
         if not outcomes:
-            raise InvariantViolationError(f"universe {self.name!r} is empty")
+            raise InvariantViolationError(f"universe {name!r} is empty")
         if len(set(outcomes)) != len(outcomes):
-            raise InvariantViolationError(f"universe {self.name!r} has duplicate labels")
+            raise InvariantViolationError(f"universe {name!r} has duplicate labels")
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "name", str(self.name))
+        object.__setattr__(self, "name", str(name))
+
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.outcomes == other.outcomes
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.outcomes))
+
+    def __reduce__(self):
+        return (Universe, (self.name, self.outcomes))
 
 
-@dataclass(frozen=True)
 class OutcomeSpace:
-    """Disjoint union of universes; labels are globally distinct."""
+    """Disjoint union of universes; labels are globally distinct.
 
-    universes: tuple[Universe, ...]
+    Spaces are immutable and compare and hash by their universes, so twin
+    spaces built apart hold the same events.
+    """
 
-    def __post_init__(self) -> None:
-        universes = tuple(self.universes)
+    def __init__(self, universes: tuple[Universe, ...]) -> None:
+        universes = tuple(universes)
         if not universes:
             raise InvariantViolationError("outcome space needs at least one universe")
         seen: set[str] = set()
@@ -58,6 +85,17 @@ class OutcomeSpace:
                 )
             seen.update(u.outcomes)
         object.__setattr__(self, "universes", universes)
+
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.universes == other.universes
+
+    def __hash__(self) -> int:
+        return hash(self.universes)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -126,11 +164,8 @@ class EventSet:
             _set_members(self, self.space.labels_of(self.mask))
         return self._members
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -224,11 +259,11 @@ def restricted_to(event: EventSet, within: Universe, *, coerce: bool = False) ->
     return _event(space, event.mask & pool)
 
 
-@dataclass(frozen=True)
 class ClassicalDistributivityVerdict:
-    lhs: EventSet
-    rhs: EventSet
-    distributive: bool
+    __slots__ = ("lhs", "rhs", "distributive")
+
+    def __init__(self, lhs: EventSet, rhs: EventSet, distributive: bool) -> None:
+        self.lhs, self.rhs, self.distributive = lhs, rhs, distributive
 
 
 def distributes_classical(a: EventSet, b: EventSet, c: EventSet) -> ClassicalDistributivityVerdict:
@@ -244,19 +279,20 @@ def distributes_classical(a: EventSet, b: EventSet, c: EventSet) -> ClassicalDis
     )
 
 
-@dataclass(frozen=True)
 class TraceLine:
-    expression: str
-    value: frozenset[str]
+    __slots__ = ("expression", "value")
+
+    def __init__(self, expression: str, value: frozenset[str]) -> None:
+        self.expression, self.value = expression, value
 
 
-@dataclass(frozen=True)
 class ComplementChainTrace:
     """Step-by-step expansion of a ∩ (b ∪ b') with complements taken in X."""
 
-    a_label: str
-    b_label: str
-    lines: tuple[TraceLine, ...]
+    __slots__ = ("a_label", "b_label", "lines")
+
+    def __init__(self, a_label: str, b_label: str, lines: tuple[TraceLine, ...]) -> None:
+        self.a_label, self.b_label, self.lines = a_label, b_label, lines
 
     @property
     def all_equal_to_atom(self) -> bool:
@@ -323,17 +359,17 @@ def eq10_trace(a_label: str, b_label: str, space: OutcomeSpace) -> ComplementCha
 MISMATCH_FLAG = "inequality manufactured by complement-universe mismatch"
 
 
-@dataclass(frozen=True)
 class SideBySide:
-    lhs: frozenset[str]
-    rhs: frozenset[str]
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: frozenset[str], rhs: frozenset[str]) -> None:
+        self.lhs, self.rhs = lhs, rhs
 
     @property
     def equal(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
 class MismatchReport:
     """Three evaluations of a ∩ (b ∪ b') = (a ∩ b) ∪ (a ∩ b').
 
@@ -342,15 +378,18 @@ class MismatchReport:
     on both sides.
     """
 
-    a_label: str
-    b_label: str
-    lhs_mixed: frozenset[str]
-    rhs_omega: frozenset[str]
-    flag_raised: bool
-    flag: str
-    consistent_space: SideBySide
-    consistent_universe: SideBySide
-    coercions: tuple[str, ...]
+    __slots__ = ("a_label", "b_label", "lhs_mixed", "rhs_omega", "flag_raised", "flag",
+                 "consistent_space", "consistent_universe", "coercions")
+
+    def __init__(self, a_label: str, b_label: str, lhs_mixed: frozenset[str],
+                 rhs_omega: frozenset[str], flag_raised: bool, flag: str,
+                 consistent_space: SideBySide, consistent_universe: SideBySide,
+                 coercions: tuple[str, ...]) -> None:
+        self.a_label, self.b_label = a_label, b_label
+        self.lhs_mixed, self.rhs_omega = lhs_mixed, rhs_omega
+        self.flag_raised, self.flag = flag_raised, flag
+        self.consistent_space, self.consistent_universe = consistent_space, consistent_universe
+        self.coercions = coercions
 
 
 def universe_mismatch_demo(a_label: str, b_label: str, space: OutcomeSpace) -> MismatchReport:

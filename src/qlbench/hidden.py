@@ -15,7 +15,6 @@ determines the empirical table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -30,12 +29,14 @@ from .stats import (SequentialTable, born_distribution, chain_rule, commutation_
 WEIGHT_TOL = 1e-12
 ROW_TOL = 1e-12
 NONCOMMUTING_TOL = 1e-6  # commutation defect above which the audit exercises the chain
+# largest gap at which the model's statistics agree with the direct chain's: its
+# ordered tables in hv-exact, its commutation defect in audit_no_go
+AGREEMENT_TOL = 1e-9
 
 CHAIN_BROKEN = "broken at 'distributive ⇒ commutative'"
 CHAIN_NOT_EXERCISED = "not exercised (compatible observables)"
 
 
-@dataclass(frozen=True)
 class HiddenEnsemble:
     """Convex mixture of value-definite members over declared contexts.
 
@@ -46,14 +47,13 @@ class HiddenEnsemble:
     1 names the last member.
     """
 
-    values: np.ndarray
-    weights: np.ndarray
-    contexts: Mapping[str, MeasurementBasis]
+    __slots__ = ("values", "weights", "contexts")
 
-    def __post_init__(self) -> None:
-        contexts = MappingProxyType(dict(self.contexts))
-        values = np.array(self.values)
-        weights = np.array(self.weights, dtype=float)
+    def __init__(self, values: np.ndarray, weights: np.ndarray,
+                 contexts: Mapping[str, MeasurementBasis]) -> None:
+        contexts = MappingProxyType(dict(contexts))
+        values = np.array(values)
+        weights = np.array(weights, dtype=float)
         if values.ndim != 2 or values.size == 0 or not contexts:
             raise InvariantViolationError("ensemble needs members and declared contexts")
         if values.dtype.kind not in "iu":
@@ -76,9 +76,9 @@ class HiddenEnsemble:
         if not abs(total - 1.0) <= WEIGHT_TOL:
             raise InvariantViolationError(f"weights sum to {total!r}, not 1",
                                           ("weight", len(weights) - 1))
-        object.__setattr__(self, "values", _frozen(values.astype(np.int64, copy=False)))
-        object.__setattr__(self, "weights", _frozen(weights))
-        object.__setattr__(self, "contexts", contexts)
+        self.values = _frozen(values.astype(np.int64, copy=False))
+        self.weights = _frozen(weights)
+        self.contexts = contexts
 
     def context_ids(self) -> tuple[str, ...]:
         return tuple(self.contexts)
@@ -96,7 +96,6 @@ class HiddenEnsemble:
                            minlength=self.contexts[context].size)
 
 
-@dataclass(frozen=True)
 class TransitionKernel:
     """Row-stochastic disturbance matrix between two measurement contexts.
 
@@ -104,12 +103,11 @@ class TransitionKernel:
     hidden value for ``to_context`` becomes j.
     """
 
-    from_context: str
-    to_context: str
-    rows: np.ndarray
+    __slots__ = ("from_context", "to_context", "rows")
 
-    def __post_init__(self) -> None:
-        rows = np.array(self.rows, dtype=float)
+    def __init__(self, from_context: str, to_context: str, rows: np.ndarray) -> None:
+        self.from_context, self.to_context = from_context, to_context
+        rows = np.array(rows, dtype=float)
         if rows.ndim != 2:
             raise InvariantViolationError("kernel rows must form a matrix")
         if not (rows >= 0.0).all():
@@ -119,23 +117,23 @@ class TransitionKernel:
         if bad.any():
             i = int(np.argmax(bad))
             raise InvariantViolationError(f"kernel row {i} sums to {float(sums[i])!r}, not 1")
-        object.__setattr__(self, "rows", _frozen(rows))
+        self.rows = _frozen(rows)
 
 
-@dataclass(frozen=True)
 class HiddenModel:
     """A value-definite ensemble plus one transition kernel per ordered context pair."""
 
-    ensemble: HiddenEnsemble
-    kernels: Mapping[tuple[str, str], TransitionKernel]
+    __slots__ = ("ensemble", "kernels")
 
-    def __post_init__(self) -> None:
-        kernels = MappingProxyType(dict(self.kernels))
+    def __init__(self, ensemble: HiddenEnsemble,
+                 kernels: Mapping[tuple[str, str], TransitionKernel]) -> None:
+        kernels = MappingProxyType(dict(kernels))
         for (src, dst), kernel in kernels.items():
             if kernel.from_context != src or kernel.to_context != dst:
                 raise InvariantViolationError("kernel key disagrees with kernel contexts")
-            _check_kernel(kernel, self.ensemble.contexts)
-        object.__setattr__(self, "kernels", kernels)
+            _check_kernel(kernel, ensemble.contexts)
+        self.ensemble = ensemble
+        self.kernels = kernels
 
     def kernel(self, first: str, then: str) -> TransitionKernel:
         if first == then:
@@ -253,21 +251,22 @@ def _law_rhs(a, b):
     return np.maximum(np.minimum(a, b), np.minimum(a, 1 - b))
 
 
-@dataclass(frozen=True)
 class TruthTableRow:
-    a: int
-    b: int
-    lhs: int
-    rhs: int
+    __slots__ = ("a", "b", "lhs", "rhs")
+
+    def __init__(self, a: int, b: int, lhs: int, rhs: int) -> None:
+        self.a, self.b, self.lhs, self.rhs = a, b, lhs, rhs
 
     @property
     def equal(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
 class TruthTableReport:
-    rows: tuple[TruthTableRow, ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[TruthTableRow, ...]) -> None:
+        self.rows = rows
 
     @property
     def all_equal(self) -> bool:
@@ -288,7 +287,6 @@ def truth_table_distributivity() -> TruthTableReport:
     return TruthTableReport(rows=rows)
 
 
-@dataclass(frozen=True)
 class NoGoAudit:
     """Computed evidence for each link of the implication chain
     value-definiteness → dispersion-free mixtures → distributive logic →
@@ -298,20 +296,30 @@ class NoGoAudit:
     last fails whenever the two contexts do not commute, which is the point.
     """
 
-    context_ids: tuple[str, str]
-    member_count: int
-    members_value_definite: bool
-    members_distributive: bool
-    member_pairs_checked: int
-    member_max_dispersion: float
-    mixture_max_dispersion: float
-    hv_commutation_defect: float
-    qm_commutation_defect: float
-    defects_match: bool
-    noncommuting: bool
-    chain_verdict: str
-    table_first_then: SequentialTable
-    table_then_first: SequentialTable
+    __slots__ = ("context_ids", "member_count", "members_value_definite",
+                 "members_distributive", "member_pairs_checked", "member_max_dispersion",
+                 "mixture_max_dispersion", "hv_commutation_defect", "qm_commutation_defect",
+                 "defects_match", "noncommuting", "chain_verdict", "table_first_then",
+                 "table_then_first")
+
+    def __init__(self, context_ids: tuple[str, str], member_count: int,
+                 members_value_definite: bool, members_distributive: bool,
+                 member_pairs_checked: int, member_max_dispersion: float,
+                 mixture_max_dispersion: float, hv_commutation_defect: float,
+                 qm_commutation_defect: float, defects_match: bool, noncommuting: bool,
+                 chain_verdict: str, table_first_then: SequentialTable,
+                 table_then_first: SequentialTable) -> None:
+        self.context_ids, self.member_count = context_ids, member_count
+        self.members_value_definite = members_value_definite
+        self.members_distributive = members_distributive
+        self.member_pairs_checked = member_pairs_checked
+        self.member_max_dispersion = member_max_dispersion
+        self.mixture_max_dispersion = mixture_max_dispersion
+        self.hv_commutation_defect = hv_commutation_defect
+        self.qm_commutation_defect = qm_commutation_defect
+        self.defects_match, self.noncommuting = defects_match, noncommuting
+        self.chain_verdict = chain_verdict
+        self.table_first_then, self.table_then_first = table_first_then, table_then_first
 
 
 def audit_no_go(
@@ -345,7 +353,7 @@ def audit_no_go(
     table_ba = exact_sequential(model, (id_b, id_a))
     hv_defect = float(np.max(np.abs(table_ab.entries - table_ba.entries.T)))
     qm_defect = commutation_defect(state, basis_a, basis_b)
-    defects_match = abs(hv_defect - qm_defect) <= 1e-9
+    defects_match = abs(hv_defect - qm_defect) <= AGREEMENT_TOL
     noncommuting = qm_defect > NONCOMMUTING_TOL
 
     return NoGoAudit(

@@ -3,8 +3,8 @@
 A measurement basis is a unitary frame: its columns are the outcome rays,
 and each rank-1 proposition "outcome k" is column k of that frame.  Born
 probabilities and the measure-collapse-measure chain rule are computed on
-frames in ``stats``.  All values are immutable and every operation is a pure
-function, so the whole layer is safe for unrestricted concurrent use.
+frames in ``stats``.  Their arrays are read-only and every operation is a
+pure function, so the whole layer is safe for unrestricted concurrent use.
 Dimensions are capped at 8; the structure of interest already appears in
 dimension 2.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,20 +79,19 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
 class StateVector:
     """A unit vector of complex amplitudes; squared magnitudes sum to one."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self) -> None:
-        amps = _as_complex_vector(self.amplitudes)
+    def __init__(self, amplitudes: np.ndarray) -> None:
+        amps = _as_complex_vector(amplitudes)
         norm_sq = float(np.vdot(amps, amps).real)
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise InvariantViolationError(
                 f"state not normalized: squared norm {norm_sq!r}"
             )
-        object.__setattr__(self, "amplitudes", _frozen(amps))
+        self.amplitudes = _frozen(amps)
 
     @property
     def dim(self) -> int:
@@ -111,17 +109,15 @@ class StateVector:
         return f"StateVector({np.array2string(self.amplitudes, precision=6)})"
 
 
-@dataclass(frozen=True)
 class MeasurementBasis:
     """A unitary frame with outcome labels: column k is the unit vector of
     outcome ``labels[k]``, the one form of that outcome's proposition."""
 
-    frame: np.ndarray
-    labels: tuple[str, ...]
+    __slots__ = ("frame", "labels")
 
-    def __post_init__(self) -> None:
-        frame = np.array(self.frame, dtype=complex)
-        labels = tuple(str(l) for l in self.labels)
+    def __init__(self, frame: np.ndarray, labels: tuple[str, ...]) -> None:
+        frame = np.array(frame, dtype=complex)
+        labels = tuple(str(l) for l in labels)
         if frame.ndim != 2 or frame.size == 0:
             raise InvariantViolationError("empty measurement basis")
         dim, count = frame.shape
@@ -135,8 +131,8 @@ class MeasurementBasis:
         if count != dim or not error <= BASIS_TOL:
             raise InvariantViolationError(
                 f"not an orthonormal basis of C^{dim}: {count} vectors, Gram error {error:.3g}")
-        object.__setattr__(self, "frame", _frozen(frame))
-        object.__setattr__(self, "labels", labels)
+        self.frame = _frozen(frame)
+        self.labels = labels
 
     @property
     def dim(self) -> int:

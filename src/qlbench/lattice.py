@@ -20,8 +20,6 @@ serves every pair of a row block.  The per-pair functions are their oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError, InvariantViolationError, PreconditionError
@@ -51,17 +49,16 @@ def _check_ambient(d: int) -> None:
         raise InvariantViolationError(f"ambient dimension {d} outside [1, {MAX_DIM}]")
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A closed linear subspace, held as an orthonormal frame of column vectors.
 
     The zero subspace has an empty frame of shape (ambient_dim, 0).
     """
 
-    frame: np.ndarray
+    __slots__ = ("frame",)
 
-    def __post_init__(self) -> None:
-        frame = np.asarray(self.frame, dtype=complex)
+    def __init__(self, frame: np.ndarray) -> None:
+        frame = np.asarray(frame, dtype=complex)
         if frame.ndim != 2:
             raise InvariantViolationError(f"frame must be 2-d, got shape {frame.shape}")
         d, k = frame.shape
@@ -76,7 +73,7 @@ class Subspace:
                 raise InvariantViolationError("frame vectors are not orthonormal")
         frame = frame.copy()
         frame.setflags(write=False)
-        object.__setattr__(self, "frame", frame)
+        self.frame = frame
 
     @property
     def ambient_dim(self) -> int:
@@ -139,7 +136,7 @@ def _subspace(frame: np.ndarray) -> Subspace:
     by construction, without the Gram check of ``Subspace(frame)``."""
     frame.setflags(write=False)
     subspace = object.__new__(Subspace)
-    object.__setattr__(subspace, "frame", frame)
+    subspace.frame = frame
     return subspace
 
 
@@ -228,13 +225,15 @@ def _padded_frames(subspaces) -> np.ndarray:
     return stack
 
 
-@dataclass(frozen=True)
 class _Stack:
     """n subspaces of one C^d: item i is spanned by the first ``dims[i]``
     columns of ``frames[i]``, and its other columns are zero."""
 
-    frames: np.ndarray  # (n, d, d) complex
-    dims: np.ndarray    # (n,) int
+    __slots__ = ("frames", "dims")
+
+    def __init__(self, frames: np.ndarray, dims: np.ndarray) -> None:
+        self.frames = frames  # (n, d, d) complex
+        self.dims = dims      # (n,) int
 
     def __getitem__(self, rows: slice) -> _Stack:
         return _Stack(self.frames[rows], self.dims[rows])
@@ -346,13 +345,13 @@ def _inclusion_matrix(inner: np.ndarray, outer_complements: np.ndarray) -> np.nd
     return result
 
 
-@dataclass(frozen=True)
 class DistributivityVerdict:
     """Both sides of a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), plus the verdict."""
 
-    lhs: Subspace
-    rhs: Subspace
-    distributive: bool
+    __slots__ = ("lhs", "rhs", "distributive")
+
+    def __init__(self, lhs: Subspace, rhs: Subspace, distributive: bool) -> None:
+        self.lhs, self.rhs, self.distributive = lhs, rhs, distributive
 
 
 def distributes(a: Subspace, b: Subspace, c: Subspace) -> DistributivityVerdict:
@@ -419,17 +418,20 @@ def de_morgan_holds_stacked(a, b) -> np.ndarray:
     return _pairwise(law, a, b)
 
 
-@dataclass(frozen=True)
 class AxiomCheck:
-    name: str
-    checked: int
-    passed: bool
-    counterexample: str | None
+    __slots__ = ("name", "checked", "passed", "counterexample")
+
+    def __init__(self, name: str, checked: int, passed: bool,
+                 counterexample: str | None) -> None:
+        self.name, self.checked, self.passed = name, checked, passed
+        self.counterexample = counterexample
 
 
-@dataclass(frozen=True)
 class LatticeAxiomReport:
-    checks: tuple[AxiomCheck, ...]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[AxiomCheck, ...]) -> None:
+        self.checks = checks
 
     @property
     def all_passed(self) -> bool:

@@ -6,8 +6,6 @@ invocations render byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 FORMATS = ("text", "csv", "json")
 
 
@@ -33,26 +31,29 @@ def _json_value(value):
     return str(value)
 
 
-@dataclass
 class ReportTable:
-    name: str
-    headers: list[str]
-    rows: list[list]
+    __slots__ = ("name", "headers", "rows")
+
+    def __init__(self, name: str, headers: list[str], rows: list[list]) -> None:
+        self.name, self.headers, self.rows = name, headers, rows
 
 
-@dataclass
 class Report:
     """One command's output: scalar fields, optional tables, and a verdict.
 
-    ``attachment`` is text that ``--out`` writes in place of the rendered
-    report (``hv-build``'s model); the renderers ignore it."""
+    ``fields`` and ``tables`` default to fresh empty lists.  ``attachment``
+    is text that ``--out`` writes in place of the rendered report
+    (``hv-build``'s model); the renderers ignore it."""
 
-    title: str
-    fields: list[tuple[str, object]] = field(default_factory=list)
-    tables: list[ReportTable] = field(default_factory=list)
-    verdict: str = ""
-    ok: bool = True
-    attachment: str | None = None
+    __slots__ = ("title", "fields", "tables", "verdict", "ok", "attachment")
+
+    def __init__(self, title: str, fields: list[tuple[str, object]] | None = None,
+                 tables: list[ReportTable] | None = None, verdict: str = "", ok: bool = True,
+                 attachment: str | None = None) -> None:
+        self.title = title
+        self.fields = [] if fields is None else fields
+        self.tables = [] if tables is None else tables
+        self.verdict, self.ok, self.attachment = verdict, ok, attachment
 
     def add(self, key: str, value) -> None:
         self.fields.append((key, value))

@@ -9,8 +9,6 @@ bases with unitary frames U (first) and V (then).  Argument order is named
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -26,16 +24,14 @@ BASES_EQUAL_TOL = 1e-9   # entrywise projector agreement in bases_equal
 COMMUTATOR_TOL = 1e-10   # entrywise commutator size in commuting_bases
 
 
-@dataclass(frozen=True)
 class Distribution:
     """Labelled probabilities in [0, 1] summing to one."""
 
-    labels: tuple[str, ...]
-    probs: np.ndarray
+    __slots__ = ("labels", "probs")
 
-    def __post_init__(self) -> None:
-        labels = tuple(str(l) for l in self.labels)
-        probs = np.asarray(self.probs, dtype=float).reshape(-1)
+    def __init__(self, labels: tuple[str, ...], probs: np.ndarray) -> None:
+        labels = tuple(str(l) for l in labels)
+        probs = np.asarray(probs, dtype=float).reshape(-1)
         if len(labels) != probs.size or not labels:
             raise InvariantViolationError("labels and probabilities must align")
         if not ((-ENTRY_TOL <= probs) & (probs <= 1.0 + ENTRY_TOL)).all():
@@ -45,26 +41,24 @@ class Distribution:
             raise InvariantViolationError(f"probabilities sum to {total!r}, not 1")
         probs = np.clip(probs, 0.0, 1.0)
         probs.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", probs)
+        self.labels = labels
+        self.probs = probs
 
     def __getitem__(self, index: int) -> float:
         return float(self.probs[index])
 
 
-@dataclass(frozen=True)
 class SequentialTable:
     """Ordered two-measurement table: entries[i, j] = P(first = i, then = j)."""
 
-    first_basis: MeasurementBasis
-    second_basis: MeasurementBasis
-    entries: np.ndarray
+    __slots__ = ("first_basis", "second_basis", "entries")
 
-    def __post_init__(self) -> None:
-        if self.first_basis.dim != self.second_basis.dim:
+    def __init__(self, first_basis: MeasurementBasis, second_basis: MeasurementBasis,
+                 entries: np.ndarray) -> None:
+        if first_basis.dim != second_basis.dim:
             raise DimensionMismatchError("bases of different dimension in one table")
-        entries = np.asarray(self.entries, dtype=float)
-        expected = (self.first_basis.size, self.second_basis.size)
+        entries = np.asarray(entries, dtype=float)
+        expected = (first_basis.size, second_basis.size)
         if entries.shape != expected:
             raise InvariantViolationError(f"entries shape {entries.shape}, expected {expected}")
         if not (entries >= -ENTRY_TOL).all():
@@ -74,7 +68,8 @@ class SequentialTable:
             raise InvariantViolationError(f"table sums to {total!r}, not 1")
         entries = np.clip(entries, 0.0, None)
         entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        self.first_basis, self.second_basis = first_basis, second_basis
+        self.entries = entries
 
     def first_marginal(self) -> np.ndarray:
         return self.entries.sum(axis=1)
@@ -177,25 +172,27 @@ def commuting_bases(a: MeasurementBasis, b: MeasurementBasis) -> bool:
     return float(np.max(np.abs(commutators))) <= COMMUTATOR_TOL
 
 
-@dataclass(frozen=True)
 class JointWitness:
     """The most order-asymmetric entry of a table pair."""
 
-    first_index: int
-    second_index: int
-    forward: float
-    reverse: float
+    __slots__ = ("first_index", "second_index", "forward", "reverse")
+
+    def __init__(self, first_index: int, second_index: int, forward: float,
+                 reverse: float) -> None:
+        self.first_index, self.second_index = first_index, second_index
+        self.forward, self.reverse = forward, reverse
 
     @property
     def asymmetry(self) -> float:
         return abs(self.forward - self.reverse)
 
 
-@dataclass(frozen=True)
 class JointVerdict:
-    exists: bool
-    joint: Distribution | None
-    witness: JointWitness | None
+    __slots__ = ("exists", "joint", "witness")
+
+    def __init__(self, exists: bool, joint: Distribution | None,
+                 witness: JointWitness | None) -> None:
+        self.exists, self.joint, self.witness = exists, joint, witness
 
 
 def joint_exists(t_ab: SequentialTable, t_ba: SequentialTable, tol: float = 1e-9) -> JointVerdict:

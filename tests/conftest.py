@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from qlbench.hilbert import StateVector, named_axis_basis, named_state
+from qlbench.hilbert import MeasurementBasis, StateVector, named_axis_basis, named_state
 
 PHASE_TOL = 1e-10  # ray equality: global phase is quotiented out
 
@@ -19,6 +21,14 @@ def z_basis():
 @pytest.fixture
 def x_basis():
     return named_axis_basis("x")
+
+
+def tilted_z_basis(product: float) -> MeasurementBasis:
+    """The z basis turned by the angle t with cos t sin t = ``product``: its
+    projectors differ from z's, and commute with them, up to entries of that size."""
+    t = 0.5 * math.asin(2.0 * product)
+    c, s = math.cos(t), math.sin(t)
+    return MeasurementBasis.from_vectors([[c, s], [-s, c]], labels=("z+", "z-"))
 
 
 def same_ray(u, v, tol: float = PHASE_TOL) -> bool:

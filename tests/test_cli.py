@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from qlbench import cli, coloring, hidden
+from qlbench import cli, coloring, hidden, stats
 from qlbench.cli import main
-from qlbench.hidden import load_model
+from qlbench.hidden import AGREEMENT_TOL, load_model
 from qlbench.hilbert import BASIS_TOL
 
 
@@ -122,6 +122,22 @@ class TestHiddenVariableCommands:
         code, out, _ = run(capsys, "hv-exact", "--config", str(replay))
         assert code == 0
         assert "exact tables computed" in out
+
+    @pytest.mark.parametrize("factor, code", [(0.99, 0), (1.01, 1)])
+    def test_exact_tables_agree_with_the_direct_chain_at_agreement_tol(
+            self, capsys, monkeypatch, factor, code):
+        # the direct chain's tables, with one row planted factor × AGREEMENT_TOL off
+        direct = stats.sequential_distribution
+
+        def planted(state, first, then):
+            entries = direct(state, first, then).entries.copy()
+            entries[0] += [factor * AGREEMENT_TOL, -factor * AGREEMENT_TOL]
+            return stats.SequentialTable(first, then, entries)
+
+        monkeypatch.setattr(stats, "sequential_distribution", planted)
+        got, out, _ = run(capsys, "hv-exact")
+        assert got == code
+        assert ("MISMATCH vs direct chain" in out) == (code == 1)
 
     THREE_OUTCOME_CONTEXTS = (
         "context A labels a0 a1 a2 vectors 1 0 0 ; 0 1 0 ; 0 0 1\n"

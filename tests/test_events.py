@@ -132,6 +132,18 @@ class TestConstruction:
                 delattr(event, name)
         assert event.members == {"a"}
 
+    def test_spaces_and_universes_are_immutable(self):
+        # they hash by value, and an event hashes by its space
+        space = single_space("a", "b")
+        for value, names in ((space, ("universes", "labels", "anything")),
+                             (space.universes[0], ("name", "outcomes", "anything"))):
+            for name in names:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(value, name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(value, name)
+        assert space.labels == ("a", "b")
+
     def test_equal_members_compare_and_hash_alike(self):
         space = single_space("a", "b", "c")
         built = space.atom("a") | space.atom("c")

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import assert_table
+from conftest import assert_table, tilted_z_basis
+from qlbench import hidden
 from qlbench.config import ConfigSemanticError, ConfigSyntaxError
 from qlbench.errors import InvariantViolationError, PreconditionError
 from qlbench.hidden import (
+    AGREEMENT_TOL,
     CHAIN_BROKEN,
     CHAIN_NOT_EXERCISED,
+    NONCOMMUTING_TOL,
     ROW_TOL,
     WEIGHT_TOL,
     HiddenEnsemble,
@@ -382,6 +387,26 @@ class TestAuditNoGo:
             assert audit.members_value_definite
             assert audit.members_distributive
             assert audit.defects_match
+
+
+class TestAuditThresholds:
+    @pytest.mark.parametrize("factor, noncommuting", [(0.99, False), (1.01, True)])
+    def test_chain_is_exercised_above_noncommuting_tol(self, z_plus, z_basis, factor,
+                                                      noncommuting):
+        # from z+, the two orders of z and a basis tilted by t differ by (cos t sin t)²
+        tilted = tilted_z_basis(math.sqrt(factor * NONCOMMUTING_TOL))
+        audit = audit_no_go(z_plus, z_basis, tilted)
+        assert audit.noncommuting == noncommuting
+        assert audit.chain_verdict == (CHAIN_BROKEN if noncommuting else CHAIN_NOT_EXERCISED)
+
+    @pytest.mark.parametrize("factor, match", [(0.99, True), (1.01, False)])
+    def test_defects_match_at_agreement_tol(self, monkeypatch, z_plus, z_basis, x_basis,
+                                            factor, match):
+        # the direct chain's defect, planted factor × AGREEMENT_TOL above the model's
+        direct = hidden.commutation_defect
+        monkeypatch.setattr(hidden, "commutation_defect",
+                            lambda *args: direct(*args) + factor * AGREEMENT_TOL)
+        assert audit_no_go(z_plus, z_basis, x_basis).defects_match == match
 
 
 class TestModelSerialization:

@@ -1,7 +1,10 @@
 """The package is its modules: importing ``qlbench`` loads none of them, a
-command loads only the modules it uses, and the README's library example
-imports each name from its own module."""
+command loads only the modules it uses and never ``dataclasses``, each record
+keeps its constructor, and the README's library example imports each name
+from its own module."""
 
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -11,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import qlbench
+from qlbench.cli import COMMANDS
+from qlbench.reports import Report
 
 SRC = Path(qlbench.__file__).resolve().parents[1]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -53,7 +58,7 @@ def test_event_demos_never_load_numpy(command):
     code, loaded = loaded_by_command(command)
     assert code == 0
     assert "qlbench.events" in loaded
-    assert "numpy" not in loaded
+    assert {"numpy", "dataclasses", "inspect"}.isdisjoint(loaded)
 
 
 def test_a_config_error_is_reported_before_numpy_loads(tmp_path):
@@ -61,7 +66,15 @@ def test_a_config_error_is_reported_before_numpy_loads(tmp_path):
     code, loaded = loaded_by_command("stats-seq", "--config", "bad.cfg", cwd=tmp_path)
     assert code == 2
     assert "qlbench.config" in loaded
-    assert "numpy" not in loaded
+    assert {"numpy", "dataclasses", "inspect"}.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_command_loads_dataclasses(command):
+    code, loaded = loaded_by_command(command)
+    assert code in (0, 1)
+    assert "qlbench.reports" in loaded
+    assert "dataclasses" not in loaded
 
 
 @pytest.mark.parametrize("command, used, unused", [
@@ -73,6 +86,72 @@ def test_a_numpy_command_loads_only_its_modules(command, used, unused):
     assert code == 0
     assert {f"qlbench.{name}" for name in used} <= loaded
     assert {f"qlbench.{name}" for name in unused}.isdisjoint(loaded)
+
+
+# Each public record's constructor parameters in order, a name alone when it
+# has no default; the defaults are literal so that keyword construction
+# cannot drift.  Report's two lists default to None, which stands for a fresh
+# empty list per report.
+RECORD_PARAMETERS = {
+    "coloring.RayFamily": ("dim", "rays", "bases"),
+    "coloring.AssignmentSearchResult": ("assignment", "proved_none", "nodes"),
+    "config.ExperimentConfig": (
+        ("state", None), ("contexts", ()), ("universes", ()), ("atoms", None),
+        ("trials", 100_000), ("seed", 0xC0FFEE), ("tol", 1e-9), ("target", 0),
+        ("samples", 200), ("family", None), ("model", None)),
+    "events.Universe": ("name", "outcomes"),
+    "events.OutcomeSpace": ("universes",),
+    "events.ClassicalDistributivityVerdict": ("lhs", "rhs", "distributive"),
+    "events.TraceLine": ("expression", "value"),
+    "events.ComplementChainTrace": ("a_label", "b_label", "lines"),
+    "events.SideBySide": ("lhs", "rhs"),
+    "events.MismatchReport": (
+        "a_label", "b_label", "lhs_mixed", "rhs_omega", "flag_raised", "flag",
+        "consistent_space", "consistent_universe", "coercions"),
+    "hidden.HiddenEnsemble": ("values", "weights", "contexts"),
+    "hidden.TransitionKernel": ("from_context", "to_context", "rows"),
+    "hidden.HiddenModel": ("ensemble", "kernels"),
+    "hidden.TruthTableRow": ("a", "b", "lhs", "rhs"),
+    "hidden.TruthTableReport": ("rows",),
+    "hidden.NoGoAudit": (
+        "context_ids", "member_count", "members_value_definite", "members_distributive",
+        "member_pairs_checked", "member_max_dispersion", "mixture_max_dispersion",
+        "hv_commutation_defect", "qm_commutation_defect", "defects_match", "noncommuting",
+        "chain_verdict", "table_first_then", "table_then_first"),
+    "hilbert.StateVector": ("amplitudes",),
+    "hilbert.MeasurementBasis": ("frame", "labels"),
+    "lattice.Subspace": ("frame",),
+    "lattice.DistributivityVerdict": ("lhs", "rhs", "distributive"),
+    "lattice.AxiomCheck": ("name", "checked", "passed", "counterexample"),
+    "lattice.LatticeAxiomReport": ("checks",),
+    "reports.ReportTable": ("name", "headers", "rows"),
+    "reports.Report": (
+        "title", ("fields", None), ("tables", None), ("verdict", ""), ("ok", True),
+        ("attachment", None)),
+    "stats.Distribution": ("labels", "probs"),
+    "stats.SequentialTable": ("first_basis", "second_basis", "entries"),
+    "stats.JointWitness": ("first_index", "second_index", "forward", "reverse"),
+    "stats.JointVerdict": ("exists", "joint", "witness"),
+}
+
+
+@pytest.mark.parametrize("record, parameters", RECORD_PARAMETERS.items(),
+                         ids=RECORD_PARAMETERS)
+def test_record_constructor_signature(record, parameters):
+    module, name = record.split(".")
+    signature = inspect.signature(getattr(importlib.import_module(f"qlbench.{module}"), name))
+    expected = [p if isinstance(p, tuple) else (p, inspect.Parameter.empty) for p in parameters]
+    assert [(p.name, p.default) for p in signature.parameters.values()] == expected
+    assert {p.kind for p in signature.parameters.values()} == {
+        inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+def test_each_report_starts_with_its_own_lists():
+    first, second = Report(title="first"), Report(title="second")
+    first.add("key", 1)
+    first.add_table("table", ["h"], [[1]])
+    assert (second.fields, second.tables) == ([], [])
+    assert first.fields == [("key", 1)]
 
 
 def test_readme_library_example_runs():

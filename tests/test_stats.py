@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_table
+from conftest import assert_table, tilted_z_basis
 from projector_oracle import born_probability, collapse, commutes, projectors
 from qlbench.errors import (
     DimensionMismatchError,
@@ -25,6 +25,8 @@ from qlbench.sampling import (
     rng_from,
 )
 from qlbench.stats import (
+    BASES_EQUAL_TOL,
+    COMMUTATOR_TOL,
     DISTRIBUTION_TOL,
     ENTRY_TOL,
     Distribution,
@@ -221,6 +223,16 @@ class TestCommutationDefect:
             first, second = random_commuting_pair(rng, dim)
             assert commuting_bases(first, second)
             assert commutation_defect(state, first, second) < 1e-12
+
+
+class TestBasisComparisonThresholds:
+    @pytest.mark.parametrize("factor, equal", [(0.99, True), (1.01, False)])
+    def test_bases_equal_at_bases_equal_tol(self, z_basis, factor, equal):
+        assert bases_equal(z_basis, tilted_z_basis(factor * BASES_EQUAL_TOL)) == equal
+
+    @pytest.mark.parametrize("factor, commuting", [(0.99, True), (1.01, False)])
+    def test_commuting_bases_at_commutator_tol(self, z_basis, factor, commuting):
+        assert commuting_bases(z_basis, tilted_z_basis(factor * COMMUTATOR_TOL)) == commuting
 
 
 class TestJointExists:
