@@ -140,20 +140,6 @@ def _subspace(frame: np.ndarray) -> Subspace:
     return subspace
 
 
-def _spans(ambient_dim: int, column_sets) -> list[Subspace]:
-    """The span of each (ambient_dim, k) column set, with the frame that
-    ``_orthonormal_frame`` gives it bit for bit, from one stacked SVD per k."""
-    spans = [Subspace.zero(ambient_dim)] * len(column_sets)
-    for k in range(1, ambient_dim + 1):
-        members = [i for i, columns in enumerate(column_sets) if columns.shape[1] == k]
-        if members:
-            u, s, _ = np.linalg.svd(np.stack([column_sets[i] for i in members]),
-                                    full_matrices=False)
-            for i, frame, rank in zip(members, u, np.sum(s > RANK_TOL, axis=1).tolist()):
-                spans[i] = _subspace(frame[:, :rank].copy())
-    return spans
-
-
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(
@@ -174,12 +160,12 @@ def join(a: Subspace, b: Subspace) -> Subspace:
 
 
 def orthocomplement(a: Subspace) -> Subspace:
-    """All vectors orthogonal to ``a``; dimensions are complementary."""
+    """All vectors orthogonal to ``a``; dimensions are complementary.  A
+    stored frame is orthonormal, so its rank is its dimension."""
     if a.is_zero:
         return Subspace.full(a.ambient_dim)
-    u, s, _ = np.linalg.svd(a.frame, full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL))
-    return _subspace(np.ascontiguousarray(u[:, rank:]))
+    u = np.linalg.svd(a.frame, full_matrices=True)[0]
+    return _subspace(np.ascontiguousarray(u[:, a.dim:]))
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
@@ -359,7 +345,8 @@ def distributes(a: Subspace, b: Subspace, c: Subspace) -> DistributivityVerdict:
 
     The right side is always contained in the left on any subspace triple;
     a violation of that containment would mean the numerics failed, so it is
-    checked and raised rather than reported as a verdict.
+    checked and raised rather than reported as a verdict, and the sides are
+    equal when the left is contained in the right.
     """
     _require_same_ambient(a, b)
     _require_same_ambient(a, c)
@@ -369,7 +356,7 @@ def distributes(a: Subspace, b: Subspace, c: Subspace) -> DistributivityVerdict:
         raise InvariantViolationError(
             "rhs not contained in lhs: rank decision failed near tolerance"
         )
-    return DistributivityVerdict(lhs=lhs, rhs=rhs, distributive=subspace_equal(lhs, rhs))
+    return DistributivityVerdict(lhs=lhs, rhs=rhs, distributive=includes(lhs, rhs))
 
 
 def orthomodular_holds(a: Subspace, b: Subspace) -> bool:

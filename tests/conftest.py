@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qlbench.hilbert import MeasurementBasis, StateVector, named_axis_basis, named_state
+from qlbench.lattice import Subspace, _orthonormal_frame
+from qlbench.sampling import _gaussian_complex
 
 PHASE_TOL = 1e-10  # ray equality: global phase is quotiented out
 
@@ -48,3 +50,72 @@ def assert_table(actual: np.ndarray, expected, tol=1e-12):
     expected = np.asarray(expected, dtype=float)
     assert actual.shape == expected.shape
     assert float(np.max(np.abs(actual - expected))) <= tol
+
+
+def random_state(rng: np.random.Generator, dim: int) -> StateVector:
+    return StateVector.normalized(_gaussian_complex(rng, dim))
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-distributed unitary via QR with the standard phase fix."""
+    q, r = np.linalg.qr(_gaussian_complex(rng, (dim, dim)))
+    phases = np.diag(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+def random_basis(rng: np.random.Generator, dim: int, prefix: str = "") -> MeasurementBasis:
+    unitary = random_unitary(rng, dim)
+    labels = tuple(f"{prefix}{i}" for i in range(dim))
+    return MeasurementBasis.from_vectors([unitary[:, i] for i in range(dim)], labels)
+
+
+def random_basis_pair(
+    rng: np.random.Generator, dim: int
+) -> tuple[MeasurementBasis, MeasurementBasis]:
+    """Two independent bases; generically they do not commute."""
+    return random_basis(rng, dim, "a"), random_basis(rng, dim, "b")
+
+
+def random_commuting_pair(
+    rng: np.random.Generator, dim: int
+) -> tuple[MeasurementBasis, MeasurementBasis]:
+    """Two bases diagonal in one shared frame (outcome order permuted)."""
+    unitary = random_unitary(rng, dim)
+    perm = rng.permutation(dim)
+    first = MeasurementBasis.from_vectors(
+        [unitary[:, i] for i in range(dim)], tuple(f"a{i}" for i in range(dim))
+    )
+    second = MeasurementBasis.from_vectors(
+        [unitary[:, i] for i in perm], tuple(f"b{i}" for i in range(dim))
+    )
+    return first, second
+
+
+def random_direction_pair(rng: np.random.Generator) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Two (polar, azimuth) directions drawn uniformly on the sphere."""
+    polar = np.arccos(rng.uniform(-1.0, 1.0, size=2))
+    azimuth = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    return (float(polar[0]), float(azimuth[0])), (float(polar[1]), float(azimuth[1]))
+
+
+def random_subspace(
+    rng: np.random.Generator, ambient_dim: int, dim: int | None = None
+) -> Subspace:
+    """Random subspace; the rank is drawn uniformly over 0..ambient_dim when unset."""
+    if dim is None:
+        dim = int(rng.integers(0, ambient_dim + 1))
+    if dim == 0:
+        return Subspace.zero(ambient_dim)
+    frame = _orthonormal_frame(_gaussian_complex(rng, (ambient_dim, dim)))
+    return Subspace(frame)
+
+
+def random_nested_pair(rng: np.random.Generator, ambient_dim: int) -> tuple[Subspace, Subspace]:
+    """(a, b) with a spanned by a random sub-frame of a random b."""
+    outer_dim = int(rng.integers(1, ambient_dim + 1))
+    outer = random_subspace(rng, ambient_dim, outer_dim)
+    inner_dim = int(rng.integers(0, outer_dim + 1))
+    pick = rng.permutation(outer_dim)[:inner_dim]
+    inner = Subspace(np.ascontiguousarray(outer.frame[:, sorted(pick)]))
+    return inner, outer

@@ -9,7 +9,16 @@ import time
 
 import numpy as np
 
+from conftest import (
+    random_basis_pair,
+    random_commuting_pair,
+    random_direction_pair,
+    random_nested_pair,
+    random_state,
+    random_subspace,
+)
 from qlbench.coloring import RayFamily, builtin_family, search_bivalent_assignment
+from qlbench.config import DEFAULT_SEED
 from qlbench.events import (
     OutcomeSpace,
     Universe,
@@ -36,16 +45,7 @@ from qlbench.lattice import (
     orthomodular_holds,
     subspace_equal,
 )
-from qlbench.sampling import (
-    DEFAULT_SEED,
-    random_basis_pair,
-    random_commuting_pair,
-    random_direction_pair,
-    random_nested_pair,
-    random_state,
-    random_subspace,
-    rng_from,
-)
+from qlbench.sampling import rng_from
 from qlbench.stats import (
     born_distribution,
     commutation_defect,

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_table, tilted_z_basis
+from conftest import (
+    assert_table,
+    random_basis_pair,
+    random_direction_pair,
+    random_state,
+    tilted_z_basis,
+)
 from qlbench import hidden
 from qlbench.config import ConfigSemanticError, ConfigSyntaxError
 from qlbench.errors import InvariantViolationError, PreconditionError
@@ -25,12 +31,7 @@ from qlbench.hidden import (
     truth_table_distributivity,
 )
 from qlbench.hilbert import spin_direction_basis
-from qlbench.sampling import (
-    random_basis_pair,
-    random_direction_pair,
-    random_state,
-    rng_from,
-)
+from qlbench.sampling import rng_from
 from qlbench.stats import (
     SequentialTable,
     binomial_bound,

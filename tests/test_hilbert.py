@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import same_ray
+from conftest import random_basis, random_state, same_ray
 from projector_oracle import (
     ImpossibleOutcomeError,
     Projector,
@@ -27,7 +27,7 @@ from qlbench.hilbert import (
     spin_direction_basis,
     unit_vectors,
 )
-from qlbench.sampling import random_basis, random_state, rng_from
+from qlbench.sampling import rng_from
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

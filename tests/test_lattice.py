@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_nested_pair, random_subspace, random_unitary
+from qlbench.config import DEFAULT_SEED
 from qlbench.errors import DimensionMismatchError, InvariantViolationError, PreconditionError
 from qlbench.lattice import (
     FRAME_TOL,
@@ -33,16 +35,7 @@ from qlbench.lattice import (
     orthomodular_holds_stacked,
     subspace_equal,
 )
-from qlbench.sampling import (
-    DEFAULT_SEED,
-    _gaussian_complex,
-    random_nested_pair,
-    random_nested_pairs,
-    random_subspace,
-    random_subspaces,
-    random_unitary,
-    rng_from,
-)
+from qlbench.sampling import _gaussian_complex, random_nested_pairs, random_subspaces, rng_from
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -553,18 +546,24 @@ class TestStackedSampling:
         assert one.bit_generator.state == other.bit_generator.state
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 8])
-    def test_same_draws_and_frames_as_one_at_a_time(self, dim):
-        one, many = rng_from(dim), rng_from(dim)
-        for expected, got in (
-            ([random_subspace(one, dim) for _ in range(60)], random_subspaces(many, dim, 60)),
-            (list(zip(*(random_nested_pair(one, dim) for _ in range(60)))),
-             random_nested_pairs(many, dim, 60)),
-        ):
-            for x, y in zip(np.ravel(expected), np.ravel(got)):
-                assert x.frame.shape == y.frame.shape
-                assert np.array_equal(x.frame, y.frame)
-                assert not y.frame.flags.writeable
-            assert one.bit_generator.state == many.bit_generator.state
+    def test_ranks_frames_and_nesting(self, dim):
+        def draw():
+            rng = rng_from(dim)
+            sample = random_subspaces(rng, dim, 200)
+            return sample, *random_nested_pairs(rng, dim, 200)
+
+        sample, inner, outer = draw()
+        assert {s.dim for s in sample} == set(range(dim + 1))
+        assert {s.dim for s in outer} == set(range(1, dim + 1))
+        assert all(includes(x, y) for x, y in zip(inner, outer))
+        drawn = sample + inner + outer
+        for s in drawn:
+            gram = s.frame.conj().T @ s.frame
+            assert s.frame.shape == (dim, s.dim)
+            assert np.max(np.abs(gram - np.eye(s.dim)), initial=0.0) <= FRAME_TOL
+            assert not s.frame.flags.writeable
+        again = [s for side in draw() for s in side]
+        assert all(np.array_equal(x.frame, y.frame) for x, y in zip(drawn, again))
 
 
 class TestThresholds:

@@ -1,7 +1,7 @@
 """The package is its modules: importing ``qlbench`` loads none of them, a
 command loads only the modules it uses and never ``dataclasses``, each record
-keeps its constructor, and the README's library example imports each name
-from its own module."""
+keeps its constructor, each threshold constant is named by a test, and the
+README's library example imports each name from its own module."""
 
 import importlib
 import inspect
@@ -18,7 +18,9 @@ from qlbench.cli import COMMANDS
 from qlbench.reports import Report
 
 SRC = Path(qlbench.__file__).resolve().parents[1]
-README = Path(__file__).resolve().parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
+THRESHOLD = re.compile(r"^([A-Z_]+_TOL|ZERO_PROBABILITY) *=", re.MULTILINE)
 
 
 def loaded_after(statement: str) -> set[str]:
@@ -152,6 +154,14 @@ def test_each_report_starts_with_its_own_lists():
     first.add_table("table", ["h"], [[1]])
     assert (second.fields, second.tables) == ([], [])
     assert first.fields == [("key", 1)]
+
+
+def test_every_threshold_constant_is_named_by_a_test():
+    constants = {name for path in (SRC / "qlbench").glob("*.py")
+                 for name in THRESHOLD.findall(path.read_text(encoding="utf-8"))}
+    tests = "\n".join(path.read_text(encoding="utf-8") for path in TESTS.glob("test_*.py"))
+    assert constants
+    assert sorted(c for c in constants if not re.search(rf"\b{c}\b", tests)) == []
 
 
 def test_readme_library_example_runs():

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_table, tilted_z_basis
+from conftest import (
+    assert_table,
+    random_basis_pair,
+    random_commuting_pair,
+    random_state,
+    tilted_z_basis,
+)
 from projector_oracle import born_probability, collapse, commutes, projectors
+from qlbench.config import DEFAULT_TOL
 from qlbench.errors import (
     DimensionMismatchError,
     InvariantViolationError,
@@ -18,12 +25,7 @@ from qlbench.hilbert import (
     StateVector,
     named_state,
 )
-from qlbench.sampling import (
-    random_basis_pair,
-    random_commuting_pair,
-    random_state,
-    rng_from,
-)
+from qlbench.sampling import rng_from
 from qlbench.stats import (
     BASES_EQUAL_TOL,
     COMMUTATOR_TOL,
@@ -283,6 +285,17 @@ class TestJointExists:
             defect = commutation_defect(state, first, second)
             assert joint_exists(forward, reverse, tol=1e-9).exists == (defect <= 1e-9)
 
+    @pytest.mark.parametrize("factor, exists", [(0.99, True), (1.01, False)])
+    def test_default_tol_matches_the_command_line_default(self, z_basis, x_basis, factor, exists):
+        # one entry pair off by factor * 1e-9; the library default and the
+        # --tol default of the commands decide alike
+        gap = factor * 1e-9
+        entries = np.array([[0.4, 0.1], [0.2, 0.3]])
+        forward = SequentialTable(z_basis, x_basis, entries)
+        reverse = SequentialTable(x_basis, z_basis, (entries + [[gap, -gap], [0.0, 0.0]]).T)
+        assert joint_exists(forward, reverse).exists == exists
+        assert joint_exists(forward, reverse, tol=DEFAULT_TOL).exists == exists
+
 
 class TestDispersion:
     def test_endpoints_are_dispersion_free(self):
@@ -311,6 +324,16 @@ class TestBinomialBound:
         exact = sequential_distribution(z_plus, z_basis, x_basis)
         skewed = SequentialTable(z_basis, x_basis, [[0.7, 0.3], [0.0, 0.0]])
         assert not within_binomial_bound(exact, skewed, 100000)
+
+    @pytest.mark.parametrize("factor, within", [(0.99, True), (1.01, False)])
+    def test_default_z_is_four(self, z_basis, x_basis, factor, within):
+        # two quarter cells moved by factor * 4 standard deviations
+        n = 1000
+        gap = factor * 4.0 * math.sqrt(0.25 * 0.75 / n)
+        exact = SequentialTable(z_basis, x_basis, np.full((2, 2), 0.25))
+        moved = SequentialTable(z_basis, x_basis, [[0.25 + gap, 0.25 - gap], [0.25, 0.25]])
+        assert (gap <= binomial_bound(0.25, n)) == within
+        assert within_binomial_bound(exact, moved, n) == within
 
 
 # -- the measure-collapse-measure path, kept as the oracle for the frame path ----
