@@ -391,6 +391,7 @@ def _cmd_hv_simulate(config: ExperimentConfig) -> Report:
     report.add("contexts", f"{id_a}, {id_b}")
     report.add("trials", config.trials)
     report.add("seed", config.seed)
+    sigmas = f"{stats.BINOMIAL_Z:g}σ"
     all_within = True
     for offset, order in enumerate([(id_a, id_b), (id_b, id_a)]):
         exact = hidden.exact_sequential(model, order)
@@ -398,11 +399,11 @@ def _cmd_hv_simulate(config: ExperimentConfig) -> Report:
         within = stats.within_binomial_bound(exact, empirical, config.trials)
         all_within = all_within and within
         _add_sequential(report, f"empirical P({order[0]} first, {order[1]} then)", empirical)
-        report.add(f"order ({order[0]}, {order[1]}) within 4σ of exact", within)
+        report.add(f"order ({order[0]}, {order[1]}) within {sigmas} of exact", within)
     report.verdict = (
-        "all entries within the 4σ binomial bound"
+        f"all entries within the {sigmas} binomial bound"
         if all_within
-        else "some entry outside the 4σ binomial bound"
+        else f"some entry outside the {sigmas} binomial bound"
     )
     report.ok = all_within
     return report

@@ -72,23 +72,15 @@ class ExperimentConfig:
     __slots__ = ("state", "contexts", "universes", "atoms", "trials", "seed", "tol", "target",
                  "samples", "family", "model")
 
-    def __init__(
-        self,
-        state: StateVector | None = None,
-        contexts: tuple[tuple[str, MeasurementBasis], ...] = (),
-        universes: tuple[Universe, ...] = (),
-        atoms: tuple[str, str] | None = None,
-        trials: int = DEFAULT_TRIALS,
-        seed: int = DEFAULT_SEED,
-        tol: float = DEFAULT_TOL,
-        target: int = 0,
-        samples: int = DEFAULT_SAMPLES,
-        family: str | None = None,
-        model: str | None = None,
-    ) -> None:
-        self.state, self.contexts, self.universes, self.atoms = state, contexts, universes, atoms
-        self.trials, self.seed, self.tol, self.target = trials, seed, tol, target
-        self.samples, self.family, self.model = samples, family, model
+    def __init__(self) -> None:
+        self.state: StateVector | None = None
+        self.contexts: tuple[tuple[str, MeasurementBasis], ...] = ()
+        self.universes: tuple[Universe, ...] = ()
+        self.atoms: tuple[str, str] | None = None
+        self.trials, self.seed, self.tol = DEFAULT_TRIALS, DEFAULT_SEED, DEFAULT_TOL
+        self.target, self.samples = 0, DEFAULT_SAMPLES
+        self.family: str | None = None
+        self.model: str | None = None
 
 
 # Number settings: (lowest, highest, message for a value below lowest).

@@ -99,14 +99,14 @@ class HiddenEnsemble:
 class TransitionKernel:
     """Row-stochastic disturbance matrix between two measurement contexts.
 
-    rows[i, j] = probability that, after outcome i in ``from_context``, the
-    hidden value for ``to_context`` becomes j.
+    A kernel is stored under its ordered context pair (src, dst) in
+    ``HiddenModel.kernels``: rows[i, j] = probability that, after outcome i
+    in src, the hidden value for dst becomes j.
     """
 
-    __slots__ = ("from_context", "to_context", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, from_context: str, to_context: str, rows: np.ndarray) -> None:
-        self.from_context, self.to_context = from_context, to_context
+    def __init__(self, rows: np.ndarray) -> None:
         rows = np.array(rows, dtype=float)
         if rows.ndim != 2:
             raise InvariantViolationError("kernel rows must form a matrix")
@@ -121,17 +121,17 @@ class TransitionKernel:
 
 
 class HiddenModel:
-    """A value-definite ensemble plus one transition kernel per ordered context pair."""
+    """A value-definite ensemble plus one transition kernel per ordered context
+    pair.  A kernel error names its key in the error's ``part``,
+    ``("kernel", (src, dst))``."""
 
     __slots__ = ("ensemble", "kernels")
 
     def __init__(self, ensemble: HiddenEnsemble,
                  kernels: Mapping[tuple[str, str], TransitionKernel]) -> None:
         kernels = MappingProxyType(dict(kernels))
-        for (src, dst), kernel in kernels.items():
-            if kernel.from_context != src or kernel.to_context != dst:
-                raise InvariantViolationError("kernel key disagrees with kernel contexts")
-            _check_kernel(kernel, ensemble.contexts)
+        for key, kernel in kernels.items():
+            _check_kernel(key, kernel, ensemble.contexts)
         self.ensemble = ensemble
         self.kernels = kernels
 
@@ -141,26 +141,28 @@ class HiddenModel:
             basis = self.ensemble.contexts.get(first)
             if basis is None:
                 raise PreconditionError(f"context {first!r} not declared")
-            return TransitionKernel(first, first, np.eye(basis.size))
+            return TransitionKernel(np.eye(basis.size))
         try:
             return self.kernels[(first, then)]
         except KeyError:
             raise PreconditionError(f"no kernel declared for order ({first!r}, {then!r})") from None
 
 
-def _check_kernel(kernel: TransitionKernel, contexts: Mapping[str, MeasurementBasis]) -> None:
-    """Both contexts declared, and one row per outcome of the source context
-    with one entry per outcome of the destination context."""
-    src, dst = kernel.from_context, kernel.to_context
-    for name in (src, dst):
+def _check_kernel(key: tuple[str, str], kernel: TransitionKernel,
+                  contexts: Mapping[str, MeasurementBasis]) -> None:
+    """Both contexts of ``key`` declared, and one row per outcome of the source
+    context with one entry per outcome of the destination context."""
+    src, dst = key
+    part = ("kernel", key)
+    for name in key:
         if name not in contexts:
-            raise InvariantViolationError(f"kernel references an undeclared context {name!r}")
+            raise InvariantViolationError(f"kernel references an undeclared context {name!r}",
+                                          part)
     expected = (contexts[src].size, contexts[dst].size)
     if kernel.rows.shape != expected:
         raise InvariantViolationError(
             f"kernel {src} {dst} rows have shape {kernel.rows.shape}, expected {expected} "
-            f"(outcomes of {src} × outcomes of {dst})"
-        )
+            f"(outcomes of {src} × outcomes of {dst})", part)
 
 
 def build_qm_equivalent_model(
@@ -191,8 +193,8 @@ def build_qm_equivalent_model(
 
     overlaps = overlap_kernel(basis_a, basis_b)
     kernels = {
-        (id_a, id_b): TransitionKernel(id_a, id_b, overlaps),
-        (id_b, id_a): TransitionKernel(id_b, id_a, overlaps.T),
+        (id_a, id_b): TransitionKernel(overlaps),
+        (id_b, id_a): TransitionKernel(overlaps.T),
     }
     ensemble = HiddenEnsemble(values, weights, {id_a: basis_a, id_b: basis_b})
     return HiddenModel(ensemble=ensemble, kernels=kernels)
@@ -448,7 +450,7 @@ def parse_model(text: str) -> HiddenModel:
         key = (tokens[1], tokens[2])
         declare(key, line, f"kernel {key[0]} {key[1]}")
         rows = line.groups(float, 4)
-        kernels[key] = line.build(TransitionKernel, *key, rows)
+        kernels[key] = line.build(TransitionKernel, rows)
 
     parse_lines(text, {"model-dim": model_dim, "context": context, "member": member,
                        "kernel": kernel}, "model")
@@ -463,8 +465,6 @@ def parse_model(text: str) -> HiddenModel:
             raise declared_at[name].error(
                 f"context {name!r} has vectors of length {basis.dim}, but model-dim is {dim}",
                 1, ConfigSemanticError)
-    for key, kernel in kernels.items():
-        declared_at[key].build(_check_kernel, kernel, contexts)
     ids = tuple(contexts)
     values = np.empty((len(members), len(ids)), dtype=np.int64)
     for row, (line, names, outcomes) in zip(values, members):
@@ -485,13 +485,14 @@ def parse_model(text: str) -> HiddenModel:
             raise line.error(f"no value for context {missing[0]!r}", len(line.tokens) - 2,
                              ConfigSemanticError)
     try:
-        ensemble = HiddenEnsemble(values, weights, contexts)
+        return HiddenModel(HiddenEnsemble(values, weights, contexts), kernels)
     except InvariantViolationError as exc:
         if exc.part is None:
             raise
+        if exc.part[0] == "kernel":  # its kernel line, first value
+            raise declared_at[exc.part[1]].error(str(exc), 1, ConfigSemanticError) from None
         line = members[exc.part[1]][0]  # a weight error: its member line, weight column
         raise line.error(str(exc), len(line.tokens) - 1, ConfigSemanticError) from None
-    return HiddenModel(ensemble=ensemble, kernels=kernels)
 
 
 def load_model(path) -> HiddenModel:

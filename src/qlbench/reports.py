@@ -41,19 +41,18 @@ class ReportTable:
 class Report:
     """One command's output: scalar fields, optional tables, and a verdict.
 
-    ``fields`` and ``tables`` default to fresh empty lists.  ``attachment``
+    A report starts with its title alone; the command then adds fields and
+    tables and sets ``verdict``, ``ok`` and ``attachment``.  ``attachment``
     is text that ``--out`` writes in place of the rendered report
     (``hv-build``'s model); the renderers ignore it."""
 
     __slots__ = ("title", "fields", "tables", "verdict", "ok", "attachment")
 
-    def __init__(self, title: str, fields: list[tuple[str, object]] | None = None,
-                 tables: list[ReportTable] | None = None, verdict: str = "", ok: bool = True,
-                 attachment: str | None = None) -> None:
+    def __init__(self, title: str) -> None:
         self.title = title
-        self.fields = [] if fields is None else fields
-        self.tables = [] if tables is None else tables
-        self.verdict, self.ok, self.attachment = verdict, ok, attachment
+        self.fields: list[tuple[str, object]] = []
+        self.tables: list[ReportTable] = []
+        self.verdict, self.ok, self.attachment = "", True, None
 
     def add(self, key: str, value) -> None:
         self.fields.append((key, value))

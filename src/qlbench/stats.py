@@ -22,6 +22,7 @@ DISTRIBUTION_TOL = 1e-9
 ENTRY_TOL = 1e-12
 BASES_EQUAL_TOL = 1e-9   # entrywise projector agreement in bases_equal
 COMMUTATOR_TOL = 1e-10   # entrywise commutator size in commuting_bases
+BINOMIAL_Z = 4.0         # standard deviations a Monte-Carlo entry may stray
 
 
 class Distribution:
@@ -237,18 +238,18 @@ def dispersion(p: float) -> float:
     return p - p * p
 
 
-def binomial_bound(p, n_trials: int, z: float = 4.0):
-    """z standard deviations of a binomial proportion estimate of p (or of each p in an array)."""
+def binomial_bound(p, n_trials: int):
+    """``BINOMIAL_Z`` standard deviations of a binomial proportion estimate of
+    p (or of each p in an array)."""
     if n_trials < 1:
         raise PreconditionError("need at least one trial")
-    return z * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n_trials)
+    return BINOMIAL_Z * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n_trials)
 
 
-def within_binomial_bound(
-    exact: SequentialTable, empirical: SequentialTable, n_trials: int, z: float = 4.0
-) -> bool:
-    """Entrywise |empirical - exact| <= z * sqrt(p(1-p)/n) comparison."""
+def within_binomial_bound(exact: SequentialTable, empirical: SequentialTable,
+                          n_trials: int) -> bool:
+    """Entrywise |empirical - exact| <= BINOMIAL_Z * sqrt(p(1-p)/n) comparison."""
     if exact.entries.shape != empirical.entries.shape:
         raise DimensionMismatchError("table shapes differ")
-    bounds = binomial_bound(exact.entries, n_trials, z)
+    bounds = binomial_bound(exact.entries, n_trials)
     return bool(np.all(np.abs(empirical.entries - exact.entries) <= bounds))

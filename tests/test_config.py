@@ -94,6 +94,10 @@ class TestRunParameters:
         assert config.seed == DEFAULT_SEED == 0xC0FFEE
         assert config.tol == 1e-9
         assert config.target == 0
+        assert config.samples == 200
+        assert (config.state, config.contexts, config.universes, config.atoms) == (
+            None, (), (), None)
+        assert (config.family, config.model) == (None, None)
 
     def test_overrides(self):
         text = "trials 500\nseed 0x2A\ntol 1e-6\ntarget 1\nsamples 50\n"

@@ -21,6 +21,7 @@ from qlbench.hidden import (
     ROW_TOL,
     WEIGHT_TOL,
     HiddenEnsemble,
+    HiddenModel,
     TransitionKernel,
     audit_no_go,
     build_qm_equivalent_model,
@@ -99,11 +100,11 @@ class TestEnsembleInvariants:
 
     def test_kernel_rows_must_be_stochastic(self):
         with pytest.raises(InvariantViolationError):
-            TransitionKernel("A", "B", [[0.5, 0.2], [0.5, 0.5]])
+            TransitionKernel([[0.5, 0.2], [0.5, 0.5]])
 
     def test_kernel_row_sum_error_names_the_first_bad_row(self):
         with pytest.raises(InvariantViolationError) as caught:
-            TransitionKernel("A", "B", [[1.0, 0.0], [0.5, 0.2], [0.25, 0.25]])
+            TransitionKernel([[1.0, 0.0], [0.5, 0.2], [0.25, 0.25]])
         assert str(caught.value) == "kernel row 1 sums to 0.7, not 1"
         assert "array(" not in str(caught.value)
 
@@ -155,22 +156,33 @@ class TestEnsembleInvariants:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_kernel_entry_rejected(self, bad):
         with pytest.raises(InvariantViolationError):
-            TransitionKernel("A", "B", [[bad, 1.0], [0.5, 0.5]])
+            TransitionKernel([[bad, 1.0], [0.5, 0.5]])
 
     @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_kernel_row_sum_at_row_tol(self, factor, accepted, sign):
         rows = [[0.5, 0.5 + sign * factor * ROW_TOL], [0.5, 0.5]]
         if accepted:
-            TransitionKernel("A", "B", rows)
+            TransitionKernel(rows)
         else:
             with pytest.raises(InvariantViolationError):
-                TransitionKernel("A", "B", rows)
+                TransitionKernel(rows)
+
+    @pytest.mark.parametrize("key, rows, message", [
+        (("A", "C"), np.eye(2), "kernel references an undeclared context 'C'"),
+        (("A", "B"), np.eye(3), "kernel A B rows have shape (3, 3), expected (2, 2)"),
+    ])
+    def test_model_kernel_error_names_its_key(self, z_basis, x_basis, key, rows, message):
+        ensemble = HiddenEnsemble([[0, 0]], [1.0], {"A": z_basis, "B": x_basis})
+        with pytest.raises(InvariantViolationError) as caught:
+            HiddenModel(ensemble, {key: TransitionKernel(rows)})
+        assert str(caught.value).startswith(message)
+        assert caught.value.part == ("kernel", key)
 
     def test_kernel_sign_boundary(self):
-        TransitionKernel("A", "B", [[0.0, 1.0], [0.5, 0.5]])
+        TransitionKernel([[0.0, 1.0], [0.5, 0.5]])
         with pytest.raises(InvariantViolationError):
-            TransitionKernel("A", "B", [[-5e-324, 1.0], [0.5, 0.5]])
+            TransitionKernel([[-5e-324, 1.0], [0.5, 0.5]])
 
 
 class TestExactSequential:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_nested_pair, random_subspace, random_unitary
+from qlbench import lattice
 from qlbench.config import DEFAULT_SEED
 from qlbench.errors import DimensionMismatchError, InvariantViolationError, PreconditionError
 from qlbench.lattice import (
@@ -199,6 +201,23 @@ class TestDistributes:
         assert verdict.distributive
         assert subspace_equal(verdict.lhs, a)
         assert subspace_equal(verdict.rhs, a)
+
+    def test_near_tolerance_rays_get_a_verdict(self):
+        # a ∧ b = a within RANK_TOL, but a ∧ (b ∨ c) = 0: the tolerance
+        # decisions are not transitive, so rhs is not inside lhs
+        a, b, c = (ray(1, t) for t in (3.115e-10, 2.130e-10, 1.519e-10))
+        verdict = distributes(a, b, c)
+        assert (verdict.lhs.dim, verdict.rhs.dim) == (0, 1)
+        assert not verdict.distributive
+
+    def test_near_axis_triples_get_a_verdict(self):
+        tilts = 10.0 ** np.random.default_rng(0).uniform(-11, -8, size=(3000, 3))
+        verdicts = [distributes(*(ray(1, t) for t in row)) for row in tilts.tolist()]
+        # both sides lie in a, so they are equal exactly when their dimensions are
+        assert all(max(v.lhs.dim, v.rhs.dim) <= 1 for v in verdicts)
+        assert all(v.distributive == (v.lhs.dim == v.rhs.dim) for v in verdicts)
+        # the triples whose rhs escapes lhs are in the sweep
+        assert any(v.rhs.dim > v.lhs.dim for v in verdicts)
 
     def test_commuting_triples_distribute(self):
         rng = rng_from(202)
@@ -411,9 +430,11 @@ class TestAxiomCheckAgainstPerPairLoop:
             chain = [tilted_ray(dim, t * INCLUSION_TOL) for t in (0.0, 0.6, 1.2)]
             for k, ray_k in zip(rng.choice(n + 3, size=3, replace=False), chain):
                 sample.insert(int(k), ray_k)
-        kwargs = dict(pair_limit=limit, triple_limit=limit, seed=seed)
-        assert outcomes(check_lattice_axioms(sample, **kwargs)) == oracle_check_lattice_axioms(
-            sample, **kwargs)
+        # Hypothesis forbids function-scoped fixtures such as monkeypatch
+        with mock.patch.object(lattice, "TUPLE_LIMIT", limit):
+            report = check_lattice_axioms(sample, seed=seed)
+        assert outcomes(report) == oracle_check_lattice_axioms(
+            sample, pair_limit=limit, triple_limit=limit, seed=seed)
 
     def test_transitivity_counterexample_is_the_first_failing_triple(self):
         sample = [tilted_ray(2, t * INCLUSION_TOL) for t in (0.0, 0.6, 1.2)]

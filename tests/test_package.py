@@ -1,7 +1,8 @@
 """The package is its modules: importing ``qlbench`` loads none of them, a
 command loads only the modules it uses and never ``dataclasses``, each record
-keeps its constructor, each threshold constant is named by a test, and the
-README's library example imports each name from its own module."""
+keeps its constructor, each pinned function its parameters, each threshold
+constant is named by a test, and the README's library example imports each
+name from its own module."""
 
 import importlib
 import inspect
@@ -20,7 +21,7 @@ from qlbench.reports import Report
 SRC = Path(qlbench.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
-THRESHOLD = re.compile(r"^([A-Z_]+_TOL|ZERO_PROBABILITY) *=", re.MULTILINE)
+THRESHOLD = re.compile(r"^([A-Z_]+_TOL|ZERO_PROBABILITY|BINOMIAL_Z) *=", re.MULTILINE)
 
 
 def loaded_after(statement: str) -> set[str]:
@@ -92,15 +93,11 @@ def test_a_numpy_command_loads_only_its_modules(command, used, unused):
 
 # Each public record's constructor parameters in order, a name alone when it
 # has no default; the defaults are literal so that keyword construction
-# cannot drift.  Report's two lists default to None, which stands for a fresh
-# empty list per report.
+# cannot drift.
 RECORD_PARAMETERS = {
     "coloring.RayFamily": ("dim", "rays", "bases"),
     "coloring.AssignmentSearchResult": ("assignment", "proved_none", "nodes"),
-    "config.ExperimentConfig": (
-        ("state", None), ("contexts", ()), ("universes", ()), ("atoms", None),
-        ("trials", 100_000), ("seed", 0xC0FFEE), ("tol", 1e-9), ("target", 0),
-        ("samples", 200), ("family", None), ("model", None)),
+    "config.ExperimentConfig": (),
     "events.Universe": ("name", "outcomes"),
     "events.OutcomeSpace": ("universes",),
     "events.ClassicalDistributivityVerdict": ("lhs", "rhs", "distributive"),
@@ -111,7 +108,7 @@ RECORD_PARAMETERS = {
         "a_label", "b_label", "lhs_mixed", "rhs_omega", "flag_raised", "flag",
         "consistent_space", "consistent_universe", "coercions"),
     "hidden.HiddenEnsemble": ("values", "weights", "contexts"),
-    "hidden.TransitionKernel": ("from_context", "to_context", "rows"),
+    "hidden.TransitionKernel": ("rows",),
     "hidden.HiddenModel": ("ensemble", "kernels"),
     "hidden.TruthTableRow": ("a", "b", "lhs", "rhs"),
     "hidden.TruthTableReport": ("rows",),
@@ -127,9 +124,7 @@ RECORD_PARAMETERS = {
     "lattice.AxiomCheck": ("name", "checked", "passed", "counterexample"),
     "lattice.LatticeAxiomReport": ("checks",),
     "reports.ReportTable": ("name", "headers", "rows"),
-    "reports.Report": (
-        "title", ("fields", None), ("tables", None), ("verdict", ""), ("ok", True),
-        ("attachment", None)),
+    "reports.Report": ("title",),
     "stats.Distribution": ("labels", "probs"),
     "stats.SequentialTable": ("first_basis", "second_basis", "entries"),
     "stats.JointWitness": ("first_index", "second_index", "forward", "reverse"),
@@ -144,8 +139,30 @@ def test_record_constructor_signature(record, parameters):
     signature = inspect.signature(getattr(importlib.import_module(f"qlbench.{module}"), name))
     expected = [p if isinstance(p, tuple) else (p, inspect.Parameter.empty) for p in parameters]
     assert [(p.name, p.default) for p in signature.parameters.values()] == expected
-    assert {p.kind for p in signature.parameters.values()} == {
+    assert {p.kind for p in signature.parameters.values()} <= {
         inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+# The keywords each library function keeps; a setting no caller changes is a
+# module constant (``lattice.TUPLE_LIMIT``, ``stats.BINOMIAL_Z``), not a keyword.
+FUNCTION_PARAMETERS = {
+    "lattice.check_lattice_axioms": (
+        ("sample", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("seed", inspect.Parameter.KEYWORD_ONLY, 0)),
+    "stats.binomial_bound": ("p", "n_trials"),
+    "stats.within_binomial_bound": ("exact", "empirical", "n_trials"),
+}
+
+
+@pytest.mark.parametrize("function, parameters", FUNCTION_PARAMETERS.items(),
+                         ids=FUNCTION_PARAMETERS)
+def test_function_signature(function, parameters):
+    module, name = function.split(".")
+    signature = inspect.signature(getattr(importlib.import_module(f"qlbench.{module}"), name))
+    expected = [p if isinstance(p, tuple)
+                else (p, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+                for p in parameters]
+    assert [(p.name, p.kind, p.default) for p in signature.parameters.values()] == expected
 
 
 def test_each_report_starts_with_its_own_lists():
@@ -153,6 +170,7 @@ def test_each_report_starts_with_its_own_lists():
     first.add("key", 1)
     first.add_table("table", ["h"], [[1]])
     assert (second.fields, second.tables) == ([], [])
+    assert (second.verdict, second.ok, second.attachment) == ("", True, None)
     assert first.fields == [("key", 1)]
 
 

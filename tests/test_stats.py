@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     tilted_z_basis,
 )
 from projector_oracle import born_probability, collapse, commutes, projectors
+from qlbench import stats
 from qlbench.config import DEFAULT_TOL
 from qlbench.errors import (
     DimensionMismatchError,
@@ -328,6 +330,7 @@ class TestBinomialBound:
     @pytest.mark.parametrize("factor, within", [(0.99, True), (1.01, False)])
     def test_default_z_is_four(self, z_basis, x_basis, factor, within):
         # two quarter cells moved by factor * 4 standard deviations
+        assert stats.BINOMIAL_Z == 4.0
         n = 1000
         gap = factor * 4.0 * math.sqrt(0.25 * 0.75 / n)
         exact = SequentialTable(z_basis, x_basis, np.full((2, 2), 0.25))
@@ -445,7 +448,7 @@ class TestZeroProbabilityThreshold:
         assert np.all(entries[1] == 0.0)
 
 
-def _scalar_binomial_bound(p, n, z=4.0):
+def _scalar_binomial_bound(p, n, z):
     return z * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
@@ -463,8 +466,9 @@ class TestBinomialBoundArray:
     def test_array_bounds_equal_the_scalar_function(self, z_basis, x_basis, entries, n):
         table = SequentialTable(z_basis, x_basis, entries)
         for z in (4.0, 2.5):
-            bounds = binomial_bound(table.entries, n, z)
-            scalar = [[binomial_bound(float(p), n, z) for p in row] for row in table.entries]
+            with mock.patch.object(stats, "BINOMIAL_Z", z):
+                bounds = binomial_bound(table.entries, n)
+                scalar = [[binomial_bound(float(p), n) for p in row] for row in table.entries]
             oracle = [[_scalar_binomial_bound(float(p), n, z) for p in row] for row in table.entries]
             assert bounds.tobytes() == np.array(scalar).tobytes()
             assert bounds.tobytes() == np.array(oracle).tobytes()
