@@ -24,7 +24,7 @@ from .config import ConfigSemanticError, Line, format_complex, parse_lines
 from .errors import InvariantViolationError, PreconditionError
 from .hilbert import MeasurementBasis, StateVector, _frozen, principal_vector
 from .stats import (SequentialTable, born_distribution, chain_rule, commutation_defect,
-                    dispersion, overlap_kernel)
+                    dispersion, is_integer, overlap_kernel)
 
 WEIGHT_TOL = 1e-12
 ROW_TOL = 1e-12
@@ -68,8 +68,8 @@ class HiddenEnsemble:
             m, c = np.argwhere(outside)[0]
             raise InvariantViolationError(
                 f"outcome {values[m, c]} out of range for context {list(contexts)[c]!r}")
-        if not (weights >= 0.0).all():
-            m = int(np.argmin(weights >= 0.0))
+        if not weights.min() >= 0.0:  # NaN fails
+            m = int((weights >= 0.0).argmin())
             raise InvariantViolationError(
                 f"weight {float(weights[m])!r} is not a nonnegative number", ("weight", m))
         total = sum(weights.tolist())
@@ -113,9 +113,9 @@ class TransitionKernel:
         if not (rows >= 0.0).all():
             raise InvariantViolationError("kernel entry negative or not a number")
         sums = rows.sum(axis=1)
-        bad = ~(np.abs(sums - 1.0) <= ROW_TOL)
+        bad = ~(abs(sums - 1.0) <= ROW_TOL)
         if bad.any():
-            i = int(np.argmax(bad))
+            i = int(bad.argmax())
             raise InvariantViolationError(f"kernel row {i} sums to {float(sums[i])!r}, not 1")
         self.rows = _frozen(rows)
 
@@ -186,9 +186,9 @@ def build_qm_equivalent_model(
         raise PreconditionError("state and bases must share one dimension")
 
     # member (i, j), in row-major order, has outcome i in a and j in b
-    values = np.indices((basis_a.size, basis_b.size)).reshape(2, -1).T
-    weights = np.outer(born_distribution(state, basis_a).probs,
-                       born_distribution(state, basis_b).probs).ravel()
+    values = np.array(np.divmod(np.arange(basis_a.size * basis_b.size), basis_b.size)).T
+    weights = (born_distribution(state, basis_a).probs[:, None]
+               * born_distribution(state, basis_b).probs).ravel()
     weights = weights / sum(weights.tolist())
 
     overlaps = overlap_kernel(basis_a, basis_b)
@@ -205,11 +205,7 @@ def exact_sequential(model: HiddenModel, order: tuple[str, str]) -> SequentialTa
     first, then = order
     ensemble = model.ensemble
     entries = chain_rule(ensemble.marginal(first), model.kernel(first, then).rows)
-    return SequentialTable(
-        first_basis=ensemble.contexts[first],
-        second_basis=ensemble.contexts[then],
-        entries=entries,
-    )
+    return SequentialTable(ensemble.contexts[first], ensemble.contexts[then], entries)
 
 
 def simulate_sequential(
@@ -223,6 +219,9 @@ def simulate_sequential(
     all trials at once, as member counts by weight, then each first outcome's
     second outcomes from its kernel row.  Deterministic given (seed, n_trials).
     """
+    if not (is_integer(n_trials) and is_integer(seed) and seed >= 0):
+        raise PreconditionError(f"trial count {n_trials!r} and seed {seed!r} must be "
+                                "integers, the seed nonnegative")
     if n_trials < 1:
         raise PreconditionError("need at least one trial")
     first, then = order
@@ -235,14 +234,10 @@ def simulate_sequential(
     counts = np.zeros(kernel.rows.shape)
     first_counts = np.zeros(len(counts), dtype=np.int64)  # exact up to 2**63 - 1 trials
     np.add.at(first_counts, ensemble.values[:, ensemble.column(first)], member_counts)
-    for i in np.flatnonzero(first_counts):
+    for i in first_counts.nonzero()[0]:
         row = kernel.rows[i]
         counts[i] = rng.multinomial(first_counts[i], row / row.sum())
-    return SequentialTable(
-        first_basis=ensemble.contexts[first],
-        second_basis=ensemble.contexts[then],
-        entries=counts / n_trials,
-    )
+    return SequentialTable(ensemble.contexts[first], ensemble.contexts[then], counts / n_trials)
 
 
 def _law_lhs(a, b):
@@ -338,22 +333,21 @@ def audit_no_go(
     # proposition k is (context columns[k], outcome outcomes[k]), context by
     # context; truths[m, k] = 1 if member m yields proposition k, else 0
     sizes = [basis.size for basis in ensemble.contexts.values()]
-    columns = np.repeat(np.arange(len(sizes)), sizes)
-    outcomes = np.concatenate([np.arange(size) for size in sizes])
+    columns = [c for c, size in enumerate(sizes) for _ in range(size)]
+    outcomes = [k for size in sizes for k in range(size)]
     truths = (ensemble.values[:, columns] == outcomes).astype(int)
     value_definite = bool(((truths == 0) | (truths == 1)).all())
-    member_max_dispersion = float(np.max(truths - truths * truths))
+    member_max_dispersion = float((truths - truths * truths).max())
     a, b = truths[:, :, None], truths[:, None, :]
-    distributive = bool(np.array_equal(_law_lhs(a, b), _law_rhs(a, b)))
+    distributive = bool((_law_lhs(a, b) == _law_rhs(a, b)).all())
     pairs_checked = truths.shape[0] * truths.shape[1] ** 2
 
-    mixture_max_dispersion = max(
-        dispersion(float(p)) for name in ensemble.contexts for p in ensemble.marginal(name)
-    )
+    marginals = np.concatenate([ensemble.marginal(name) for name in ensemble.contexts])
+    mixture_max_dispersion = float(dispersion(marginals).max())
 
     table_ab = exact_sequential(model, (id_a, id_b))
     table_ba = exact_sequential(model, (id_b, id_a))
-    hv_defect = float(np.max(np.abs(table_ab.entries - table_ba.entries.T)))
+    hv_defect = float(abs(table_ab.entries - table_ba.entries.T).max())
     qm_defect = commutation_defect(state, basis_a, basis_b)
     defects_match = abs(hv_defect - qm_defect) <= AGREEMENT_TOL
     noncommuting = qm_defect > NONCOMMUTING_TOL

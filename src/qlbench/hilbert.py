@@ -116,8 +116,8 @@ class MeasurementBasis:
     __slots__ = ("frame", "labels")
 
     def __init__(self, frame: np.ndarray, labels: tuple[str, ...]) -> None:
-        frame = np.array(frame, dtype=complex)
-        labels = tuple(str(l) for l in labels)
+        frame = np.array(frame, dtype=complex, order="C")
+        labels = tuple(map(str, labels))
         if frame.ndim != 2 or frame.size == 0:
             raise InvariantViolationError("empty measurement basis")
         dim, count = frame.shape
@@ -127,7 +127,9 @@ class MeasurementBasis:
             raise InvariantViolationError("one label per basis vector required")
         if len(set(labels)) != len(labels):
             raise InvariantViolationError(f"duplicate outcome labels: {labels}")
-        error = np.max(np.abs(frame.conj().T @ frame - np.eye(count)))
+        gram = frame.conj().T @ frame
+        gram.ravel()[::count + 1] -= 1.0  # minus the identity
+        error = abs(gram).max()
         if count != dim or not error <= BASIS_TOL:
             raise InvariantViolationError(
                 f"not an orthonormal basis of C^{dim}: {count} vectors, Gram error {error:.3g}")
@@ -145,17 +147,23 @@ class MeasurementBasis:
     @classmethod
     def from_vectors(cls, vectors, labels=None) -> MeasurementBasis:
         """Basis whose k-th outcome is the ray of ``vectors[k]`` (normalized first)."""
-        vecs = [_as_complex_vector(v) for v in vectors]
-        if not vecs:
-            raise InvariantViolationError("empty measurement basis")
-        if any(v.size != vecs[0].size for v in vecs):
-            raise DimensionMismatchError("vectors of mixed dimension in one basis")
-        frame, bad = unit_vectors(np.stack(vecs, axis=1), axis=0)
+        try:  # an (n, d) array converts at once, other input is diagnosed vector by vector
+            rows = np.asarray(vectors, dtype=complex)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            rows = np.empty(0)
+        if rows.ndim != 2 or not rows.size or rows.shape[1] > MAX_DIM:
+            vecs = [_as_complex_vector(v) for v in vectors]
+            if not vecs:
+                raise InvariantViolationError("empty measurement basis")
+            if any(v.size != vecs[0].size for v in vecs):
+                raise DimensionMismatchError("vectors of mixed dimension in one basis")
+            rows = np.array(vecs)
+        # C order: unit_vectors then sums each column in one order whatever the input's
+        # layout (on a transposed stack it sums pairwise, which moves a norm's last bit)
+        frame, bad = unit_vectors(np.ascontiguousarray(rows.T), axis=0)
         if bad is not None:
             raise InvariantViolationError("cannot normalize a zero vector")
-        if labels is None:
-            labels = tuple(str(i) for i in range(len(vecs)))
-        return cls(frame, tuple(labels))
+        return cls(frame, range(frame.shape[1]) if labels is None else labels)
 
     def __repr__(self) -> str:
         return f"MeasurementBasis(dim={self.dim}, labels={self.labels})"

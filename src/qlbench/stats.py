@@ -31,16 +31,16 @@ class Distribution:
     __slots__ = ("labels", "probs")
 
     def __init__(self, labels: tuple[str, ...], probs: np.ndarray) -> None:
-        labels = tuple(str(l) for l in labels)
+        labels = tuple(map(str, labels))
         probs = np.asarray(probs, dtype=float).reshape(-1)
         if len(labels) != probs.size or not labels:
             raise InvariantViolationError("labels and probabilities must align")
-        if not ((-ENTRY_TOL <= probs) & (probs <= 1.0 + ENTRY_TOL)).all():
+        if not (-ENTRY_TOL <= probs.min() and probs.max() <= 1.0 + ENTRY_TOL):  # NaN fails
             raise InvariantViolationError("probability outside [0, 1]")
         total = float(probs.sum())
         if not abs(total - 1.0) <= DISTRIBUTION_TOL:
             raise InvariantViolationError(f"probabilities sum to {total!r}, not 1")
-        probs = np.clip(probs, 0.0, 1.0)
+        probs = probs.clip(0.0, 1.0)
         probs.setflags(write=False)
         self.labels = labels
         self.probs = probs
@@ -62,12 +62,12 @@ class SequentialTable:
         expected = (first_basis.size, second_basis.size)
         if entries.shape != expected:
             raise InvariantViolationError(f"entries shape {entries.shape}, expected {expected}")
-        if not (entries >= -ENTRY_TOL).all():
+        if not entries.min() >= -ENTRY_TOL:  # NaN fails
             raise InvariantViolationError("table entry negative or not a number")
         total = float(entries.sum())
         if not abs(total - 1.0) <= DISTRIBUTION_TOL:
             raise InvariantViolationError(f"table sums to {total!r}, not 1")
-        entries = np.clip(entries, 0.0, None)
+        entries = np.maximum(entries, 0.0)  # what np.clip(entries, 0.0, None) computes
         entries.setflags(write=False)
         self.first_basis, self.second_basis = first_basis, second_basis
         self.entries = entries
@@ -135,7 +135,7 @@ def nondistribution_defect(
     Returns |P(target = i) - sum_j P(interposed = j, then target = i)|.
     Zero when the two measurements are compatible; positive in general.
     """
-    if not 0 <= target_index < target_basis.size:
+    if not (is_integer(target_index) and 0 <= target_index < target_basis.size):
         raise PreconditionError(f"outcome index {target_index} out of range")
     direct = _born_probs(state, target_basis)[target_index]
     through = chain_rule(_born_probs(state, interposed), overlap_kernel(interposed, target_basis))
@@ -149,7 +149,7 @@ def commutation_defect(
     kernel = overlap_kernel(basis_a, basis_b)
     forward = chain_rule(_born_probs(state, basis_a), kernel)
     reverse = chain_rule(_born_probs(state, basis_b), kernel.T)
-    return float(np.max(np.abs(forward - reverse.T)))
+    return float(abs(forward - reverse.T).max())
 
 
 def bases_equal(a: MeasurementBasis, b: MeasurementBasis) -> bool:
@@ -160,7 +160,7 @@ def bases_equal(a: MeasurementBasis, b: MeasurementBasis) -> bool:
         return False
     # stack[k] = |f_k><f_k|, the projector of outcome k
     stack_a, stack_b = (np.einsum("ik,jk->kij", f, f.conj()) for f in (a.frame, b.frame))
-    return float(np.max(np.abs(stack_a - stack_b))) <= BASES_EQUAL_TOL
+    return float(abs(stack_a - stack_b).max()) <= BASES_EQUAL_TOL
 
 
 def commuting_bases(a: MeasurementBasis, b: MeasurementBasis) -> bool:
@@ -170,7 +170,7 @@ def commuting_bases(a: MeasurementBasis, b: MeasurementBasis) -> bool:
     # P_i Q_j = <a_i|b_j> |a_i><b_j|, and Q_j P_i is its conjugate transpose
     products = np.einsum("ij,ki,lj->ijkl", a.frame.conj().T @ b.frame, a.frame, b.frame.conj())
     commutators = products - products.conj().transpose(0, 1, 3, 2)
-    return float(np.max(np.abs(commutators))) <= COMMUTATOR_TOL
+    return float(abs(commutators).max()) <= COMMUTATOR_TOL
 
 
 class JointWitness:
@@ -210,8 +210,8 @@ def joint_exists(t_ab: SequentialTable, t_ba: SequentialTable, tol: float = 1e-9
         and bases_equal(t_ab.second_basis, t_ba.first_basis)
     ):
         raise PreconditionError("tables do not cover the same basis pair in opposite orders")
-    gap = np.abs(t_ab.entries - t_ba.entries.T)
-    worst = int(np.argmax(gap >= gap.max() - ENTRY_TOL))
+    gap = abs(t_ab.entries - t_ba.entries.T)
+    worst = int((gap >= gap.max() - ENTRY_TOL).argmax())
     i, j = (int(k) for k in np.unravel_index(worst, gap.shape))
     if float(gap[i, j]) <= tol:
         labels = [
@@ -230,19 +230,26 @@ def joint_exists(t_ab: SequentialTable, t_ba: SequentialTable, tol: float = 1e-9
     return JointVerdict(exists=False, joint=None, witness=witness)
 
 
-def dispersion(p: float) -> float:
-    """p - p^2: zero exactly at the definite values 0 and 1, positive between."""
-    if not -ENTRY_TOL <= p <= 1.0 + ENTRY_TOL:
-        raise PreconditionError(f"probability {p!r} outside [0, 1]")
-    p = min(1.0, max(0.0, float(p)))
+def is_integer(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def dispersion(p):
+    """p - p^2 of p, or of each p in an array: zero exactly at 0 and 1, positive between."""
+    p = np.asarray(p, dtype=float)
+    inside = (-ENTRY_TOL <= p) & (p <= 1.0 + ENTRY_TOL)
+    if not inside.all():
+        raise PreconditionError(f"probability {float(p[~inside][0])!r} outside [0, 1]")
+    p = np.minimum(np.maximum(p, 0.0), 1.0)  # a -0.0 becomes 0.0, as in max(0.0, -0.0)
     return p - p * p
 
 
 def binomial_bound(p, n_trials: int):
     """``BINOMIAL_Z`` standard deviations of a binomial proportion estimate of
     p (or of each p in an array)."""
-    if n_trials < 1:
-        raise PreconditionError("need at least one trial")
+    if not (is_integer(n_trials) and n_trials >= 1):
+        raise PreconditionError(f"need a whole number of trials, at least one, not {n_trials!r}")
     return BINOMIAL_Z * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n_trials)
 
 
@@ -252,4 +259,4 @@ def within_binomial_bound(exact: SequentialTable, empirical: SequentialTable,
     if exact.entries.shape != empirical.entries.shape:
         raise DimensionMismatchError("table shapes differ")
     bounds = binomial_bound(exact.entries, n_trials)
-    return bool(np.all(np.abs(empirical.entries - exact.entries) <= bounds))
+    return bool((abs(empirical.entries - exact.entries) <= bounds).all())

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qlbench.errors import PreconditionError
 from qlbench.hilbert import MeasurementBasis, StateVector, named_axis_basis, named_state
 from qlbench.lattice import Subspace, _orthonormal_frame
 from qlbench.sampling import _gaussian_complex
+from qlbench.stats import ENTRY_TOL
 
 PHASE_TOL = 1e-10  # ray equality: global phase is quotiented out
 
@@ -50,6 +52,15 @@ def assert_table(actual: np.ndarray, expected, tol=1e-12):
     expected = np.asarray(expected, dtype=float)
     assert actual.shape == expected.shape
     assert float(np.max(np.abs(actual - expected))) <= tol
+
+
+def scalar_dispersion(p: float) -> float:
+    """The scalar p - p^2 that ``stats.dispersion`` computed before it took
+    arrays, kept as the oracle for its bits."""
+    if not -ENTRY_TOL <= p <= 1.0 + ENTRY_TOL:
+        raise PreconditionError(f"probability {p!r} outside [0, 1]")
+    p = min(1.0, max(0.0, float(p)))
+    return p - p * p
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_table,
     random_basis_pair,
+    random_commuting_pair,
     random_direction_pair,
     random_state,
+    scalar_dispersion,
     tilted_z_basis,
 )
 from qlbench import hidden
@@ -31,7 +35,13 @@ from qlbench.hidden import (
     simulate_sequential,
     truth_table_distributivity,
 )
-from qlbench.hilbert import spin_direction_basis
+from qlbench.hilbert import (
+    AXIS_NAMES,
+    STATE_PRESET_NAMES,
+    named_axis_basis,
+    named_state,
+    spin_direction_basis,
+)
 from qlbench.sampling import rng_from
 from qlbench.stats import (
     SequentialTable,
@@ -248,6 +258,19 @@ class TestSimulateSequential:
         with pytest.raises(PreconditionError):
             simulate_sequential(zx_model, ("A", "B"), 0, seed=1)
 
+    @pytest.mark.parametrize("n_trials, seed", [
+        (1.5, 1), (True, 1), (10.0, 1), ("10", 1),
+        (10, -1), (10, 1.5), (10, True), (10, None),
+    ])
+    def test_non_integer_arguments_refused(self, zx_model, n_trials, seed):
+        with pytest.raises(PreconditionError, match="must be integers"):
+            simulate_sequential(zx_model, ("A", "B"), n_trials, seed)
+
+    def test_numpy_integers_accepted(self, zx_model):
+        table = simulate_sequential(zx_model, ("A", "B"), np.int64(100), np.uint32(3))
+        assert np.array_equal(table.entries,
+                              simulate_sequential(zx_model, ("A", "B"), 100, 3).entries)
+
 
 def per_trial_simulate(model, order, n_trials, seed):
     """The per-trial sampler, kept as the oracle for the two-stage one: each
@@ -353,6 +376,46 @@ class TestAuditAgainstPerMemberLoop:
             assert got == expected
             assert type(got[2]) is int and type(got[3]) is float
             assert audit.member_pairs_checked == a.size ** 2 * (2 * a.size) ** 2
+
+
+def generator_dispersions(ensemble):
+    """The audit's two dispersion fields as it computed them before the array
+    forms: the member truths through np.repeat and np.concatenate with np.max,
+    and the mixture's as a generator over scalar dispersions."""
+    sizes = [basis.size for basis in ensemble.contexts.values()]
+    columns = np.repeat(np.arange(len(sizes)), sizes)
+    outcomes = np.concatenate([np.arange(size) for size in sizes])
+    truths = (ensemble.values[:, columns] == outcomes).astype(int)
+    member = float(np.max(truths - truths * truths))
+    mixture = max(scalar_dispersion(float(p))
+                  for name in ensemble.contexts for p in ensemble.marginal(name))
+    return member, mixture
+
+
+@st.composite
+def audit_inputs(draw):
+    """A state and basis pair (d = 2..5): random, commuting, or a preset qubit
+    state on axis bases, whose marginals hold exact zeros and ones."""
+    kind = draw(st.sampled_from(["random", "commuting", "preset"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "preset":
+        state = named_state(draw(st.sampled_from(STATE_PRESET_NAMES)))
+        return (state, *(named_axis_basis(draw(st.sampled_from(AXIS_NAMES))) for _ in "ab"))
+    dim = draw(st.integers(2, 5))
+    pair = random_basis_pair if kind == "random" else random_commuting_pair
+    return (random_state(rng, dim), *pair(rng, dim))
+
+
+class TestAuditDispersionsAgainstGeneratorForms:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(audit_inputs())
+    def test_identical(self, inputs):
+        audit = audit_no_go(*inputs)
+        member, mixture = generator_dispersions(build_qm_equivalent_model(*inputs).ensemble)
+        assert type(audit.member_max_dispersion) is float
+        assert type(audit.mixture_max_dispersion) is float
+        assert audit.member_max_dispersion == member
+        assert audit.mixture_max_dispersion == mixture
 
 
 class TestTruthTable:

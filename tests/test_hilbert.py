@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_basis, random_state, same_ray
+from conftest import random_basis, random_state, random_unitary, same_ray
 from projector_oracle import (
     ImpossibleOutcomeError,
     Projector,
@@ -150,6 +151,62 @@ class TestMeasurementBasis:
     def test_from_vectors_rejects(self, vectors, error):
         with pytest.raises(error):
             MeasurementBasis.from_vectors(vectors)
+
+
+def per_vector_frame(vectors):
+    """The frame ``from_vectors`` built vector by vector before it converted an
+    (n, d) array at once, kept as the oracle for the bits of its frame."""
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    frame, bad = unit_vectors(np.stack(vecs, axis=1), axis=0)
+    assert bad is None
+    return frame
+
+
+@st.composite
+def scaled_unitaries(draw):
+    """A Haar unitary (d = 1..8) with each column scaled by 10^U(-3, 3), so
+    that from_vectors has a norm to divide out of every column."""
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_unitary(rng, dim) * 10.0 ** rng.uniform(-3.0, 3.0, dim)
+
+
+class TestFromVectorsAgainstPerVectorPath:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(scaled_unitaries())
+    def test_every_input_form_gives_the_oracle_frame(self, columns):
+        rows = columns.T  # an F-ordered view: row k is column k
+        expected = per_vector_frame(list(rows)).tobytes()
+        for vectors in (rows, np.ascontiguousarray(rows), rows.tolist(), list(rows)):
+            basis = MeasurementBasis.from_vectors(vectors)
+            assert basis.frame.tobytes() == expected
+            assert basis.labels == tuple(str(k) for k in range(len(rows)))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(scaled_unitaries(), st.floats(1e-12, 1e-3), st.integers(0, 63))
+    def test_gram_error_is_the_distance_from_the_identity(self, columns, eps, entry):
+        frame = columns / np.linalg.norm(columns, axis=0)
+        frame.flat[entry % frame.size] += eps
+        count = frame.shape[1]
+        error = np.max(np.abs(frame.conj().T @ frame - np.eye(count)))
+        labels = tuple(str(k) for k in range(count))
+        if error <= BASIS_TOL:
+            MeasurementBasis(frame, labels)
+        else:
+            with pytest.raises(InvariantViolationError, match=re.escape(f"Gram error {error:.3g}")):
+                MeasurementBasis(frame, labels)
+
+    def test_frames_are_c_contiguous(self):
+        # unit_vectors sums an F-ordered stack pairwise along its contiguous
+        # axis, which moved the last bit of random-d8/demo-eq5's golden output
+        unitary = random_unitary(rng_from(107), 8)
+        labels = tuple(str(k) for k in range(8))
+        frames = [MeasurementBasis.from_vectors(vectors).frame
+                  for vectors in (unitary.T, np.ascontiguousarray(unitary.T), unitary.T.tolist())]
+        frames += [MeasurementBasis(frame, labels).frame
+                   for frame in (unitary, np.asfortranarray(unitary))]
+        for frame in frames:
+            assert frame.flags.c_contiguous
 
 
 def general_norm_unit_vectors(vectors, axis=None):

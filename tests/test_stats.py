@@ -11,6 +11,7 @@ from conftest import (
     random_basis_pair,
     random_commuting_pair,
     random_state,
+    scalar_dispersion,
     tilted_z_basis,
 )
 from projector_oracle import born_probability, collapse, commutes, projectors
@@ -211,6 +212,15 @@ class TestNondistributionDefect:
         with pytest.raises(PreconditionError):
             nondistribution_defect(z_plus, z_basis, 5, x_basis)
 
+    @pytest.mark.parametrize("index", [True, False, 0.0, 1.5, "0", None])
+    def test_non_integer_index_refused(self, z_plus, z_basis, x_basis, index):
+        with pytest.raises(PreconditionError, match="outcome index"):
+            nondistribution_defect(z_plus, z_basis, index, x_basis)
+
+    def test_numpy_integer_index_accepted(self, z_plus, z_basis, x_basis):
+        assert nondistribution_defect(z_plus, z_basis, np.int64(0), x_basis) == \
+            nondistribution_defect(z_plus, z_basis, 0, x_basis)
+
 
 class TestCommutationDefect:
     def test_z_x_pair(self, z_plus, z_basis, x_basis):
@@ -315,6 +325,58 @@ class TestDispersion:
     def test_out_of_range_rejected(self):
         with pytest.raises(PreconditionError):
             dispersion(1.5)
+
+
+# -0.0, 0.0 and the ends of the accepted range, or any float inside it
+EDGE_PROBABILITIES = (st.sampled_from([-0.0, 0.0, 1.0, -ENTRY_TOL, 1.0 + ENTRY_TOL, -5e-324])
+                      | st.floats(-ENTRY_TOL, 0.0) | st.floats(1.0, 1.0 + ENTRY_TOL)
+                      | st.floats(-ENTRY_TOL, 1.0 + ENTRY_TOL))
+
+
+class TestDispersionArray:
+    @settings(max_examples=400, derandomize=True)
+    @given(st.lists(EDGE_PROBABILITIES, min_size=1, max_size=20))
+    def test_equals_the_scalar_formula_bit_for_bit(self, ps):
+        expected = np.array([scalar_dispersion(p) for p in ps])
+        assert dispersion(np.array(ps)).tobytes() == expected.tobytes()
+        assert np.array([dispersion(p) for p in ps]).tobytes() == expected.tobytes()
+
+    def test_names_the_first_entry_out_of_range(self):
+        with pytest.raises(PreconditionError, match=r"^probability 1\.5 outside \[0, 1\]$"):
+            dispersion(np.array([0.5, 1.5, -1.0]))
+
+
+@st.composite
+def near_edge_probabilities(draw, size=None):
+    """Probabilities that sum to 1 within DISTRIBUTION_TOL, with entries at
+    -0.0, tiny negatives and (for a certain outcome) just above 1."""
+    n = draw(st.integers(1, 9)) if size is None else size
+    edges = draw(st.lists(st.sampled_from([-0.0, 0.0, -ENTRY_TOL]) | st.floats(-ENTRY_TOL, 0.0),
+                          max_size=n - 1))
+    rest = n - len(edges)
+    if rest == 1:
+        head = [draw(st.floats(1.0 - 1e-10, 1.0 + ENTRY_TOL))]
+    else:
+        head = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(rest))
+    return np.array(draw(st.permutations([*head, *edges])))
+
+
+class TestClippingAgainstNpClip:
+    @settings(max_examples=300, derandomize=True)
+    @given(near_edge_probabilities())
+    def test_distribution_clips_as_np_clip(self, probs):
+        labels = tuple(str(k) for k in range(probs.size))
+        got = Distribution(labels, probs).probs
+        assert got.tobytes() == np.clip(probs, 0.0, 1.0).tobytes()  # signbit included
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.integers(1, 3).flatmap(lambda d: near_edge_probabilities(d * d)))
+    def test_sequential_table_clips_as_np_clip(self, entries):
+        dim = math.isqrt(entries.size)
+        basis = MeasurementBasis(np.eye(dim), tuple(str(k) for k in range(dim)))
+        entries = entries.reshape(dim, dim)
+        got = SequentialTable(basis, basis, entries).entries
+        assert got.tobytes() == np.clip(entries, 0.0, None).tobytes()  # signbit included
 
 
 class TestBinomialBound:
@@ -485,3 +547,12 @@ class TestBinomialBoundArray:
             binomial_bound(0.5, 0)
         with pytest.raises(PreconditionError):
             within_binomial_bound(table, table, 0)
+
+    @pytest.mark.parametrize("n_trials", [True, 2.5, 100.0, "100", None])
+    def test_non_integer_trial_count_refused(self, z_basis, x_basis, n_trials):
+        table = SequentialTable(z_basis, x_basis, [[0.5, 0.5], [0.0, 0.0]])
+        with pytest.raises(PreconditionError, match="whole number of trials"):
+            binomial_bound(0.5, n_trials)
+        with pytest.raises(PreconditionError, match="whole number of trials"):
+            within_binomial_bound(table, table, n_trials)
+        assert binomial_bound(0.5, np.int64(100)) == binomial_bound(0.5, 100)
