@@ -248,42 +248,6 @@ def _law_rhs(a, b):
     return np.maximum(np.minimum(a, b), np.minimum(a, 1 - b))
 
 
-class TruthTableRow:
-    __slots__ = ("a", "b", "lhs", "rhs")
-
-    def __init__(self, a: int, b: int, lhs: int, rhs: int) -> None:
-        self.a, self.b, self.lhs, self.rhs = a, b, lhs, rhs
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-
-class TruthTableReport:
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[TruthTableRow, ...]) -> None:
-        self.rows = rows
-
-    @property
-    def all_equal(self) -> bool:
-        return all(row.equal for row in self.rows)
-
-
-def truth_table_distributivity() -> TruthTableReport:
-    """Evaluate a ∧ (b ∨ b') = (a ∧ b) ∨ (a ∧ b') on definite truth values.
-
-    With ' as negation, ∧ as min, and ∨ as max, all four assignments agree:
-    definite values always distribute.
-    """
-    rows = tuple(
-        TruthTableRow(a=a, b=b, lhs=int(_law_lhs(a, b)), rhs=int(_law_rhs(a, b)))
-        for a in (0, 1)
-        for b in (0, 1)
-    )
-    return TruthTableReport(rows=rows)
-
-
 class NoGoAudit:
     """Computed evidence for each link of the implication chain
     value-definiteness → dispersion-free mixtures → distributive logic →

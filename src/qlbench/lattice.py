@@ -15,7 +15,10 @@ The laws also come in stacked forms (``absorption_holds_stacked`` and the
 rest) that check many pairs at once.  They run the same constructions on
 padded frames, (n, d, d) stacks that hold each frame in its first columns and
 zeros after, with each item's dimension kept as a count; one stacked SVD
-serves every pair of a row block.  The per-pair functions are their oracle.
+serves every pair of a row block.  A pair with a zero or full side is settled
+by its ranks (the meet with zero is zero, the join with full is full, and so
+on), so only the other pairs are factorized or projected.  The per-pair
+functions are their oracle.
 """
 
 from __future__ import annotations
@@ -223,7 +226,7 @@ class _Stack:
         self.frames = frames  # (n, d, d) complex
         self.dims = dims      # (n,) int
 
-    def __getitem__(self, rows: slice) -> _Stack:
+    def __getitem__(self, rows: slice | np.ndarray) -> _Stack:
         return _Stack(self.frames[rows], self.dims[rows])
 
 
@@ -245,9 +248,33 @@ def _row_blocks(n: int, row_entries: int) -> list[slice]:
     return [slice(start, start + rows) for start in range(0, n, rows)]
 
 
+def _proper_pairs(a: _Stack, b: _Stack) -> np.ndarray:
+    """Indices of the pairs with no zero or full side; of the dimensions
+    0..d, d divides just 0 and d."""
+    d = a.frames.shape[-1]
+    return (a.dims % d * (b.dims % d)).nonzero()[0]
+
+
+def _by_rank(a: _Stack, b: _Stack, take_b: np.ndarray, factorized) -> _Stack:
+    """b where ``take_b`` and a elsewhere on the pairs that a zero or full
+    side settles, and ``factorized`` of the other pairs in one call, if any."""
+    rest = _proper_pairs(a, b)
+    settled = _Stack(np.where(take_b[:, None, None], b.frames, a.frames),
+                     np.where(take_b, b.dims, a.dims))
+    if rest.size:
+        done = factorized(a[rest], b[rest])
+        settled.frames[rest], settled.dims[rest] = done.frames, done.dims
+    return settled
+
+
 def _join_stacked(a: _Stack, b: _Stack) -> _Stack:
-    """``join`` of each pair: one SVD of the (d, 2d) concatenated frames,
+    """``join`` of each pair: b where a is zero or b full, a where b is zero
+    or a full, and otherwise one SVD of the (d, 2d) concatenated frames,
     whose zero columns add only zero singular values."""
+    return _by_rank(a, b, (a.dims == 0) | (b.dims == b.frames.shape[-1]), _join_factorized)
+
+
+def _join_factorized(a: _Stack, b: _Stack) -> _Stack:
     u, s, _ = np.linalg.svd(np.concatenate([a.frames, b.frames], axis=2), full_matrices=False)
     return _kept(u, np.sum(s > RANK_TOL, axis=1))
 
@@ -262,7 +289,13 @@ def _orthocomplement_stacked(a: _Stack) -> _Stack:
 
 
 def _meet_stacked(a: _Stack, b: _Stack) -> _Stack:
-    """``meet`` of each pair, decided on the sines of the principal angles.
+    """``meet`` of each pair: b where b is zero or a full, a where a is zero
+    or b full, and otherwise decided on the sines of the principal angles."""
+    return _by_rank(a, b, (b.dims == 0) | (a.dims == a.frames.shape[-1]), _meet_factorized)
+
+
+def _meet_factorized(a: _Stack, b: _Stack) -> _Stack:
+    """``meet`` of each pair from one SVD.
 
     A padding column of a would add a zero sine, and a right singular vector
     mixing it into the meet.  So each padding column gets a unit entry in d
@@ -280,13 +313,31 @@ def _meet_stacked(a: _Stack, b: _Stack) -> _Stack:
 
 
 def _includes_stacked(a: _Stack, b: _Stack) -> np.ndarray:
-    """``includes(a[i], b[i])`` for each i; a padding column has no residual."""
-    residual = _residual(a.frames, b.frames)
-    return np.linalg.norm(residual, axis=1).max(axis=1) <= INCLUSION_TOL
+    """``includes(a[i], b[i])`` for each i: true where a is zero or b full,
+    false on the other pairs with a zero or full side, and otherwise decided
+    on the residuals."""
+    included = (a.dims == 0) | (b.dims == b.frames.shape[-1])
+    rest = _proper_pairs(a, b)
+    if rest.size:
+        included[rest] = _within(a.frames[rest], b.frames[rest])
+    return included
 
 
 def _equal_stacked(a: _Stack, b: _Stack) -> np.ndarray:
-    return _includes_stacked(a, b) & _includes_stacked(b, a)
+    """Mutual inclusion of each pair, which on a pair with a zero or full
+    side holds just when the dimensions are equal."""
+    equal = a.dims == b.dims
+    rest = _proper_pairs(a, b)
+    if rest.size:
+        a, b = a.frames[rest], b.frames[rest]
+        equal[rest] = _within(a, b) & _within(b, a)
+    return equal
+
+
+def _within(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each padded frame of a lies in the span of the matching frame
+    of b; a padding column has no residual."""
+    return np.linalg.norm(_residual(a, b), axis=1).max(axis=1) <= INCLUSION_TOL
 
 
 def _pairwise(law, a, b) -> np.ndarray:

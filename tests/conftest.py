@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qlbench.errors import PreconditionError
+from qlbench.hidden import _law_lhs, _law_rhs
 from qlbench.hilbert import MeasurementBasis, StateVector, named_axis_basis, named_state
 from qlbench.lattice import Subspace, _orthonormal_frame
 from qlbench.sampling import _gaussian_complex
@@ -130,3 +131,39 @@ def random_nested_pair(rng: np.random.Generator, ambient_dim: int) -> tuple[Subs
     pick = rng.permutation(outer_dim)[:inner_dim]
     inner = Subspace(np.ascontiguousarray(outer.frame[:, sorted(pick)]))
     return inner, outer
+
+
+class TruthTableRow:
+    __slots__ = ("a", "b", "lhs", "rhs")
+
+    def __init__(self, a: int, b: int, lhs: int, rhs: int) -> None:
+        self.a, self.b, self.lhs, self.rhs = a, b, lhs, rhs
+
+    @property
+    def equal(self) -> bool:
+        return self.lhs == self.rhs
+
+
+class TruthTableReport:
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[TruthTableRow, ...]) -> None:
+        self.rows = rows
+
+    @property
+    def all_equal(self) -> bool:
+        return all(row.equal for row in self.rows)
+
+
+def truth_table_distributivity() -> TruthTableReport:
+    """Evaluate a ∧ (b ∨ b') = (a ∧ b) ∨ (a ∧ b') on definite truth values.
+
+    With ' as negation, ∧ as min, and ∨ as max, all four assignments agree:
+    definite values always distribute.
+    """
+    rows = tuple(
+        TruthTableRow(a=a, b=b, lhs=int(_law_lhs(a, b)), rhs=int(_law_rhs(a, b)))
+        for a in (0, 1)
+        for b in (0, 1)
+    )
+    return TruthTableReport(rows=rows)

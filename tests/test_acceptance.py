@@ -16,6 +16,7 @@ from conftest import (
     random_nested_pair,
     random_state,
     random_subspace,
+    truth_table_distributivity,
 )
 from qlbench.coloring import RayFamily, builtin_family, search_bivalent_assignment
 from qlbench.config import DEFAULT_SEED
@@ -32,7 +33,6 @@ from qlbench.hidden import (
     build_qm_equivalent_model,
     exact_sequential,
     simulate_sequential,
-    truth_table_distributivity,
 )
 from qlbench.hilbert import spin_direction_basis
 from qlbench.lattice import (

@@ -294,13 +294,16 @@ class TestSearchCommands:
     def test_lattice_check_factorizes_in_stacks(self, capsys, monkeypatch):
         # per dimension d of 2, 3, 4: one QR for each of the two samples,
         # nine SVDs and six QRs for the laws and axioms; a per-pair loop over
-        # the 200 samples would make thousands
-        calls = []
+        # the 200 samples would make thousands.  The SVDs factorize only the
+        # pairs with no zero or full side: 1491 of the 27 * 200 stacked pairs
+        calls, svd_items = [], []
 
         def counted(factorize):
-            def wrapper(*args, **kwargs):
+            def wrapper(a, *args, **kwargs):
                 calls.append(factorize.__name__)
-                return factorize(*args, **kwargs)
+                if factorize.__name__ == "svd":
+                    svd_items.append(len(a))
+                return factorize(a, *args, **kwargs)
             return wrapper
 
         for name in ("svd", "qr"):
@@ -309,6 +312,7 @@ class TestSearchCommands:
         assert (code, out.splitlines()[-1]) == (0, "verdict: all laws hold")
         dims = len((2, 3, 4))
         assert (calls.count("svd"), calls.count("qr")) == (9 * dims, (2 + 6) * dims)
+        assert sum(svd_items) <= 1491
 
 
 class TestInterface:

@@ -13,6 +13,7 @@ from conftest import (
     random_state,
     scalar_dispersion,
     tilted_z_basis,
+    truth_table_distributivity,
 )
 from qlbench import hidden
 from qlbench.config import ConfigSemanticError, ConfigSyntaxError
@@ -33,7 +34,6 @@ from qlbench.hidden import (
     parse_model,
     serialize_model,
     simulate_sequential,
-    truth_table_distributivity,
 )
 from qlbench.hilbert import (
     AXIS_NAMES,

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_nested_pair, random_subspace, random_unitary
@@ -16,12 +16,15 @@ from qlbench.lattice import (
     RANK_TOL,
     LatticeAxiomReport,
     Subspace,
+    _equal_stacked,
     _inclusion_matrix,
     _includes_stacked,
     _join_stacked,
+    _kept,
     _meet_stacked,
     _orthocomplement_stacked,
     _padded_frames,
+    _residual,
     _stack,
     absorption_holds,
     absorption_holds_stacked,
@@ -550,6 +553,83 @@ class TestStackedAgainstPerPair:
         with pytest.raises(DimensionMismatchError):
             de_morgan_holds_stacked([ray(1, 0)], [Subspace.ray(e(0, 3))])
         assert absorption_holds_stacked([], []).tolist() == []
+
+
+# -- the whole-stack kernels, which factorize every pair, kept as oracles for
+# the pairs that the stacked kernels settle by rank --
+
+
+def whole_stack_join(a, b):
+    u, s, _ = np.linalg.svd(np.concatenate([a.frames, b.frames], axis=2), full_matrices=False)
+    return _kept(u, np.sum(s > RANK_TOL, axis=1))
+
+
+def whole_stack_meet(a, b):
+    d = a.frames.shape[-1]
+    padding = np.eye(d) * (np.arange(d) >= a.dims[:, None])[:, None, :]
+    extended = np.concatenate([_residual(a.frames, b.frames), padding], axis=1)
+    _, sines, vh = np.linalg.svd(extended, full_matrices=False)
+    directions = vh[:, ::-1].conj().swapaxes(1, 2)
+    return _kept(a.frames @ directions, np.sum(sines <= RANK_TOL, axis=1))
+
+
+def whole_stack_includes(a, b):
+    residual = _residual(a.frames, b.frames)
+    return np.linalg.norm(residual, axis=1).max(axis=1) <= INCLUSION_TOL
+
+
+SIDE_KINDS = ("zero", "full", "proper")
+
+
+def planted_stack(rng, dim, kinds):
+    """A stack of random subspaces of C^dim, zero, full or of a rank strictly
+    between, as ``kinds`` says; in C^1 every subspace is zero or full."""
+    ranks = {"zero": lambda: 0, "full": lambda: dim,
+             "proper": lambda: int(rng.integers(1, dim)) if dim > 1 else int(rng.integers(0, 2))}
+    return _stack([random_subspace(rng, dim, ranks[kind]()) for kind in kinds])
+
+
+class TestSkipByRankAgainstWholeStack:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 5),
+        kinds=st.lists(st.tuples(st.sampled_from(SIDE_KINDS), st.sampled_from(SIDE_KINDS)),
+                       min_size=1, max_size=12),
+    )
+    @example(seed=0, dim=1, kinds=[("proper", "proper")] * 4)
+    @example(seed=1, dim=3, kinds=[("zero", "proper"), ("proper", "full"), ("full", "zero")])
+    @example(seed=2, dim=4, kinds=[("proper", "proper")] * 5)
+    @example(seed=3, dim=2, kinds=[("proper", "zero")])
+    @example(seed=4, dim=3, kinds=[("proper", "proper")])
+    def test_operations(self, seed, dim, kinds):
+        rng = rng_from(seed)
+        a, b = (planted_stack(rng, dim, side) for side in zip(*kinds))
+        proper = (0 < a.dims) & (a.dims < dim) & (0 < b.dims) & (b.dims < dim)
+        slow = {"join": whole_stack_join(a, b), "meet": whole_stack_meet(a, b)}
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            fast = {"join": _join_stacked(a, b), "meet": _meet_stacked(a, b)}
+            included, equal = _includes_stacked(a, b), _equal_stacked(a, b)
+        # one call per kernel with a pair to factorize, on those pairs alone
+        assert [len(call.args[0]) for call in svd.call_args_list] == [proper.sum()] * (2 * proper.any())
+        for name, got in fast.items():
+            want = slow[name]
+            assert got.dims.tolist() == want.dims.tolist(), name
+            assert whole_stack_includes(got, want).all() and whole_stack_includes(want, got).all(), name
+            # each item keeps zero columns after its dimension
+            assert not np.any(got.frames * (np.arange(dim) >= got.dims[:, None])[:, None, :]), name
+        assert included.tolist() == whole_stack_includes(a, b).tolist()
+        assert equal.tolist() == (whole_stack_includes(a, b) & whole_stack_includes(b, a)).tolist()
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_pairs_with_a_zero_or_full_side_make_no_svd(self, dim):
+        rng = rng_from(212)
+        kinds = [(x, y) for x in SIDE_KINDS for y in SIDE_KINDS if "proper" not in (x, y)]
+        a, b = (planted_stack(rng, dim, side) for side in zip(*kinds))
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("no SVD expected")):
+            joined, met = _join_stacked(a, b), _meet_stacked(a, b)
+        assert joined.dims.tolist() == [max(x, y) for x, y in zip(a.dims.tolist(), b.dims.tolist())]
+        assert met.dims.tolist() == [min(x, y) for x, y in zip(a.dims.tolist(), b.dims.tolist())]
 
 
 class TestStackedSampling:

@@ -110,8 +110,6 @@ RECORD_PARAMETERS = {
     "hidden.HiddenEnsemble": ("values", "weights", "contexts"),
     "hidden.TransitionKernel": ("rows",),
     "hidden.HiddenModel": ("ensemble", "kernels"),
-    "hidden.TruthTableRow": ("a", "b", "lhs", "rhs"),
-    "hidden.TruthTableReport": ("rows",),
     "hidden.NoGoAudit": (
         "context_ids", "member_count", "members_value_definite", "members_distributive",
         "member_pairs_checked", "member_max_dispersion", "mixture_max_dispersion",
