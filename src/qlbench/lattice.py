@@ -7,18 +7,24 @@ the principal angles between the two subspaces (Björck & Golub, Math. Comp.
 27, 1973): the singular values of the residual of a's frame against b are the
 sines of those angles, and the directions of a whose sine is at most
 ``RANK_TOL`` span a ∧ b.  A frame passed to ``Subspace(frame)`` is checked
-for orthonormality; the frames built here (join, orthocomplement, meet, zero,
-full and the SVD frame of ``from_vectors``) are orthonormal by construction
-and skip that check.
+for orthonormality; the frames built here (join, orthocomplement, meet and
+the SVD frame of ``from_vectors``) are orthonormal by construction and skip
+that check.
+
+A pair with a zero or full side is settled by its ranks (the meet with zero
+is zero, the join with full is full, and so on), and an inclusion also when
+dim a > dim b; only the other pairs are factorized or projected.  The ranks
+give what the numerics would: against zero a unit vector leaves a residual of
+1; k orthonormal vectors leave squared residuals against a subspace of lower
+dimension summing to at least 1, so one is at least 1/√k ≥ 1/√``MAX_DIM``, far
+above ``INCLUSION_TOL``; a full frame spans the space, and the sines it leaves
+are only its Gram error, which ``FRAME_TOL`` (= ``RANK_TOL``) bounds.
 
 The laws also come in stacked forms (``absorption_holds_stacked`` and the
 rest) that check many pairs at once.  They run the same constructions on
 padded frames, (n, d, d) stacks that hold each frame in its first columns and
 zeros after, with each item's dimension kept as a count; one stacked SVD
-serves every pair of a row block.  A pair with a zero or full side is settled
-by its ranks (the meet with zero is zero, the join with full is full, and so
-on), so only the other pairs are factorized or projected.  The per-pair
-functions are their oracle.
+serves every pair of a row block.  The per-pair functions are their oracle.
 """
 
 from __future__ import annotations
@@ -93,28 +99,18 @@ class Subspace:
         return self.dim == 0
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> Subspace:
-        _check_ambient(ambient_dim)
-        return _subspace(np.zeros((ambient_dim, 0), dtype=complex))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> Subspace:
-        _check_ambient(ambient_dim)
-        return _subspace(np.eye(ambient_dim, dtype=complex))
-
-    @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> Subspace:
         """Span of arbitrary (possibly dependent, unnormalized) vectors; rank is
         decided on their unit directions, and a non-finite entry is refused."""
         vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-        if not vecs:
-            return cls.zero(ambient_dim)
         for v in vecs:
             if v.size != ambient_dim:
                 raise DimensionMismatchError(
                     f"vector of length {v.size} in ambient dimension {ambient_dim}"
                 )
         _check_ambient(ambient_dim)
+        if not vecs:
+            return _subspace(np.zeros((ambient_dim, 0), dtype=complex))
         columns = np.column_stack(vecs)
         if not np.isfinite(columns).all():
             raise InvariantViolationError("vector has a non-finite entry")
@@ -159,23 +155,32 @@ def _residual(frame: np.ndarray, onto: np.ndarray) -> np.ndarray:
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
-    """Smallest subspace containing both: the span of the concatenated frames."""
+    """Smallest subspace containing both: b when a is zero or b full, a when
+    b is zero or a full, and otherwise the span of the concatenated frames."""
     _require_same_ambient(a, b)
+    if a.dim == 0 or b.dim == b.ambient_dim:
+        return b
+    if b.dim == 0 or a.dim == a.ambient_dim:
+        return a
     return _subspace(_orthonormal_frame(np.hstack([a.frame, b.frame])))
 
 
 def orthocomplement(a: Subspace) -> Subspace:
-    """All vectors orthogonal to ``a``; dimensions are complementary.  A
-    stored frame is orthonormal, so its rank is its dimension."""
-    if a.is_zero:
-        return Subspace.full(a.ambient_dim)
+    """All vectors orthogonal to ``a``; dimensions are complementary.  The
+    complement of zero is spanned by the standard basis and that of full by
+    none of it; otherwise a stored frame is orthonormal, so its rank is its
+    dimension."""
+    d = a.ambient_dim
+    if a.dim in (0, d):
+        return _subspace(np.eye(d, dtype=complex)[:, a.dim:])
     u = np.linalg.svd(a.frame, full_matrices=True)[0]
     return _subspace(np.ascontiguousarray(u[:, a.dim:]))
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection: the directions of ``a`` whose distance from ``b`` is at
-    most ``RANK_TOL``.
+    """Intersection: b when b is zero or a full, a when a is zero or b full,
+    and otherwise the directions of ``a`` whose distance from ``b`` is at most
+    ``RANK_TOL``.
 
     The singular values of the residual of a's frame against b are the sines
     of the principal angles between a and b, and the matching right singular
@@ -184,7 +189,9 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     1 − cos θ ≈ θ²/2 to resolve ``RANK_TOL``, which is below machine epsilon.
     """
     _require_same_ambient(a, b)
-    if a.is_zero:
+    if b.dim == 0 or a.dim == a.ambient_dim:
+        return b
+    if a.dim == 0 or b.dim == b.ambient_dim:
         return a
     _, sines, vh = np.linalg.svd(_residual(a.frame, b.frame), full_matrices=False)
     return _subspace(a.frame @ vh[sines <= RANK_TOL].conj().T)
@@ -192,15 +199,20 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
 
 def includes(a: Subspace, b: Subspace) -> bool:
     """Is ``a`` contained in ``b``?  True iff each frame vector of ``a``
-    projects onto ``b`` with residual norm at most ``INCLUSION_TOL``."""
+    projects onto ``b`` with residual norm at most ``INCLUSION_TOL``; true
+    by rank when a is zero or b full, false when dim a > dim b."""
     _require_same_ambient(a, b)
-    if a.is_zero:
+    if a.dim == 0 or b.dim == b.ambient_dim:
         return True
+    if a.dim > b.dim:
+        return False
     return float(np.max(np.linalg.norm(_residual(a.frame, b.frame), axis=0))) <= INCLUSION_TOL
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    return includes(a, b) and includes(b, a)
+    """Mutual inclusion, which needs equal dimensions."""
+    _require_same_ambient(a, b)
+    return a.dim == b.dim and includes(a, b) and includes(b, a)
 
 
 def _padded_frames(subspaces) -> np.ndarray:

@@ -111,6 +111,16 @@ def random_direction_pair(rng: np.random.Generator) -> tuple[tuple[float, float]
     return (float(polar[0]), float(azimuth[0])), (float(polar[1]), float(azimuth[1]))
 
 
+def zero_subspace(ambient_dim: int) -> Subspace:
+    """The zero subspace of C^ambient_dim, an empty frame."""
+    return Subspace(np.zeros((ambient_dim, 0)))
+
+
+def full_subspace(ambient_dim: int) -> Subspace:
+    """The whole of C^ambient_dim, spanned by the standard basis."""
+    return Subspace(np.eye(ambient_dim))
+
+
 def random_subspace(
     rng: np.random.Generator, ambient_dim: int, dim: int | None = None
 ) -> Subspace:
@@ -118,7 +128,7 @@ def random_subspace(
     if dim is None:
         dim = int(rng.integers(0, ambient_dim + 1))
     if dim == 0:
-        return Subspace.zero(ambient_dim)
+        return zero_subspace(ambient_dim)
     frame = _orthonormal_frame(_gaussian_complex(rng, (ambient_dim, dim)))
     return Subspace(frame)
 

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,15 @@ class TestDemoCommands:
         assert "nondistributive" in out
         assert "dim        1" in out or "dim" in out
         assert "Eq (5)" in out
+
+    def test_nondistributivity_witness_factorizes_six_times(self, capsys, monkeypatch):
+        # three for the rays a, b and c = b', one each for b ∨ c, a ∧ b and
+        # a ∧ c; a ∧ (b ∨ c), with b ∨ c full, is a by rank
+        svd = mock.Mock(wraps=np.linalg.svd)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        code, out, _ = run(capsys, "demo-eq5")
+        assert (code, out.splitlines()[-1]) == (0, "verdict: nondistributive")
+        assert svd.call_count == 6
 
     def test_distributive_configuration_is_a_negative_verdict(self, capsys, tmp_path):
         config = tmp_path / "exp.cfg"

@@ -6,10 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_nested_pair, random_subspace, random_unitary
+from conftest import (
+    full_subspace,
+    random_nested_pair,
+    random_subspace,
+    random_unitary,
+    zero_subspace,
+)
 from qlbench import lattice
 from qlbench.config import DEFAULT_SEED
 from qlbench.errors import DimensionMismatchError, InvariantViolationError, PreconditionError
+from qlbench.hilbert import MAX_DIM
 from qlbench.lattice import (
     FRAME_TOL,
     INCLUSION_TOL,
@@ -23,9 +30,11 @@ from qlbench.lattice import (
     _kept,
     _meet_stacked,
     _orthocomplement_stacked,
+    _orthonormal_frame,
     _padded_frames,
     _residual,
     _stack,
+    _subspace,
     absorption_holds,
     absorption_holds_stacked,
     check_lattice_axioms,
@@ -104,7 +113,7 @@ class TestJoin:
 
     def test_zero_is_identity_element(self):
         a = ray(0.6, 0.8)
-        assert subspace_equal(join(a, Subspace.zero(2)), a)
+        assert subspace_equal(join(a, zero_subspace(2)), a)
 
 
 class TestOrthocomplement:
@@ -112,7 +121,7 @@ class TestOrthocomplement:
         assert subspace_equal(orthocomplement(ray(1, 0)), ray(0, 1))
 
     def test_zero_subspace(self):
-        assert is_full(orthocomplement(Subspace.zero(2)))
+        assert is_full(orthocomplement(zero_subspace(2)))
 
     def test_oblique_ray(self):
         result = orthocomplement(ray(INV_SQRT2, INV_SQRT2))
@@ -128,7 +137,7 @@ class TestOrthocomplement:
 
 class TestIncludes:
     def test_zero_in_anything(self):
-        assert includes(Subspace.zero(3), random_subspace(rng_from(1), 3))
+        assert includes(zero_subspace(3), random_subspace(rng_from(1), 3))
 
     def test_axis_in_plane(self):
         plane = Subspace.from_vectors(3, [e(0, 3), e(1, 3)])
@@ -144,7 +153,7 @@ class TestIncludes:
 
 class TestLatticeAxioms:
     def test_small_sample_passes(self):
-        sample = [Subspace.zero(2), ray(1, 0), Subspace.full(2)]
+        sample = [zero_subspace(2), ray(1, 0), full_subspace(2)]
         report = check_lattice_axioms(sample)
         assert report.all_passed
 
@@ -238,7 +247,7 @@ class TestDistributes:
 
 class TestOrthomodular:
     def test_ray_inside_full_space(self):
-        assert orthomodular_holds(ray(1, 0), Subspace.full(2))
+        assert orthomodular_holds(ray(1, 0), full_subspace(2))
 
     def test_equal_subspaces(self):
         a = ray(0.6, 0.8)
@@ -475,9 +484,9 @@ def draw_pair(rng, dim, kind, factor):
     if kind == "shared":
         return shared_part_pair(rng, dim)[:2]
     if kind == "zero":
-        return Subspace.zero(dim), random_subspace(rng, dim)
+        return zero_subspace(dim), random_subspace(rng, dim)
     if kind == "full":
-        return random_subspace(rng, dim), Subspace.full(dim)
+        return random_subspace(rng, dim), full_subspace(dim)
     return random_subspace(rng, dim), random_subspace(rng, dim)
 
 
@@ -555,8 +564,9 @@ class TestStackedAgainstPerPair:
         assert absorption_holds_stacked([], []).tolist() == []
 
 
-# -- the whole-stack kernels, which factorize every pair, kept as oracles for
-# the pairs that the stacked kernels settle by rank --
+# -- the whole-stack kernels and the per-pair forms, which factorize or project
+# every pair, kept as oracles for the pairs that the stacked kernels and the
+# per-pair functions settle by rank --
 
 
 def whole_stack_join(a, b):
@@ -578,15 +588,75 @@ def whole_stack_includes(a, b):
     return np.linalg.norm(residual, axis=1).max(axis=1) <= INCLUSION_TOL
 
 
+def factorizing_join(a, b):
+    return _subspace(_orthonormal_frame(np.hstack([a.frame, b.frame])))
+
+
+def factorizing_orthocomplement(a):
+    if a.is_zero:
+        return full_subspace(a.ambient_dim)
+    u = np.linalg.svd(a.frame, full_matrices=True)[0]
+    return _subspace(np.ascontiguousarray(u[:, a.dim:]))
+
+
+def factorizing_meet(a, b):
+    if a.is_zero:
+        return a
+    _, sines, vh = np.linalg.svd(_residual(a.frame, b.frame), full_matrices=False)
+    return _subspace(a.frame @ vh[sines <= RANK_TOL].conj().T)
+
+
+def factorizing_includes(a, b):
+    if a.is_zero:
+        return True
+    return float(np.max(np.linalg.norm(_residual(a.frame, b.frame), axis=0))) <= INCLUSION_TOL
+
+
+def factorizing_equal(a, b):
+    return factorizing_includes(a, b) and factorizing_includes(b, a)
+
+
+def factorizing_distributes(a, b, c):
+    """(lhs dim, rhs dim, distributive) of ``distributes`` from the factorizing forms."""
+    lhs = factorizing_meet(a, factorizing_join(b, c))
+    rhs = factorizing_join(factorizing_meet(a, b), factorizing_meet(a, c))
+    return lhs.dim, rhs.dim, factorizing_equal(lhs, rhs)
+
+
+def factorizing_laws(a, b):
+    """The absorption, De Morgan and orthomodular verdicts from the factorizing
+    forms, the last None when a ⊄ b."""
+    join, meet, comp, equal = (factorizing_join, factorizing_meet,
+                               factorizing_orthocomplement, factorizing_equal)
+    absorption = equal(meet(a, join(a, b)), a) and equal(join(a, meet(a, b)), a)
+    de_morgan = equal(comp(meet(a, b)), join(comp(a), comp(b)))
+    orthomodular = equal(join(a, meet(b, comp(a))), b) if factorizing_includes(a, b) else None
+    return absorption, de_morgan, orthomodular
+
+
+def per_pair_laws(a, b):
+    return (absorption_holds(a, b), de_morgan_holds(a, b),
+            orthomodular_holds(a, b) if includes(a, b) else None)
+
+
+def same_as_factorizing(got, want):
+    """Equal dimensions and mutual inclusion by the factorizing oracle."""
+    return got.dim == want.dim and factorizing_equal(got, want)
+
+
 SIDE_KINDS = ("zero", "full", "proper")
 
 
-def planted_stack(rng, dim, kinds):
-    """A stack of random subspaces of C^dim, zero, full or of a rank strictly
-    between, as ``kinds`` says; in C^1 every subspace is zero or full."""
+def planted_subspace(rng, dim, kind):
+    """A random subspace of C^dim, zero, full or of a rank strictly between,
+    as ``kind`` says; in C^1 every subspace is zero or full."""
     ranks = {"zero": lambda: 0, "full": lambda: dim,
              "proper": lambda: int(rng.integers(1, dim)) if dim > 1 else int(rng.integers(0, 2))}
-    return _stack([random_subspace(rng, dim, ranks[kind]()) for kind in kinds])
+    return random_subspace(rng, dim, ranks[kind]())
+
+
+def planted_stack(rng, dim, kinds):
+    return _stack([planted_subspace(rng, dim, kind) for kind in kinds])
 
 
 class TestSkipByRankAgainstWholeStack:
@@ -630,6 +700,86 @@ class TestSkipByRankAgainstWholeStack:
             joined, met = _join_stacked(a, b), _meet_stacked(a, b)
         assert joined.dims.tolist() == [max(x, y) for x, y in zip(a.dims.tolist(), b.dims.tolist())]
         assert met.dims.tolist() == [min(x, y) for x, y in zip(a.dims.tolist(), b.dims.tolist())]
+
+
+class TestRankRulesAgainstFactorizing:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        kinds=st.tuples(*[st.sampled_from(SIDE_KINDS)] * 3),
+    )
+    @example(seed=0, dim=1, kinds=("proper", "proper", "proper"))
+    @example(seed=1, dim=2, kinds=("proper", "zero", "full"))
+    @example(seed=2, dim=8, kinds=("full", "proper", "proper"))
+    @example(seed=3, dim=5, kinds=("proper", "proper", "proper"))
+    def test_operations_laws_and_distribution(self, seed, dim, kinds):
+        rng = rng_from(seed)
+        a, b, c = (planted_subspace(rng, dim, kind) for kind in kinds)
+        for x in (a, b, c):
+            assert same_as_factorizing(orthocomplement(x), factorizing_orthocomplement(x))
+        # (a, a) is a nested pair, proper whenever a is
+        for x, y in ((a, b), (b, a), (a, c), (c, b), (a, a)):
+            assert same_as_factorizing(join(x, y), factorizing_join(x, y))
+            assert same_as_factorizing(meet(x, y), factorizing_meet(x, y))
+            assert includes(x, y) == factorizing_includes(x, y)
+            assert subspace_equal(x, y) == factorizing_equal(x, y)
+            assert per_pair_laws(x, y) == factorizing_laws(x, y)
+        verdict = distributes(a, b, c)
+        assert (verdict.lhs.dim, verdict.rhs.dim, verdict.distributive) == factorizing_distributes(a, b, c)
+
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_full_frame_at_the_gram_tolerance(self, dim, sign):
+        # a Haar unitary with one column stretched or shrunk to a Gram error of
+        # 0.99 FRAME_TOL: it leaves sines up to that size, just below RANK_TOL
+        rng = rng_from(213)
+        frame = random_unitary(rng, dim)
+        frame[:, 0] *= math.sqrt(1.0 + sign * 0.99 * FRAME_TOL)
+        full = Subspace(frame)
+        assert 0.98 * FRAME_TOL < np.max(np.abs(frame.conj().T @ frame - np.eye(dim))) <= FRAME_TOL
+        for rank in range(dim + 1):
+            a = random_subspace(rng, dim, rank)
+            for x, y in ((a, full), (full, a)):
+                assert same_as_factorizing(join(x, y), factorizing_join(x, y))
+                assert same_as_factorizing(meet(x, y), factorizing_meet(x, y))
+                assert includes(x, y) == factorizing_includes(x, y)
+
+    def test_mismatched_ambient_dimensions_are_refused_before_the_rules(self):
+        plane = Subspace.from_vectors(3, [e(0, 3), e(1, 3)])
+        for a, b in ((zero_subspace(2), full_subspace(3)), (full_subspace(2), plane), (ray(1, 0), plane)):
+            for operation in (join, meet, includes, subspace_equal):
+                for x, y in ((a, b), (b, a)):
+                    with pytest.raises(DimensionMismatchError):
+                        operation(x, y)
+
+    def test_the_bounds_the_rules_rest_on(self):
+        # a full frame's sines are its Gram error, and a frame of k > dim b
+        # vectors leaves a residual of at least 1/√k against b
+        assert FRAME_TOL <= RANK_TOL
+        assert 1.0 / math.sqrt(MAX_DIM) > INCLUSION_TOL
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_settled_pairs_make_no_factorization(self, dim):
+        rng = rng_from(214)
+        sides = {kind: planted_subspace(rng, dim, kind) for kind in SIDE_KINDS}
+        pairs = [(x, y) for x in SIDE_KINDS for y in SIDE_KINDS if (x, y) != ("proper", "proper")]
+        # proper sides of unequal dimensions settle inclusion and equality
+        wider, narrower = (random_subspace(rng, dim, k) for k in (dim - 1, 1))
+        refuse = AssertionError("no factorization expected")
+        with mock.patch.object(np.linalg, "svd", side_effect=refuse), \
+                mock.patch.object(lattice, "_residual", side_effect=refuse):
+            for x, y in pairs:
+                a, b = sides[x], sides[y]
+                assert join(a, b).dim == max(a.dim, b.dim)
+                assert meet(a, b).dim == min(a.dim, b.dim)
+                assert includes(a, b) is (a.dim <= b.dim)
+                assert subspace_equal(a, b) is (a.dim == b.dim)
+            for kind in ("zero", "full"):
+                assert orthocomplement(sides[kind]).dim == dim - sides[kind].dim
+            if dim > 2:
+                assert not includes(wider, narrower)
+                assert not subspace_equal(wider, narrower) and not subspace_equal(narrower, wider)
 
 
 class TestStackedSampling:
@@ -746,7 +896,8 @@ class TestTrustedFrames:
         rng = rng_from(208)
         a, b = random_subspace(rng, 4, 2), random_subspace(rng, 4, 3)
         built = [
-            join(a, b), meet(a, b), orthocomplement(a), Subspace.zero(4), Subspace.full(4),
+            join(a, b), meet(a, b), orthocomplement(a), Subspace.from_vectors(4, []),
+            orthocomplement(zero_subspace(4)), orthocomplement(full_subspace(4)),
             Subspace.from_vectors(4, [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1j, 0, 1]]),
         ]
         for s in built:
@@ -757,7 +908,7 @@ class TestTrustedFrames:
 
     @pytest.mark.parametrize("ambient", [0, 9])
     def test_ambient_dimension_is_checked_on_every_path(self, ambient):
-        for build in (Subspace.zero, Subspace.full,
+        for build in (lambda d: Subspace.from_vectors(d, []), lambda d: Subspace(np.eye(d)),
                       lambda d: Subspace.from_vectors(d, [np.ones(d)])):
             with pytest.raises(InvariantViolationError):
                 build(ambient)
