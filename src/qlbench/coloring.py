@@ -10,6 +10,7 @@ constrained unless the stricter pairwise-exclusive variant is switched on.
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ BUILTIN_FAMILIES = {
     "ks18-d4": "ks18_d4.rays",
     "triads-d3": "triads_d3.rays",
 }
+_parsed_builtins: dict[str, RayFamily] = {}  # package data, unchanged while the process runs
 
 
 class RayFamily:
@@ -46,17 +48,9 @@ class RayFamily:
         if not unit.all():
             k = int(np.argmin(unit))
             raise InvariantViolationError(f"ray {k} is not unit-norm", ("ray", k, 0))
-        bases = tuple(tuple(int(i) for i in basis) for basis in bases)
-        for b, basis in enumerate(bases):
-            if len(basis) != dim or len(set(basis)) != dim:
-                raise InvariantViolationError(f"basis {b} must name {dim} distinct rays",
-                                              ("basis", b, 0))
-            for p, i in enumerate(basis):
-                if not 0 <= i < len(rays):
-                    raise InvariantViolationError(f"basis {b} references unknown ray {i}",
-                                                  ("basis", b, p))
+        bases, index = _basis_index(dim, len(rays), bases)
         if bases:
-            frames = rays[np.array(bases)]
+            frames = rays[index]
             overlaps = np.abs(frames @ frames.conj().transpose(0, 2, 1))
             bad = np.triu(~(overlaps <= RAY_TOL), 1)
             if bad.any():
@@ -88,6 +82,40 @@ def _ray_matrix(dim: int, rays) -> np.ndarray:
                 raise InvariantViolationError(f"ray {k} has length {np.size(ray)}, expected {dim}",
                                               ("ray", k, 0)) from None
         return np.array([np.ravel(ray) for ray in rays], dtype=complex)
+
+
+def _is_index(kind: type) -> bool:
+    return kind is not bool and issubclass(kind, (int, np.integer))
+
+
+def _basis_index(dim: int, n: int, bases) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """``bases`` as tuples of ints and as one (len(bases), dim) index array, once
+    each names ``dim`` distinct integer indices below ``n``.  All bases are decided
+    at once, and walked one by one only to name the first fault."""
+    bases = tuple(map(tuple, bases))
+    kinds = set(map(type, chain(*bases)))
+    if set(map(len, bases)) <= {dim} and all(map(_is_index, kinds)):
+        try:
+            index = np.fromiter(chain(*bases), np.intp, len(bases) * dim).reshape(-1, dim)
+        except OverflowError:  # an index beyond intp, so out of range
+            pass
+        else:
+            ordered = np.sort(index, axis=1)
+            if not bases or (ordered[:, 0].min() >= 0 and ordered[:, -1].max() < n
+                             and (ordered[:, 1:] != ordered[:, :-1]).all()):
+                return (bases if kinds <= {int} else tuple(map(tuple, index.tolist()))), index
+    for b, basis in enumerate(bases):
+        for p, i in enumerate(basis):
+            if not _is_index(type(i)):
+                raise InvariantViolationError(f"basis {b} names {i!r}, not a ray index",
+                                              ("basis", b, p))
+        if len(basis) != dim or len(set(basis)) != dim:
+            raise InvariantViolationError(f"basis {b} must name {dim} distinct rays",
+                                          ("basis", b, 0))
+        for p, i in enumerate(basis):
+            if not 0 <= i < n:
+                raise InvariantViolationError(f"basis {b} references unknown ray {i}",
+                                              ("basis", b, p))
 
 
 class AssignmentSearchResult:
@@ -131,8 +159,8 @@ def search_bivalent_assignment(family: RayFamily, *,
     order = [bits[r] for r in sorted(range(n), key=lambda r: -len(masks[r]))]
     if exclusive_pairs:  # per ray, the mask of the rays orthogonal to it
         rays = family.rays
-        neighbours = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-                      for row in np.abs(rays @ rays.conj().T) <= RAY_TOL]
+        packed = np.packbits(np.abs(rays @ rays.conj().T) <= RAY_TOL, axis=1, bitorder="little")
+        neighbours = [int.from_bytes(bytes(row), "little") for row in packed.tolist()]
 
     def propagate(ones: int, zeros: int, pending: int, value: int) -> tuple[int, int] | None:
         """The two masks after setting the ray of bit ``pending`` to ``value``
@@ -252,11 +280,18 @@ def load_ray_family(path) -> RayFamily:
 
 
 def builtin_family(name: str) -> RayFamily:
-    """Shipped fixtures: ``ks18-d4`` (no assignment exists) and ``triads-d3``."""
+    """Shipped fixtures: ``ks18-d4`` (no assignment exists) and ``triads-d3``,
+    each parsed once per process; every call gets its own record."""
     try:
         filename = BUILTIN_FAMILIES[name]
     except KeyError:
         raise PreconditionError(
             f"unknown builtin family {name!r}; choices: {sorted(BUILTIN_FAMILIES)}"
         ) from None
-    return load_ray_family(Path(__file__).parent / "data" / filename)
+    parsed = _parsed_builtins.get(name)
+    if parsed is None:
+        parsed = _parsed_builtins[name] = load_ray_family(Path(__file__).parent / "data" / filename)
+    family = object.__new__(RayFamily)  # a copy of a checked family is not checked again
+    family.dim, family.rays, family.bases = parsed.dim, parsed.rays.copy(), parsed.bases
+    family.rays.setflags(write=False)
+    return family

@@ -31,7 +31,7 @@ _PLAIN_NORMS = (1e-150, 1e150)
 
 
 def _as_complex_vector(values) -> np.ndarray:
-    vec = np.asarray(values, dtype=complex).reshape(-1)
+    vec = np.array(values, dtype=complex).reshape(-1)  # a copy, never the caller's array
     if vec.size == 0:
         raise InvariantViolationError("empty amplitude vector")
     if vec.size > MAX_DIM:

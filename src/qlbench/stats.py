@@ -11,17 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvariantViolationError,
-    PreconditionError,
-)
+from .errors import DimensionMismatchError, InvariantViolationError, PreconditionError
 from .hilbert import MeasurementBasis, StateVector, ZERO_PROBABILITY
 
 DISTRIBUTION_TOL = 1e-9
 ENTRY_TOL = 1e-12
 BASES_EQUAL_TOL = 1e-9   # entrywise projector agreement in bases_equal
-COMMUTATOR_TOL = 1e-10   # entrywise commutator size in commuting_bases
 BINOMIAL_Z = 4.0         # standard deviations a Monte-Carlo entry may stray
 
 
@@ -161,16 +156,6 @@ def bases_equal(a: MeasurementBasis, b: MeasurementBasis) -> bool:
     # stack[k] = |f_k><f_k|, the projector of outcome k
     stack_a, stack_b = (np.einsum("ik,jk->kij", f, f.conj()) for f in (a.frame, b.frame))
     return float(abs(stack_a - stack_b).max()) <= BASES_EQUAL_TOL
-
-
-def commuting_bases(a: MeasurementBasis, b: MeasurementBasis) -> bool:
-    """Every commutator P_i Q_j - Q_j P_i has all entries at most ``COMMUTATOR_TOL``."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    # P_i Q_j = <a_i|b_j> |a_i><b_j|, and Q_j P_i is its conjugate transpose
-    products = np.einsum("ij,ki,lj->ijkl", a.frame.conj().T @ b.frame, a.frame, b.frame.conj())
-    commutators = products - products.conj().transpose(0, 1, 3, 2)
-    return float(abs(commutators).max()) <= COMMUTATOR_TOL
 
 
 class JointWitness:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qlbench.errors import PreconditionError
+from projector_oracle import COMMUTATOR_TOL
+from qlbench.errors import DimensionMismatchError, PreconditionError
 from qlbench.hidden import _law_lhs, _law_rhs
 from qlbench.hilbert import MeasurementBasis, StateVector, named_axis_basis, named_state
 from qlbench.lattice import Subspace, _orthonormal_frame
@@ -102,6 +103,17 @@ def random_commuting_pair(
         [unitary[:, i] for i in perm], tuple(f"b{i}" for i in range(dim))
     )
     return first, second
+
+
+def commuting_bases(a: MeasurementBasis, b: MeasurementBasis) -> bool:
+    """Every commutator P_i Q_j - Q_j P_i has all entries at most ``COMMUTATOR_TOL``:
+    the frame form of ``projector_oracle.commutes`` over all outcome pairs."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    # P_i Q_j = <a_i|b_j> |a_i><b_j|, and Q_j P_i is its conjugate transpose
+    products = np.einsum("ij,ki,lj->ijkl", a.frame.conj().T @ b.frame, a.frame, b.frame.conj())
+    commutators = products - products.conj().transpose(0, 1, 3, 2)
+    return float(abs(commutators).max()) <= COMMUTATOR_TOL
 
 
 def random_direction_pair(rng: np.random.Generator) -> tuple[tuple[float, float], tuple[float, float]]:

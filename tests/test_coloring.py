@@ -1,16 +1,20 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlbench import coloring
 from qlbench.coloring import (
+    BUILTIN_FAMILIES,
     RAY_TOL,
     AssignmentSearchResult,
     RayFamily,
     builtin_family,
+    load_ray_family,
     parse_ray_family,
     search_bivalent_assignment,
 )
@@ -231,6 +235,31 @@ def trail_search(family: RayFamily, *, exclusive_pairs: bool = False) -> Assignm
             return AssignmentSearchResult(assignment=None, proved_none=True, nodes=nodes)
 
 
+def per_basis_checks(dim: int, rays: np.ndarray, bases) -> tuple[tuple[int, ...], ...]:
+    """Oracle: the basis checks of ``RayFamily`` before it decided all bases at
+    once, unchanged: one Python element at a time, then the orthogonality
+    gather.  The bases as int tuples, or the refusal of the first fault."""
+    bases = tuple(tuple(int(i) for i in basis) for basis in bases)
+    for b, basis in enumerate(bases):
+        if len(basis) != dim or len(set(basis)) != dim:
+            raise InvariantViolationError(f"basis {b} must name {dim} distinct rays",
+                                          ("basis", b, 0))
+        for p, i in enumerate(basis):
+            if not 0 <= i < len(rays):
+                raise InvariantViolationError(f"basis {b} references unknown ray {i}",
+                                              ("basis", b, p))
+    if bases:
+        frames = rays[np.array(bases)]
+        overlaps = np.abs(frames @ frames.conj().transpose(0, 2, 1))
+        bad = np.triu(~(overlaps <= RAY_TOL), 1)
+        if bad.any():
+            b, p, q = np.argwhere(bad)[0]
+            raise InvariantViolationError(
+                f"rays {bases[b][p]} and {bases[b][q]} in basis {b} are not orthogonal",
+                ("basis", int(b), int(q)))
+    return bases
+
+
 def random_rotation(rng, dim: int) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
@@ -327,6 +356,121 @@ class TestRayFamilyValidation:
         else:
             with pytest.raises(InvariantViolationError):
                 RayFamily(3, rays, ((0, 1, 2),))
+
+
+FAULTS = ("short", "long", "duplicate", "above", "negative", "skew", "empty", "any")
+
+
+@st.composite
+def planted_bases(draw):
+    """Rays: some orthonormal frames in d = 3 or 4, then one ray skew to every
+    ray of the first frame.  Bases: frames in a drawn order, with faults planted
+    in some (so some bases come out ragged), as lists or numpy integer arrays."""
+    dim, frames = draw(st.sampled_from((3, 4))), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rays = np.vstack([random_rotation(rng, dim).T for _ in range(frames)])
+    rays = np.vstack([rays, rays[:dim].sum(axis=0) / math.sqrt(dim)])
+    n = len(rays)
+    bases = [[k * dim + i for i in draw(st.permutations(range(dim)))]
+             for k in draw(st.lists(st.integers(0, frames - 1), max_size=6))]
+    faults = st.tuples(st.sampled_from(FAULTS), st.integers(0, 5), st.integers(0, dim),
+                       st.integers(0, n + 3))
+    for fault, b, p, value in draw(st.lists(faults, max_size=3)):
+        if not bases:
+            break
+        basis = bases[b % len(bases)]
+        if fault == "empty" or not basis:
+            basis.clear()
+        elif fault == "short":
+            del basis[p % len(basis)]
+        elif fault == "long":
+            basis.insert(p, value % n)
+        elif fault == "duplicate":
+            basis[p % len(basis)] = basis[(p + 1) % len(basis)]
+        else:
+            basis[p % len(basis)] = {"above": n + value % 3, "negative": -1 - value % 3,
+                                     "skew": n - 1, "any": value - 3}[fault]
+    if draw(st.booleans()):
+        bases = [np.array(basis, dtype=draw(st.sampled_from((np.int64, np.int32))))
+                 for basis in bases]
+    return dim, rays, bases
+
+
+def checked_bases(make) -> tuple:
+    """The bases ``make`` returns, or the class, text and part of its refusal."""
+    try:
+        return ("accepted", make())
+    except InvariantViolationError as exc:
+        return ("refused", type(exc), str(exc), exc.part)
+
+
+class TestBasisChecks:
+    """All bases decided at once, against the per-basis checks they replaced."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(case=planted_bases())
+    def test_matches_the_per_basis_checks(self, case):
+        dim, rays, bases = case
+        got = checked_bases(lambda: RayFamily(dim, rays, bases).bases)
+        assert got == checked_bases(lambda: per_basis_checks(dim, rays, bases))
+        if got[0] == "accepted":
+            assert all(type(i) is int for basis in got[1] for i in basis)
+
+    @pytest.mark.parametrize("basis, position", [
+        ((0, 1.7, 2.9), 1), ((0, 1, 2.0), 2), ((0, 1, np.float64(2)), 2),
+        ((True, 1, 2), 0), ((0, np.True_, 2), 1), ((0, "1", 2), 1), ((0, 1, None), 2),
+    ])
+    def test_refuses_non_integer_indices(self, basis, position):
+        with pytest.raises(InvariantViolationError, match="not a ray index") as info:
+            RayFamily(3, np.eye(3), [(0, 1, 2), basis])
+        assert info.value.part == ("basis", 1, position)
+
+    def test_numpy_integers_are_indices(self):
+        family = RayFamily(3, np.eye(3), [np.array([2, 0, 1]), (np.int32(0), 1, np.uint8(2))])
+        assert family.bases == ((2, 0, 1), (0, 1, 2))
+        assert all(type(i) is int for basis in family.bases for i in basis)
+
+    @pytest.mark.parametrize("index", [2 ** 70, -2 ** 70, np.uint64(2 ** 64 - 1)])
+    def test_indices_beyond_intp_are_unknown_rays(self, index):
+        with pytest.raises(InvariantViolationError, match="unknown ray") as info:
+            RayFamily(3, np.eye(3), [(0, 1, index)])
+        assert info.value.part == ("basis", 0, 2)
+
+
+class TestBuiltinCache:
+    """Each shipped file is parsed once per process; each call gets its own record."""
+
+    @staticmethod
+    def parse(name: str) -> RayFamily:
+        return load_ray_family(Path(coloring.__file__).parent / "data" / BUILTIN_FAMILIES[name])
+
+    def test_each_file_is_parsed_once(self, monkeypatch):
+        monkeypatch.setattr(coloring, "_parsed_builtins", {})
+        loaded = []
+        monkeypatch.setattr(coloring, "load_ray_family",
+                            lambda path: loaded.append(Path(path).name) or load_ray_family(path))
+        for _ in range(3):
+            for name in BUILTIN_FAMILIES:
+                builtin_family(name)
+        assert sorted(loaded) == sorted(BUILTIN_FAMILIES.values())
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FAMILIES))
+    def test_each_call_gets_its_own_read_only_record(self, name):
+        first, second, fresh = builtin_family(name), builtin_family(name), self.parse(name)
+        assert first is not second
+        assert not np.shares_memory(first.rays, second.rays)
+        for family in (first, second):
+            assert (family.dim, family.bases) == (fresh.dim, fresh.bases)
+            assert np.array_equal(family.rays, fresh.rays)
+            with pytest.raises(ValueError):
+                family.rays[0, 0] = 0.0
+
+    def test_reassigning_an_attribute_leaves_the_next_call_alone(self):
+        first = builtin_family("ks18-d4")
+        first.dim, first.rays, first.bases = 3, np.eye(3), ((0, 1, 2),)
+        again, fresh = builtin_family("ks18-d4"), self.parse("ks18-d4")
+        assert (again.dim, again.bases) == (fresh.dim, fresh.bases)
+        assert np.array_equal(again.rays, fresh.rays)
 
 
 class TestSearchColorable:

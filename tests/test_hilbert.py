@@ -58,6 +58,14 @@ class TestStateVector:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_does_not_alias_the_callers_array(self, dtype):
+        amplitudes = np.array([1, 0], dtype=dtype)
+        state = StateVector(amplitudes)
+        amplitudes[0] = 5
+        assert np.array_equal(state.amplitudes, [1, 0])
+        assert amplitudes.flags.writeable
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
     def test_rejects_non_finite_amplitudes(self, bad):
         with pytest.raises(InvariantViolationError):

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_table,
+    commuting_bases,
     random_basis_pair,
     random_commuting_pair,
     random_state,
     scalar_dispersion,
     tilted_z_basis,
 )
-from projector_oracle import born_probability, collapse, commutes, projectors
+from projector_oracle import COMMUTATOR_TOL, born_probability, collapse, commutes, projectors
 from qlbench import stats
 from qlbench.config import DEFAULT_TOL
 from qlbench.errors import (
@@ -31,7 +32,6 @@ from qlbench.hilbert import (
 from qlbench.sampling import rng_from
 from qlbench.stats import (
     BASES_EQUAL_TOL,
-    COMMUTATOR_TOL,
     DISTRIBUTION_TOL,
     ENTRY_TOL,
     Distribution,
@@ -41,7 +41,6 @@ from qlbench.stats import (
     born_distribution,
     chain_rule,
     commutation_defect,
-    commuting_bases,
     dispersion,
     joint_exists,
     marginal_over_second,
