@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import ExperimentConfig, check_setting, load_experiment_config
+from .config import ExperimentConfig, check_setting, integer, load_experiment_config
 from .errors import PreconditionError, QLBenchError
 from .reports import FORMATS, Report, render
 
@@ -530,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", type=Path, help="experiment file")
     parser.add_argument("--format", choices=FORMATS, default="text")
-    parser.add_argument("--seed", type=lambda s: int(s, 0), help="override the seed")
-    parser.add_argument("--trials", type=int, help="override the trial count")
+    parser.add_argument("--seed", type=integer, help="override the seed")
+    parser.add_argument("--trials", type=integer, help="override the trial count")
     parser.add_argument("--tol", type=float, help="override the tolerance")
     parser.add_argument(
         "--out",
@@ -548,7 +548,7 @@ def main(argv=None) -> int:
                   else ExperimentConfig())
         env_seed = os.environ.get("QLBENCH_SEED")
         if env_seed is not None:
-            config.seed = check_setting("seed", int(env_seed, 0))
+            config.seed = check_setting("seed", integer(env_seed))
         if args.seed is not None:
             config.seed = check_setting("seed", args.seed)
         if args.trials is not None:

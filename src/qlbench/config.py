@@ -26,7 +26,6 @@ from the shared reader does.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import sys
@@ -104,8 +103,13 @@ def check_setting(key: str, value):
     return value
 
 
+def integer(text: str) -> int:
+    """An integer as config lines and flags write it: decimal, or 0x, 0o or 0b prefixed."""
+    return int(text, 0)
+
+
 _NUMBER_KINDS = {
-    int: (functools.partial(int, base=0), "integer"),
+    int: (integer, "integer"),
     float: (float, "number"),
     complex: (complex, "complex number"),
 }

@@ -102,10 +102,6 @@ class OutcomeSpace:
         return tuple(label for u in self.universes for label in u.outcomes)
 
     @cached_property
-    def label_set(self) -> frozenset[str]:
-        return frozenset(self.labels)
-
-    @cached_property
     def label_bits(self) -> dict[str, int]:
         """Each label's bit in an event's mask: ``labels[k]`` is ``1 << k``."""
         return {label: 1 << k for k, label in enumerate(self.labels)}
@@ -152,7 +148,7 @@ class EventSet:
         try:
             mask = space.mask_of(members)
         except KeyError:
-            stray = sorted(members - space.label_set)
+            stray = sorted(members.difference(space.labels))
             raise InvariantViolationError(f"label(s) {stray} not in the outcome space") from None
         _set_space(self, space)
         _set_mask(self, mask)

@@ -29,6 +29,8 @@ serves every pair of a row block.  The per-pair functions are their oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatchError, InvariantViolationError, PreconditionError
@@ -51,7 +53,7 @@ def _orthonormal_frame(columns: np.ndarray) -> np.ndarray:
     if columns.shape[1] == 0:
         return columns
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL))
+    rank = np.count_nonzero(s > RANK_TOL)
     return np.ascontiguousarray(u[:, :rank])
 
 
@@ -102,16 +104,20 @@ class Subspace:
     def from_vectors(cls, ambient_dim: int, vectors) -> Subspace:
         """Span of arbitrary (possibly dependent, unnormalized) vectors; rank is
         decided on their unit directions, and a non-finite entry is refused."""
-        vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-        for v in vecs:
-            if v.size != ambient_dim:
-                raise DimensionMismatchError(
-                    f"vector of length {v.size} in ambient dimension {ambient_dim}"
-                )
+        try:  # a (k, d) array converts at once, other input is diagnosed vector by vector
+            rows = np.asarray(vectors, dtype=complex)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            rows = np.empty(0)
+        if rows.ndim != 2 or rows.shape[1] != ambient_dim:
+            vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+            for v in vecs:
+                if v.size != ambient_dim:
+                    raise DimensionMismatchError(f"vector of length {v.size} in ambient dimension {ambient_dim}")
+            rows = np.array(vecs)
         _check_ambient(ambient_dim)
-        if not vecs:
+        if not rows.size:
             return _subspace(np.zeros((ambient_dim, 0), dtype=complex))
-        columns = np.column_stack(vecs)
+        columns = np.ascontiguousarray(rows.T)  # the C-ordered columns np.column_stack builds
         if not np.isfinite(columns).all():
             raise InvariantViolationError("vector has a non-finite entry")
         return _subspace(_orthonormal_frame(unit_vectors(columns, axis=0)[0]))
@@ -162,7 +168,7 @@ def join(a: Subspace, b: Subspace) -> Subspace:
         return b
     if b.dim == 0 or a.dim == a.ambient_dim:
         return a
-    return _subspace(_orthonormal_frame(np.hstack([a.frame, b.frame])))
+    return _subspace(_orthonormal_frame(np.concatenate([a.frame, b.frame], axis=1)))
 
 
 def orthocomplement(a: Subspace) -> Subspace:
@@ -206,7 +212,8 @@ def includes(a: Subspace, b: Subspace) -> bool:
         return True
     if a.dim > b.dim:
         return False
-    return float(np.max(np.linalg.norm(_residual(a.frame, b.frame), axis=0))) <= INCLUSION_TOL
+    residual = _residual(a.frame, b.frame)  # column norms as np.linalg.norm forms them, without its dispatch
+    return math.sqrt(np.add.reduce((residual.conj() * residual).real, axis=0).max()) <= INCLUSION_TOL
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:

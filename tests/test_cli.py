@@ -417,6 +417,21 @@ class TestInterface:
         assert with_flag == plain
 
 
+@pytest.mark.parametrize("command", ["stats-seq", "hv-build", "hv-exact", "hv-simulate", "hv-audit"])
+def test_context_within_basis_tol_runs_every_command(capsys, tmp_path, command):
+    # the vectors overlap by 5e-11, within BASIS_TOL; with context x their
+    # squared overlaps miss row sums of 1 by about as much, past ROW_TOL
+    config = tmp_path / "exp.cfg"
+    config.write_text("state z+\ncontext vectors 1 0 ; 5e-11 1\ncontext x\n")
+    code, out, err = run(capsys, command, "--config", str(config), "--trials", "100")
+    assert (code, err) == (0, "")
+    if command == "hv-build":  # the model it writes reads back
+        assert run(capsys, command, "--config", str(config), "--out", str(tmp_path / "m.model"))[0] == 0
+        (tmp_path / "model.cfg").write_text(f"model {tmp_path / 'm.model'}\n")
+        code, _, err = run(capsys, "hv-exact", "--config", str(tmp_path / "model.cfg"))
+        assert (code, err) == (0, "")
+
+
 class TestSettingBounds:
     """The flags meet the config keys' bounds (see test_config.py):
     ``1 <= trials <= 2**63 - 1`` and a finite, positive ``tol``."""
@@ -476,6 +491,23 @@ class TestSettingBounds:
             return argv + ["--seed", seed]
         monkeypatch.setenv("QLBENCH_SEED", seed)
         return argv
+
+    @pytest.mark.parametrize("key, value", [("trials", "0x10"), ("seed", "0o17"), ("seed", "0b101")])
+    def test_integer_flags_read_what_config_lines_read(self, capsys, tmp_path, key, value):
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"{key} {value}\n")
+        argv = ["hv-simulate", "--format", "json"]
+        by_flag = run(capsys, *argv, f"--{key}", value)
+        assert by_flag == run(capsys, *argv, "--config", str(config))
+        assert json.loads(by_flag[1])["fields"][key] == int(value, 0)
+
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    @pytest.mark.parametrize("value", ["zz", "010", "1e3"])
+    def test_malformed_integer_flag(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["hv-simulate", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid integer value: '{value}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, command", [
         ("tol nan", "stats-commute"),

@@ -110,6 +110,11 @@ class TestConstruction:
         with pytest.raises(InvariantViolationError):
             EventSet(space, frozenset(["zzz"]))
 
+    def test_stray_labels_are_named_sorted(self, pair_space):
+        with pytest.raises(InvariantViolationError) as caught:
+            EventSet(pair_space, ["zzz", "b1", "a3", 7, "a1"])
+        assert str(caught.value) == "label(s) ['7', 'a3', 'zzz'] not in the outcome space"
+
     def test_space_event_validates_labels(self):
         space = single_space("a", "b")
         with pytest.raises(InvariantViolationError, match="zzz"):

@@ -114,7 +114,7 @@ def test_cli_exits_0_1_or_2(files, data):
     argv = [data.draw(st.sampled_from(sorted(COMMANDS))), "--config", str(config)]
     for flag, values in (("--format", ["text", "csv", "json", "xml"]),
                          ("--seed", ["0", "7", "0x10", "-1", "x"]),
-                         ("--trials", ["1", "100", "0", "-5", "1e3", "9223372036854775808"]),
+                         ("--trials", ["1", "100", "0", "-5", "1e3", "0x10", "zz", "9223372036854775808"]),
                          ("--tol", ["1e-9", "0.3", "0", "-1", "nan", "inf"])):
         if data.draw(st.booleans()):
             argv += [flag, data.draw(st.sampled_from(values))]

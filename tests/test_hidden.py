@@ -11,6 +11,7 @@ from conftest import (
     random_commuting_pair,
     random_direction_pair,
     random_state,
+    random_unitary,
     scalar_dispersion,
     tilted_z_basis,
     truth_table_distributivity,
@@ -37,7 +38,9 @@ from qlbench.hidden import (
 )
 from qlbench.hilbert import (
     AXIS_NAMES,
+    BASIS_TOL,
     STATE_PRESET_NAMES,
+    MeasurementBasis,
     named_axis_basis,
     named_state,
     spin_direction_basis,
@@ -47,6 +50,7 @@ from qlbench.stats import (
     SequentialTable,
     binomial_bound,
     dispersion,
+    overlap_kernel,
     sequential_distribution,
     within_binomial_bound,
 )
@@ -93,6 +97,47 @@ class TestBuildModel:
     def test_context_ids_must_differ(self, z_plus, z_basis, x_basis):
         with pytest.raises(PreconditionError):
             build_qm_equivalent_model(z_plus, z_basis, x_basis, ("A", "A"))
+
+
+def tilted_vectors(rng, dim, factor):
+    """The columns of a Haar unitary, the second tilted toward the first so
+    that, normalized, they overlap by ``factor`` × ``BASIS_TOL``."""
+    vectors = random_unitary(rng, dim).T.copy()
+    vectors[1] += factor * BASIS_TOL * vectors[0]
+    return vectors
+
+
+class TestBasesAtBasisTol:
+    """Every basis pair that ``MeasurementBasis`` accepts builds a model, though
+    the squared overlaps of such a pair can miss row sums of 1 by more than
+    ``ROW_TOL``."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_accepted_pair_builds_a_model(self, dim):
+        rng = rng_from(405)
+        first, then = (MeasurementBasis.from_vectors(tilted_vectors(rng, dim, 0.99))
+                       for _ in range(2))
+        for basis in (first, then):
+            gram_error = np.max(np.abs(basis.frame.conj().T @ basis.frame - np.eye(dim)))
+            assert 0.98 * BASIS_TOL < gram_error <= BASIS_TOL
+        overlaps = overlap_kernel(first, then)
+        assert max(np.max(np.abs(overlaps.sum(axis=axis) - 1.0)) for axis in (0, 1)) > ROW_TOL
+        state = random_state(rng, dim)
+        model = build_qm_equivalent_model(state, first, then)
+        for kernel in model.kernels.values():
+            assert not kernel.rows.flags.writeable
+            TransitionKernel(kernel.rows)  # the checks that the build skips
+        loaded = parse_model(serialize_model(model))
+        for order, bases in ((("A", "B"), (first, then)), (("B", "A"), (then, first))):
+            exact = exact_sequential(model, order).entries
+            assert_table(exact, sequential_distribution(state, *bases).entries, AGREEMENT_TOL)
+            assert_table(exact_sequential(loaded, order).entries, exact, 1e-12)
+        assert audit_no_go(state, first, then).defects_match
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_pair_past_basis_tol_is_refused(self, dim):
+        with pytest.raises(InvariantViolationError, match="not an orthonormal basis"):
+            MeasurementBasis.from_vectors(tilted_vectors(rng_from(405), dim, 1.01))
 
 
 class TestEnsembleInvariants:

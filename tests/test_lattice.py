@@ -16,7 +16,7 @@ from conftest import (
 from qlbench import lattice
 from qlbench.config import DEFAULT_SEED
 from qlbench.errors import DimensionMismatchError, InvariantViolationError, PreconditionError
-from qlbench.hilbert import MAX_DIM
+from qlbench.hilbert import MAX_DIM, unit_vectors
 from qlbench.lattice import (
     FRAME_TOL,
     INCLUSION_TOL,
@@ -30,7 +30,6 @@ from qlbench.lattice import (
     _kept,
     _meet_stacked,
     _orthocomplement_stacked,
-    _orthonormal_frame,
     _padded_frames,
     _residual,
     _stack,
@@ -588,8 +587,17 @@ def whole_stack_includes(a, b):
     return np.linalg.norm(residual, axis=1).max(axis=1) <= INCLUSION_TOL
 
 
+def summed_rank_frame(columns):
+    """``_orthonormal_frame`` with its rank counted by ``np.sum``."""
+    if columns.shape[1] == 0:
+        return columns
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL))
+    return np.ascontiguousarray(u[:, :rank])
+
+
 def factorizing_join(a, b):
-    return _subspace(_orthonormal_frame(np.hstack([a.frame, b.frame])))
+    return _subspace(summed_rank_frame(np.hstack([a.frame, b.frame])))
 
 
 def factorizing_orthocomplement(a):
@@ -832,8 +840,8 @@ class TestThresholds:
         sine = factor * INCLUSION_TOL
         axis = Subspace.ray(e(0, 3))
         tilted = Subspace.ray([math.sqrt(1.0 - sine * sine), sine * INV_SQRT2, sine * INV_SQRT2])
-        assert includes(tilted, axis) is included
-        assert includes(axis, tilted) is included
+        assert includes(tilted, axis) is included is factorizing_includes(tilted, axis)
+        assert includes(axis, tilted) is included is factorizing_includes(axis, tilted)
         matrix = inclusion_matrix([tilted, axis], [tilted, axis])
         assert matrix.tolist() == [[True, included], [included, True]]
 
@@ -868,6 +876,143 @@ class TestFromVectors:
                                              for v, k in zip(vectors, powers)])
         assert scaled.dim == plain.dim
         assert np.array_equal(scaled.frame, plain.frame)
+
+
+def column_stack_from_vectors(ambient_dim, vectors):
+    """``Subspace.from_vectors`` reading every input vector by vector and
+    stacking the columns with ``np.column_stack``."""
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    for v in vecs:
+        if v.size != ambient_dim:
+            raise DimensionMismatchError(
+                f"vector of length {v.size} in ambient dimension {ambient_dim}"
+            )
+    lattice._check_ambient(ambient_dim)
+    if not vecs:
+        return _subspace(np.zeros((ambient_dim, 0), dtype=complex))
+    columns = np.column_stack(vecs)
+    if not np.isfinite(columns).all():
+        raise InvariantViolationError("vector has a non-finite entry")
+    return _subspace(summed_rank_frame(unit_vectors(columns, axis=0)[0]))
+
+
+def built_or_refused(build, ambient_dim, vectors):
+    """The frame's shape, layout and bytes, or the refusal's class and text."""
+    try:
+        frame = build(ambient_dim, vectors).frame
+    except Exception as exc:  # the refusal is the outcome compared
+        return type(exc), str(exc)
+    return frame.shape, frame.flags.c_contiguous, frame.tobytes()
+
+
+def same_as_column_stack(ambient_dim, make_vectors):
+    return (built_or_refused(Subspace.from_vectors, ambient_dim, make_vectors())
+            == built_or_refused(column_stack_from_vectors, ambient_dim, make_vectors()))
+
+
+@st.composite
+def spanning_sets(draw):
+    """(dim, rows): up to MAX_DIM + 2 Gaussian rows in C^dim, some of them
+    combinations of earlier rows, zero, or scaled by a power of two."""
+    dim, count = draw(st.integers(1, MAX_DIM)), draw(st.integers(1, MAX_DIM + 2))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    rows = _gaussian_complex(rng, (count, dim))
+    for i in range(1, count):
+        kind = draw(st.sampled_from(["free", "combination", "zero", "scaled"]))
+        if kind == "combination":
+            rows[i] = _gaussian_complex(rng, i) @ rows[:i]
+        elif kind == "zero":
+            rows[i] = 0.0
+        elif kind == "scaled":
+            power = draw(st.integers(-1000, 1000))
+            rows[i] = np.ldexp(rows[i].real, power) + 1j * np.ldexp(rows[i].imag, power)
+    return dim, rows
+
+
+class TestFromVectorsAgainstColumnStack:
+    """``from_vectors`` converts a (k, d) array at once and reads other input
+    vector by vector; both give the frame of the column-stacked form, bit for
+    bit, and refuse what it refuses with the same error."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(spanning=spanning_sets(),
+           layout=st.sampled_from(["array", "fortran", "real", "list of arrays", "lists"]))
+    def test_frames_are_bit_identical(self, spanning, layout):
+        dim, rows = spanning
+        forms = {"array": lambda: rows, "fortran": lambda: np.asfortranarray(rows),
+                 "real": lambda: rows.real, "list of arrays": lambda: list(rows),
+                 "lists": lambda: rows.tolist()}
+        assert same_as_column_stack(dim, forms[layout])
+
+    @pytest.mark.parametrize("dim, make_vectors", [
+        (2, lambda: [[1, 0], [1]]),
+        (2, lambda: [[1, 0], [0, 1, 0]]),
+        (2, lambda: np.ones((2, 3))),
+        (2, lambda: (v for v in [[1, 0], [1, 1j]])),
+        (2, lambda: iter([])),
+        (3, lambda: []),
+        (3, lambda: np.empty((0, 3))),
+        (2, lambda: [[1, 0], [0, float("nan")]]),
+        (2, lambda: np.array([[1, float("inf")]])),
+        (2, lambda: [[1, 0], [0, 1], [1, 1j]]),
+        (3, lambda: np.array([[[1], [0], [0]], [[0], [1], [1]]])),
+        (1, lambda: [1, 2]),
+        (9, lambda: [np.ones(9)]),
+        (0, lambda: []),
+        (2, lambda: [["1", "0"], ["x", "1"]]),
+    ], ids=["ragged", "wrong-length", "wrong-length-array", "generator", "empty-iterator",
+            "empty-list", "empty-array", "nan", "inf", "k>d", "column-arrays", "scalars",
+            "ambient-9", "ambient-0", "not-numbers"])
+    def test_other_input_is_read_vector_by_vector(self, dim, make_vectors):
+        assert same_as_column_stack(dim, make_vectors)
+
+    def test_an_array_makes_one_svd_and_no_column_stack(self):
+        rows = _gaussian_complex(rng_from(215), (3, 5))
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+                mock.patch.object(np, "column_stack", side_effect=AssertionError("no column_stack")):
+            assert Subspace.from_vectors(5, rows).dim == 3
+        assert svd.call_count == 1
+
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    @pytest.mark.parametrize("factor, rank", [(0.99, 1), (1.01, 2)])
+    def test_singular_value_at_rank_tol(self, dim, factor, rank):
+        # e0 and e0 + ε e1, at unit length, have smallest singular value ε/√2
+        vectors = np.array([e(0, dim), e(0, dim) + math.sqrt(2.0) * factor * RANK_TOL * e(1, dim)])
+        smallest = np.linalg.svd(unit_vectors(vectors.T.astype(complex), axis=0)[0],
+                                 compute_uv=False)[-1]
+        assert abs(smallest / (factor * RANK_TOL) - 1.0) < 1e-3
+        assert Subspace.from_vectors(dim, vectors).dim == rank
+        assert same_as_column_stack(dim, lambda: vectors)
+        a, b = (Subspace.ray(v) for v in vectors)
+        assert join(a, b).dim == rank
+        assert join(a, b).frame.tobytes() == factorizing_join(a, b).frame.tobytes()
+
+
+class TestJoinAndIncludesAgainstReplacedForms:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, MAX_DIM))
+    def test_join_frames_and_inclusion_verdicts(self, seed, dim):
+        # pairs that share a random part, and nested pairs, whose residuals are rounding
+        rng = rng_from(seed)
+        a, b, _ = shared_part_pair(rng, dim)
+        inner, outer = random_nested_pair(rng, dim)
+        for x, y in ((a, b), (b, a), (inner, outer), (outer, inner), (a, a)):
+            if 0 < x.dim < dim and 0 < y.dim < dim:
+                assert join(x, y).frame.tobytes() == factorizing_join(x, y).frame.tobytes()
+                if x.dim <= y.dim:
+                    assert includes(x, y) is factorizing_includes(x, y)
+
+    @pytest.mark.parametrize("dim", [4, 6, 8])
+    @pytest.mark.parametrize("factor, included", [(0.99, True), (1.01, False)])
+    def test_residual_at_inclusion_tol(self, dim, factor, included):
+        # a plane holding e1 and e0 tilted by the planted sine off span(e0, e1),
+        # its residual spread over two coordinates
+        sine = factor * INCLUSION_TOL
+        tilted = math.sqrt(1.0 - sine * sine) * e(0, dim) + sine * INV_SQRT2 * (e(2, dim) + e(3, dim))
+        plane = Subspace(np.column_stack([tilted, e(1, dim)]))
+        axes = Subspace(np.eye(dim)[:, :2])
+        for x, y in ((plane, axes), (axes, plane)):
+            assert includes(x, y) is included is factorizing_includes(x, y)
 
 
 class TestTrustedFrames:
