@@ -193,12 +193,11 @@ def build_qm_equivalent_model(
 
     overlaps = overlap_kernel(basis_a, basis_b)
     kernels = {}
-    # squared overlaps are nonnegative, so the checks of TransitionKernel(rows) are skipped;
-    # bases within BASIS_TOL of orthonormal can miss row sums of 1 by more than ROW_TOL
     for key, rows in (((id_a, id_b), overlaps), ((id_b, id_a), overlaps.T)):
-        sums = rows.sum(axis=1, keepdims=True)
-        kernels[key] = kernel = object.__new__(TransitionKernel)
-        kernel.rows = _frozen(rows if (abs(sums - 1.0) <= ROW_TOL).all() else rows / sums)
+        try:  # a basis pair within BASIS_TOL can miss row sums of 1 by more than ROW_TOL
+            kernels[key] = TransitionKernel(rows)
+        except InvariantViolationError:
+            kernels[key] = TransitionKernel(rows / rows.sum(axis=1, keepdims=True))
     ensemble = HiddenEnsemble(values, weights, {id_a: basis_a, id_b: basis_b})
     return HiddenModel(ensemble=ensemble, kernels=kernels)
 

@@ -29,8 +29,6 @@ serves every pair of a row block.  The per-pair functions are their oracle.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionMismatchError, InvariantViolationError, PreconditionError
@@ -112,7 +110,9 @@ class Subspace:
             vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
             for v in vecs:
                 if v.size != ambient_dim:
-                    raise DimensionMismatchError(f"vector of length {v.size} in ambient dimension {ambient_dim}")
+                    raise DimensionMismatchError(
+                        f"vector of length {v.size} in ambient dimension {ambient_dim}"
+                    )
             rows = np.array(vecs)
         _check_ambient(ambient_dim)
         if not rows.size:
@@ -212,8 +212,9 @@ def includes(a: Subspace, b: Subspace) -> bool:
         return True
     if a.dim > b.dim:
         return False
-    residual = _residual(a.frame, b.frame)  # column norms as np.linalg.norm forms them, without its dispatch
-    return math.sqrt(np.add.reduce((residual.conj() * residual).real, axis=0).max()) <= INCLUSION_TOL
+    residual = _residual(a.frame, b.frame)  # its column norms, formed as np.linalg.norm forms them
+    norms = np.sqrt(np.add.reduce((residual.conj() * residual).real, axis=0))
+    return float(norms.max()) <= INCLUSION_TOL
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:

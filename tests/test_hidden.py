@@ -124,15 +124,21 @@ class TestBasesAtBasisTol:
         assert max(np.max(np.abs(overlaps.sum(axis=axis) - 1.0)) for axis in (0, 1)) > ROW_TOL
         state = random_state(rng, dim)
         model = build_qm_equivalent_model(state, first, then)
-        for kernel in model.kernels.values():
-            assert not kernel.rows.flags.writeable
-            TransitionKernel(kernel.rows)  # the checks that the build skips
         loaded = parse_model(serialize_model(model))
         for order, bases in ((("A", "B"), (first, then)), (("B", "A"), (then, first))):
             exact = exact_sequential(model, order).entries
             assert_table(exact, sequential_distribution(state, *bases).entries, AGREEMENT_TOL)
             assert_table(exact_sequential(loaded, order).entries, exact, 1e-12)
         assert audit_no_go(state, first, then).defects_match
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_kernels_within_row_tol_are_the_squared_overlaps(self, dim):
+        rng = rng_from(406)
+        first, then = (MeasurementBasis.from_vectors(random_unitary(rng, dim).T) for _ in range(2))
+        overlaps = overlap_kernel(first, then)
+        model = build_qm_equivalent_model(random_state(rng, dim), first, then)
+        assert np.array_equal(model.kernels[("A", "B")].rows, overlaps)
+        assert np.array_equal(model.kernels[("B", "A")].rows, overlaps.T)
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_pair_past_basis_tol_is_refused(self, dim):
