@@ -541,6 +541,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_seed(text: str) -> int:
+    """``QLBENCH_SEED`` read and checked as ``--seed`` is, with errors that name it."""
+    try:
+        seed = integer(text)
+    except ValueError:
+        raise PreconditionError(f"QLBENCH_SEED: invalid integer value: {text!r}") from None
+    try:
+        return check_setting("seed", seed)
+    except PreconditionError as exc:
+        raise PreconditionError(f"QLBENCH_SEED: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -548,7 +560,7 @@ def main(argv=None) -> int:
                   else ExperimentConfig())
         env_seed = os.environ.get("QLBENCH_SEED")
         if env_seed is not None:
-            config.seed = check_setting("seed", integer(env_seed))
+            config.seed = _env_seed(env_seed)
         if args.seed is not None:
             config.seed = check_setting("seed", args.seed)
         if args.trials is not None:

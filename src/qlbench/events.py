@@ -4,11 +4,13 @@ Complementation always takes an explicit universe argument; there is no
 default.  An implicit complementation universe is exactly how the classical
 distribution law appears to fail, so the choice is made unforgeable here and
 the fallacy can only be reproduced through an explicit coercion flag.
+
+Events combine only within one ``OutcomeSpace`` object, and a universe counts
+as part of a space only when it is one of that space's own universes: spaces
+and universes are told apart by identity, not by value.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .errors import InvariantViolationError, PreconditionError, QLBenchError
 
@@ -21,23 +23,8 @@ class ComplementUniverseError(PreconditionError):
     """An event reaches outside its chosen complementation universe."""
 
 
-def _refuse_assignment(self, name, value):
-    from dataclasses import FrozenInstanceError  # loaded only to refuse
-
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_deletion(self, name):
-    from dataclasses import FrozenInstanceError  # loaded only to refuse
-
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
 class Universe:
-    """One experiment's outcome set: an ordered tuple of distinct labels.
-
-    Universes are immutable and compare and hash by name and outcomes.
-    """
+    """One experiment's outcome set: an ordered tuple of distinct labels."""
 
     __slots__ = ("name", "outcomes")
 
@@ -47,30 +34,13 @@ class Universe:
             raise InvariantViolationError(f"universe {name!r} is empty")
         if len(set(outcomes)) != len(outcomes):
             raise InvariantViolationError(f"universe {name!r} has duplicate labels")
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "name", str(name))
-
-    __setattr__ = _refuse_assignment
-    __delattr__ = _refuse_deletion
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name and self.outcomes == other.outcomes
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.outcomes))
-
-    def __reduce__(self):
-        return (Universe, (self.name, self.outcomes))
+        self.name, self.outcomes = str(name), outcomes
 
 
 class OutcomeSpace:
-    """Disjoint union of universes; labels are globally distinct.
+    """Disjoint union of universes; labels are globally distinct."""
 
-    Spaces are immutable and compare and hash by their universes, so twin
-    spaces built apart hold the same events.
-    """
+    __slots__ = ("universes", "labels", "label_bits")
 
     def __init__(self, universes: tuple[Universe, ...]) -> None:
         universes = tuple(universes)
@@ -84,27 +54,10 @@ class OutcomeSpace:
                     f"label(s) {sorted(overlap)} appear in more than one universe"
                 )
             seen.update(u.outcomes)
-        object.__setattr__(self, "universes", universes)
-
-    __setattr__ = _refuse_assignment
-    __delattr__ = _refuse_deletion
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.universes == other.universes
-
-    def __hash__(self) -> int:
-        return hash(self.universes)
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for u in self.universes for label in u.outcomes)
-
-    @cached_property
-    def label_bits(self) -> dict[str, int]:
-        """Each label's bit in an event's mask: ``labels[k]`` is ``1 << k``."""
-        return {label: 1 << k for k, label in enumerate(self.labels)}
+        self.universes = universes
+        self.labels = tuple(label for u in universes for label in u.outcomes)
+        # Each label's bit in an event's mask: labels[k] is 1 << k.
+        self.label_bits = {label: 1 << k for k, label in enumerate(self.labels)}
 
     def mask_of(self, labels) -> int:
         """The mask of distinct labels of this space; KeyError for any other label."""
@@ -121,91 +74,55 @@ class OutcomeSpace:
         raise PreconditionError(f"label {label!r} not in this outcome space")
 
     def event(self, labels) -> EventSet:
-        return EventSet(self, labels)
+        """The event of ``labels``, each of which must be a label of this space."""
+        members = frozenset(map(str, labels))
+        try:
+            mask = self.mask_of(members)
+        except KeyError:
+            stray = sorted(members.difference(self.labels))
+            raise InvariantViolationError(f"label(s) {stray} not in the outcome space") from None
+        return EventSet(self, mask, members)
 
     def atom(self, label: str) -> EventSet:
         return self.event([label])
-
-
-def _same_space(x: OutcomeSpace, y: OutcomeSpace) -> bool:
-    return x is y or x == y
 
 
 class EventSet:
     """A finite subset of an outcome space's labels, held as a bitmask.
 
     Bit ``k`` of ``mask`` stands for ``space.labels[k]``.  The constructor
-    validates its labels; results of the set algebra in this module are built
-    by ``_event`` from masks already checked and skip that work.  ``members``
-    is a frozenset view of the mask, made on first use.  Events are immutable
-    and compare by space and members.
+    takes a mask known to lie in ``space``; ``OutcomeSpace.event`` builds an
+    event from labels and checks them.  ``members`` is the frozenset of the
+    mask's labels, made on first use when not given.
     """
 
     __slots__ = ("space", "mask", "_members")
 
-    def __init__(self, space: OutcomeSpace, members) -> None:
-        members = frozenset(map(str, members))
-        try:
-            mask = space.mask_of(members)
-        except KeyError:
-            stray = sorted(members.difference(space.labels))
-            raise InvariantViolationError(f"label(s) {stray} not in the outcome space") from None
-        _set_space(self, space)
-        _set_mask(self, mask)
-        _set_members(self, members)
+    def __init__(self, space: OutcomeSpace, mask: int, members: frozenset[str] | None = None) -> None:
+        self.space, self.mask, self._members = space, mask, members
 
     @property
     def members(self) -> frozenset[str]:
         if self._members is None:
-            _set_members(self, self.space.labels_of(self.mask))
+            self._members = self.space.labels_of(self.mask)
         return self._members
 
-    __setattr__ = _refuse_assignment
-    __delattr__ = _refuse_deletion
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.mask == other.mask and _same_space(self.space, other.space)
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.mask))
-
-    def __reduce__(self):
-        return (EventSet, (self.space, self.members))
-
     def _check_space(self, other: EventSet) -> OutcomeSpace:
-        if not _same_space(self.space, other.space):
+        if self.space is not other.space:
             raise SpaceMismatchError("events belong to different outcome spaces")
         return self.space
 
     def union(self, other: EventSet) -> EventSet:
-        return _event(self._check_space(other), self.mask | other.mask)
+        return EventSet(self._check_space(other), self.mask | other.mask)
 
     def intersect(self, other: EventSet) -> EventSet:
-        return _event(self._check_space(other), self.mask & other.mask)
+        return EventSet(self._check_space(other), self.mask & other.mask)
 
     __or__ = union
     __and__ = intersect
 
     def __repr__(self) -> str:
         return "{" + ", ".join(sorted(self.members)) + "}"
-
-
-# __setattr__ refuses every assignment, so construction writes the slots
-# through their descriptors.
-_set_space = EventSet.space.__set__
-_set_mask = EventSet.mask.__set__
-_set_members = EventSet._members.__set__
-
-
-def _event(space: OutcomeSpace, mask: int) -> EventSet:
-    """An event of ``space`` from a mask already known to lie in it, unvalidated."""
-    event = object.__new__(EventSet)
-    _set_space(event, space)
-    _set_mask(event, mask)
-    _set_members(event, None)
-    return event
 
 
 def complement_relative(event: EventSet, within: Universe | OutcomeSpace) -> EventSet:
@@ -218,7 +135,7 @@ def complement_relative(event: EventSet, within: Universe | OutcomeSpace) -> Eve
     """
     space = event.space
     if isinstance(within, OutcomeSpace):
-        if not _same_space(within, space):
+        if within is not space:
             raise SpaceMismatchError("complement universe from a different outcome space")
         pool = space.mask_of(space.labels)
         label = "the whole outcome space"
@@ -232,7 +149,7 @@ def complement_relative(event: EventSet, within: Universe | OutcomeSpace) -> Eve
         raise ComplementUniverseError(
             f"event member(s) {sorted(space.labels_of(stray))} lie outside {label}"
         )
-    return _event(space, pool & ~event.mask)
+    return EventSet(space, pool & ~event.mask)
 
 
 def restricted_to(event: EventSet, within: Universe, *, coerce: bool = False) -> EventSet:
@@ -252,7 +169,7 @@ def restricted_to(event: EventSet, within: Universe, *, coerce: bool = False) ->
             f"event member(s) {sorted(space.labels_of(stray))} lie outside universe "
             f"{within.name!r}; pass coerce=True to drop them deliberately"
         )
-    return _event(space, event.mask & pool)
+    return EventSet(space, event.mask & pool)
 
 
 class ClassicalDistributivityVerdict:
@@ -269,8 +186,8 @@ def distributes_classical(a: EventSet, b: EventSet, c: EventSet) -> ClassicalDis
     lhs = a.mask & (b.mask | c.mask)
     rhs = (a.mask & b.mask) | (a.mask & c.mask)
     return ClassicalDistributivityVerdict(
-        lhs=_event(space, lhs),
-        rhs=_event(space, rhs),
+        lhs=EventSet(space, lhs),
+        rhs=EventSet(space, rhs),
         distributive=lhs == rhs,
     )
 
@@ -320,7 +237,7 @@ def eq10_trace(a_label: str, b_label: str, space: OutcomeSpace) -> ComplementCha
     b_rest = [x for x in labels if x != b_label]
 
     def big_union(events):
-        out = _event(space, 0)
+        out = EventSet(space, 0)
         for e in events:
             out = out.union(e)
         return out
@@ -396,7 +313,7 @@ def universe_mismatch_demo(a_label: str, b_label: str, space: OutcomeSpace) -> M
     """
     universe_a = space.universe_of(a_label)
     universe_b = space.universe_of(b_label)
-    if universe_a == universe_b:
+    if universe_a is universe_b:
         raise PreconditionError(
             "atoms from the same universe: the demo needs incompatible contexts"
         )

@@ -94,10 +94,6 @@ class Subspace:
     def dim(self) -> int:
         return self.frame.shape[1]
 
-    @property
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> Subspace:
         """Span of arbitrary (possibly dependent, unnormalized) vectors; rank is
@@ -160,6 +156,13 @@ def _residual(frame: np.ndarray, onto: np.ndarray) -> np.ndarray:
     return frame - onto @ (onto.conj().swapaxes(-1, -2) @ frame)
 
 
+def _residual_norms(frame: np.ndarray, onto: np.ndarray) -> np.ndarray:
+    """The norm of each column of ``_residual(frame, onto)``, formed with the
+    operations ``np.linalg.norm`` uses on one axis, without its dispatch."""
+    residual = _residual(frame, onto)
+    return np.sqrt(np.add.reduce((residual.conj() * residual).real, axis=-2))
+
+
 def join(a: Subspace, b: Subspace) -> Subspace:
     """Smallest subspace containing both: b when a is zero or b full, a when
     b is zero or a full, and otherwise the span of the concatenated frames."""
@@ -212,9 +215,7 @@ def includes(a: Subspace, b: Subspace) -> bool:
         return True
     if a.dim > b.dim:
         return False
-    residual = _residual(a.frame, b.frame)  # its column norms, formed as np.linalg.norm forms them
-    norms = np.sqrt(np.add.reduce((residual.conj() * residual).real, axis=0))
-    return float(norms.max()) <= INCLUSION_TOL
+    return float(_residual_norms(a.frame, b.frame).max()) <= INCLUSION_TOL
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:
@@ -357,7 +358,7 @@ def _equal_stacked(a: _Stack, b: _Stack) -> np.ndarray:
 def _within(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Whether each padded frame of a lies in the span of the matching frame
     of b; a padding column has no residual."""
-    return np.linalg.norm(_residual(a, b), axis=1).max(axis=1) <= INCLUSION_TOL
+    return _residual_norms(a, b).max(axis=1) <= INCLUSION_TOL
 
 
 def _pairwise(law, a, b) -> np.ndarray:

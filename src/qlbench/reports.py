@@ -14,21 +14,13 @@ def format_number(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
-    if isinstance(value, complex):
-        return f"{value.real:.12g}{value.imag:+.12g}j"
     return str(value)
 
 
 def _json_value(value):
-    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
-        return value
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, complex):
-        return format_number(value)
-    if value is None:
-        return None
-    return str(value)
+    """A report value (bool, int, str or float) for JSON: a float rounded to 12
+    significant digits, the rest as they are."""
+    return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
 class ReportTable:

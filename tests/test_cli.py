@@ -474,7 +474,7 @@ class TestSettingBounds:
         assert json.loads(out)["fields"]["seed"] == 0
 
     @pytest.mark.parametrize("route, where", [
-        ("config", "line 1, column 6: "), ("flag", ""), ("env", "")])
+        ("config", "line 1, column 6: "), ("flag", ""), ("env", "QLBENCH_SEED: ")])
     def test_negative_seed_refused_by_every_route(self, capsys, tmp_path, monkeypatch,
                                                   route, where):
         argv = self._seed_argv(tmp_path, monkeypatch, route, "-1")
@@ -500,6 +500,12 @@ class TestSettingBounds:
         by_flag = run(capsys, *argv, f"--{key}", value)
         assert by_flag == run(capsys, *argv, "--config", str(config))
         assert json.loads(by_flag[1])["fields"][key] == int(value, 0)
+
+    @pytest.mark.parametrize("value", ["zz", "010", "1e3"])
+    def test_malformed_env_seed_names_the_variable(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QLBENCH_SEED", value)
+        assert run(capsys, "hv-simulate", "--trials", "100") == (
+            2, "", f"error: QLBENCH_SEED: invalid integer value: '{value}'\n")
 
     @pytest.mark.parametrize("flag", ["--seed", "--trials"])
     @pytest.mark.parametrize("value", ["zz", "010", "1e3"])

@@ -1,8 +1,8 @@
 """The package is its modules: importing ``qlbench`` loads none of them, a
 command loads only the modules it uses and never ``dataclasses``, each record
-keeps its constructor, each pinned function its parameters, each threshold
-constant is named by a test, and the README's library example imports each
-name from its own module."""
+keeps its constructor and guards none of its fields, each pinned function its
+parameters, each threshold constant is named by a test, and the README's
+library example imports each name from its own module."""
 
 import importlib
 import inspect
@@ -100,6 +100,7 @@ RECORD_PARAMETERS = {
     "config.ExperimentConfig": (),
     "events.Universe": ("name", "outcomes"),
     "events.OutcomeSpace": ("universes",),
+    "events.EventSet": ("space", "mask", ("members", None)),
     "events.ClassicalDistributivityVerdict": ("lhs", "rhs", "distributive"),
     "events.TraceLine": ("expression", "value"),
     "events.ComplementChainTrace": ("a_label", "b_label", "lines"),
@@ -130,15 +131,28 @@ RECORD_PARAMETERS = {
 }
 
 
+def record_class(record: str) -> type:
+    module, name = record.split(".")
+    return getattr(importlib.import_module(f"qlbench.{module}"), name)
+
+
 @pytest.mark.parametrize("record, parameters", RECORD_PARAMETERS.items(),
                          ids=RECORD_PARAMETERS)
 def test_record_constructor_signature(record, parameters):
-    module, name = record.split(".")
-    signature = inspect.signature(getattr(importlib.import_module(f"qlbench.{module}"), name))
+    signature = inspect.signature(record_class(record))
     expected = [p if isinstance(p, tuple) else (p, inspect.Parameter.empty) for p in parameters]
     assert [(p.name, p.default) for p in signature.parameters.values()] == expected
     assert {p.kind for p in signature.parameters.values()} <= {
         inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+def test_no_record_guards_its_fields():
+    # every record is a plain __slots__ class: none refuses assignment or
+    # deletion, or pickles through a reduction of its own
+    hooks = {"__setattr__", "__delattr__", "__reduce__"}
+    defined = {record: sorted(hooks.intersection(vars(record_class(record))))
+               for record in RECORD_PARAMETERS}
+    assert {record: names for record, names in defined.items() if names} == {}
 
 
 # The keywords each library function keeps; a setting no caller changes is a
