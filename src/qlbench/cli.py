@@ -541,16 +541,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _checked(source: str, key: str, value):
+    """``check_setting(key, value)``, with a refusal that names ``source``."""
+    try:
+        return check_setting(key, value)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{source}: {exc}") from None
+
+
 def _env_seed(text: str) -> int:
     """``QLBENCH_SEED`` read and checked as ``--seed`` is, with errors that name it."""
     try:
         seed = integer(text)
     except ValueError:
         raise PreconditionError(f"QLBENCH_SEED: invalid integer value: {text!r}") from None
-    try:
-        return check_setting("seed", seed)
-    except PreconditionError as exc:
-        raise PreconditionError(f"QLBENCH_SEED: {exc}") from None
+    return _checked("QLBENCH_SEED", "seed", seed)
 
 
 def main(argv=None) -> int:
@@ -561,12 +566,10 @@ def main(argv=None) -> int:
         env_seed = os.environ.get("QLBENCH_SEED")
         if env_seed is not None:
             config.seed = _env_seed(env_seed)
-        if args.seed is not None:
-            config.seed = check_setting("seed", args.seed)
-        if args.trials is not None:
-            config.trials = check_setting("trials", args.trials)
-        if args.tol is not None:
-            config.tol = check_setting("tol", args.tol)
+        for key in ("seed", "trials", "tol"):  # a refusal names its flag, as argparse does
+            value = getattr(args, key)
+            if value is not None:
+                setattr(config, key, _checked(f"argument --{key}", key, value))
 
         report = COMMANDS[args.command](config)
     except (QLBenchError, OSError, ValueError) as exc:

@@ -63,16 +63,17 @@ class HiddenEnsemble:
                 f"values of shape {values.shape} with weights of shape {weights.shape} for "
                 f"{len(contexts)} contexts: need one row per weight, one column per context")
         sizes = [basis.size for basis in contexts.values()]
-        outside = (values < 0) | (values >= sizes)
-        if outside.any():
-            m, c = np.argwhere(outside)[0]
+        if not all(0 <= min(column) and max(column) < size  # integers: no NaN to miss
+                   for column, size in zip(values.T.tolist(), sizes)):
+            m, c = np.argwhere((values < 0) | (values >= sizes))[0]
             raise InvariantViolationError(
                 f"outcome {values[m, c]} out of range for context {list(contexts)[c]!r}")
-        if not weights.min() >= 0.0:  # NaN fails
-            m = int((weights >= 0.0).argmin())
-            raise InvariantViolationError(
-                f"weight {float(weights[m])!r} is not a nonnegative number", ("weight", m))
-        total = sum(weights.tolist())
+        weight_list = weights.tolist()
+        for m, weight in enumerate(weight_list):
+            if not weight >= 0.0:  # NaN fails
+                raise InvariantViolationError(
+                    f"weight {weight!r} is not a nonnegative number", ("weight", m))
+        total = sum(weight_list)
         if not abs(total - 1.0) <= WEIGHT_TOL:
             raise InvariantViolationError(f"weights sum to {total!r}, not 1",
                                           ("weight", len(weights) - 1))
@@ -110,13 +111,11 @@ class TransitionKernel:
         rows = np.array(rows, dtype=float)
         if rows.ndim != 2:
             raise InvariantViolationError("kernel rows must form a matrix")
-        if not (rows >= 0.0).all():
+        if not all(x >= 0.0 for x in rows.ravel().tolist()):  # NaN fails
             raise InvariantViolationError("kernel entry negative or not a number")
-        sums = rows.sum(axis=1)
-        bad = ~(abs(sums - 1.0) <= ROW_TOL)
-        if bad.any():
-            i = int(bad.argmax())
-            raise InvariantViolationError(f"kernel row {i} sums to {float(sums[i])!r}, not 1")
+        for i, total in enumerate(np.add.reduce(rows, axis=1).tolist()):
+            if not abs(total - 1.0) <= ROW_TOL:
+                raise InvariantViolationError(f"kernel row {i} sums to {total!r}, not 1")
         self.rows = _frozen(rows)
 
 
@@ -232,22 +231,25 @@ def simulate_sequential(
     rng = np.random.default_rng(seed)
 
     weights = ensemble.weights
-    member_counts = rng.multinomial(n_trials, weights / weights.sum())
+    member_counts = rng.multinomial(n_trials, weights / np.add.reduce(weights))
     counts = np.zeros(kernel.rows.shape)
-    first_counts = np.zeros(len(counts), dtype=np.int64)  # exact up to 2**63 - 1 trials
-    np.add.at(first_counts, ensemble.values[:, ensemble.column(first)], member_counts)
-    for i in first_counts.nonzero()[0]:
-        row = kernel.rows[i]
-        counts[i] = rng.multinomial(first_counts[i], row / row.sum())
+    first_counts = [0] * len(counts)  # Python ints: exact at any trial count
+    for i, count in zip(ensemble.values[:, ensemble.column(first)].tolist(),
+                        member_counts.tolist()):
+        first_counts[i] += count
+    for i, count in enumerate(first_counts):
+        if count:
+            row = kernel.rows[i]
+            counts[i] = rng.multinomial(count, row / np.add.reduce(row))
     return SequentialTable(ensemble.contexts[first], ensemble.contexts[then], counts / n_trials)
 
 
 def _law_lhs(a, b):
-    return np.minimum(a, np.maximum(b, 1 - b))
+    return min(a, max(b, 1 - b))
 
 
 def _law_rhs(a, b):
-    return np.maximum(np.minimum(a, b), np.minimum(a, 1 - b))
+    return max(min(a, b), min(a, 1 - b))
 
 
 class NoGoAudit:
@@ -302,18 +304,20 @@ def audit_no_go(
     columns = [c for c, size in enumerate(sizes) for _ in range(size)]
     outcomes = [k for size in sizes for k in range(size)]
     truths = (ensemble.values[:, columns] == outcomes).astype(int)
-    value_definite = bool(((truths == 0) | (truths == 1)).all())
-    member_max_dispersion = float((truths - truths * truths).max())
-    a, b = truths[:, :, None], truths[:, None, :]
-    distributive = bool((_law_lhs(a, b) == _law_rhs(a, b)).all())
+    # each check below reads a member's proposition pair (k, l) only through its truth
+    # values (a, b), so the value pairs that some member holds decide all m * k * k
+    pairs = {(a, b) for row in set(map(frozenset, truths.tolist())) for a in row for b in row}
+    value_definite = all(a in (0, 1) for a, _ in pairs)
+    member_max_dispersion = float(max(a - a * a for a, _ in pairs))
+    distributive = all(_law_lhs(a, b) == _law_rhs(a, b) for a, b in pairs)
     pairs_checked = truths.shape[0] * truths.shape[1] ** 2
 
     marginals = np.concatenate([ensemble.marginal(name) for name in ensemble.contexts])
-    mixture_max_dispersion = float(dispersion(marginals).max())
+    mixture_max_dispersion = max(dispersion(marginals).tolist())
 
     table_ab = exact_sequential(model, (id_a, id_b))
     table_ba = exact_sequential(model, (id_b, id_a))
-    hv_defect = float(abs(table_ab.entries - table_ba.entries.T).max())
+    hv_defect = float(np.maximum.reduce(abs(table_ab.entries - table_ba.entries.T), axis=None))
     qm_defect = commutation_defect(state, basis_a, basis_b)
     defects_match = abs(hv_defect - qm_defect) <= AGREEMENT_TOL
     noncommuting = qm_defect > NONCOMMUTING_TOL

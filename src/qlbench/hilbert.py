@@ -129,7 +129,7 @@ class MeasurementBasis:
             raise InvariantViolationError(f"duplicate outcome labels: {labels}")
         gram = frame.conj().T @ frame
         gram.ravel()[::count + 1] -= 1.0  # minus the identity
-        error = abs(gram).max()
+        error = np.maximum.reduce(abs(gram), axis=None)
         if count != dim or not error <= BASIS_TOL:
             raise InvariantViolationError(
                 f"not an orthonormal basis of C^{dim}: {count} vectors, Gram error {error:.3g}")

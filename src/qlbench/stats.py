@@ -30,9 +30,9 @@ class Distribution:
         probs = np.asarray(probs, dtype=float).reshape(-1)
         if len(labels) != probs.size or not labels:
             raise InvariantViolationError("labels and probabilities must align")
-        if not (-ENTRY_TOL <= probs.min() and probs.max() <= 1.0 + ENTRY_TOL):  # NaN fails
+        if not all(-ENTRY_TOL <= p <= 1.0 + ENTRY_TOL for p in probs.tolist()):  # NaN fails
             raise InvariantViolationError("probability outside [0, 1]")
-        total = float(probs.sum())
+        total = float(np.add.reduce(probs))
         if not abs(total - 1.0) <= DISTRIBUTION_TOL:
             raise InvariantViolationError(f"probabilities sum to {total!r}, not 1")
         probs = probs.clip(0.0, 1.0)
@@ -57,9 +57,9 @@ class SequentialTable:
         expected = (first_basis.size, second_basis.size)
         if entries.shape != expected:
             raise InvariantViolationError(f"entries shape {entries.shape}, expected {expected}")
-        if not entries.min() >= -ENTRY_TOL:  # NaN fails
+        if not all(x >= -ENTRY_TOL for x in entries.ravel().tolist()):  # NaN fails
             raise InvariantViolationError("table entry negative or not a number")
-        total = float(entries.sum())
+        total = float(np.add.reduce(entries, axis=None))
         if not abs(total - 1.0) <= DISTRIBUTION_TOL:
             raise InvariantViolationError(f"table sums to {total!r}, not 1")
         entries = np.maximum(entries, 0.0)  # what np.clip(entries, 0.0, None) computes
@@ -144,7 +144,7 @@ def commutation_defect(
     kernel = overlap_kernel(basis_a, basis_b)
     forward = chain_rule(_born_probs(state, basis_a), kernel)
     reverse = chain_rule(_born_probs(state, basis_b), kernel.T)
-    return float(abs(forward - reverse.T).max())
+    return float(np.maximum.reduce(abs(forward - reverse.T), axis=None))
 
 
 def bases_equal(a: MeasurementBasis, b: MeasurementBasis) -> bool:
@@ -196,8 +196,8 @@ def joint_exists(t_ab: SequentialTable, t_ba: SequentialTable, tol: float = 1e-9
     ):
         raise PreconditionError("tables do not cover the same basis pair in opposite orders")
     gap = abs(t_ab.entries - t_ba.entries.T)
-    worst = int((gap >= gap.max() - ENTRY_TOL).argmax())
-    i, j = (int(k) for k in np.unravel_index(worst, gap.shape))
+    worst = (gap >= np.maximum.reduce(gap, axis=None) - ENTRY_TOL).argmax()
+    i, j = divmod(int(worst), gap.shape[1])  # row-major, as argmax counts
     if float(gap[i, j]) <= tol:
         labels = [
             f"({la},{lb})"
@@ -223,9 +223,9 @@ def is_integer(value) -> bool:
 def dispersion(p):
     """p - p^2 of p, or of each p in an array: zero exactly at 0 and 1, positive between."""
     p = np.asarray(p, dtype=float)
-    inside = (-ENTRY_TOL <= p) & (p <= 1.0 + ENTRY_TOL)
-    if not inside.all():
-        raise PreconditionError(f"probability {float(p[~inside][0])!r} outside [0, 1]")
+    for x in p.ravel().tolist():
+        if not -ENTRY_TOL <= x <= 1.0 + ENTRY_TOL:  # NaN fails
+            raise PreconditionError(f"probability {x!r} outside [0, 1]")
     p = np.minimum(np.maximum(p, 0.0), 1.0)  # a -0.0 becomes 0.0, as in max(0.0, -0.0)
     return p - p * p
 

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from projector_oracle import COMMUTATOR_TOL
-from qlbench.errors import DimensionMismatchError, PreconditionError
+from qlbench.errors import DimensionMismatchError, PreconditionError, QLBenchError
 from qlbench.hidden import _law_lhs, _law_rhs
 from qlbench.hilbert import MeasurementBasis, StateVector, named_axis_basis, named_state
 from qlbench.lattice import Subspace, _orthonormal_frame
@@ -54,6 +55,36 @@ def assert_table(actual: np.ndarray, expected, tol=1e-12):
     expected = np.asarray(expected, dtype=float)
     assert actual.shape == expected.shape
     assert float(np.max(np.abs(actual - expected))) <= tol
+
+
+def refusal(make, *args):
+    """What ``make(*args)`` raises, as (error class, message, part), or None
+    when it builds."""
+    try:
+        make(*args)
+    except QLBenchError as exc:
+        return type(exc), str(exc), getattr(exc, "part", None)
+    return None
+
+
+# values at which an entry check flips, or which a min/max form would let through
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, -5e-324, 5e-324, 1.0,
+               *(sign * f * ENTRY_TOL for sign in (1.0, -1.0) for f in (0.99, 1.0, 1.01)),
+               *(1.0 + sign * f * ENTRY_TOL for sign in (1.0, -1.0) for f in (0.99, 1.0, 1.01)))
+
+
+@st.composite
+def near_threshold_floats(draw, size: int, total_tol: float) -> np.ndarray:
+    """``size`` probabilities whose total is off 1 by 0, 0.99 or 1.01 times
+    ``total_tol`` either way, with up to two entries then replaced by edge
+    values: NaN, ±inf, -0.0, -5e-324, or within about ``ENTRY_TOL`` of 0 or 1."""
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(size))
+    shift = draw(st.sampled_from([0.0, 0.99, -0.99, 1.01, -1.01])) * total_tol
+    values[draw(st.integers(0, size - 1))] += shift
+    for k in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+        values[k] = draw(st.sampled_from(EDGE_FLOATS) | st.floats(-2 * ENTRY_TOL, 2 * ENTRY_TOL)
+                         | st.floats(1.0 - 2 * ENTRY_TOL, 1.0 + 2 * ENTRY_TOL))
+    return values
 
 
 def scalar_dispersion(p: float) -> float:

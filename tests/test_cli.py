@@ -93,6 +93,24 @@ class TestStatsCommands:
         assert code == 0
         assert "0.5" in out
 
+    # the lattice verdict (Eq. 5) and the probability verdict (Eq. 9) come apart both ways
+    @pytest.mark.parametrize("config, lattice, probability", [
+        ("state y+\ncontext x\ncontext z\ntarget 0\n",
+         (0, "nondistributive"), (0, "distributive within tol", 1.11022302463e-16)),
+        ("state 0 0.7071067811865476 0.7071067811865476\n"
+         "context vectors 1 1 1 ; 1 -1 0 ; 1 1 -2\ncontext vectors 1 0 0 ; 0 1 0 ; 0 0 1\n"
+         "target 0\n",
+         (1, "distributive"), (0, "nondistributive (defect 0.333333333333 > tol)", 0.333333333333)),
+    ], ids=["y-plus", "d3"])
+    def test_the_two_relations_disagree(self, capsys, tmp_path, config, lattice, probability):
+        path = tmp_path / "exp.cfg"
+        path.write_text(config)
+        code, out, _ = run(capsys, "demo-eq5", "--config", str(path), "--format", "json")
+        assert (code, json.loads(out)["verdict"]) == lattice
+        code, out, _ = run(capsys, "stats-nondist", "--config", str(path), "--format", "json")
+        report = json.loads(out)
+        assert (code, report["verdict"], report["fields"]["defect"]) == probability
+
     @pytest.mark.parametrize("scale", ["1e-200", "1e200", "1e-310"])
     def test_contexts_of_any_finite_magnitude(self, capsys, tmp_path, scale):
         config = tmp_path / "exp.cfg"
@@ -448,7 +466,8 @@ class TestSettingBounds:
         ("100000000000000000000", "trials must be at most 9223372036854775807"),
     ])
     def test_trials_rejected_past_the_bound(self, capsys, trials, message):
-        assert run(capsys, "hv-simulate", "--trials", trials) == (2, "", f"error: {message}\n")
+        assert run(capsys, "hv-simulate", "--trials", trials) == (
+            2, "", f"error: argument --trials: {message}\n")
 
     @pytest.mark.parametrize("tol, verdict", [
         ("5e-324", "noncommuting (defect 0.25 > tol)"),
@@ -465,7 +484,8 @@ class TestSettingBounds:
         ("inf", "tol must be at most 1.7976931348623157e+308"),
     ])
     def test_tol_rejected_past_the_bound(self, capsys, tol, message):
-        assert run(capsys, "stats-commute", "--tol", tol) == (2, "", f"error: {message}\n")
+        assert run(capsys, "stats-commute", "--tol", tol) == (
+            2, "", f"error: argument --tol: {message}\n")
 
     @pytest.mark.parametrize("route", ["config", "flag", "env"])
     def test_seed_zero_accepted_by_every_route(self, capsys, tmp_path, monkeypatch, route):
@@ -474,7 +494,7 @@ class TestSettingBounds:
         assert json.loads(out)["fields"]["seed"] == 0
 
     @pytest.mark.parametrize("route, where", [
-        ("config", "line 1, column 6: "), ("flag", ""), ("env", "QLBENCH_SEED: ")])
+        ("config", "line 1, column 6: "), ("flag", "argument --seed: "), ("env", "QLBENCH_SEED: ")])
     def test_negative_seed_refused_by_every_route(self, capsys, tmp_path, monkeypatch,
                                                   route, where):
         argv = self._seed_argv(tmp_path, monkeypatch, route, "-1")

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_table,
+    near_threshold_floats,
     random_basis_pair,
     random_commuting_pair,
     random_direction_pair,
     random_state,
     random_unitary,
     scalar_dispersion,
+    refusal,
     tilted_z_basis,
     truth_table_distributivity,
 )
@@ -48,7 +50,9 @@ from qlbench.hilbert import (
 from qlbench.sampling import rng_from
 from qlbench.stats import (
     SequentialTable,
+    _born_probs,
     binomial_bound,
+    chain_rule,
     dispersion,
     overlap_kernel,
     sequential_distribution,
@@ -444,15 +448,15 @@ def generator_dispersions(ensemble):
 
 
 @st.composite
-def audit_inputs(draw):
-    """A state and basis pair (d = 2..5): random, commuting, or a preset qubit
-    state on axis bases, whose marginals hold exact zeros and ones."""
+def audit_inputs(draw, max_dim=5):
+    """A state and basis pair (d = 2..max_dim): random, commuting, or a preset
+    qubit state on axis bases, whose marginals hold exact zeros and ones."""
     kind = draw(st.sampled_from(["random", "commuting", "preset"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "preset":
         state = named_state(draw(st.sampled_from(STATE_PRESET_NAMES)))
         return (state, *(named_axis_basis(draw(st.sampled_from(AXIS_NAMES))) for _ in "ab"))
-    dim = draw(st.integers(2, 5))
+    dim = draw(st.integers(2, max_dim))
     pair = random_basis_pair if kind == "random" else random_commuting_pair
     return (random_state(rng, dim), *pair(rng, dim))
 
@@ -467,6 +471,144 @@ class TestAuditDispersionsAgainstGeneratorForms:
         assert type(audit.mixture_max_dispersion) is float
         assert audit.member_max_dispersion == member
         assert audit.mixture_max_dispersion == mixture
+
+
+def numpy_kernel_checks(rows):
+    """TransitionKernel's checks as numpy reductions, the form they had before
+    the one-pass list form, kept as its oracle: what ``refusal`` reports."""
+    if not (rows >= 0.0).all():
+        return InvariantViolationError, "kernel entry negative or not a number", None
+    sums = rows.sum(axis=1)
+    bad = ~(abs(sums - 1.0) <= ROW_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        return InvariantViolationError, f"kernel row {i} sums to {float(sums[i])!r}, not 1", None
+    return None
+
+
+def numpy_ensemble_checks(values, weights, contexts):
+    """HiddenEnsemble's outcome and weight checks as numpy reductions (see above)."""
+    outside = (values < 0) | (values >= [basis.size for basis in contexts.values()])
+    if outside.any():
+        m, c = np.argwhere(outside)[0]
+        return (InvariantViolationError,
+                f"outcome {values[m, c]} out of range for context {list(contexts)[c]!r}", None)
+    if not weights.min() >= 0.0:
+        m = int((weights >= 0.0).argmin())
+        return (InvariantViolationError,
+                f"weight {float(weights[m])!r} is not a nonnegative number", ("weight", m))
+    total = sum(weights.tolist())
+    if not abs(total - 1.0) <= WEIGHT_TOL:
+        return (InvariantViolationError, f"weights sum to {total!r}, not 1",
+                ("weight", len(weights) - 1))
+    return None
+
+
+@st.composite
+def ensemble_inputs(draw):
+    """Members of two qubit contexts, one outcome perhaps out of range, with
+    near-threshold weights."""
+    weights = draw(st.integers(1, 8).flatmap(lambda m: near_threshold_floats(m, WEIGHT_TOL)))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 2, (weights.size, 2))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, weights.size - 1)), draw(st.integers(0, 1))] = draw(
+            st.sampled_from([-1, 2, 2**40]))
+    return values, weights
+
+
+class TestRecordChecksAgainstNumpyForms:
+    """The one-pass list checks make the numpy checks' decisions, with the
+    same error class, message and part, at and around every threshold."""
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.lists(near_threshold_floats(n, ROW_TOL), min_size=1, max_size=4)))
+    def test_transition_kernel(self, rows):
+        rows = np.array(rows)
+        assert refusal(TransitionKernel, rows) == numpy_kernel_checks(rows)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(ensemble_inputs())
+    def test_hidden_ensemble(self, inputs):
+        values, weights = inputs
+        contexts = {"A": named_axis_basis("z"), "B": named_axis_basis("x")}
+        assert (refusal(HiddenEnsemble, values, weights, contexts)
+                == numpy_ensemble_checks(values, weights, contexts))
+
+
+def numpy_build_fields(state, a, b):
+    """The values, weights and kernel rows build_qm_equivalent_model makes, in
+    the numpy form the build had before its records checked in one pass."""
+    def born(basis):  # Distribution clips the Born probabilities into [0, 1]
+        return np.clip(np.abs(basis.frame.conj().T @ state.amplitudes) ** 2, 0.0, 1.0)
+    values = np.array(np.divmod(np.arange(a.size * b.size), b.size)).T
+    weights = (born(a)[:, None] * born(b)).ravel()
+    weights = weights / sum(weights.tolist())
+    overlaps = np.abs(a.frame.conj().T @ b.frame) ** 2
+    kernels = [rows if (abs(rows.sum(axis=1) - 1.0) <= ROW_TOL).all()
+               else rows / rows.sum(axis=1, keepdims=True) for rows in (overlaps, overlaps.T)]
+    return values, weights, kernels
+
+
+def numpy_audit_fields(state, a, b):
+    """Every field of ``audit_no_go(state, a, b)`` in the numpy form the audit
+    had before it checked the truth table through distinct value pairs: the
+    law and the member dispersion on (m, k, k) and (m, k) int arrays, and
+    numpy maxima."""
+    model = build_qm_equivalent_model(state, a, b)
+    ensemble = model.ensemble
+    sizes = [basis.size for basis in ensemble.contexts.values()]
+    columns = [c for c, size in enumerate(sizes) for _ in range(size)]
+    outcomes = [k for size in sizes for k in range(size)]
+    truths = (ensemble.values[:, columns] == outcomes).astype(int)
+    x, y = truths[:, :, None], truths[:, None, :]
+    lhs = np.minimum(x, np.maximum(y, 1 - y))
+    rhs = np.maximum(np.minimum(x, y), np.minimum(x, 1 - y))
+    marginals = np.concatenate([ensemble.marginal(name) for name in ensemble.contexts])
+    marginals = np.minimum(np.maximum(marginals, 0.0), 1.0)
+    table_ab, table_ba = (exact_sequential(model, order) for order in (("A", "B"), ("B", "A")))
+    hv = float(abs(table_ab.entries - table_ba.entries.T).max())
+    kernel = overlap_kernel(a, b)
+    forward = chain_rule(_born_probs(state, a), kernel)
+    reverse = chain_rule(_born_probs(state, b), kernel.T)
+    qm = float(abs(forward - reverse.T).max())
+    return {
+        "context_ids": ("A", "B"), "member_count": len(ensemble.weights),
+        "members_value_definite": bool(((truths == 0) | (truths == 1)).all()),
+        "members_distributive": bool((lhs == rhs).all()),
+        "member_pairs_checked": truths.shape[0] * truths.shape[1] ** 2,
+        "member_max_dispersion": float((truths - truths * truths).max()),
+        "mixture_max_dispersion": float((marginals - marginals * marginals).max()),
+        "hv_commutation_defect": hv, "qm_commutation_defect": qm,
+        "defects_match": abs(hv - qm) <= AGREEMENT_TOL, "noncommuting": qm > NONCOMMUTING_TOL,
+        "chain_verdict": CHAIN_BROKEN if qm > NONCOMMUTING_TOL else CHAIN_NOT_EXERCISED,
+        "table_first_then": table_ab.entries.tobytes(),
+        "table_then_first": table_ba.entries.tobytes(),
+    }
+
+
+class TestBuildAndAuditAgainstNumpyForms:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(audit_inputs(max_dim=8))
+    def test_build_fields_are_identical(self, inputs):
+        model = build_qm_equivalent_model(*inputs)
+        values, weights, kernels = numpy_build_fields(*inputs)
+        assert model.ensemble.values.dtype == values.dtype
+        assert model.ensemble.values.tobytes() == values.tobytes()
+        assert model.ensemble.weights.tobytes() == weights.tobytes()
+        assert [kernel.rows.tobytes() for kernel in model.kernels.values()] == [
+            rows.tobytes() for rows in kernels]
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(audit_inputs(max_dim=8))
+    def test_audit_fields_are_identical(self, inputs):
+        audit = audit_no_go(*inputs)
+        got = {name: getattr(audit, name) for name in hidden.NoGoAudit.__slots__}
+        for name in ("table_first_then", "table_then_first"):
+            got[name] = got[name].entries.tobytes()
+        expected = numpy_audit_fields(*inputs)
+        assert {k: (type(v), repr(v)) for k, v in got.items()} == {
+            k: (type(v), repr(v)) for k, v in expected.items()}
 
 
 class TestTruthTable:

@@ -4,6 +4,7 @@ keeps its constructor and guards none of its fields, each pinned function its
 parameters, each threshold constant is named by a test, and the README's
 library example imports each name from its own module."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -42,6 +43,22 @@ def loaded_by_command(*argv, cwd=None) -> tuple[int, set[str]]:
                           env=env, cwd=cwd, capture_output=True, text=True, timeout=60)
     return done.returncode, {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
                              if line.startswith("import time:")}
+
+
+def test_imports_resolve_to_the_standard_library_numpy_or_qlbench():
+    """The runtime dependencies are numpy alone: scipy and sympy may be
+    installed, but no module of the package may import them."""
+    allowed = {*sys.stdlib_module_names, "numpy", "qlbench"}
+    for path in sorted((SRC / "qlbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one: qlbench itself
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -7,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EDGE_FLOATS,
     assert_table,
     commuting_bases,
+    near_threshold_floats,
     random_basis_pair,
     random_commuting_pair,
     random_state,
+    random_unitary,
+    refusal,
     scalar_dispersion,
     tilted_z_basis,
 )
@@ -221,6 +225,30 @@ class TestNondistributionDefect:
             nondistribution_defect(z_plus, z_basis, 0, x_basis)
 
 
+class TestPlantedSharedRay:
+    """When the target ray is one of the interposed basis rays (up to phase),
+    P(b_j then a_t) = delta_jk P(b_k) = P(a_t): the defect is zero to rounding
+    in every state."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.floats(0.0, 2.0 * math.pi),
+           st.data())
+    def test_defect_is_zero(self, dim, seed, phase, data):
+        rng = rng_from(seed)
+        interposed = random_unitary(rng, dim)
+        shared = interposed[:, data.draw(st.integers(0, dim - 1))]
+        # an orthonormal frame whose first column is the shared ray times a phase,
+        # with that column then moved to the target index
+        frame, _ = np.linalg.qr(np.column_stack([shared, random_unitary(rng, dim)[:, 1:]]))
+        frame[:, 0] = shared * np.exp(1j * phase)
+        target = data.draw(st.integers(0, dim - 1))
+        frame = np.roll(frame, target, axis=1)
+        defect = nondistribution_defect(random_state(rng, dim),
+                                        MeasurementBasis.from_vectors(frame.T), target,
+                                        MeasurementBasis.from_vectors(interposed.T))
+        assert defect <= 4 * dim * np.finfo(float).eps
+
+
 class TestCommutationDefect:
     def test_z_x_pair(self, z_plus, z_basis, x_basis):
         assert abs(commutation_defect(z_plus, z_basis, x_basis) - 0.25) < 1e-12
@@ -376,6 +404,63 @@ class TestClippingAgainstNpClip:
         entries = entries.reshape(dim, dim)
         got = SequentialTable(basis, basis, entries).entries
         assert got.tobytes() == np.clip(entries, 0.0, None).tobytes()  # signbit included
+
+
+def numpy_distribution_checks(probs):
+    """Distribution's checks as numpy reductions, the form they had before
+    the one-pass list form, kept as its oracle: what ``refusal`` reports."""
+    probs = np.asarray(probs, dtype=float).reshape(-1)
+    if not (-ENTRY_TOL <= probs.min() and probs.max() <= 1.0 + ENTRY_TOL):
+        return InvariantViolationError, "probability outside [0, 1]", None
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= DISTRIBUTION_TOL:
+        return InvariantViolationError, f"probabilities sum to {total!r}, not 1", None
+    return None
+
+
+def numpy_table_checks(entries):
+    """SequentialTable's entry checks as numpy reductions (see above)."""
+    if not entries.min() >= -ENTRY_TOL:
+        return InvariantViolationError, "table entry negative or not a number", None
+    total = float(entries.sum())
+    if not abs(total - 1.0) <= DISTRIBUTION_TOL:
+        return InvariantViolationError, f"table sums to {total!r}, not 1", None
+    return None
+
+
+def numpy_dispersion_checks(p):
+    """dispersion's range check as numpy reductions (see above)."""
+    p = np.asarray(p, dtype=float)
+    inside = (-ENTRY_TOL <= p) & (p <= 1.0 + ENTRY_TOL)
+    if not inside.all():
+        return PreconditionError, f"probability {float(p[~inside][0])!r} outside [0, 1]", None
+    return None
+
+
+class TestRecordChecksAgainstNumpyForms:
+    """The one-pass list checks make the numpy checks' decisions, with the
+    same error class, message and part, at and around every threshold."""
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.integers(1, 9).flatmap(lambda n: near_threshold_floats(n, DISTRIBUTION_TOL)))
+    def test_distribution(self, probs):
+        labels = tuple(str(k) for k in range(probs.size))
+        assert refusal(Distribution, labels, probs) == numpy_distribution_checks(probs)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.integers(1, 8).flatmap(lambda d: near_threshold_floats(d * d, DISTRIBUTION_TOL)))
+    def test_sequential_table(self, entries):
+        dim = math.isqrt(entries.size)
+        basis = MeasurementBasis(np.eye(dim), tuple(str(k) for k in range(dim)))
+        entries = entries.reshape(dim, dim)
+        assert refusal(SequentialTable, basis, basis, entries) == numpy_table_checks(entries)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(-1.0, 2.0), min_size=1, max_size=12),
+           st.sampled_from([(-1,), (-1, 1), ()]))
+    def test_dispersion(self, values, shape):
+        p = np.array(values[:1] if shape == () else values).reshape(shape)
+        assert refusal(dispersion, p) == numpy_dispersion_checks(p)
 
 
 class TestBinomialBound:
