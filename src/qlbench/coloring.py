@@ -30,7 +30,8 @@ _parsed_builtins: dict[str, RayFamily] = {}  # package data, unchanged while the
 
 class RayFamily:
     """Unit rays in dimension >= 3, the rows of one read-only (n, dim) complex
-    matrix, plus bases given as ray-index tuples.
+    matrix, plus bases given as tuples of int ray indices.  The constructor
+    stores a family checked here; ``from_vectors`` checks outside vectors.
 
     A refusal names what is at fault in the error's ``part``: ``("dim", 0,
     0)``, ``("ray", k, 0)``, or ``("basis", b, p)`` for entry p of basis b.
@@ -39,14 +40,22 @@ class RayFamily:
     __slots__ = ("dim", "rays", "bases")
 
     def __init__(self, dim: int, rays: np.ndarray, bases: tuple[tuple[int, ...], ...]) -> None:
+        rays.setflags(write=False)
+        self.dim, self.rays, self.bases = dim, rays, bases
+
+    @classmethod
+    def from_vectors(cls, dim: int, vectors, bases) -> RayFamily:
+        """Build a family from arbitrary nonzero vectors (normalized here)."""
+        rays = _ray_matrix(dim, vectors)
+        finite = np.isfinite(rays).all(axis=1)
+        if finite.all():
+            rays, k = unit_vectors(rays, axis=1)
+            if k is not None:
+                raise InvariantViolationError(f"ray {k} is a zero vector", ("ray", k, 0))
         if dim < 3:
             raise InvariantViolationError("ray families need ambient dimension >= 3", ("dim", 0, 0))
-        rays = _ray_matrix(dim, rays)
-        unit = np.isfinite(rays).all(axis=1)
-        if unit.all():  # the norm of an infinite entry warns on its way to NaN
-            unit = abs(np.linalg.norm(rays, axis=1) - 1.0) <= RAY_TOL
-        if not unit.all():
-            k = int(np.argmin(unit))
+        if not finite.all():
+            k = int(np.argmin(finite))
             raise InvariantViolationError(f"ray {k} is not unit-norm", ("ray", k, 0))
         bases, index = _basis_index(dim, len(rays), bases)
         if bases:
@@ -58,18 +67,7 @@ class RayFamily:
                 raise InvariantViolationError(
                     f"rays {bases[b][p]} and {bases[b][q]} in basis {b} are not orthogonal",
                     ("basis", int(b), int(q)))
-        rays.setflags(write=False)
-        self.dim, self.rays, self.bases = dim, rays, bases
-
-    @classmethod
-    def from_vectors(cls, dim: int, vectors, bases) -> RayFamily:
-        """Build a family from arbitrary nonzero vectors (normalized here)."""
-        rays = _ray_matrix(dim, vectors)
-        if np.isfinite(rays).all():  # a non-finite ray is refused as not unit-norm
-            rays, k = unit_vectors(rays, axis=1)
-            if k is not None:
-                raise InvariantViolationError(f"ray {k} is a zero vector", ("ray", k, 0))
-        return cls(dim=dim, rays=rays, bases=tuple(bases))
+        return cls(dim, rays, bases)
 
 
 def _ray_matrix(dim: int, rays) -> np.ndarray:
@@ -291,7 +289,4 @@ def builtin_family(name: str) -> RayFamily:
     parsed = _parsed_builtins.get(name)
     if parsed is None:
         parsed = _parsed_builtins[name] = load_ray_family(Path(__file__).parent / "data" / filename)
-    family = object.__new__(RayFamily)  # a copy of a checked family is not checked again
-    family.dim, family.rays, family.bases = parsed.dim, parsed.rays.copy(), parsed.bases
-    family.rays.setflags(write=False)
-    return family
+    return RayFamily(parsed.dim, parsed.rays.copy(), parsed.bases)

@@ -6,10 +6,10 @@ inclusion at ``INCLUSION_TOL``, never frame equality.  The meet comes from
 the principal angles between the two subspaces (Björck & Golub, Math. Comp.
 27, 1973): the singular values of the residual of a's frame against b are the
 sines of those angles, and the directions of a whose sine is at most
-``RANK_TOL`` span a ∧ b.  A frame passed to ``Subspace(frame)`` is checked
-for orthonormality; the frames built here (join, orthocomplement, meet and
-the SVD frame of ``from_vectors``) are orthonormal by construction and skip
-that check.
+``RANK_TOL`` span a ∧ b.  Every frame is built in the package (an SVD or QR
+factor, or a frame times orthonormal vectors), so it is orthonormal to
+rounding; ``Subspace(frame)`` stores it unchecked, and ``from_vectors`` is the
+checked entry for outside vectors.
 
 A pair with a zero or full side is settled by its ranks (the meet with zero
 is zero, the join with full is full, and so on), and an inclusion also when
@@ -18,7 +18,7 @@ give what the numerics would: against zero a unit vector leaves a residual of
 1; k orthonormal vectors leave squared residuals against a subspace of lower
 dimension summing to at least 1, so one is at least 1/√k ≥ 1/√``MAX_DIM``, far
 above ``INCLUSION_TOL``; a full frame spans the space, and the sines it leaves
-are only its Gram error, which ``FRAME_TOL`` (= ``RANK_TOL``) bounds.
+are only its Gram error, which is rounding-level, far below ``RANK_TOL``.
 
 The laws also come in stacked forms (``absorption_holds_stacked`` and the
 rest) that check many pairs at once.  They run the same constructions on
@@ -35,7 +35,6 @@ from .errors import DimensionMismatchError, InvariantViolationError, Preconditio
 from .hilbert import MAX_DIM, unit_vectors
 
 RANK_TOL = 1e-10       # singular values below this count as zero
-FRAME_TOL = 1e-10      # orthonormality of stored frames
 INCLUSION_TOL = 1e-9   # residual norm allowed when testing containment
 # pairs and triples check_lattice_axioms checks at most; above it, a seeded draw
 TUPLE_LIMIT = 4000
@@ -55,34 +54,17 @@ def _orthonormal_frame(columns: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(u[:, :rank])
 
 
-def _check_ambient(d: int) -> None:
-    if d < 1 or d > MAX_DIM:
-        raise InvariantViolationError(f"ambient dimension {d} outside [1, {MAX_DIM}]")
-
-
 class Subspace:
     """A closed linear subspace, held as an orthonormal frame of column vectors.
 
-    The zero subspace has an empty frame of shape (ambient_dim, 0).
+    The constructor stores a fresh complex frame built orthonormal in the
+    package, made read-only; ``from_vectors`` checks outside vectors.  The
+    zero subspace has an empty frame of shape (ambient_dim, 0).
     """
 
     __slots__ = ("frame",)
 
     def __init__(self, frame: np.ndarray) -> None:
-        frame = np.asarray(frame, dtype=complex)
-        if frame.ndim != 2:
-            raise InvariantViolationError(f"frame must be 2-d, got shape {frame.shape}")
-        d, k = frame.shape
-        _check_ambient(d)
-        if k > d:
-            raise InvariantViolationError(f"frame has {k} vectors in dimension {d}")
-        if not np.isfinite(frame).all():  # an infinite entry warns in the Gram product
-            raise InvariantViolationError("frame has a non-finite entry")
-        if k:
-            gram = frame.conj().T @ frame
-            if not np.max(np.abs(gram - np.eye(k))) <= FRAME_TOL:
-                raise InvariantViolationError("frame vectors are not orthonormal")
-        frame = frame.copy()
         frame.setflags(write=False)
         self.frame = frame
 
@@ -110,37 +92,22 @@ class Subspace:
                         f"vector of length {v.size} in ambient dimension {ambient_dim}"
                     )
             rows = np.array(vecs)
-        _check_ambient(ambient_dim)
+        if ambient_dim < 1 or ambient_dim > MAX_DIM:
+            raise InvariantViolationError(f"ambient dimension {ambient_dim} outside [1, {MAX_DIM}]")
         if not rows.size:
-            return _subspace(np.zeros((ambient_dim, 0), dtype=complex))
+            return cls(np.zeros((ambient_dim, 0), dtype=complex))
         columns = np.ascontiguousarray(rows.T)  # the C-ordered columns np.column_stack builds
         if not np.isfinite(columns).all():
             raise InvariantViolationError("vector has a non-finite entry")
-        return _subspace(_orthonormal_frame(unit_vectors(columns, axis=0)[0]))
+        return cls(_orthonormal_frame(unit_vectors(columns, axis=0)[0]))
 
     @classmethod
     def ray(cls, vector) -> Subspace:
         v = np.asarray(vector, dtype=complex).reshape(-1)
         return cls.from_vectors(v.size, [v])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return subspace_equal(self, other)
-
-    __hash__ = None  # equality is numeric, not structural
-
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of C^{self.ambient_dim})"
-
-
-def _subspace(frame: np.ndarray) -> Subspace:
-    """A subspace around a fresh complex frame built in this module, orthonormal
-    by construction, without the Gram check of ``Subspace(frame)``."""
-    frame.setflags(write=False)
-    subspace = object.__new__(Subspace)
-    subspace.frame = frame
-    return subspace
 
 
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -171,7 +138,7 @@ def join(a: Subspace, b: Subspace) -> Subspace:
         return b
     if b.dim == 0 or a.dim == a.ambient_dim:
         return a
-    return _subspace(_orthonormal_frame(np.concatenate([a.frame, b.frame], axis=1)))
+    return Subspace(_orthonormal_frame(np.concatenate([a.frame, b.frame], axis=1)))
 
 
 def orthocomplement(a: Subspace) -> Subspace:
@@ -181,9 +148,9 @@ def orthocomplement(a: Subspace) -> Subspace:
     dimension."""
     d = a.ambient_dim
     if a.dim in (0, d):
-        return _subspace(np.eye(d, dtype=complex)[:, a.dim:])
+        return Subspace(np.eye(d, dtype=complex)[:, a.dim:])
     u = np.linalg.svd(a.frame, full_matrices=True)[0]
-    return _subspace(np.ascontiguousarray(u[:, a.dim:]))
+    return Subspace(np.ascontiguousarray(u[:, a.dim:]))
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
@@ -203,7 +170,7 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == b.ambient_dim:
         return a
     _, sines, vh = np.linalg.svd(_residual(a.frame, b.frame), full_matrices=False)
-    return _subspace(a.frame @ vh[sines <= RANK_TOL].conj().T)
+    return Subspace(a.frame @ vh[sines <= RANK_TOL].conj().T)
 
 
 def includes(a: Subspace, b: Subspace) -> bool:

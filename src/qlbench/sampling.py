@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Subspace, _subspace
+from .lattice import Subspace
 
 
 def rng_from(seed: int) -> np.random.Generator:
@@ -36,7 +36,7 @@ def random_subspaces(rng: np.random.Generator, ambient_dim: int, count: int) -> 
     """``count`` random subspaces, each rank drawn uniformly over 0..ambient_dim."""
     dims = rng.integers(0, ambient_dim + 1, size=count).tolist()
     frames = _q_frames(rng, ambient_dim, count)
-    return [_subspace(frame[:, :k].copy()) for frame, k in zip(frames, dims)]
+    return [Subspace(frame[:, :k].copy()) for frame, k in zip(frames, dims)]
 
 
 def random_nested_pairs(
@@ -50,6 +50,6 @@ def random_nested_pairs(
     frames = _q_frames(rng, ambient_dim, count)
     inners, outers = [], []
     for frame, j, k in zip(frames, inner_dims.tolist(), outer_dims.tolist()):
-        inners.append(_subspace(frame[:, :j].copy()))
-        outers.append(_subspace(frame[:, :k].copy()))
+        inners.append(Subspace(frame[:, :j].copy()))
+        outers.append(Subspace(frame[:, :k].copy()))
     return inners, outers

@@ -5,14 +5,20 @@ import pytest
 from hypothesis import strategies as st
 
 from projector_oracle import COMMUTATOR_TOL
-from qlbench.errors import DimensionMismatchError, PreconditionError, QLBenchError
+from qlbench.errors import (
+    DimensionMismatchError,
+    InvariantViolationError,
+    PreconditionError,
+    QLBenchError,
+)
 from qlbench.hidden import _law_lhs, _law_rhs
-from qlbench.hilbert import MeasurementBasis, StateVector, named_axis_basis, named_state
+from qlbench.hilbert import MAX_DIM, MeasurementBasis, StateVector, named_axis_basis, named_state
 from qlbench.lattice import Subspace, _orthonormal_frame
 from qlbench.sampling import _gaussian_complex
 from qlbench.stats import ENTRY_TOL
 
 PHASE_TOL = 1e-10  # ray equality: global phase is quotiented out
+FRAME_TOL = 1e-10  # Gram error a checked frame may have
 
 
 @pytest.fixture
@@ -154,14 +160,35 @@ def random_direction_pair(rng: np.random.Generator) -> tuple[tuple[float, float]
     return (float(polar[0]), float(azimuth[0])), (float(polar[1]), float(azimuth[1]))
 
 
+def checked_subspace(frame) -> Subspace:
+    """The subspace of a frame made outside the package, checked first: 2-d,
+    ambient dimension in [1, ``MAX_DIM``], finite, and orthonormal within
+    ``FRAME_TOL``.  The reference form that built frames are held against."""
+    frame = np.asarray(frame, dtype=complex)
+    if frame.ndim != 2:
+        raise InvariantViolationError(f"frame must be 2-d, got shape {frame.shape}")
+    d, k = frame.shape
+    if d < 1 or d > MAX_DIM:
+        raise InvariantViolationError(f"ambient dimension {d} outside [1, {MAX_DIM}]")
+    if k > d:
+        raise InvariantViolationError(f"frame has {k} vectors in dimension {d}")
+    if not np.isfinite(frame).all():  # an infinite entry warns in the Gram product
+        raise InvariantViolationError("frame has a non-finite entry")
+    if k:
+        gram = frame.conj().T @ frame
+        if not np.max(np.abs(gram - np.eye(k))) <= FRAME_TOL:
+            raise InvariantViolationError("frame vectors are not orthonormal")
+    return Subspace(frame.copy())
+
+
 def zero_subspace(ambient_dim: int) -> Subspace:
     """The zero subspace of C^ambient_dim, an empty frame."""
-    return Subspace(np.zeros((ambient_dim, 0)))
+    return checked_subspace(np.zeros((ambient_dim, 0)))
 
 
 def full_subspace(ambient_dim: int) -> Subspace:
     """The whole of C^ambient_dim, spanned by the standard basis."""
-    return Subspace(np.eye(ambient_dim))
+    return checked_subspace(np.eye(ambient_dim))
 
 
 def random_subspace(
@@ -173,7 +200,7 @@ def random_subspace(
     if dim == 0:
         return zero_subspace(ambient_dim)
     frame = _orthonormal_frame(_gaussian_complex(rng, (ambient_dim, dim)))
-    return Subspace(frame)
+    return checked_subspace(frame)
 
 
 def random_nested_pair(rng: np.random.Generator, ambient_dim: int) -> tuple[Subspace, Subspace]:
@@ -182,7 +209,7 @@ def random_nested_pair(rng: np.random.Generator, ambient_dim: int) -> tuple[Subs
     outer = random_subspace(rng, ambient_dim, outer_dim)
     inner_dim = int(rng.integers(0, outer_dim + 1))
     pick = rng.permutation(outer_dim)[:inner_dim]
-    inner = Subspace(np.ascontiguousarray(outer.frame[:, sorted(pick)]))
+    inner = checked_subspace(np.ascontiguousarray(outer.frame[:, sorted(pick)]))
     return inner, outer
 
 

@@ -13,6 +13,8 @@ from qlbench.coloring import (
     RAY_TOL,
     AssignmentSearchResult,
     RayFamily,
+    _basis_index,
+    _ray_matrix,
     builtin_family,
     load_ray_family,
     parse_ray_family,
@@ -20,6 +22,7 @@ from qlbench.coloring import (
 )
 from qlbench.config import format_complex
 from qlbench.errors import InvariantViolationError, PreconditionError
+from qlbench.hilbert import unit_vectors
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -317,11 +320,10 @@ class TestRayFamilyValidation:
             RayFamily.from_vectors(3, [[1, 0, 0], [0, 1, 0]], [(0, 1)])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
-    @pytest.mark.parametrize("make", [RayFamily, RayFamily.from_vectors])
-    def test_rejects_non_finite_ray(self, make, bad):
-        # ray 3 is in no basis, so only its norm check can refuse it
+    def test_rejects_non_finite_ray(self, bad):
+        # ray 3 is in no basis, so only its finiteness check can refuse it
         with pytest.raises(InvariantViolationError, match="ray 3 is not unit-norm"):
-            make(3, ([1, 0, 0], [0, 1, 0], [0, 0, 1], [bad, 0, 0]), ((0, 1, 2),))
+            RayFamily.from_vectors(3, ([1, 0, 0], [0, 1, 0], [0, 0, 1], [bad, 0, 0]), ((0, 1, 2),))
 
     @pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e200])
     def test_rays_of_any_finite_magnitude_load(self, scale):
@@ -336,15 +338,13 @@ class TestRayFamilyValidation:
         with pytest.raises(ValueError):
             family.rays[0, 0] = 0.0
 
-    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_ray_norm_at_ray_tol(self, factor, accepted, sign):
+    def test_ray_norm_at_ray_tol(self, factor, sign):
+        # a finite ray of any length is scaled to unit length, not refused
         rays = ([1.0 + sign * factor * RAY_TOL, 0, 0], [0, 1, 0], [0, 0, 1])
-        if accepted:
-            RayFamily(3, rays, ((0, 1, 2),))
-        else:
-            with pytest.raises(InvariantViolationError):
-                RayFamily(3, rays, ((0, 1, 2),))
+        family = RayFamily.from_vectors(3, rays, ((0, 1, 2),))
+        assert np.array_equal(family.rays, np.eye(3))
 
     @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
     def test_ray_overlap_at_ray_tol(self, factor, accepted):
@@ -352,21 +352,28 @@ class TestRayFamilyValidation:
         eps = factor * RAY_TOL
         rays = ([1.0, 0, 0], [eps, math.sqrt(1.0 - eps * eps), 0], [0, 0, 1])
         if accepted:
-            RayFamily(3, rays, ((0, 1, 2),))
+            RayFamily.from_vectors(3, rays, ((0, 1, 2),))
         else:
             with pytest.raises(InvariantViolationError):
-                RayFamily(3, rays, ((0, 1, 2),))
+                RayFamily.from_vectors(3, rays, ((0, 1, 2),))
+
+    def test_constructor_stores_its_arguments(self):
+        rays, bases = np.zeros((2, 2), dtype=complex), ((0, 5),)
+        family = RayFamily(2, rays, bases)
+        assert family.dim == 2 and family.rays is rays and family.bases is bases
+        assert not rays.flags.writeable
 
 
 FAULTS = ("short", "long", "duplicate", "above", "negative", "skew", "empty", "any")
 
 
 @st.composite
-def planted_bases(draw):
-    """Rays: some orthonormal frames in d = 3 or 4, then one ray skew to every
-    ray of the first frame.  Bases: frames in a drawn order, with faults planted
-    in some (so some bases come out ragged), as lists or numpy integer arrays."""
-    dim, frames = draw(st.sampled_from((3, 4))), draw(st.integers(1, 3))
+def planted_bases(draw, dims=(3, 4)):
+    """Rays: some orthonormal frames in a dimension drawn from ``dims``, then
+    one ray skew to every ray of the first frame.  Bases: frames in a drawn
+    order, with faults planted in some (so some bases come out ragged), as
+    lists or numpy integer arrays."""
+    dim, frames = draw(st.sampled_from(dims)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rays = np.vstack([random_rotation(rng, dim).T for _ in range(frames)])
     rays = np.vstack([rays, rays[:dim].sum(axis=0) / math.sqrt(dim)])
@@ -396,8 +403,8 @@ def planted_bases(draw):
     return dim, rays, bases
 
 
-def checked_bases(make) -> tuple:
-    """The bases ``make`` returns, or the class, text and part of its refusal."""
+def built_or_refused(make) -> tuple:
+    """What ``make`` returns, or the class, text and part of its refusal."""
     try:
         return ("accepted", make())
     except InvariantViolationError as exc:
@@ -411,8 +418,8 @@ class TestBasisChecks:
     @given(case=planted_bases())
     def test_matches_the_per_basis_checks(self, case):
         dim, rays, bases = case
-        got = checked_bases(lambda: RayFamily(dim, rays, bases).bases)
-        assert got == checked_bases(lambda: per_basis_checks(dim, rays, bases))
+        got = built_or_refused(lambda: RayFamily.from_vectors(dim, rays, bases).bases)
+        assert got == built_or_refused(lambda: per_basis_checks(dim, rays, bases))
         if got[0] == "accepted":
             assert all(type(i) is int for basis in got[1] for i in basis)
 
@@ -422,19 +429,122 @@ class TestBasisChecks:
     ])
     def test_refuses_non_integer_indices(self, basis, position):
         with pytest.raises(InvariantViolationError, match="not a ray index") as info:
-            RayFamily(3, np.eye(3), [(0, 1, 2), basis])
+            RayFamily.from_vectors(3, np.eye(3), [(0, 1, 2), basis])
         assert info.value.part == ("basis", 1, position)
 
     def test_numpy_integers_are_indices(self):
-        family = RayFamily(3, np.eye(3), [np.array([2, 0, 1]), (np.int32(0), 1, np.uint8(2))])
+        family = RayFamily.from_vectors(3, np.eye(3),
+                                        [np.array([2, 0, 1]), (np.int32(0), 1, np.uint8(2))])
         assert family.bases == ((2, 0, 1), (0, 1, 2))
         assert all(type(i) is int for basis in family.bases for i in basis)
 
     @pytest.mark.parametrize("index", [2 ** 70, -2 ** 70, np.uint64(2 ** 64 - 1)])
     def test_indices_beyond_intp_are_unknown_rays(self, index):
         with pytest.raises(InvariantViolationError, match="unknown ray") as info:
-            RayFamily(3, np.eye(3), [(0, 1, index)])
+            RayFamily.from_vectors(3, np.eye(3), [(0, 1, index)])
         assert info.value.part == ("basis", 0, 2)
+
+
+def reference_family(dim: int, vectors, bases) -> RayFamily:
+    """Oracle: ``RayFamily.from_vectors`` as it was when the constructor checked
+    its arguments, unchanged: ``from_vectors`` normalized finite rays and
+    refused a zero one, then the constructor checked the dimension, every
+    ray's norm (a non-finite ray included) and the bases."""
+    rays = _ray_matrix(dim, vectors)
+    if np.isfinite(rays).all():  # a non-finite ray is refused as not unit-norm
+        rays, k = unit_vectors(rays, axis=1)
+        if k is not None:
+            raise InvariantViolationError(f"ray {k} is a zero vector", ("ray", k, 0))
+    bases = tuple(bases)
+    if dim < 3:
+        raise InvariantViolationError("ray families need ambient dimension >= 3", ("dim", 0, 0))
+    rays = _ray_matrix(dim, rays)
+    unit = np.isfinite(rays).all(axis=1)
+    if unit.all():  # the norm of an infinite entry warns on its way to NaN
+        unit = abs(np.linalg.norm(rays, axis=1) - 1.0) <= RAY_TOL
+    if not unit.all():
+        k = int(np.argmin(unit))
+        raise InvariantViolationError(f"ray {k} is not unit-norm", ("ray", k, 0))
+    bases, index = _basis_index(dim, len(rays), bases)
+    if bases:
+        frames = rays[index]
+        overlaps = np.abs(frames @ frames.conj().transpose(0, 2, 1))
+        bad = np.triu(~(overlaps <= RAY_TOL), 1)
+        if bad.any():
+            b, p, q = np.argwhere(bad)[0]
+            raise InvariantViolationError(
+                f"rays {bases[b][p]} and {bases[b][q]} in basis {b} are not orthogonal",
+                ("basis", int(b), int(q)))
+    return RayFamily(dim, rays, bases)
+
+
+RAY_FAULTS = ("zero", "nan", "inf", "-inf", "imaginary-nan", "short", "long", "near-unit", "skew")
+
+
+@st.composite
+def planted_rays(draw):
+    """A ``planted_bases`` case in dimension 2, 3 or 4, its rays a list: in
+    half the cases one ray of a frame is tilted towards the next one by 0.99,
+    1.01 or 100 times ``RAY_TOL``, and then faults are planted in up to three
+    rays: a zero ray, a NaN or ±inf entry, one entry too few or too many, a
+    length 0.99 or 1.01 ``RAY_TOL`` off 1, or a skew ray of any finite
+    magnitude."""
+    dim, rays, bases = draw(planted_bases(dims=(2, 3, 4)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(rays) - 2))  # a ray of a frame, not the last, skew one
+        rays[k] = rays[k] + draw(st.sampled_from((0.99, 1.01, 100.0))) * RAY_TOL * (
+            rays[k - k % dim + (k + 1) % dim])
+    rays = list(rays)
+    faults = st.tuples(st.sampled_from(RAY_FAULTS), st.integers(0, len(rays) - 1),
+                       st.integers(0, dim - 1))
+    for fault, k, p in draw(st.lists(faults, max_size=3)):
+        ray = rays[k].copy()
+        entry = slice(p % max(ray.size, 1), p % max(ray.size, 1) + 1)  # empty for an empty ray
+        if fault == "zero":
+            ray[:] = 0.0
+        elif fault in ("nan", "inf", "-inf"):
+            ray[entry] = float(fault)
+        elif fault == "imaginary-nan":
+            ray[entry] = ray[entry].real + complex(0.0, math.nan)
+        elif fault == "short":
+            ray = ray[:-1]
+        elif fault == "long":
+            ray = np.append(ray, 0.5)
+        elif fault == "near-unit":
+            ray *= 1.0 + draw(st.sampled_from((0.99, 1.01, -0.99, -1.01))) * RAY_TOL
+        else:
+            parts = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+            ray = np.array(draw(st.lists(parts, min_size=dim, max_size=dim)), dtype=complex)
+        rays[k] = ray
+    return dim, rays, bases
+
+
+def family_fields(family: RayFamily) -> tuple:
+    rays = family.rays
+    return family.dim, rays.dtype, rays.shape, rays.tobytes(), rays.flags.writeable, family.bases
+
+
+class TestFromVectorsAgainstReference:
+    """``from_vectors`` runs every check the constructor ran, in the same order."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(case=planted_rays())
+    def test_matches_the_checked_constructor(self, case):
+        dim, rays, bases = case
+        got = built_or_refused(lambda: family_fields(RayFamily.from_vectors(dim, rays, bases)))
+        assert got == built_or_refused(lambda: family_fields(reference_family(dim, rays, bases)))
+
+    @pytest.mark.parametrize("dim, refusal", [
+        (3, ("ray 2 is not unit-norm", ("ray", 2, 0))),
+        (2, ("ray families need ambient dimension >= 3", ("dim", 0, 0))),
+    ])
+    def test_a_zero_ray_is_not_named_beside_a_non_finite_one(self, dim, refusal):
+        # the zero check runs only when every ray is finite, and the dimension
+        # check runs before the finiteness check
+        rays = [np.eye(dim)[0], np.zeros(dim), np.full(dim, math.nan)]
+        got = built_or_refused(lambda: RayFamily.from_vectors(dim, rays, ()))
+        assert got == built_or_refused(lambda: reference_family(dim, rays, ()))
+        assert got[2:] == refusal
 
 
 class TestBuiltinCache:

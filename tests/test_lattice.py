@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FRAME_TOL,
+    checked_subspace,
     full_subspace,
     random_nested_pair,
     random_subspace,
@@ -18,7 +20,6 @@ from qlbench.config import DEFAULT_SEED
 from qlbench.errors import DimensionMismatchError, InvariantViolationError, PreconditionError
 from qlbench.hilbert import MAX_DIM, unit_vectors
 from qlbench.lattice import (
-    FRAME_TOL,
     INCLUSION_TOL,
     RANK_TOL,
     LatticeAxiomReport,
@@ -33,7 +34,6 @@ from qlbench.lattice import (
     _padded_frames,
     _residual,
     _stack,
-    _subspace,
     absorption_holds,
     absorption_holds_stacked,
     check_lattice_axioms,
@@ -183,7 +183,7 @@ class TestLatticeAxioms:
         t = factor * INCLUSION_TOL
         e1, e2, e3 = (e(k, 4) for k in range(3))
         b1 = math.cos(t) * e1 + math.sin(t) * e3
-        a, b = (Subspace(np.column_stack([(x + e2) * INV_SQRT2, (x - e2) * INV_SQRT2]))
+        a, b = (checked_subspace(np.column_stack([(x + e2) * INV_SQRT2, (x - e2) * INV_SQRT2]))
                 for x in (e1, b1))
         assert includes(a, b) and includes(b, a)
         name = "antisymmetry: a ⊆ b and b ⊆ a imply a = b"
@@ -458,7 +458,7 @@ class TestAxiomCheckAgainstPerPairLoop:
 
 def unstacked(stack):
     """The items of a stack as checked subspaces, so each frame is orthonormal."""
-    return [Subspace(frame[:, :k]) for frame, k in zip(stack.frames, stack.dims.tolist())]
+    return [checked_subspace(frame[:, :k]) for frame, k in zip(stack.frames, stack.dims.tolist())]
 
 
 PAIR_KINDS = ("random", "nested", "shared", "zero", "full", "meet", "join", "inclusion")
@@ -597,21 +597,21 @@ def summed_rank_frame(columns):
 
 
 def factorizing_join(a, b):
-    return _subspace(summed_rank_frame(np.hstack([a.frame, b.frame])))
+    return Subspace(summed_rank_frame(np.hstack([a.frame, b.frame])))
 
 
 def factorizing_orthocomplement(a):
     if a.dim == 0:
         return full_subspace(a.ambient_dim)
     u = np.linalg.svd(a.frame, full_matrices=True)[0]
-    return _subspace(np.ascontiguousarray(u[:, a.dim:]))
+    return Subspace(np.ascontiguousarray(u[:, a.dim:]))
 
 
 def factorizing_meet(a, b):
     if a.dim == 0:
         return a
     _, sines, vh = np.linalg.svd(_residual(a.frame, b.frame), full_matrices=False)
-    return _subspace(a.frame @ vh[sines <= RANK_TOL].conj().T)
+    return Subspace(a.frame @ vh[sines <= RANK_TOL].conj().T)
 
 
 def factorizing_includes(a, b):
@@ -744,7 +744,7 @@ class TestRankRulesAgainstFactorizing:
         rng = rng_from(213)
         frame = random_unitary(rng, dim)
         frame[:, 0] *= math.sqrt(1.0 + sign * 0.99 * FRAME_TOL)
-        full = Subspace(frame)
+        full = checked_subspace(frame)
         assert 0.98 * FRAME_TOL < np.max(np.abs(frame.conj().T @ frame - np.eye(dim))) <= FRAME_TOL
         for rank in range(dim + 1):
             a = random_subspace(rng, dim, rank)
@@ -887,13 +887,14 @@ def column_stack_from_vectors(ambient_dim, vectors):
             raise DimensionMismatchError(
                 f"vector of length {v.size} in ambient dimension {ambient_dim}"
             )
-    lattice._check_ambient(ambient_dim)
+    if ambient_dim < 1 or ambient_dim > MAX_DIM:
+        raise InvariantViolationError(f"ambient dimension {ambient_dim} outside [1, {MAX_DIM}]")
     if not vecs:
-        return _subspace(np.zeros((ambient_dim, 0), dtype=complex))
+        return Subspace(np.zeros((ambient_dim, 0), dtype=complex))
     columns = np.column_stack(vecs)
     if not np.isfinite(columns).all():
         raise InvariantViolationError("vector has a non-finite entry")
-    return _subspace(summed_rank_frame(unit_vectors(columns, axis=0)[0]))
+    return Subspace(summed_rank_frame(unit_vectors(columns, axis=0)[0]))
 
 
 def built_or_refused(build, ambient_dim, vectors):
@@ -1009,51 +1010,71 @@ class TestJoinAndIncludesAgainstReplacedForms:
         # its residual spread over two coordinates
         sine = factor * INCLUSION_TOL
         tilted = math.sqrt(1.0 - sine * sine) * e(0, dim) + sine * INV_SQRT2 * (e(2, dim) + e(3, dim))
-        plane = Subspace(np.column_stack([tilted, e(1, dim)]))
-        axes = Subspace(np.eye(dim)[:, :2])
+        plane = checked_subspace(np.column_stack([tilted, e(1, dim)]))
+        axes = checked_subspace(np.eye(dim)[:, :2])
         for x, y in ((plane, axes), (axes, plane)):
             assert includes(x, y) is included is factorizing_includes(x, y)
 
 
 class TestTrustedFrames:
+    """``Subspace(frame)`` stores a frame unchecked, so every frame the package
+    builds must pass the reference check ``checked_subspace``."""
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(float("nan"), 0.0)])
     def test_non_finite_frame_rejected(self, bad):
         with pytest.raises(InvariantViolationError):
-            Subspace([[bad], [0.0]])
+            checked_subspace([[bad], [0.0]])
 
     @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_gram_error_at_frame_tol(self, factor, accepted, sign):
         frame = [[math.sqrt(1.0 + sign * factor * FRAME_TOL)], [0.0]]
         if accepted:
-            Subspace(frame)
+            checked_subspace(frame)
         else:
             with pytest.raises(InvariantViolationError):
-                Subspace(frame)
+                checked_subspace(frame)
 
-    def test_user_frame_is_still_checked(self):
+    def test_skew_frames_are_refused(self):
         with pytest.raises(InvariantViolationError):
-            Subspace(np.array([[1.0], [1.0]]))
+            checked_subspace(np.array([[1.0], [1.0]]))
         with pytest.raises(InvariantViolationError):
-            Subspace(np.array([[1.0, 0.6], [0.0, 0.8]]))
+            checked_subspace(np.array([[1.0, 0.6], [0.0, 0.8]]))
 
-    def test_built_frames_are_read_only_and_orthonormal(self):
-        rng = rng_from(208)
-        a, b = random_subspace(rng, 4, 2), random_subspace(rng, 4, 3)
-        built = [
-            join(a, b), meet(a, b), orthocomplement(a), Subspace.from_vectors(4, []),
-            orthocomplement(zero_subspace(4)), orthocomplement(full_subspace(4)),
-            Subspace.from_vectors(4, [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1j, 0, 1]]),
-        ]
+    def test_constructor_stores_its_frame(self):
+        frame = np.eye(3, dtype=complex)
+        s = Subspace(frame)
+        assert s.frame is frame and not frame.flags.writeable
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, MAX_DIM), data=st.data())
+    def test_built_frames_are_read_only_and_orthonormal(self, seed, dim, data):
+        # spans of integer combinations of fewer Gaussian rows (dependent once
+        # there are more rows than that), each row scaled by 10**-200..10**200
+        rng = rng_from(seed)
+        spans = []
+        for _ in range(2):
+            count = data.draw(st.integers(1, dim + 2))
+            base = _gaussian_complex(rng, (data.draw(st.integers(1, count)), dim))
+            powers = data.draw(st.lists(st.integers(-200, 200), min_size=count, max_size=count))
+            rows = rng.integers(-2, 3, size=(count, len(base))) @ base
+            spans.append(Subspace.from_vectors(dim, rows * 10.0 ** np.array(powers)[:, None]))
+        zero, full = Subspace.from_vectors(dim, []), Subspace.from_vectors(dim, np.eye(dim))
+        sides = [*spans, zero, full]
+        inners, outers = random_nested_pairs(rng, dim, 4)
+        built = [*sides, *random_subspaces(rng, dim, 4), *inners, *outers]
+        for x in sides:
+            built.append(orthocomplement(x))
+            for y in sides:
+                built += [join(x, y), meet(x, y), meet(join(x, y), x), meet(orthocomplement(x), y)]
         for s in built:
+            assert s.frame.dtype == complex and s.frame.shape[0] == dim
             assert not s.frame.flags.writeable
-            assert s.frame.dtype == complex
-            assert np.allclose(s.frame.conj().T @ s.frame, np.eye(s.dim), atol=1e-12)
-            assert Subspace(s.frame) == s
+            assert checked_subspace(s.frame).dim == s.dim
 
     @pytest.mark.parametrize("ambient", [0, 9])
     def test_ambient_dimension_is_checked_on_every_path(self, ambient):
-        for build in (lambda d: Subspace.from_vectors(d, []), lambda d: Subspace(np.eye(d)),
+        for build in (lambda d: Subspace.from_vectors(d, []), lambda d: checked_subspace(np.eye(d)),
                       lambda d: Subspace.from_vectors(d, [np.ones(d)])):
             with pytest.raises(InvariantViolationError):
                 build(ambient)

@@ -1,8 +1,9 @@
 """The package is its modules: importing ``qlbench`` loads none of them, a
 command loads only the modules it uses and never ``dataclasses``, each record
-keeps its constructor and guards none of its fields, each pinned function its
-parameters, each threshold constant is named by a test, and the README's
-library example imports each name from its own module."""
+keeps its constructor, is built only through it and guards none of its
+fields, each pinned function its parameters, each threshold constant is named
+by a test, and the README's library example imports each name from its own
+module."""
 
 import ast
 import importlib
@@ -171,6 +172,16 @@ def test_no_record_guards_its_fields():
                for record in RECORD_PARAMETERS}
     assert {record: names for record, names in defined.items() if names} == {}
 
+
+def test_each_record_is_built_through_its_constructor():
+    # no module makes an instance with object.__new__, bypassing its constructor
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "qlbench").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "object"]
+    assert calls == []
 
 # The keywords each library function keeps; a setting no caller changes is a
 # module constant (``lattice.TUPLE_LIMIT``, ``stats.BINOMIAL_Z``), not a keyword.
