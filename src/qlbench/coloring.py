@@ -56,7 +56,7 @@ class RayFamily:
             raise InvariantViolationError("ray families need ambient dimension >= 3", ("dim", 0, 0))
         if not finite.all():
             k = int(np.argmin(finite))
-            raise InvariantViolationError(f"ray {k} is not unit-norm", ("ray", k, 0))
+            raise InvariantViolationError(f"ray {k} has a non-finite entry", ("ray", k, 0))
         bases, index = _basis_index(dim, len(rays), bases)
         if bases:
             frames = rays[index]

@@ -12,9 +12,10 @@ class DimensionMismatchError(QLBenchError, ValueError):
 class InvariantViolationError(QLBenchError, ValueError):
     """A value failed its construction invariant.
 
-    ``part`` names the offending part when the constructor knows it, as a
-    tuple such as ``("ray", 3, 0)``, so that a file parser can point at the
-    line that declared it.
+    ``part`` names the offending part of a ray family, as a tuple such as
+    ``("ray", 3, 0)``, so that the ray-family reader can point at the line
+    that declared it; ``RayFamily.from_vectors`` is the only entry that sets
+    it.
     """
 
     def __init__(self, message: str = "", part: tuple | None = None) -> None:

@@ -42,44 +42,18 @@ class HiddenEnsemble:
 
     One integer matrix and one weight vector hold the ensemble: member m
     yields outcome ``values[m, c]`` in the c-th declared context (in
-    ``contexts`` order) and has weight ``weights[m]``.  A weight error names
-    its member in the error's ``part``, ``("weight", m)``; a total that is not
-    1 names the last member.
+    ``contexts`` order) and has weight ``weights[m]``.  The constructor
+    stores what the package built (int64 values, float weights), made
+    read-only; ``parse_model`` checks a model read from a file.
     """
 
     __slots__ = ("values", "weights", "contexts")
 
     def __init__(self, values: np.ndarray, weights: np.ndarray,
                  contexts: Mapping[str, MeasurementBasis]) -> None:
-        contexts = MappingProxyType(dict(contexts))
-        values = np.array(values)
-        weights = np.array(weights, dtype=float)
-        if values.ndim != 2 or values.size == 0 or not contexts:
-            raise InvariantViolationError("ensemble needs members and declared contexts")
-        if values.dtype.kind not in "iu":
-            raise InvariantViolationError("outcome values must be integers")
-        if weights.shape != values.shape[:1] or values.shape[1] != len(contexts):
-            raise InvariantViolationError(
-                f"values of shape {values.shape} with weights of shape {weights.shape} for "
-                f"{len(contexts)} contexts: need one row per weight, one column per context")
-        sizes = [basis.size for basis in contexts.values()]
-        if not all(0 <= min(column) and max(column) < size  # integers: no NaN to miss
-                   for column, size in zip(values.T.tolist(), sizes)):
-            m, c = np.argwhere((values < 0) | (values >= sizes))[0]
-            raise InvariantViolationError(
-                f"outcome {values[m, c]} out of range for context {list(contexts)[c]!r}")
-        weight_list = weights.tolist()
-        for m, weight in enumerate(weight_list):
-            if not weight >= 0.0:  # NaN fails
-                raise InvariantViolationError(
-                    f"weight {weight!r} is not a nonnegative number", ("weight", m))
-        total = sum(weight_list)
-        if not abs(total - 1.0) <= WEIGHT_TOL:
-            raise InvariantViolationError(f"weights sum to {total!r}, not 1",
-                                          ("weight", len(weights) - 1))
-        self.values = _frozen(values.astype(np.int64, copy=False))
+        self.values = _frozen(values)
         self.weights = _frozen(weights)
-        self.contexts = contexts
+        self.contexts = MappingProxyType(contexts)
 
     def context_ids(self) -> tuple[str, ...]:
         return tuple(self.contexts)
@@ -102,37 +76,27 @@ class TransitionKernel:
 
     A kernel is stored under its ordered context pair (src, dst) in
     ``HiddenModel.kernels``: rows[i, j] = probability that, after outcome i
-    in src, the hidden value for dst becomes j.
+    in src, the hidden value for dst becomes j.  The constructor stores a
+    float matrix the package built, made read-only.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: np.ndarray) -> None:
-        rows = np.array(rows, dtype=float)
-        if rows.ndim != 2:
-            raise InvariantViolationError("kernel rows must form a matrix")
-        if not all(x >= 0.0 for x in rows.ravel().tolist()):  # NaN fails
-            raise InvariantViolationError("kernel entry negative or not a number")
-        for i, total in enumerate(np.add.reduce(rows, axis=1).tolist()):
-            if not abs(total - 1.0) <= ROW_TOL:
-                raise InvariantViolationError(f"kernel row {i} sums to {total!r}, not 1")
         self.rows = _frozen(rows)
 
 
 class HiddenModel:
     """A value-definite ensemble plus one transition kernel per ordered context
-    pair.  A kernel error names its key in the error's ``part``,
-    ``("kernel", (src, dst))``."""
+    pair, each kernel with one row per outcome of its first context and one
+    entry per outcome of its second."""
 
     __slots__ = ("ensemble", "kernels")
 
     def __init__(self, ensemble: HiddenEnsemble,
                  kernels: Mapping[tuple[str, str], TransitionKernel]) -> None:
-        kernels = MappingProxyType(dict(kernels))
-        for key, kernel in kernels.items():
-            _check_kernel(key, kernel, ensemble.contexts)
         self.ensemble = ensemble
-        self.kernels = kernels
+        self.kernels = MappingProxyType(kernels)
 
     def kernel(self, first: str, then: str) -> TransitionKernel:
         if first == then:
@@ -147,21 +111,15 @@ class HiddenModel:
             raise PreconditionError(f"no kernel declared for order ({first!r}, {then!r})") from None
 
 
-def _check_kernel(key: tuple[str, str], kernel: TransitionKernel,
-                  contexts: Mapping[str, MeasurementBasis]) -> None:
-    """Both contexts of ``key`` declared, and one row per outcome of the source
-    context with one entry per outcome of the destination context."""
-    src, dst = key
-    part = ("kernel", key)
-    for name in key:
-        if name not in contexts:
-            raise InvariantViolationError(f"kernel references an undeclared context {name!r}",
-                                          part)
-    expected = (contexts[src].size, contexts[dst].size)
-    if kernel.rows.shape != expected:
-        raise InvariantViolationError(
-            f"kernel {src} {dst} rows have shape {kernel.rows.shape}, expected {expected} "
-            f"(outcomes of {src} × outcomes of {dst})", part)
+def _not_stochastic(rows: np.ndarray) -> str | None:
+    """Why the float matrix ``rows`` is not row-stochastic within ``ROW_TOL``,
+    or None when it is."""
+    if not all(x >= 0.0 for x in rows.ravel().tolist()):  # NaN fails
+        return "kernel entry negative or not a number"
+    for i, total in enumerate(np.add.reduce(rows, axis=1).tolist()):
+        if not abs(total - 1.0) <= ROW_TOL:
+            return f"kernel row {i} sums to {total!r}, not 1"
+    return None
 
 
 def build_qm_equivalent_model(
@@ -193,10 +151,10 @@ def build_qm_equivalent_model(
     overlaps = overlap_kernel(basis_a, basis_b)
     kernels = {}
     for key, rows in (((id_a, id_b), overlaps), ((id_b, id_a), overlaps.T)):
-        try:  # a basis pair within BASIS_TOL can miss row sums of 1 by more than ROW_TOL
-            kernels[key] = TransitionKernel(rows)
-        except InvariantViolationError:
-            kernels[key] = TransitionKernel(rows / rows.sum(axis=1, keepdims=True))
+        # a basis pair within BASIS_TOL can miss row sums of 1 by more than ROW_TOL
+        if _not_stochastic(rows):
+            rows = rows / rows.sum(axis=1, keepdims=True)
+        kernels[key] = TransitionKernel(rows)
     ensemble = HiddenEnsemble(values, weights, {id_a: basis_a, id_b: basis_b})
     return HiddenModel(ensemble=ensemble, kernels=kernels)
 
@@ -414,7 +372,13 @@ def parse_model(text: str) -> HiddenModel:
         key = (tokens[1], tokens[2])
         declare(key, line, f"kernel {key[0]} {key[1]}")
         rows = line.groups(float, 4)
-        kernels[key] = line.build(TransitionKernel, rows)
+        if not rows or len(set(map(len, rows))) != 1:
+            raise line.error("kernel rows must form a matrix", 1, ConfigSemanticError)
+        rows = np.array(rows)
+        fault = _not_stochastic(rows)
+        if fault:
+            raise line.error(fault, 1, ConfigSemanticError)
+        kernels[key] = TransitionKernel(rows)
 
     parse_lines(text, {"model-dim": model_dim, "context": context, "member": member,
                        "kernel": kernel}, "model")
@@ -448,15 +412,27 @@ def parse_model(text: str) -> HiddenModel:
         if missing:
             raise line.error(f"no value for context {missing[0]!r}", len(line.tokens) - 2,
                              ConfigSemanticError)
-    try:
-        return HiddenModel(HiddenEnsemble(values, weights, contexts), kernels)
-    except InvariantViolationError as exc:
-        if exc.part is None:
-            raise
-        if exc.part[0] == "kernel":  # its kernel line, first value
-            raise declared_at[exc.part[1]].error(str(exc), 1, ConfigSemanticError) from None
-        line = members[exc.part[1]][0]  # a weight error: its member line, weight column
-        raise line.error(str(exc), len(line.tokens) - 1, ConfigSemanticError) from None
+    for (line, _, _), weight in zip(members, weights):
+        if not weight >= 0.0:
+            raise line.error(f"weight {weight!r} is not a nonnegative number",
+                             len(line.tokens) - 1, ConfigSemanticError)
+    total = sum(weights)
+    if not abs(total - 1.0) <= WEIGHT_TOL:
+        line = members[-1][0]
+        raise line.error(f"weights sum to {total!r}, not 1", len(line.tokens) - 1,
+                         ConfigSemanticError)
+    for (src, dst), record in kernels.items():
+        line = declared_at[(src, dst)]
+        for name in (src, dst):
+            if name not in contexts:
+                raise line.error(f"kernel references an undeclared context {name!r}", 1,
+                                 ConfigSemanticError)
+        expected = (contexts[src].size, contexts[dst].size)
+        if record.rows.shape != expected:
+            raise line.error(f"kernel {src} {dst} rows have shape {record.rows.shape}, expected "
+                             f"{expected} (outcomes of {src} × outcomes of {dst})", 1,
+                             ConfigSemanticError)
+    return HiddenModel(HiddenEnsemble(values, np.array(weights), contexts), kernels)
 
 
 def load_model(path) -> HiddenModel:

@@ -111,28 +111,13 @@ class StateVector:
 
 class MeasurementBasis:
     """A unitary frame with outcome labels: column k is the unit vector of
-    outcome ``labels[k]``, the one form of that outcome's proposition."""
+    outcome ``labels[k]``, the one form of that outcome's proposition.  The
+    constructor stores a fresh C-ordered frame and string labels, the frame
+    made read-only; ``from_vectors`` checks outside vectors and labels."""
 
     __slots__ = ("frame", "labels")
 
     def __init__(self, frame: np.ndarray, labels: tuple[str, ...]) -> None:
-        frame = np.array(frame, dtype=complex, order="C")
-        labels = tuple(map(str, labels))
-        if frame.ndim != 2 or frame.size == 0:
-            raise InvariantViolationError("empty measurement basis")
-        dim, count = frame.shape
-        if dim > MAX_DIM:
-            raise InvariantViolationError(f"dimension {dim} exceeds cap {MAX_DIM}")
-        if len(labels) != count:
-            raise InvariantViolationError("one label per basis vector required")
-        if len(set(labels)) != len(labels):
-            raise InvariantViolationError(f"duplicate outcome labels: {labels}")
-        gram = frame.conj().T @ frame
-        gram.ravel()[::count + 1] -= 1.0  # minus the identity
-        error = np.maximum.reduce(abs(gram), axis=None)
-        if count != dim or not error <= BASIS_TOL:
-            raise InvariantViolationError(
-                f"not an orthonormal basis of C^{dim}: {count} vectors, Gram error {error:.3g}")
         self.frame = _frozen(frame)
         self.labels = labels
 
@@ -163,7 +148,19 @@ class MeasurementBasis:
         frame, bad = unit_vectors(np.ascontiguousarray(rows.T), axis=0)
         if bad is not None:
             raise InvariantViolationError("cannot normalize a zero vector")
-        return cls(frame, range(frame.shape[1]) if labels is None else labels)
+        dim, count = frame.shape
+        labels = tuple(map(str, range(count) if labels is None else labels))
+        if len(labels) != count:
+            raise InvariantViolationError("one label per basis vector required")
+        if len(set(labels)) != len(labels):
+            raise InvariantViolationError(f"duplicate outcome labels: {labels}")
+        gram = frame.conj().T @ frame
+        gram.ravel()[::count + 1] -= 1.0  # minus the identity
+        error = np.maximum.reduce(abs(gram), axis=None)
+        if count != dim or not error <= BASIS_TOL:
+            raise InvariantViolationError(
+                f"not an orthonormal basis of C^{dim}: {count} vectors, Gram error {error:.3g}")
+        return cls(frame, labels)
 
     def __repr__(self) -> str:
         return f"MeasurementBasis(dim={self.dim}, labels={self.labels})"

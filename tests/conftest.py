@@ -1,4 +1,5 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from qlbench.errors import (
     PreconditionError,
     QLBenchError,
 )
-from qlbench.hidden import _law_lhs, _law_rhs
+from qlbench.hidden import (ROW_TOL, WEIGHT_TOL, HiddenEnsemble, HiddenModel, TransitionKernel,
+                            _law_lhs, _law_rhs)
 from qlbench.hilbert import MAX_DIM, MeasurementBasis, StateVector, named_axis_basis, named_state
 from qlbench.lattice import Subspace, _orthonormal_frame
 from qlbench.sampling import _gaussian_complex
@@ -211,6 +213,76 @@ def random_nested_pair(rng: np.random.Generator, ambient_dim: int) -> tuple[Subs
     pick = rng.permutation(outer_dim)[:inner_dim]
     inner = checked_subspace(np.ascontiguousarray(outer.frame[:, sorted(pick)]))
     return inner, outer
+
+
+def checked_kernel(rows) -> np.ndarray:
+    """Kernel rows made outside the package, checked first as
+    ``TransitionKernel`` checked them when its constructor did: a matrix of
+    nonnegative entries whose rows sum to 1 within ``ROW_TOL``.  A read-only
+    copy."""
+    rows = np.array(rows, dtype=float)
+    if rows.ndim != 2:
+        raise InvariantViolationError("kernel rows must form a matrix")
+    if not all(x >= 0.0 for x in rows.ravel().tolist()):  # NaN fails
+        raise InvariantViolationError("kernel entry negative or not a number")
+    for i, total in enumerate(np.add.reduce(rows, axis=1).tolist()):
+        if not abs(total - 1.0) <= ROW_TOL:
+            raise InvariantViolationError(f"kernel row {i} sums to {total!r}, not 1")
+    rows.setflags(write=False)
+    return rows
+
+
+def checked_model(values, weights, contexts, kernels) -> HiddenModel:
+    """The model of fields made outside the package, checked first as the
+    ``HiddenEnsemble`` and ``HiddenModel`` constructors checked them when they
+    did: integer outcomes in range for each context, nonnegative weights that
+    sum to 1 within ``WEIGHT_TOL``, and each kernel (rows as
+    :func:`checked_kernel` takes them, under its (src, dst) key) between two
+    declared contexts with one row per outcome of src and one entry per
+    outcome of dst.  A refusal names a weight (``("weight", m)``) or kernel
+    (``("kernel", key)``) in its ``part``.  The reference form that built and
+    read models are held against."""
+    contexts = MappingProxyType(dict(contexts))
+    values = np.array(values)
+    weights = np.array(weights, dtype=float)
+    if values.ndim != 2 or values.size == 0 or not contexts:
+        raise InvariantViolationError("ensemble needs members and declared contexts")
+    if values.dtype.kind not in "iu":
+        raise InvariantViolationError("outcome values must be integers")
+    if weights.shape != values.shape[:1] or values.shape[1] != len(contexts):
+        raise InvariantViolationError(
+            f"values of shape {values.shape} with weights of shape {weights.shape} for "
+            f"{len(contexts)} contexts: need one row per weight, one column per context")
+    sizes = [basis.size for basis in contexts.values()]
+    if not all(0 <= min(column) and max(column) < size  # integers: no NaN to miss
+               for column, size in zip(values.T.tolist(), sizes)):
+        m, c = np.argwhere((values < 0) | (values >= sizes))[0]
+        raise InvariantViolationError(
+            f"outcome {values[m, c]} out of range for context {list(contexts)[c]!r}")
+    weight_list = weights.tolist()
+    for m, weight in enumerate(weight_list):
+        if not weight >= 0.0:  # NaN fails
+            raise InvariantViolationError(
+                f"weight {weight!r} is not a nonnegative number", ("weight", m))
+    total = sum(weight_list)
+    if not abs(total - 1.0) <= WEIGHT_TOL:
+        raise InvariantViolationError(f"weights sum to {total!r}, not 1",
+                                      ("weight", len(weights) - 1))
+    kernels = {key: checked_kernel(rows) for key, rows in kernels.items()}
+    for key, rows in kernels.items():
+        src, dst = key
+        part = ("kernel", key)
+        for name in key:
+            if name not in contexts:
+                raise InvariantViolationError(
+                    f"kernel references an undeclared context {name!r}", part)
+        expected = (contexts[src].size, contexts[dst].size)
+        if rows.shape != expected:
+            raise InvariantViolationError(
+                f"kernel {src} {dst} rows have shape {rows.shape}, expected {expected} "
+                f"(outcomes of {src} × outcomes of {dst})", part)
+    ensemble = HiddenEnsemble(values.astype(np.int64, copy=False), weights, dict(contexts))
+    return HiddenModel(ensemble, {key: TransitionKernel(rows) for key, rows in kernels.items()})
 
 
 class TruthTableRow:

@@ -322,7 +322,7 @@ class TestRayFamilyValidation:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
     def test_rejects_non_finite_ray(self, bad):
         # ray 3 is in no basis, so only its finiteness check can refuse it
-        with pytest.raises(InvariantViolationError, match="ray 3 is not unit-norm"):
+        with pytest.raises(InvariantViolationError, match="ray 3 has a non-finite entry"):
             RayFamily.from_vectors(3, ([1, 0, 0], [0, 1, 0], [0, 0, 1], [bad, 0, 0]), ((0, 1, 2),))
 
     @pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e200])
@@ -447,11 +447,12 @@ class TestBasisChecks:
 
 def reference_family(dim: int, vectors, bases) -> RayFamily:
     """Oracle: ``RayFamily.from_vectors`` as it was when the constructor checked
-    its arguments, unchanged: ``from_vectors`` normalized finite rays and
-    refused a zero one, then the constructor checked the dimension, every
-    ray's norm (a non-finite ray included) and the bases."""
+    its arguments, unchanged but for the text that names a non-finite ray:
+    ``from_vectors`` normalized finite rays and refused a zero one, then the
+    constructor checked the dimension, every ray's norm (a non-finite ray
+    included) and the bases."""
     rays = _ray_matrix(dim, vectors)
-    if np.isfinite(rays).all():  # a non-finite ray is refused as not unit-norm
+    if np.isfinite(rays).all():  # a non-finite ray is refused at the norm check
         rays, k = unit_vectors(rays, axis=1)
         if k is not None:
             raise InvariantViolationError(f"ray {k} is a zero vector", ("ray", k, 0))
@@ -464,7 +465,7 @@ def reference_family(dim: int, vectors, bases) -> RayFamily:
         unit = abs(np.linalg.norm(rays, axis=1) - 1.0) <= RAY_TOL
     if not unit.all():
         k = int(np.argmin(unit))
-        raise InvariantViolationError(f"ray {k} is not unit-norm", ("ray", k, 0))
+        raise InvariantViolationError(f"ray {k} has a non-finite entry", ("ray", k, 0))
     bases, index = _basis_index(dim, len(rays), bases)
     if bases:
         frames = rays[index]
@@ -535,7 +536,7 @@ class TestFromVectorsAgainstReference:
         assert got == built_or_refused(lambda: family_fields(reference_family(dim, rays, bases)))
 
     @pytest.mark.parametrize("dim, refusal", [
-        (3, ("ray 2 is not unit-norm", ("ray", 2, 0))),
+        (3, ("ray 2 has a non-finite entry", ("ray", 2, 0))),
         (2, ("ray families need ambient dimension >= 3", ("dim", 0, 0))),
     ])
     def test_a_zero_ray_is_not_named_beside_a_non_finite_one(self, dim, refusal):

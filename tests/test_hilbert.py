@@ -16,12 +16,14 @@ from projector_oracle import (
     projector_principal_vector,
     projectors,
 )
-from qlbench.errors import DimensionMismatchError, InvariantViolationError
+from qlbench.errors import DimensionMismatchError, InvariantViolationError, QLBenchError
 from qlbench.hilbert import (
     BASIS_TOL,
+    MAX_DIM,
     NORM_TOL,
     MeasurementBasis,
     StateVector,
+    _as_complex_vector,
     named_axis_basis,
     named_state,
     principal_vector,
@@ -138,15 +140,16 @@ class TestMeasurementBasis:
             assert np.array_equal(proj.matrix, np.outer(basis.frame[:, k], basis.frame[:, k].conj()))
             assert same_ray(principal_vector(basis.frame[:, k]), basis.frame[:, k])
 
-    def test_constructor_checks_the_frame_and_copies_it(self):
-        frame = np.eye(2, dtype=complex)
-        basis = MeasurementBasis(frame, ("0", "1"))
-        frame[0, 0] = 5.0
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_from_vectors_checks_the_frame_and_copies_it(self, layout):
+        vectors = layout(np.eye(2, dtype=complex))
+        basis = MeasurementBasis.from_vectors(vectors, ("0", "1"))
+        vectors[0, 0] = 5.0
         assert basis.frame[0, 0] == 1.0
         with pytest.raises(InvariantViolationError):
-            MeasurementBasis(np.array([[1.0, 1.0], [0.0, 1.0]]), ("0", "1"))
+            MeasurementBasis.from_vectors(layout(np.array([[1.0, 1.0], [0.0, 1.0]])), ("0", "1"))
         with pytest.raises(InvariantViolationError):
-            MeasurementBasis(np.eye(2), ("0",))
+            MeasurementBasis.from_vectors(layout(np.eye(2)), ("0",))
 
     @pytest.mark.parametrize("vectors, error", [
         ([], InvariantViolationError),
@@ -193,28 +196,127 @@ class TestFromVectorsAgainstPerVectorPath:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(scaled_unitaries(), st.floats(1e-12, 1e-3), st.integers(0, 63))
     def test_gram_error_is_the_distance_from_the_identity(self, columns, eps, entry):
-        frame = columns / np.linalg.norm(columns, axis=0)
-        frame.flat[entry % frame.size] += eps
-        count = frame.shape[1]
-        error = np.max(np.abs(frame.conj().T @ frame - np.eye(count)))
-        labels = tuple(str(k) for k in range(count))
+        vectors = columns.T.copy()
+        vectors.flat[entry % vectors.size] += eps
+        frame = per_vector_frame(list(vectors))
+        error = np.max(np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])))
         if error <= BASIS_TOL:
-            MeasurementBasis(frame, labels)
+            MeasurementBasis.from_vectors(vectors)
         else:
             with pytest.raises(InvariantViolationError, match=re.escape(f"Gram error {error:.3g}")):
-                MeasurementBasis(frame, labels)
+                MeasurementBasis.from_vectors(vectors)
 
     def test_frames_are_c_contiguous(self):
         # unit_vectors sums an F-ordered stack pairwise along its contiguous
         # axis, which moved the last bit of random-d8/demo-eq5's golden output
-        unitary = random_unitary(rng_from(107), 8)
-        labels = tuple(str(k) for k in range(8))
-        frames = [MeasurementBasis.from_vectors(vectors).frame
-                  for vectors in (unitary.T, np.ascontiguousarray(unitary.T), unitary.T.tolist())]
-        frames += [MeasurementBasis(frame, labels).frame
-                   for frame in (unitary, np.asfortranarray(unitary))]
-        for frame in frames:
-            assert frame.flags.c_contiguous
+        rows = random_unitary(rng_from(107), 8).T
+        for vectors in (rows, np.ascontiguousarray(rows), np.asfortranarray(rows), rows.tolist(),
+                        list(rows)):
+            assert MeasurementBasis.from_vectors(vectors).frame.flags.c_contiguous
+
+
+def reference_basis(vectors, labels=None) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Oracle: the frame and labels of ``MeasurementBasis.from_vectors`` as it
+    was when the constructor checked the frame it was handed and copied it,
+    unchanged: ``from_vectors`` normalized the vectors and refused a zero one,
+    then the constructor checked the shape, the labels and the Gram error."""
+    try:  # an (n, d) array converts at once, other input is diagnosed vector by vector
+        rows = np.asarray(vectors, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        rows = np.empty(0)
+    if rows.ndim != 2 or not rows.size or rows.shape[1] > MAX_DIM:
+        vecs = [_as_complex_vector(v) for v in vectors]
+        if not vecs:
+            raise InvariantViolationError("empty measurement basis")
+        if any(v.size != vecs[0].size for v in vecs):
+            raise DimensionMismatchError("vectors of mixed dimension in one basis")
+        rows = np.array(vecs)
+    frame, bad = unit_vectors(np.ascontiguousarray(rows.T), axis=0)
+    if bad is not None:
+        raise InvariantViolationError("cannot normalize a zero vector")
+    labels = range(frame.shape[1]) if labels is None else labels
+    frame = np.array(frame, dtype=complex, order="C")
+    labels = tuple(map(str, labels))
+    if frame.ndim != 2 or frame.size == 0:
+        raise InvariantViolationError("empty measurement basis")
+    dim, count = frame.shape
+    if dim > MAX_DIM:
+        raise InvariantViolationError(f"dimension {dim} exceeds cap {MAX_DIM}")
+    if len(labels) != count:
+        raise InvariantViolationError("one label per basis vector required")
+    if len(set(labels)) != len(labels):
+        raise InvariantViolationError(f"duplicate outcome labels: {labels}")
+    gram = frame.conj().T @ frame
+    gram.ravel()[::count + 1] -= 1.0  # minus the identity
+    error = np.maximum.reduce(abs(gram), axis=None)
+    if count != dim or not error <= BASIS_TOL:
+        raise InvariantViolationError(
+            f"not an orthonormal basis of C^{dim}: {count} vectors, Gram error {error:.3g}")
+    frame.setflags(write=False)
+    return frame, labels
+
+
+@st.composite
+def planted_vectors(draw):
+    """The rows of a scaled Haar unitary (d = 1..8), as an array, a list of
+    rows or nested lists, with labels None, strings, integers, one too few or
+    too many, or with a repeat; then perhaps one fault: a vector dropped or
+    added, every vector longer than ``MAX_DIM``, a zero vector, a vector an
+    entry short, or the second vector tilted towards the first by 0.99 or
+    1.01 ``BASIS_TOL``."""
+    vectors = list(draw(scaled_unitaries()).T)
+    n = len(vectors)
+    fault = draw(st.sampled_from(["none", "drop", "add", "long", "zero", "ragged", "tilt"]))
+    if fault == "drop" and n > 1:
+        vectors.pop()
+    elif fault == "add":
+        vectors.append(vectors[0] + 1.0)
+    elif fault == "long":
+        vectors = [np.concatenate([v, np.ones(MAX_DIM)]) for v in vectors]
+    elif fault == "zero":
+        vectors[draw(st.integers(0, n - 1))] = np.zeros(n, dtype=complex)
+    elif fault == "ragged":
+        vectors[draw(st.integers(0, n - 1))] = vectors[0][:-1]
+    elif fault == "tilt" and n > 1:
+        unit = vectors[0] / np.linalg.norm(vectors[0])
+        vectors[1] = (vectors[1] / np.linalg.norm(vectors[1])
+                      + draw(st.sampled_from([0.99, 1.01])) * BASIS_TOL * unit)
+    count = len(vectors) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    labels = draw(st.sampled_from([None, [f"o{k}" for k in range(count)], list(range(count)),
+                                   ["same"] * count]))
+    form = draw(st.sampled_from(["array", "rows", "lists"]))
+    if form == "array" and len({v.size for v in vectors}) == 1:
+        vectors = np.array(vectors)
+    elif form == "lists":
+        vectors = [v.tolist() for v in vectors]
+    return vectors, labels
+
+
+def basis_fields(vectors, labels) -> tuple[np.ndarray, tuple[str, ...]]:
+    basis = MeasurementBasis.from_vectors(vectors, labels)
+    return basis.frame, basis.labels
+
+
+def built_or_refused(make, case) -> tuple:
+    """The frame (bytes, shape, dtype, layout, writeability) and labels that
+    ``make(*case)`` gives, or the class and text of its refusal."""
+    try:
+        frame, labels = make(*case)
+    except QLBenchError as exc:
+        return "refused", type(exc), str(exc)
+    flags = frame.flags
+    return ("built", frame.tobytes(), frame.shape, frame.dtype, flags.c_contiguous,
+            flags.writeable, labels)
+
+
+class TestFromVectorsAgainstReference:
+    """``from_vectors`` runs every check the constructor ran, in the same
+    order, and makes the same frame."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(planted_vectors())
+    def test_same_refusal_or_the_same_basis(self, case):
+        assert built_or_refused(basis_fields, case) == built_or_refused(reference_basis, case)
 
 
 def general_norm_unit_vectors(vectors, axis=None):

@@ -183,6 +183,30 @@ def test_each_record_is_built_through_its_constructor():
              and node.func.value.id == "object"]
     assert calls == []
 
+
+STORING_RECORDS = ("lattice.Subspace", "coloring.RayFamily", "events.EventSet",
+                   "hilbert.MeasurementBasis", "hidden.HiddenEnsemble", "hidden.TransitionKernel",
+                   "hidden.HiddenModel")
+
+
+def test_storing_records_neither_check_nor_copy():
+    # each of these records is checked by its one entry for outside input
+    # (``from_vectors``, ``parse_model`` or ``OutcomeSpace.event``), so its
+    # constructor raises nothing and makes no array
+    found = []
+    for record in STORING_RECORDS:
+        module, name = record.split(".")
+        tree = ast.parse((SRC / "qlbench" / f"{module}.py").read_text(encoding="utf-8"))
+        init = next(node for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == name
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+        found += [f"{record}:{node.lineno}" for node in ast.walk(init)
+                  if isinstance(node, ast.Raise)
+                  or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("array", "asarray")
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
+    assert found == []
+
 # The keywords each library function keeps; a setting no caller changes is a
 # module constant (``lattice.TUPLE_LIMIT``, ``stats.BINOMIAL_Z``), not a keyword.
 FUNCTION_PARAMETERS = {
