@@ -23,8 +23,8 @@ import numpy as np
 from .config import ConfigSemanticError, Line, format_complex, parse_lines
 from .errors import InvariantViolationError, PreconditionError
 from .hilbert import MeasurementBasis, StateVector, _frozen, principal_vector
-from .stats import (SequentialTable, born_distribution, chain_rule, commutation_defect,
-                    dispersion, is_integer, overlap_kernel)
+from .stats import (SequentialTable, _order_asymmetry, born_distribution, chain_rule,
+                    commutation_defect, dispersion, is_integer, overlap_kernel)
 
 WEIGHT_TOL = 1e-12
 ROW_TOL = 1e-12
@@ -99,12 +99,6 @@ class HiddenModel:
         self.kernels = MappingProxyType(kernels)
 
     def kernel(self, first: str, then: str) -> TransitionKernel:
-        if first == then:
-            # repeating a context re-reads the definite value: identity kernel
-            basis = self.ensemble.contexts.get(first)
-            if basis is None:
-                raise PreconditionError(f"context {first!r} not declared")
-            return TransitionKernel(np.eye(basis.size))
         try:
             return self.kernels[(first, then)]
         except KeyError:
@@ -275,7 +269,8 @@ def audit_no_go(
 
     table_ab = exact_sequential(model, (id_a, id_b))
     table_ba = exact_sequential(model, (id_b, id_a))
-    hv_defect = float(np.maximum.reduce(abs(table_ab.entries - table_ba.entries.T), axis=None))
+    hv_defect = float(np.maximum.reduce(_order_asymmetry(table_ab.entries, table_ba.entries),
+                                        axis=None))
     qm_defect = commutation_defect(state, basis_a, basis_b)
     defects_match = abs(hv_defect - qm_defect) <= AGREEMENT_TOL
     noncommuting = qm_defect > NONCOMMUTING_TOL

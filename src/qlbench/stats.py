@@ -5,70 +5,48 @@ P(first = i, then = j) = P(first = i) * P(then = j | first = i); measure,
 collapse, measure again gives |U^H psi|^2 times the rows of |U^H V|^2 for
 bases with unitary frames U (first) and V (then).  Argument order is named
 "first"/"then" throughout; no spatial notation is used anywhere.
+
+``Distribution`` and ``SequentialTable`` are computed only here and in
+``hidden``, from checked states, bases and models: their constructors store
+what they are given, clipped and made read-only, and check nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvariantViolationError, PreconditionError
-from .hilbert import MeasurementBasis, StateVector, ZERO_PROBABILITY
+from .errors import DimensionMismatchError, PreconditionError
+from .hilbert import MeasurementBasis, StateVector, ZERO_PROBABILITY, _frozen
 
-DISTRIBUTION_TOL = 1e-9
 ENTRY_TOL = 1e-12
 BASES_EQUAL_TOL = 1e-9   # entrywise projector agreement in bases_equal
 BINOMIAL_Z = 4.0         # standard deviations a Monte-Carlo entry may stray
 
 
 class Distribution:
-    """Labelled probabilities in [0, 1] summing to one."""
+    """Labelled outcome probabilities, stored clipped into [0, 1]: a probability
+    can pass 1 by rounding, a marginal also by its bases' Gram error."""
 
     __slots__ = ("labels", "probs")
 
     def __init__(self, labels: tuple[str, ...], probs: np.ndarray) -> None:
-        labels = tuple(map(str, labels))
-        probs = np.asarray(probs, dtype=float).reshape(-1)
-        if len(labels) != probs.size or not labels:
-            raise InvariantViolationError("labels and probabilities must align")
-        if not all(-ENTRY_TOL <= p <= 1.0 + ENTRY_TOL for p in probs.tolist()):  # NaN fails
-            raise InvariantViolationError("probability outside [0, 1]")
-        total = float(np.add.reduce(probs))
-        if not abs(total - 1.0) <= DISTRIBUTION_TOL:
-            raise InvariantViolationError(f"probabilities sum to {total!r}, not 1")
-        probs = probs.clip(0.0, 1.0)
-        probs.setflags(write=False)
         self.labels = labels
-        self.probs = probs
+        self.probs = _frozen(probs.clip(0.0, 1.0))
 
     def __getitem__(self, index: int) -> float:
         return float(self.probs[index])
 
 
 class SequentialTable:
-    """Ordered two-measurement table: entries[i, j] = P(first = i, then = j)."""
+    """Ordered two-measurement table: entries[i, j] = P(first = i, then = j),
+    stored with each -0.0 made 0.0, as ``np.clip(entries, 0.0, None)`` does."""
 
     __slots__ = ("first_basis", "second_basis", "entries")
 
     def __init__(self, first_basis: MeasurementBasis, second_basis: MeasurementBasis,
                  entries: np.ndarray) -> None:
-        if first_basis.dim != second_basis.dim:
-            raise DimensionMismatchError("bases of different dimension in one table")
-        entries = np.asarray(entries, dtype=float)
-        expected = (first_basis.size, second_basis.size)
-        if entries.shape != expected:
-            raise InvariantViolationError(f"entries shape {entries.shape}, expected {expected}")
-        if not all(x >= -ENTRY_TOL for x in entries.ravel().tolist()):  # NaN fails
-            raise InvariantViolationError("table entry negative or not a number")
-        total = float(np.add.reduce(entries, axis=None))
-        if not abs(total - 1.0) <= DISTRIBUTION_TOL:
-            raise InvariantViolationError(f"table sums to {total!r}, not 1")
-        entries = np.maximum(entries, 0.0)  # what np.clip(entries, 0.0, None) computes
-        entries.setflags(write=False)
         self.first_basis, self.second_basis = first_basis, second_basis
-        self.entries = entries
-
-    def first_marginal(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
+        self.entries = _frozen(np.maximum(entries, 0.0))
 
 
 def _born_probs(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
@@ -115,7 +93,7 @@ def marginal_over_second(table: SequentialTable) -> Distribution:
     Summing a chain-rule table over the later outcome always returns the
     earlier measurement's statistics; this identity survives noncommutation.
     """
-    return Distribution(table.first_basis.labels, table.first_marginal())
+    return Distribution(table.first_basis.labels, table.entries.sum(axis=1))
 
 
 def nondistribution_defect(
@@ -137,6 +115,12 @@ def nondistribution_defect(
     return abs(float(direct) - float(through[:, target_index].sum()))
 
 
+def _order_asymmetry(forward: np.ndarray, reverse: np.ndarray) -> np.ndarray:
+    """|forward - reverse^T|: entry (i, j) is |P(a_i then b_j) - P(b_j then a_i)|
+    for the a-first table ``forward`` and the b-first table ``reverse``."""
+    return abs(forward - reverse.T)
+
+
 def commutation_defect(
     state: StateVector, basis_a: MeasurementBasis, basis_b: MeasurementBasis
 ) -> float:
@@ -144,7 +128,7 @@ def commutation_defect(
     kernel = overlap_kernel(basis_a, basis_b)
     forward = chain_rule(_born_probs(state, basis_a), kernel)
     reverse = chain_rule(_born_probs(state, basis_b), kernel.T)
-    return float(np.maximum.reduce(abs(forward - reverse.T), axis=None))
+    return float(np.maximum.reduce(_order_asymmetry(forward, reverse), axis=None))
 
 
 def bases_equal(a: MeasurementBasis, b: MeasurementBasis) -> bool:
@@ -195,15 +179,12 @@ def joint_exists(t_ab: SequentialTable, t_ba: SequentialTable, tol: float = 1e-9
         and bases_equal(t_ab.second_basis, t_ba.first_basis)
     ):
         raise PreconditionError("tables do not cover the same basis pair in opposite orders")
-    gap = abs(t_ab.entries - t_ba.entries.T)
+    gap = _order_asymmetry(t_ab.entries, t_ba.entries)
     worst = (gap >= np.maximum.reduce(gap, axis=None) - ENTRY_TOL).argmax()
     i, j = divmod(int(worst), gap.shape[1])  # row-major, as argmax counts
     if float(gap[i, j]) <= tol:
-        labels = [
-            f"({la},{lb})"
-            for la in t_ab.first_basis.labels
-            for lb in t_ab.second_basis.labels
-        ]
+        labels = tuple(f"({la},{lb})" for la in t_ab.first_basis.labels
+                       for lb in t_ab.second_basis.labels)
         joint = Distribution(labels, t_ab.entries.reshape(-1))
         return JointVerdict(exists=True, joint=joint, witness=None)
     witness = JointWitness(

@@ -14,13 +14,15 @@ from qlbench.errors import (
 )
 from qlbench.hidden import (ROW_TOL, WEIGHT_TOL, HiddenEnsemble, HiddenModel, TransitionKernel,
                             _law_lhs, _law_rhs)
-from qlbench.hilbert import MAX_DIM, MeasurementBasis, StateVector, named_axis_basis, named_state
+from qlbench.hilbert import (AXIS_NAMES, BASIS_TOL, MAX_DIM, STATE_PRESET_NAMES, MeasurementBasis,
+                             StateVector, named_axis_basis, named_state)
 from qlbench.lattice import Subspace, _orthonormal_frame
 from qlbench.sampling import _gaussian_complex
-from qlbench.stats import ENTRY_TOL
+from qlbench.stats import ENTRY_TOL, Distribution, SequentialTable
 
 PHASE_TOL = 1e-10  # ray equality: global phase is quotiented out
 FRAME_TOL = 1e-10  # Gram error a checked frame may have
+DISTRIBUTION_TOL = 1e-9  # how far a checked distribution or table may miss a total of 1
 
 
 @pytest.fixture
@@ -155,6 +157,60 @@ def commuting_bases(a: MeasurementBasis, b: MeasurementBasis) -> bool:
     return float(abs(commutators).max()) <= COMMUTATOR_TOL
 
 
+def tilted_vectors(rng, dim, factor):
+    """The columns of a Haar unitary, the second tilted toward the first so
+    that, normalized, they overlap by ``factor`` × ``BASIS_TOL``."""
+    vectors = random_unitary(rng, dim).T.copy()
+    vectors[1] += factor * BASIS_TOL * vectors[0]
+    return vectors
+
+
+def gram_tilted_frame(dim: int, factor: float) -> np.ndarray:
+    """(I + E)^(1/2) for E = ``factor`` × ``BASIS_TOL`` × (J - I): a real
+    symmetric frame of unit columns whose Gram error is E, every overlap of one
+    sign, so that the errors add up along the all-ones direction, where
+    frame frame^H has its top eigenvalue 1 + (dim - 1) × factor × BASIS_TOL."""
+    gram = np.eye(dim) + factor * BASIS_TOL * (np.ones((dim, dim)) - np.eye(dim))
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    return (eigenvectors * np.sqrt(eigenvalues)) @ eigenvectors.T
+
+
+def hadamard_frame(dim: int) -> np.ndarray:
+    """The Sylvester Hadamard matrix of order ``dim`` (a power of two) over
+    sqrt(dim): a real symmetric unitary whose first column is the all-ones
+    direction."""
+    frame = np.ones((1, 1))
+    while len(frame) < dim:
+        frame = np.block([[frame, frame], [frame, -frame]])
+    return frame / math.sqrt(dim)
+
+
+@st.composite
+def audit_inputs(draw, max_dim=5):
+    """A state and basis pair (d = 2..max_dim): random, commuting, or a preset
+    qubit state on axis bases, whose marginals hold exact zeros and ones."""
+    kind = draw(st.sampled_from(["random", "commuting", "preset"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "preset":
+        state = named_state(draw(st.sampled_from(STATE_PRESET_NAMES)))
+        return (state, *(named_axis_basis(draw(st.sampled_from(AXIS_NAMES))) for _ in "ab"))
+    dim = draw(st.integers(2, max_dim))
+    pair = random_basis_pair if kind == "random" else random_commuting_pair
+    return (random_state(rng, dim), *pair(rng, dim))
+
+
+@st.composite
+def model_inputs(draw):
+    """``audit_inputs(max_dim=8)``, or a random state with two bases (d = 2..8)
+    each tilted to 0.99 ``BASIS_TOL``, so that the build divides kernel rows."""
+    if draw(st.booleans()):
+        return draw(audit_inputs(max_dim=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 8))
+    bases = (MeasurementBasis.from_vectors(tilted_vectors(rng, dim, 0.99)) for _ in "ab")
+    return (random_state(rng, dim), *bases)
+
+
 def random_direction_pair(rng: np.random.Generator) -> tuple[tuple[float, float], tuple[float, float]]:
     """Two (polar, azimuth) directions drawn uniformly on the sphere."""
     polar = np.arccos(rng.uniform(-1.0, 1.0, size=2))
@@ -283,6 +339,48 @@ def checked_model(values, weights, contexts, kernels) -> HiddenModel:
                 f"(outcomes of {src} × outcomes of {dst})", part)
     ensemble = HiddenEnsemble(values.astype(np.int64, copy=False), weights, dict(contexts))
     return HiddenModel(ensemble, {key: TransitionKernel(rows) for key, rows in kernels.items()})
+
+
+def checked_distribution(labels, probs) -> Distribution:
+    """The distribution of labels and probabilities made outside the package,
+    checked first as the ``Distribution`` constructor checked them when it did:
+    one label per probability, each within ``ENTRY_TOL`` of [0, 1], summing to
+    1 within ``DISTRIBUTION_TOL``; then clipped into [0, 1].  The reference
+    form that built distributions are held against."""
+    labels = tuple(map(str, labels))
+    probs = np.asarray(probs, dtype=float).reshape(-1)
+    if len(labels) != probs.size or not labels:
+        raise InvariantViolationError("labels and probabilities must align")
+    if not all(-ENTRY_TOL <= p <= 1.0 + ENTRY_TOL for p in probs.tolist()):  # NaN fails
+        raise InvariantViolationError("probability outside [0, 1]")
+    total = float(np.add.reduce(probs))
+    if not abs(total - 1.0) <= DISTRIBUTION_TOL:
+        raise InvariantViolationError(f"probabilities sum to {total!r}, not 1")
+    probs = probs.clip(0.0, 1.0)
+    return Distribution(labels, probs)
+
+
+def checked_table(first_basis: MeasurementBasis, second_basis: MeasurementBasis,
+                  entries) -> SequentialTable:
+    """The table of entries made outside the package, checked first as the
+    ``SequentialTable`` constructor checked them when it did: bases of one
+    dimension, one row per outcome of the first and one entry per outcome of
+    the second, no entry below -``ENTRY_TOL`` or NaN, and a total within
+    ``DISTRIBUTION_TOL`` of 1; then each -0.0 made 0.0.  The reference form
+    that built tables are held against."""
+    if first_basis.dim != second_basis.dim:
+        raise DimensionMismatchError("bases of different dimension in one table")
+    entries = np.asarray(entries, dtype=float)
+    expected = (first_basis.size, second_basis.size)
+    if entries.shape != expected:
+        raise InvariantViolationError(f"entries shape {entries.shape}, expected {expected}")
+    if not all(x >= -ENTRY_TOL for x in entries.ravel().tolist()):  # NaN fails
+        raise InvariantViolationError("table entry negative or not a number")
+    total = float(np.add.reduce(entries, axis=None))
+    if not abs(total - 1.0) <= DISTRIBUTION_TOL:
+        raise InvariantViolationError(f"table sums to {total!r}, not 1")
+    entries = np.maximum(entries, 0.0)  # what np.clip(entries, 0.0, None) computes
+    return SequentialTable(first_basis, second_basis, entries)
 
 
 class TruthTableRow:

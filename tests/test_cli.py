@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import gram_tilted_frame, hadamard_frame
 from qlbench import cli, coloring, hidden, stats
 from qlbench.cli import main
 from qlbench.hidden import AGREEMENT_TOL, load_model
@@ -135,6 +136,19 @@ class TestStatsCommands:
         assert run(capsys, command, "--config", str(config)) == (
             2, "", "error: this command needs two contexts (got 1)\n")
 
+    def test_marginal_past_one_is_stored_as_one(self, capsys, tmp_path):
+        # the state is the first ray of an exact d = 8 basis and the top direction
+        # of a basis at 0.99 BASIS_TOL, so its row of the table sums to 1 + 6.9e-10
+        def vectors(frame):
+            return " ; ".join(" ".join(map(repr, column)) for column in frame.T.tolist())
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"state {' '.join([repr(8 ** -0.5)] * 8)}\n"
+                          f"context vectors {vectors(hadamard_frame(8))}\n"
+                          f"context vectors {vectors(gram_tilted_frame(8, 0.99))}\n")
+        code, out, err = run(capsys, "stats-seq", "--config", str(config))
+        assert (code, err) == (0, "")
+        assert out.endswith("verdict: marginal identity holds\n")
+
 
 class TestHiddenVariableCommands:
     def test_build_and_replay(self, capsys, tmp_path):
@@ -243,6 +257,30 @@ class TestHiddenVariableCommands:
         code, out, err = run(capsys, command, "--config", str(config))
         assert (code, out) == (2, "")
         assert err == f"error: {located}\n"
+
+    # the model of state z+ on contexts z and z, its zero weights and kernel
+    # entries written -0.0: chain_rule then gives -0.0 entries
+    MINUS_ZERO_MODEL = (
+        "model-dim 2\n"
+        "context z labels z+ z- vectors 1.0 -0.0 ; -0.0 1.0\n"
+        "context basis1 labels 0 1 vectors 1.0 -0.0 ; -0.0 1.0\n"
+        "member z=0 basis1=0 weight 1.0\n"
+        "member z=0 basis1=1 weight -0.0\n"
+        "member z=1 basis1=0 weight -0.0\n"
+        "member z=1 basis1=1 weight -0.0\n"
+        "kernel z basis1 rows 1.0 -0.0 ; -0.0 1.0\n"
+        "kernel basis1 z rows 1.0 -0.0 ; -0.0 1.0\n"
+    )
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_minus_zero_model_prints_no_minus_zero(self, capsys, tmp_path, fmt):
+        (tmp_path / "m.model").write_text(self.MINUS_ZERO_MODEL)
+        (tmp_path / "exp.cfg").write_text(f"model {tmp_path / 'm.model'}\n")
+        code, out, err = run(capsys, "hv-exact", "--config", str(tmp_path / "exp.cfg"),
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        assert "exact tables computed" in out
+        assert "-0" not in out
 
     def test_exact_matches_direct_chain(self, capsys):
         code, out, _ = run(capsys, "hv-exact")

@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_table,
+    audit_inputs,
     checked_kernel,
     checked_model,
+    model_inputs,
     near_threshold_floats,
     random_basis_pair,
-    random_commuting_pair,
     random_direction_pair,
     random_state,
     random_unitary,
     scalar_dispersion,
+    tilted_vectors,
     tilted_z_basis,
     truth_table_distributivity,
 )
@@ -37,15 +39,7 @@ from qlbench.hidden import (
     serialize_model,
     simulate_sequential,
 )
-from qlbench.hilbert import (
-    AXIS_NAMES,
-    BASIS_TOL,
-    STATE_PRESET_NAMES,
-    MeasurementBasis,
-    named_axis_basis,
-    named_state,
-    spin_direction_basis,
-)
+from qlbench.hilbert import BASIS_TOL, MeasurementBasis, spin_direction_basis
 from qlbench.sampling import rng_from
 from qlbench.stats import (
     SequentialTable,
@@ -100,14 +94,6 @@ class TestBuildModel:
     def test_context_ids_must_differ(self, z_plus, z_basis, x_basis):
         with pytest.raises(PreconditionError):
             build_qm_equivalent_model(z_plus, z_basis, x_basis, ("A", "A"))
-
-
-def tilted_vectors(rng, dim, factor):
-    """The columns of a Haar unitary, the second tilted toward the first so
-    that, normalized, they overlap by ``factor`` × ``BASIS_TOL``."""
-    vectors = random_unitary(rng, dim).T.copy()
-    vectors[1] += factor * BASIS_TOL * vectors[0]
-    return vectors
 
 
 class TestBasesAtBasisTol:
@@ -314,9 +300,13 @@ class TestExactSequential:
         table = exact_sequential(model, ("A", "B"))
         assert_table(table.entries, [[1.0, 0.0], [0.0, 0.0]])
 
-    def test_same_context_twice_is_diagonal(self, zx_model):
-        table = exact_sequential(zx_model, ("B", "B"))
-        assert_table(table.entries, [[0.5, 0.0], [0.0, 0.5]])
+    @pytest.mark.parametrize("produce", [
+        exact_sequential, lambda model, order: simulate_sequential(model, order, 10, 0),
+    ], ids=["exact", "simulate"])
+    def test_same_context_twice_is_refused(self, zx_model, produce):
+        # a model declares kernels between its two distinct contexts only
+        with pytest.raises(PreconditionError, match=r"^no kernel declared for order \('B', 'B'\)$"):
+            produce(zx_model, ("B", "B"))
 
     def test_undeclared_context_rejected(self, zx_model):
         with pytest.raises(PreconditionError):
@@ -499,20 +489,6 @@ def generator_dispersions(ensemble):
     return member, mixture
 
 
-@st.composite
-def audit_inputs(draw, max_dim=5):
-    """A state and basis pair (d = 2..max_dim): random, commuting, or a preset
-    qubit state on axis bases, whose marginals hold exact zeros and ones."""
-    kind = draw(st.sampled_from(["random", "commuting", "preset"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "preset":
-        state = named_state(draw(st.sampled_from(STATE_PRESET_NAMES)))
-        return (state, *(named_axis_basis(draw(st.sampled_from(AXIS_NAMES))) for _ in "ab"))
-    dim = draw(st.integers(2, max_dim))
-    pair = random_basis_pair if kind == "random" else random_commuting_pair
-    return (random_state(rng, dim), *pair(rng, dim))
-
-
 class TestAuditDispersionsAgainstGeneratorForms:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(audit_inputs())
@@ -594,18 +570,6 @@ class TestRecordChecksAgainstNumpyForms:
             assert ensemble.values.tobytes() == values.tobytes()
 
 
-@st.composite
-def model_inputs(draw):
-    """``audit_inputs(max_dim=8)``, or a random state with two bases (d = 2..8)
-    each tilted to 0.99 ``BASIS_TOL``, so that the build divides kernel rows."""
-    if draw(st.booleans()):
-        return draw(audit_inputs(max_dim=8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim = draw(st.integers(2, 8))
-    bases = (MeasurementBasis.from_vectors(tilted_vectors(rng, dim, 0.99)) for _ in "ab")
-    return (random_state(rng, dim), *bases)
-
-
 class TestBuiltModelsPassTheChecks:
     """Every model the build makes passes the checks its records no longer run."""
 
@@ -618,10 +582,6 @@ class TestBuiltModelsPassTheChecks:
                       {key: kernel.rows for key, kernel in model.kernels.items()})
         assert ensemble.values.dtype == np.int64
         arrays = [ensemble.values, ensemble.weights, *(k.rows for k in model.kernels.values())]
-        for name in ensemble.contexts:
-            identity = model.kernel(name, name).rows
-            checked_kernel(identity)
-            arrays.append(identity)
         assert not any(array.flags.writeable for array in arrays)
 
 

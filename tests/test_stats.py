@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,9 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DISTRIBUTION_TOL,
     EDGE_FLOATS,
     assert_table,
+    checked_distribution,
+    checked_table,
     commuting_bases,
+    gram_tilted_frame,
+    hadamard_frame,
+    model_inputs,
     near_threshold_floats,
     random_basis_pair,
     random_commuting_pair,
@@ -20,14 +27,18 @@ from conftest import (
     tilted_z_basis,
 )
 from projector_oracle import COMMUTATOR_TOL, born_probability, collapse, commutes, projectors
-from qlbench import stats
+from qlbench import hidden, stats
 from qlbench.config import DEFAULT_TOL
 from qlbench.errors import (
     DimensionMismatchError,
     InvariantViolationError,
     PreconditionError,
 )
+from qlbench.hidden import (build_qm_equivalent_model, exact_sequential, parse_model,
+                            serialize_model, simulate_sequential)
 from qlbench.hilbert import (
+    BASIS_TOL,
+    NORM_TOL,
     ZERO_PROBABILITY,
     MeasurementBasis,
     StateVector,
@@ -36,7 +47,6 @@ from qlbench.hilbert import (
 from qlbench.sampling import rng_from
 from qlbench.stats import (
     BASES_EQUAL_TOL,
-    DISTRIBUTION_TOL,
     ENTRY_TOL,
     Distribution,
     SequentialTable,
@@ -49,24 +59,28 @@ from qlbench.stats import (
     joint_exists,
     marginal_over_second,
     nondistribution_defect,
+    overlap_kernel,
     sequential_distribution,
     within_binomial_bound,
 )
 
 
 class TestDistribution:
+    """The checks ``Distribution`` ran when its constructor checked, kept in
+    the reference form ``checked_distribution``."""
+
     def test_rejects_bad_total(self):
         with pytest.raises(InvariantViolationError):
-            Distribution(("a", "b"), (0.6, 0.6))
+            checked_distribution(("a", "b"), (0.6, 0.6))
 
     def test_rejects_negative(self):
         with pytest.raises(InvariantViolationError):
-            Distribution(("a", "b"), (-0.2, 1.2))
+            checked_distribution(("a", "b"), (-0.2, 1.2))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(InvariantViolationError, match="probability outside"):
-            Distribution(("a", "b"), (bad, 1.0))
+            checked_distribution(("a", "b"), (bad, 1.0))
 
     @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
     @pytest.mark.parametrize("probs", [
@@ -74,12 +88,12 @@ class TestDistribution:
         lambda eps: (1.0 + eps, 0.0, 0.0),      # above 1, total within DISTRIBUTION_TOL
     ], ids=["lower", "upper"])
     def test_entry_range_at_entry_tol(self, probs, factor, accepted):
-        check_accepts(accepted, Distribution, ("a", "b", "c"), probs(factor * ENTRY_TOL))
+        check_accepts(accepted, checked_distribution, ("a", "b", "c"), probs(factor * ENTRY_TOL))
 
     @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_total_at_distribution_tol(self, factor, accepted, sign):
-        check_accepts(accepted, Distribution, ("a", "b"),
+        check_accepts(accepted, checked_distribution, ("a", "b"),
                       (0.5, 0.5 + sign * factor * DISTRIBUTION_TOL))
 
 
@@ -142,35 +156,38 @@ class TestSequentialDistribution:
             table = sequential_distribution(state, first, second)
             assert float(table.entries.min()) >= 0.0
             assert abs(float(table.entries.sum()) - 1.0) < 1e-9
-            assert_table(table.first_marginal(),
+            assert_table(marginal_over_second(table).probs,
                          born_distribution(state, first).probs, 1e-9)
 
 
 class TestSequentialTableInvariants:
+    """The checks ``SequentialTable`` ran when its constructor checked, kept
+    in the reference form ``checked_table``."""
+
     def test_rejects_negative_entry(self, z_basis, x_basis):
         with pytest.raises(InvariantViolationError):
-            SequentialTable(z_basis, x_basis, [[0.75, 0.5], [-0.25, 0.0]])
+            checked_table(z_basis, x_basis, [[0.75, 0.5], [-0.25, 0.0]])
 
     def test_rejects_bad_total(self, z_basis, x_basis):
         with pytest.raises(InvariantViolationError):
-            SequentialTable(z_basis, x_basis, [[0.5, 0.5], [0.5, 0.5]])
+            checked_table(z_basis, x_basis, [[0.5, 0.5], [0.5, 0.5]])
 
     @pytest.mark.parametrize("bad, message", [(math.nan, "negative or not a number"),
                                               (-math.inf, "negative or not a number"),
                                               (math.inf, "table sums to inf")])
     def test_rejects_non_finite(self, z_basis, x_basis, bad, message):
         with pytest.raises(InvariantViolationError, match=message):
-            SequentialTable(z_basis, x_basis, [[bad, 0.5], [0.5, 0.0]])
+            checked_table(z_basis, x_basis, [[bad, 0.5], [0.5, 0.0]])
 
     @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
     def test_negative_entry_at_entry_tol(self, z_basis, x_basis, factor, accepted):
         eps = factor * ENTRY_TOL
-        check_accepts(accepted, SequentialTable, z_basis, x_basis, [[-eps, 0.5 + eps], [0.5, 0.0]])
+        check_accepts(accepted, checked_table, z_basis, x_basis, [[-eps, 0.5 + eps], [0.5, 0.0]])
 
     @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_total_at_distribution_tol(self, z_basis, x_basis, factor, accepted, sign):
-        check_accepts(accepted, SequentialTable, z_basis, x_basis,
+        check_accepts(accepted, checked_table, z_basis, x_basis,
                       [[0.5, 0.5 + sign * factor * DISTRIBUTION_TOL], [0.0, 0.0]])
 
 
@@ -407,8 +424,8 @@ class TestClippingAgainstNpClip:
 
 
 def numpy_distribution_checks(probs):
-    """Distribution's checks as numpy reductions, the form they had before
-    the one-pass list form, kept as its oracle: what ``refusal`` reports."""
+    """``checked_distribution``'s checks as numpy reductions, the form they had
+    before the one-pass list form, kept as its oracle: what ``refusal`` reports."""
     probs = np.asarray(probs, dtype=float).reshape(-1)
     if not (-ENTRY_TOL <= probs.min() and probs.max() <= 1.0 + ENTRY_TOL):
         return InvariantViolationError, "probability outside [0, 1]", None
@@ -419,7 +436,7 @@ def numpy_distribution_checks(probs):
 
 
 def numpy_table_checks(entries):
-    """SequentialTable's entry checks as numpy reductions (see above)."""
+    """``checked_table``'s entry checks as numpy reductions (see above)."""
     if not entries.min() >= -ENTRY_TOL:
         return InvariantViolationError, "table entry negative or not a number", None
     total = float(entries.sum())
@@ -438,14 +455,15 @@ def numpy_dispersion_checks(p):
 
 
 class TestRecordChecksAgainstNumpyForms:
-    """The one-pass list checks make the numpy checks' decisions, with the
-    same error class, message and part, at and around every threshold."""
+    """The one-pass list checks of the reference forms and of ``dispersion``
+    make the numpy checks' decisions, with the same error class, message and
+    part, at and around every threshold."""
 
     @settings(max_examples=500, derandomize=True)
     @given(st.integers(1, 9).flatmap(lambda n: near_threshold_floats(n, DISTRIBUTION_TOL)))
     def test_distribution(self, probs):
         labels = tuple(str(k) for k in range(probs.size))
-        assert refusal(Distribution, labels, probs) == numpy_distribution_checks(probs)
+        assert refusal(checked_distribution, labels, probs) == numpy_distribution_checks(probs)
 
     @settings(max_examples=500, derandomize=True)
     @given(st.integers(1, 8).flatmap(lambda d: near_threshold_floats(d * d, DISTRIBUTION_TOL)))
@@ -453,7 +471,7 @@ class TestRecordChecksAgainstNumpyForms:
         dim = math.isqrt(entries.size)
         basis = MeasurementBasis(np.eye(dim), tuple(str(k) for k in range(dim)))
         entries = entries.reshape(dim, dim)
-        assert refusal(SequentialTable, basis, basis, entries) == numpy_table_checks(entries)
+        assert refusal(checked_table, basis, basis, entries) == numpy_table_checks(entries)
 
     @settings(max_examples=500, derandomize=True)
     @given(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(-1.0, 2.0), min_size=1, max_size=12),
@@ -461,6 +479,125 @@ class TestRecordChecksAgainstNumpyForms:
     def test_dispersion(self, values, shape):
         p = np.array(values[:1] if shape == () else values).reshape(shape)
         assert refusal(dispersion, p) == numpy_dispersion_checks(p)
+
+
+class TestWorstCaseTotals:
+    """The structured d = 8 pair at 0.99 ``BASIS_TOL`` whose Gram errors all
+    point one way (``gram_tilted_frame``): the totals that built tables and
+    distributions reach on it stay inside ``DISTRIBUTION_TOL``, while a
+    marginal can pass 1 by more than ``ENTRY_TOL``, which the constructor
+    clips."""
+
+    DIM = 8
+
+    def test_table_total(self):
+        # then = H first, for the Hadamard H, which turns the all-ones
+        # direction, where then's V V^H has its top eigenvalue, onto e_0
+        tilted = gram_tilted_frame(self.DIM, 0.99)
+        first = MeasurementBasis.from_vectors(tilted.T)
+        then = MeasurementBasis.from_vectors((hadamard_frame(self.DIM) @ tilted).T)
+        for basis in (first, then):
+            gram_error = abs(basis.frame.conj().T @ basis.frame - np.eye(self.DIM)).max()
+            assert 0.98 * BASIS_TOL < gram_error <= BASIS_TOL
+        # the state along the top eigenvector of U diag(r) U^H, where r_i is the
+        # kernel's row sum u_i^H V V^H u_i: the table's total is its Rayleigh quotient
+        u, rows = first.frame, overlap_kernel(first, then).sum(axis=1)
+        state = StateVector.normalized(np.linalg.eigh((u * rows) @ u.conj().T)[1][:, -1])
+        table = sequential_distribution(state, first, then)
+        excess = float(np.add.reduce(table.entries, axis=None)) - 1.0
+        assert 0.87 * DISTRIBUTION_TOL < excess < DISTRIBUTION_TOL  # 8.74e-10 measured
+        assert checked_table(first, then, table.entries).entries.tobytes() == table.entries.tobytes()
+
+    def test_born_total(self):
+        # squared norm 1 + 0.99 NORM_TOL, along the all-ones direction, where
+        # U U^H has its top eigenvalue 1 + (d - 1) 0.99 BASIS_TOL
+        basis = MeasurementBasis.from_vectors(gram_tilted_frame(self.DIM, 0.99).T)
+        state = StateVector(np.full(self.DIM, math.sqrt((1.0 + 0.99 * NORM_TOL) / self.DIM)))
+        born = born_distribution(state, basis)
+        excess = float(np.add.reduce(born.probs)) - 1.0
+        bound = (self.DIM - 1) * BASIS_TOL + NORM_TOL
+        assert 0.99 * (self.DIM - 1) * BASIS_TOL < excess <= bound < DISTRIBUTION_TOL
+        assert checked_distribution(basis.labels, born.probs).probs.tobytes() == born.probs.tobytes()
+
+    def test_marginal_past_one_is_clipped(self):
+        # the state is the first ray of an exact basis and the top direction of
+        # the tilted one, so its row of the table sums to 1 + (d - 1) 0.99 BASIS_TOL
+        first = MeasurementBasis.from_vectors(hadamard_frame(self.DIM).T)
+        then = MeasurementBasis.from_vectors(gram_tilted_frame(self.DIM, 0.99).T)
+        table = sequential_distribution(StateVector.normalized(np.ones(self.DIM)), first, then)
+        sums = table.entries.sum(axis=1)
+        assert 0.99 * (self.DIM - 1) * BASIS_TOL < sums[0] - 1.0 < DISTRIBUTION_TOL
+        with pytest.raises(InvariantViolationError, match=r"^probability outside \[0, 1\]$"):
+            checked_distribution(first.labels, sums)
+        marginal = marginal_over_second(table)
+        assert marginal.probs.tobytes() == np.clip(sums, 0.0, 1.0).tobytes()
+        assert marginal[0] == 1.0
+
+
+def minus_zeros(text: str) -> str:
+    """A model file with each weight and kernel entry written 0.0 written -0.0."""
+    return "".join(re.sub(r"(?<= )0\.0(?= |$)", "-0.0", line)
+                   if line.startswith(("member", "kernel")) else line
+                   for line in text.splitlines(keepends=True))
+
+
+@st.composite
+def producer_inputs(draw):
+    """``model_inputs()``: ``audit_inputs(max_dim=8)``, or bases tilted to
+    0.99 ``BASIS_TOL``, the state's squared norm then left or moved to
+    1 ± 0.99 ``NORM_TOL``; and a trial count from 1 to 10^5 with a seed."""
+    state, first, then = draw(model_inputs())
+    shift = draw(st.sampled_from([0.0, 0.99, -0.99]))
+    if shift:
+        state = StateVector(state.amplitudes * math.sqrt(1.0 + shift * NORM_TOL))
+    n_trials = draw(st.sampled_from([1, 10**5]) | st.integers(1, 10**5))
+    return state, first, then, n_trials, draw(st.integers(0, 2**32 - 1))
+
+
+def produced_records(state, first, then, n_trials, seed) -> list:
+    """Every record the six producers build from one input: the Born
+    distributions, the ordered tables both ways and their marginals, the joint
+    at tol 1 (where one always exists), and the exact and simulated tables of
+    the built model and of that model read back with its zeros written -0.0."""
+    forward = sequential_distribution(state, first, then)
+    reverse = sequential_distribution(state, then, first)
+    records = [born_distribution(state, first), born_distribution(state, then), forward,
+               reverse, marginal_over_second(forward), marginal_over_second(reverse),
+               joint_exists(forward, reverse, tol=1.0).joint]
+    built = build_qm_equivalent_model(state, first, then)
+    for model in (built, parse_model(minus_zeros(serialize_model(built)))):
+        for order in (("A", "B"), ("B", "A")):
+            records += [exact_sequential(model, order),
+                        simulate_sequential(model, order, n_trials, seed)]
+    return records
+
+
+def stored_fields(record) -> tuple:
+    """What a record stores, with each array as (dtype, shape, bytes)."""
+    def bits(array):
+        assert not array.flags.writeable
+        return array.dtype, array.shape, array.tobytes()
+    if isinstance(record, Distribution):
+        return type(record.labels), record.labels, bits(record.probs)
+    return (*((basis.labels, bits(basis.frame)) for basis in (record.first_basis,
+                                                              record.second_basis)),
+            bits(record.entries))
+
+
+class TestProducersAgainstReferenceForms:
+    """Each record the package builds passes the checks its constructor no
+    longer runs, and stores what the reference form stores, bit for bit."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(producer_inputs())
+    def test_records_pass_and_match(self, inputs):
+        with mock.patch.object(stats, "Distribution", checked_distribution), \
+                mock.patch.object(stats, "SequentialTable", checked_table), \
+                mock.patch.object(hidden, "SequentialTable", checked_table):
+            reference = produced_records(*inputs)
+        built = produced_records(*inputs)
+        assert [type(record) for record in built] == [type(record) for record in reference]
+        assert [stored_fields(r) for r in built] == [stored_fields(r) for r in reference]
 
 
 class TestBinomialBound:
