@@ -23,8 +23,8 @@ import numpy as np
 from .config import ConfigSemanticError, Line, format_complex, parse_lines
 from .errors import InvariantViolationError, PreconditionError
 from .hilbert import MeasurementBasis, StateVector, _frozen, principal_vector
-from .stats import (SequentialTable, _order_asymmetry, born_distribution, chain_rule,
-                    commutation_defect, dispersion, is_integer, overlap_kernel)
+from .stats import (SequentialTable, _born_probs, _commutation_defect, _order_asymmetry,
+                    chain_rule, dispersion, is_integer, overlap_kernel)
 
 WEIGHT_TOL = 1e-12
 ROW_TOL = 1e-12
@@ -130,35 +130,52 @@ def build_qm_equivalent_model(
     kernels carry the conditional statistics.  Every member has a definite
     outcome for both contexts.
     """
+    return _build_model(state, basis_a, basis_b, context_ids)[0]
+
+
+def _build_model(state: StateVector, basis_a: MeasurementBasis, basis_b: MeasurementBasis,
+                 context_ids: tuple[str, str],
+                 ) -> tuple[HiddenModel, np.ndarray, np.ndarray, np.ndarray]:
+    """The model of :func:`build_qm_equivalent_model`, with the two Born
+    vectors and the a-then-b overlap kernel it was built from."""
     id_a, id_b = context_ids
     if id_a == id_b:
         raise PreconditionError("context ids must be distinct")
     if state.dim != basis_a.dim or state.dim != basis_b.dim:
         raise PreconditionError("state and bases must share one dimension")
+    born_a, born_b = _born_probs(state, basis_a), _born_probs(state, basis_b)
+    overlaps = overlap_kernel(basis_a, basis_b)
 
     # member (i, j), in row-major order, has outcome i in a and j in b
     values = np.array(np.divmod(np.arange(basis_a.size * basis_b.size), basis_b.size)).T
-    weights = (born_distribution(state, basis_a).probs[:, None]
-               * born_distribution(state, basis_b).probs).ravel()
+    # a Born probability can pass 1 by rounding; weigh by what a Distribution stores
+    weights = (born_a.clip(0.0, 1.0)[:, None] * born_b.clip(0.0, 1.0)).ravel()
     weights = weights / sum(weights.tolist())
 
-    overlaps = overlap_kernel(basis_a, basis_b)
     kernels = {}
     for key, rows in (((id_a, id_b), overlaps), ((id_b, id_a), overlaps.T)):
-        # a basis pair within BASIS_TOL can miss row sums of 1 by more than ROW_TOL
-        if _not_stochastic(rows):
-            rows = rows / rows.sum(axis=1, keepdims=True)
+        # a basis pair within BASIS_TOL can miss row sums of 1 by more than ROW_TOL;
+        # squared overlaps are never negative or NaN, so the sums alone decide
+        totals = rows.sum(axis=1, keepdims=True)
+        if not all(abs(total - 1.0) <= ROW_TOL for total in totals.ravel().tolist()):
+            rows = rows / totals
         kernels[key] = TransitionKernel(rows)
     ensemble = HiddenEnsemble(values, weights, {id_a: basis_a, id_b: basis_b})
-    return HiddenModel(ensemble=ensemble, kernels=kernels)
+    return HiddenModel(ensemble=ensemble, kernels=kernels), born_a, born_b, overlaps
 
 
 def exact_sequential(model: HiddenModel, order: tuple[str, str]) -> SequentialTable:
     """Closed-form ordered table: the chain rule on the first marginal and the kernel rows."""
+    return _exact_table(model, order, model.ensemble.marginal(order[0]))
+
+
+def _exact_table(model: HiddenModel, order: tuple[str, str],
+                 first_marginal: np.ndarray) -> SequentialTable:
+    """:func:`exact_sequential` on the first context's marginal, already formed."""
     first, then = order
-    ensemble = model.ensemble
-    entries = chain_rule(ensemble.marginal(first), model.kernel(first, then).rows)
-    return SequentialTable(ensemble.contexts[first], ensemble.contexts[then], entries)
+    entries = chain_rule(first_marginal, model.kernel(first, then).rows)
+    contexts = model.ensemble.contexts
+    return SequentialTable(contexts[first], contexts[then], entries)
 
 
 def simulate_sequential(
@@ -246,7 +263,7 @@ def audit_no_go(
     context_ids: tuple[str, str] = ("A", "B"),
 ) -> NoGoAudit:
     """Build the model and check every auditable link of the chain."""
-    model = build_qm_equivalent_model(state, basis_a, basis_b, context_ids)
+    model, born_a, born_b, overlaps = _build_model(state, basis_a, basis_b, context_ids)
     ensemble = model.ensemble
     id_a, id_b = context_ids
 
@@ -264,14 +281,14 @@ def audit_no_go(
     distributive = all(_law_lhs(a, b) == _law_rhs(a, b) for a, b in pairs)
     pairs_checked = truths.shape[0] * truths.shape[1] ** 2
 
-    marginals = np.concatenate([ensemble.marginal(name) for name in ensemble.contexts])
-    mixture_max_dispersion = max(dispersion(marginals).tolist())
+    marginal_a, marginal_b = ensemble.marginal(id_a), ensemble.marginal(id_b)
+    mixture_max_dispersion = max(dispersion(np.concatenate((marginal_a, marginal_b))).tolist())
 
-    table_ab = exact_sequential(model, (id_a, id_b))
-    table_ba = exact_sequential(model, (id_b, id_a))
+    table_ab = _exact_table(model, (id_a, id_b), marginal_a)
+    table_ba = _exact_table(model, (id_b, id_a), marginal_b)
     hv_defect = float(np.maximum.reduce(_order_asymmetry(table_ab.entries, table_ba.entries),
                                         axis=None))
-    qm_defect = commutation_defect(state, basis_a, basis_b)
+    qm_defect = _commutation_defect(born_a, born_b, overlaps)
     defects_match = abs(hv_defect - qm_defect) <= AGREEMENT_TOL
     noncommuting = qm_defect > NONCOMMUTING_TOL
 

@@ -108,11 +108,19 @@ def nondistribution_defect(
     Returns |P(target = i) - sum_j P(interposed = j, then target = i)|.
     Zero when the two measurements are compatible; positive in general.
     """
+    direct, through = _nondistribution_sides(state, target_basis, target_index, interposed)
+    return abs(direct - through)
+
+
+def _nondistribution_sides(state: StateVector, target_basis: MeasurementBasis, target_index: int,
+                           interposed: MeasurementBasis) -> tuple[float, float]:
+    """The two sides of Eq. (9): P(target = i) and
+    sum_j P(interposed = j, then target = i)."""
     if not (is_integer(target_index) and 0 <= target_index < target_basis.size):
         raise PreconditionError(f"outcome index {target_index} out of range")
     direct = _born_probs(state, target_basis)[target_index]
     through = chain_rule(_born_probs(state, interposed), overlap_kernel(interposed, target_basis))
-    return abs(float(direct) - float(through[:, target_index].sum()))
+    return float(direct), float(through[:, target_index].sum())
 
 
 def _order_asymmetry(forward: np.ndarray, reverse: np.ndarray) -> np.ndarray:
@@ -126,8 +134,13 @@ def commutation_defect(
 ) -> float:
     """Largest order asymmetry max_ij |P(a_i then b_j) - P(b_j then a_i)|."""
     kernel = overlap_kernel(basis_a, basis_b)
-    forward = chain_rule(_born_probs(state, basis_a), kernel)
-    reverse = chain_rule(_born_probs(state, basis_b), kernel.T)
+    return _commutation_defect(_born_probs(state, basis_a), _born_probs(state, basis_b), kernel)
+
+
+def _commutation_defect(born_a: np.ndarray, born_b: np.ndarray, kernel: np.ndarray) -> float:
+    """Eq. (7) from the Born vectors of a and b and the a-then-b overlap kernel."""
+    forward = chain_rule(born_a, kernel)
+    reverse = chain_rule(born_b, kernel.T)
     return float(np.maximum.reduce(_order_asymmetry(forward, reverse), axis=None))
 
 

@@ -118,7 +118,8 @@ class TestStatsCommands:
         config.write_text(f"context vectors {scale} 0 ; 0 {scale}\ncontext x\n")
         code, out, err = run(capsys, "stats-seq", "--config", str(config))
         assert (code, err) == (0, "")
-        assert "marginal identity max gap  0\n" in out
+        # each x row of z+ is 0.5000000000000001: the row sum misses 1 by one ulp
+        assert "marginal identity max gap  2.22044604925e-16\n" in out
 
     def test_single_context_is_input_error(self, capsys, tmp_path):
         config = tmp_path / "exp.cfg"
@@ -148,6 +149,27 @@ class TestStatsCommands:
         code, out, err = run(capsys, "stats-seq", "--config", str(config))
         assert (code, err) == (0, "")
         assert out.endswith("verdict: marginal identity holds\n")
+
+    # the state on Hadamard column k, then a basis at 0.99 BASIS_TOL: column 0 is its
+    # top direction (row sum 1 + 6.9e-10), column 1 is not (row sum 1 - 9.9e-11)
+    @pytest.mark.parametrize("column, row_sum, gap", [(0, 1.00000000069, 6.93000323793e-10),
+                                                      (1, 0.999999999901, 9.89992532396e-11)])
+    def test_marginal_gap_reads_both_sides_of_one(self, capsys, tmp_path, column, row_sum, gap):
+        def vectors(frame):
+            return " ; ".join(" ".join(map(repr, column)) for column in frame.T.tolist())
+        hadamard = hadamard_frame(8)
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"state {' '.join(map(repr, hadamard[:, column].tolist()))}\n"
+                          f"context vectors {vectors(hadamard)}\n"
+                          f"context vectors {vectors(gram_tilted_frame(8, 0.99))}\n"
+                          "tol 1e-11\n")
+        code, out, err = run(capsys, "stats-seq", "--config", str(config), "--format", "json")
+        report = json.loads(out)
+        rows = report["tables"][-1]["rows"]
+        assert (code, err, report["verdict"]) == (1, "", "marginal identity violated")
+        assert (rows[column][1], report["fields"]["marginal identity max gap"]) == (row_sum, gap)
+        # the printed row sums give the gap, up to their rounding to 12 digits
+        assert abs(max(abs(sums - direct) for _, sums, direct in rows) - gap) <= 1e-11
 
 
 class TestHiddenVariableCommands:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from conftest import (
     tilted_z_basis,
     truth_table_distributivity,
 )
-from qlbench import hidden
+from qlbench import hidden, stats
 from qlbench.config import ConfigSemanticError, ConfigSyntaxError, Line, parse_lines
 from qlbench.errors import InvariantViolationError, PreconditionError, QLBenchError
 from qlbench.hidden import (
@@ -39,7 +40,7 @@ from qlbench.hidden import (
     serialize_model,
     simulate_sequential,
 )
-from qlbench.hilbert import BASIS_TOL, MeasurementBasis, spin_direction_basis
+from qlbench.hilbert import BASIS_TOL, MeasurementBasis, StateVector, spin_direction_basis
 from qlbench.sampling import rng_from
 from qlbench.stats import (
     SequentialTable,
@@ -636,9 +637,22 @@ def numpy_audit_fields(state, a, b):
     }
 
 
+@st.composite
+def tilted_inputs(draw):
+    """Two bases (d = 2, 4, 8) each tilted to 0.99 ``BASIS_TOL``, whose squared
+    overlaps the build divides by their row sums, and a state: random, or on
+    the first ray of the first basis, where a Born probability can pass 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([2, 4, 8]))
+    first, then = (MeasurementBasis.from_vectors(tilted_vectors(rng, dim, 0.99)) for _ in "ab")
+    on_ray = draw(st.booleans())
+    state = StateVector(first.frame[:, 0].copy()) if on_ray else random_state(rng, dim)
+    return state, first, then
+
+
 class TestBuildAndAuditAgainstNumpyForms:
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(audit_inputs(max_dim=8))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(audit_inputs(max_dim=8), tilted_inputs()))
     def test_build_fields_are_identical(self, inputs):
         model = build_qm_equivalent_model(*inputs)
         values, weights, kernels = numpy_build_fields(*inputs)
@@ -648,8 +662,8 @@ class TestBuildAndAuditAgainstNumpyForms:
         assert [kernel.rows.tobytes() for kernel in model.kernels.values()] == [
             rows.tobytes() for rows in kernels]
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(audit_inputs(max_dim=8))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(audit_inputs(max_dim=8), tilted_inputs()))
     def test_audit_fields_are_identical(self, inputs):
         audit = audit_no_go(*inputs)
         got = {name: getattr(audit, name) for name in hidden.NoGoAudit.__slots__}
@@ -658,6 +672,40 @@ class TestBuildAndAuditAgainstNumpyForms:
         expected = numpy_audit_fields(*inputs)
         assert {k: (type(v), repr(v)) for k, v in got.items()} == {
             k: (type(v), repr(v)) for k, v in expected.items()}
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(tilted_inputs())
+    def test_tilted_pairs_take_the_renormalizing_branch(self, inputs):
+        model = build_qm_equivalent_model(*inputs)
+        overlaps = overlap_kernel(*inputs[1:])
+        assert any(not np.array_equal(kernel.rows, plain)
+                   for kernel, plain in zip(model.kernels.values(), (overlaps, overlaps.T)))
+
+
+class TestAuditFormsEachQuantityOnce:
+    """One audit forms each Born vector, the overlap kernel and each marginal once."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_call_counts(self, monkeypatch, dim):
+        rng = rng_from(407)
+        inputs = (random_state(rng, dim),
+                  *(MeasurementBasis.from_vectors(tilted_vectors(rng, dim, 0.99)) for _ in "ab"))
+        calls = Counter()
+
+        def counting(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+            return counted
+
+        for name in ("_born_probs", "overlap_kernel"):
+            wrapper = counting(name, getattr(stats, name))
+            for module in (stats, hidden):
+                monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(hidden.HiddenEnsemble, "marginal",
+                            counting("marginal", hidden.HiddenEnsemble.marginal))
+        audit_no_go(*inputs)
+        assert calls == {"_born_probs": 2, "overlap_kernel": 1, "marginal": 2}
 
 
 class TestTruthTable:
@@ -721,8 +769,8 @@ class TestAuditThresholds:
     def test_defects_match_at_agreement_tol(self, monkeypatch, z_plus, z_basis, x_basis,
                                             factor, match):
         # the direct chain's defect, planted factor × AGREEMENT_TOL above the model's
-        direct = hidden.commutation_defect
-        monkeypatch.setattr(hidden, "commutation_defect",
+        direct = hidden._commutation_defect
+        monkeypatch.setattr(hidden, "_commutation_defect",
                             lambda *args: direct(*args) + factor * AGREEMENT_TOL)
         assert audit_no_go(z_plus, z_basis, x_basis).defects_match == match
 

@@ -241,6 +241,22 @@ class TestNondistributionDefect:
         assert nondistribution_defect(z_plus, z_basis, np.int64(0), x_basis) == \
             nondistribution_defect(z_plus, z_basis, 0, x_basis)
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(model_inputs(), st.integers(0, 7), st.booleans())
+    def test_sides_are_the_forms_stats_nondist_printed(self, inputs, index, on_ray):
+        state, target, interposed = inputs
+        index %= target.size
+        if on_ray:  # where the Born probability can pass 1
+            state = StateVector(target.frame[:, index].copy())
+        direct, through = stats._nondistribution_sides(state, target, index, interposed)
+        assert direct == float(stats._born_probs(state, target)[index])
+        # before both sides came from one call, the report read the direct side off
+        # a Distribution (clipped into [0, 1]) and the other off the reverse table
+        assert min(direct, 1.0) == born_distribution(state, target)[index]
+        reverse = sequential_distribution(state, interposed, target)
+        assert through == float(reverse.entries[:, index].sum())
+        assert nondistribution_defect(state, target, index, interposed) == abs(direct - through)
+
 
 class TestPlantedSharedRay:
     """When the target ray is one of the interposed basis rays (up to phase),
