@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ConfigSemanticError, Line, format_complex, parse_lines
 from .errors import InvariantViolationError, PreconditionError
-from .hilbert import MeasurementBasis, StateVector, _frozen, principal_vector
+from .hilbert import MAX_DIM, MeasurementBasis, StateVector, _frozen, principal_vector
 from .stats import (SequentialTable, _born_probs, _commutation_defect, _order_asymmetry,
                     chain_rule, dispersion, is_integer, overlap_kernel)
 
@@ -36,6 +36,11 @@ AGREEMENT_TOL = 1e-9
 CHAIN_BROKEN = "broken at 'distributive ⇒ commutative'"
 CHAIN_NOT_EXERCISED = "not exercised (compatible observables)"
 
+# the member grid of a built model in dimension d: row d * i + j is (i, j), the
+# member with outcome i in the first context and j in the second; one per d
+_MEMBER_GRIDS = tuple(_frozen(np.array(np.divmod(np.arange(d * d), d)).T)
+                      for d in range(MAX_DIM + 1))
+
 
 class HiddenEnsemble:
     """Convex mixture of value-definite members over declared contexts.
@@ -44,26 +49,28 @@ class HiddenEnsemble:
     yields outcome ``values[m, c]`` in the c-th declared context (in
     ``contexts`` order) and has weight ``weights[m]``.  The constructor
     stores what the package built (int64 values, float weights), made
-    read-only; ``parse_model`` checks a model read from a file.
+    read-only, and forms the map ``columns`` from each context to its
+    column once; ``parse_model`` checks a model read from a file.
     """
 
-    __slots__ = ("values", "weights", "contexts")
+    __slots__ = ("values", "weights", "contexts", "columns")
 
     def __init__(self, values: np.ndarray, weights: np.ndarray,
                  contexts: Mapping[str, MeasurementBasis]) -> None:
         self.values = _frozen(values)
         self.weights = _frozen(weights)
         self.contexts = MappingProxyType(contexts)
+        self.columns = MappingProxyType({name: c for c, name in enumerate(contexts)})
 
     def context_ids(self) -> tuple[str, ...]:
         return tuple(self.contexts)
 
     def column(self, context: str) -> int:
         """The column of ``values`` that holds ``context``."""
-        ids = self.context_ids()
-        if context not in ids:
-            raise PreconditionError(f"context {context!r} not declared")
-        return ids.index(context)
+        try:
+            return self.columns[context]
+        except (KeyError, TypeError):  # undeclared, or not a name at all
+            raise PreconditionError(f"context {context!r} not declared") from None
 
     def marginal(self, context: str) -> np.ndarray:
         """Probability of each outcome of ``context`` under the mixture."""
@@ -146,17 +153,17 @@ def _build_model(state: StateVector, basis_a: MeasurementBasis, basis_b: Measure
     born_a, born_b = _born_probs(state, basis_a), _born_probs(state, basis_b)
     overlaps = overlap_kernel(basis_a, basis_b)
 
-    # member (i, j), in row-major order, has outcome i in a and j in b
-    values = np.array(np.divmod(np.arange(basis_a.size * basis_b.size), basis_b.size)).T
+    values = _MEMBER_GRIDS[state.dim]
     # a Born probability can pass 1 by rounding; weigh by what a Distribution stores
     weights = (born_a.clip(0.0, 1.0)[:, None] * born_b.clip(0.0, 1.0)).ravel()
     weights = weights / sum(weights.tolist())
 
     kernels = {}
-    for key, rows in (((id_a, id_b), overlaps), ((id_b, id_a), overlaps.T)):
+    # each kernel C-ordered, so that its row sums are the ones parse_model reads back
+    for key, rows in (((id_a, id_b), overlaps), ((id_b, id_a), overlaps.T.copy())):
         # a basis pair within BASIS_TOL can miss row sums of 1 by more than ROW_TOL;
         # squared overlaps are never negative or NaN, so the sums alone decide
-        totals = rows.sum(axis=1, keepdims=True)
+        totals = np.add.reduce(rows, axis=1, keepdims=True)
         if not all(abs(total - 1.0) <= ROW_TOL for total in totals.ravel().tolist()):
             rows = rows / totals
         kernels[key] = TransitionKernel(rows)

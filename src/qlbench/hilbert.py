@@ -29,6 +29,9 @@ ZERO_PROBABILITY = 1e-12  # below this, conditioning on the outcome is refused
 # change it by less than rounding.
 _PLAIN_NORMS = (1e-150, 1e150)
 
+# the labels ("0", ..., "n-1") of a basis of n unlabelled vectors, for each n up to MAX_DIM
+_DEFAULT_LABELS = tuple(tuple(map(str, range(n))) for n in range(MAX_DIM + 1))
+
 
 def _as_complex_vector(values) -> np.ndarray:
     vec = np.array(values, dtype=complex).reshape(-1)  # a copy, never the caller's array
@@ -113,13 +116,16 @@ class MeasurementBasis:
     """A unitary frame with outcome labels: column k is the unit vector of
     outcome ``labels[k]``, the one form of that outcome's proposition.  The
     constructor stores a fresh C-ordered frame and string labels, the frame
-    made read-only; ``from_vectors`` checks outside vectors and labels."""
+    made read-only, and forms the frame's conjugate transpose ``adjoint``
+    once, read-only too: every Born and overlap product starts from it.
+    ``from_vectors`` checks outside vectors and labels."""
 
-    __slots__ = ("frame", "labels")
+    __slots__ = ("frame", "labels", "adjoint")
 
     def __init__(self, frame: np.ndarray, labels: tuple[str, ...]) -> None:
         self.frame = _frozen(frame)
         self.labels = labels
+        self.adjoint = _frozen(frame.conj().T)
 
     @property
     def dim(self) -> int:
@@ -149,18 +155,22 @@ class MeasurementBasis:
         if bad is not None:
             raise InvariantViolationError("cannot normalize a zero vector")
         dim, count = frame.shape
-        labels = tuple(map(str, range(count) if labels is None else labels))
-        if len(labels) != count:
-            raise InvariantViolationError("one label per basis vector required")
-        if len(set(labels)) != len(labels):
-            raise InvariantViolationError(f"duplicate outcome labels: {labels}")
-        gram = frame.conj().T @ frame
+        if labels is None:
+            labels = _DEFAULT_LABELS[count] if count <= MAX_DIM else tuple(map(str, range(count)))
+        else:
+            labels = tuple(map(str, labels))
+            if len(labels) != count:
+                raise InvariantViolationError("one label per basis vector required")
+            if len(set(labels)) != len(labels):
+                raise InvariantViolationError(f"duplicate outcome labels: {labels}")
+        basis = cls(frame, labels)
+        gram = basis.adjoint @ frame
         gram.ravel()[::count + 1] -= 1.0  # minus the identity
         error = np.maximum.reduce(abs(gram), axis=None)
         if count != dim or not error <= BASIS_TOL:
             raise InvariantViolationError(
                 f"not an orthonormal basis of C^{dim}: {count} vectors, Gram error {error:.3g}")
-        return cls(frame, labels)
+        return basis
 
     def __repr__(self) -> str:
         return f"MeasurementBasis(dim={self.dim}, labels={self.labels})"

@@ -19,7 +19,6 @@ from .errors import DimensionMismatchError, PreconditionError
 from .hilbert import MeasurementBasis, StateVector, ZERO_PROBABILITY, _frozen
 
 ENTRY_TOL = 1e-12
-BASES_EQUAL_TOL = 1e-9   # entrywise projector agreement in bases_equal
 BINOMIAL_Z = 4.0         # standard deviations a Monte-Carlo entry may stray
 
 
@@ -53,14 +52,14 @@ def _born_probs(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
     """|U^H psi|^2: the probability of each outcome of ``basis``."""
     if state.dim != basis.dim:
         raise DimensionMismatchError(f"state dim {state.dim} vs basis dim {basis.dim}")
-    return np.abs(basis.frame.conj().T @ state.amplitudes) ** 2
+    return np.abs(basis.adjoint @ state.amplitudes) ** 2
 
 
 def overlap_kernel(first: MeasurementBasis, then: MeasurementBasis) -> np.ndarray:
     """|U^H V|^2: row i is P(then = j | first = i), the squared overlaps of the rays."""
     if first.dim != then.dim:
         raise DimensionMismatchError(f"basis dims {first.dim} vs {then.dim}")
-    return np.abs(first.frame.conj().T @ then.frame) ** 2
+    return np.abs(first.adjoint @ then.frame) ** 2
 
 
 def chain_rule(first_probs, kernel) -> np.ndarray:
@@ -85,15 +84,6 @@ def sequential_distribution(
     :func:`chain_rule`, so rows at or below ``ZERO_PROBABILITY`` are exactly zero."""
     entries = chain_rule(_born_probs(state, first), overlap_kernel(first, second))
     return SequentialTable(first_basis=first, second_basis=second, entries=entries)
-
-
-def marginal_over_second(table: SequentialTable) -> Distribution:
-    """Row sums: the first measurement's distribution, recovered exactly.
-
-    Summing a chain-rule table over the later outcome always returns the
-    earlier measurement's statistics; this identity survives noncommutation.
-    """
-    return Distribution(table.first_basis.labels, table.entries.sum(axis=1))
 
 
 def nondistribution_defect(
@@ -144,17 +134,6 @@ def _commutation_defect(born_a: np.ndarray, born_b: np.ndarray, kernel: np.ndarr
     return float(np.maximum.reduce(_order_asymmetry(forward, reverse), axis=None))
 
 
-def bases_equal(a: MeasurementBasis, b: MeasurementBasis) -> bool:
-    """Outcome by outcome, the projectors agree entrywise within ``BASES_EQUAL_TOL``."""
-    if a is b:
-        return True
-    if a.dim != b.dim:
-        return False
-    # stack[k] = |f_k><f_k|, the projector of outcome k
-    stack_a, stack_b = (np.einsum("ik,jk->kij", f, f.conj()) for f in (a.frame, b.frame))
-    return float(abs(stack_a - stack_b).max()) <= BASES_EQUAL_TOL
-
-
 class JointWitness:
     """The most order-asymmetric entry of a table pair."""
 
@@ -185,12 +164,10 @@ def joint_exists(t_ab: SequentialTable, t_ba: SequentialTable, tol: float = 1e-9
     measurement is statistically irrelevant: t_ab[i, j] = t_ba[j, i] for all
     entries.  When it exists the common table is returned as a distribution
     over pairs; otherwise the maximally asymmetric entry is the witness (the
-    first in row-major order when several tie within ``ENTRY_TOL``).
+    first in row-major order when several tie within ``ENTRY_TOL``).  The two
+    tables must hold the same two basis objects, in opposite orders.
     """
-    if not (
-        bases_equal(t_ab.first_basis, t_ba.second_basis)
-        and bases_equal(t_ab.second_basis, t_ba.first_basis)
-    ):
+    if t_ab.first_basis is not t_ba.second_basis or t_ab.second_basis is not t_ba.first_basis:
         raise PreconditionError("tables do not cover the same basis pair in opposite orders")
     gap = _order_asymmetry(t_ab.entries, t_ba.entries)
     worst = (gap >= np.maximum.reduce(gap, axis=None) - ENTRY_TOL).argmax()
@@ -238,4 +215,4 @@ def within_binomial_bound(exact: SequentialTable, empirical: SequentialTable,
     if exact.entries.shape != empirical.entries.shape:
         raise DimensionMismatchError("table shapes differ")
     bounds = binomial_bound(exact.entries, n_trials)
-    return bool((abs(empirical.entries - exact.entries) <= bounds).all())
+    return bool(np.logical_and.reduce(abs(empirical.entries - exact.entries) <= bounds, axis=None))

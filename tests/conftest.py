@@ -383,6 +383,16 @@ def checked_table(first_basis: MeasurementBasis, second_basis: MeasurementBasis,
     return SequentialTable(first_basis, second_basis, entries)
 
 
+def marginal_over_second(table: SequentialTable) -> Distribution:
+    """Row sums: the first measurement's distribution, recovered exactly.
+
+    Summing a chain-rule table over the later outcome always returns the
+    earlier measurement's statistics; this identity survives noncommutation.
+    The reference form of the marginal identity that tables are held against.
+    """
+    return Distribution(table.first_basis.labels, table.entries.sum(axis=1))
+
+
 class TruthTableRow:
     __slots__ = ("a", "b", "lhs", "rhs")
 

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from conftest import (
+    marginal_over_second,
     random_basis_pair,
     random_commuting_pair,
     random_direction_pair,
@@ -50,7 +51,6 @@ from qlbench.stats import (
     born_distribution,
     commutation_defect,
     joint_exists,
-    marginal_over_second,
     nondistribution_defect,
     sequential_distribution,
     within_binomial_bound,

@@ -1,9 +1,10 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -11,6 +12,7 @@ from conftest import (
     audit_inputs,
     checked_kernel,
     checked_model,
+    gram_tilted_frame,
     model_inputs,
     near_threshold_floats,
     random_basis_pair,
@@ -134,6 +136,45 @@ class TestBasesAtBasisTol:
     def test_pair_past_basis_tol_is_refused(self, dim):
         with pytest.raises(InvariantViolationError, match="not an orthonormal basis"):
             MeasurementBasis.from_vectors(tilted_vectors(rng_from(405), dim, 1.01))
+
+
+class TestBuildDecidesOnTheReadersRowSums:
+    """The build divides a kernel's rows by their sums exactly when
+    ``parse_model`` would refuse the rows it writes: both decide on the
+    ``np.add.reduce`` sums of C-ordered rows, which at d = 8 can differ in the
+    last bit from the sums of a transposed view."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_models_at_the_row_tol_boundary_read_back(self, seed):
+        rng = np.random.default_rng(seed)
+        then = MeasurementBasis.from_vectors(random_unitary(rng, 8).T)
+        state = random_state(rng, 8)
+
+        def first_at(factor):  # its Gram error moves the b-then-a row sums off 1
+            return MeasurementBasis.from_vectors(gram_tilted_frame(8, factor).T)
+
+        def row_gap(factor):
+            rows = np.ascontiguousarray(overlap_kernel(first_at(factor), then).T)
+            return float(np.max(np.abs(np.add.reduce(rows, axis=1) - 1.0)))
+
+        inside, outside = 0.0, 0.99
+        assert row_gap(outside) > ROW_TOL
+        for _ in range(60):  # bisect the tilt to where the largest gap passes ROW_TOL
+            middle = 0.5 * (inside + outside)
+            inside, outside = (middle, outside) if row_gap(middle) <= ROW_TOL else (inside, middle)
+        gaps = []
+        # both ends of the bisection, and steps of about half an ulp of the row sums
+        for factor in (inside, outside, *(outside * (1.0 + k * 1e-4) for k in range(-4, 5))):
+            gaps.append(row_gap(factor))
+            model = build_qm_equivalent_model(state, first_at(factor), then)
+            loaded = parse_model(serialize_model(model))
+            assert [kernel.rows.tobytes() for kernel in loaded.kernels.values()] == [
+                kernel.rows.tobytes() for kernel in model.kernels.values()]
+            assert loaded.ensemble.weights.tobytes() == model.ensemble.weights.tobytes()
+            assert loaded.ensemble.values.tobytes() == model.ensemble.values.tobytes()
+        assert min(gaps) <= ROW_TOL < max(gaps)
+        assert max(abs(gap - ROW_TOL) for gap in gaps) <= 16 * np.finfo(float).eps
 
 
 ZX_CONTEXTS = (
@@ -595,8 +636,10 @@ def numpy_build_fields(state, a, b):
     weights = (born(a)[:, None] * born(b)).ravel()
     weights = weights / sum(weights.tolist())
     overlaps = np.abs(a.frame.conj().T @ b.frame) ** 2
+    # the b-then-a kernel C-ordered, so that its row sums are the ones parse_model reads
     kernels = [rows if (abs(rows.sum(axis=1) - 1.0) <= ROW_TOL).all()
-               else rows / rows.sum(axis=1, keepdims=True) for rows in (overlaps, overlaps.T)]
+               else rows / rows.sum(axis=1, keepdims=True)
+               for rows in (overlaps, np.ascontiguousarray(overlaps.T))]
     return values, weights, kernels
 
 
@@ -706,6 +749,42 @@ class TestAuditFormsEachQuantityOnce:
                             counting("marginal", hidden.HiddenEnsemble.marginal))
         audit_no_go(*inputs)
         assert calls == {"_born_probs": 2, "overlap_kernel": 1, "marginal": 2}
+
+
+class TestFormedOncePerModel:
+    """Built models share one read-only member grid per dimension, and each
+    ensemble forms its map from context to column once."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8))
+    def test_member_grid_is_the_divmod_form_and_read_only(self, seed, dim):
+        assert not hidden._MEMBER_GRIDS[dim].flags.writeable  # before any build freezes it
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, dim)
+        first, then = random_basis_pair(rng, dim)
+        values = build_qm_equivalent_model(state, first, then).ensemble.values
+        assert values is hidden._MEMBER_GRIDS[dim]
+        expected = np.array([divmod(m, dim) for m in range(dim * dim)], dtype=np.int64)
+        assert values.dtype == np.int64
+        assert values.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            values[0, 0] = 1
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
+           ids=st.lists(st.text(max_size=3), min_size=2, max_size=2, unique=True),
+           asked=st.one_of(st.text(max_size=3), st.none(), st.integers(),
+                           st.lists(st.text(max_size=1), max_size=2)))
+    def test_column_refuses_an_undeclared_context(self, seed, dim, ids, asked):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, dim)
+        ensemble = build_qm_equivalent_model(state, *random_basis_pair(rng, dim),
+                                             tuple(ids)).ensemble
+        assert [ensemble.column(name) for name in ids] == [0, 1]
+        assume(asked not in ids)
+        message = f"context {asked!r} not declared"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            ensemble.column(asked)
 
 
 class TestTruthTable:

@@ -319,6 +319,34 @@ class TestFromVectorsAgainstReference:
         assert built_or_refused(basis_fields, case) == built_or_refused(reference_basis, case)
 
 
+class TestFormedOncePerBasis:
+    """A basis forms its frame's conjugate transpose once, for every Born and
+    overlap product, and unlabelled bases of one size share one label tuple."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(scaled_unitaries())
+    def test_adjoint_is_the_conjugate_transpose_and_read_only(self, columns):
+        basis = MeasurementBasis.from_vectors(columns.T)
+        expected = basis.frame.conj().T
+        adjoint = basis.adjoint
+        assert adjoint.tobytes() == expected.tobytes()
+        assert (adjoint.dtype, adjoint.shape, adjoint.strides) == (
+            expected.dtype, expected.shape, expected.strides)  # one layout: one matmul order
+        assert not adjoint.flags.writeable
+        with pytest.raises(ValueError):
+            adjoint[0, 0] = 0.0
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(scaled_unitaries())
+    def test_default_labels_are_shared_per_size(self, columns):
+        dim = len(columns)
+        basis = MeasurementBasis.from_vectors(columns.T)
+        assert basis.labels == tuple(str(k) for k in range(dim))
+        assert basis.labels is MeasurementBasis.from_vectors(np.eye(dim)).labels
+        given_labels = [f"o{k}" for k in range(dim)]
+        assert MeasurementBasis.from_vectors(columns.T, given_labels).labels == tuple(given_labels)
+
+
 def general_norm_unit_vectors(vectors, axis=None):
     """``unit_vectors`` with its plain norms taken by ``np.linalg.norm``: the
     reference for the bits of its result."""

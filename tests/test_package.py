@@ -193,7 +193,9 @@ def test_storing_records_neither_check_nor_copy():
     # each of these records is checked by its one entry for outside input
     # (``from_vectors``, ``parse_model`` or ``OutcomeSpace.event``), or is only
     # computed by the package (the distributions and tables of ``stats``), so
-    # its constructor raises nothing, makes no array and scans no list
+    # its constructor raises nothing, makes no array and scans no list; the two
+    # fields a constructor derives are the basis's ``adjoint`` and the
+    # ensemble's ``columns`` map, each formed once, from what it stores
     found = []
     for record in STORING_RECORDS:
         module, name = record.split(".")
@@ -208,6 +210,19 @@ def test_storing_records_neither_check_nor_copy():
                        or node.func.attr in ("array", "asarray")
                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np")]
     assert found == []
+
+
+def test_frame_adjoint_is_formed_only_by_the_basis():
+    # MeasurementBasis forms its frame's conjugate transpose once, as
+    # ``adjoint``; the Born and overlap products of stats and hidden take it
+    # from there and never conjugate a frame again
+    found = [f"{name}:{node.lineno}" for name in ("stats.py", "hidden.py")
+             for node in ast.walk(ast.parse((SRC / "qlbench" / name).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("conj", "conjugate")
+             and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "frame"]
+    assert found == []
+
 
 # The keywords each library function keeps; a setting no caller changes is a
 # module constant (``lattice.TUPLE_LIMIT``, ``stats.BINOMIAL_Z``), not a keyword.

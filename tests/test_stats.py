@@ -16,6 +16,7 @@ from conftest import (
     commuting_bases,
     gram_tilted_frame,
     hadamard_frame,
+    marginal_over_second,
     model_inputs,
     near_threshold_floats,
     random_basis_pair,
@@ -46,18 +47,15 @@ from qlbench.hilbert import (
 )
 from qlbench.sampling import rng_from
 from qlbench.stats import (
-    BASES_EQUAL_TOL,
     ENTRY_TOL,
     Distribution,
     SequentialTable,
-    bases_equal,
     binomial_bound,
     born_distribution,
     chain_rule,
     commutation_defect,
     dispersion,
     joint_exists,
-    marginal_over_second,
     nondistribution_defect,
     overlap_kernel,
     sequential_distribution,
@@ -299,10 +297,24 @@ class TestCommutationDefect:
             assert commutation_defect(state, first, second) < 1e-12
 
 
+# the entrywise projector agreement at which joint_exists took two bases for one
+# before it decided the pair by identity; ``oracle_bases_equal`` keeps that rule
+OLD_BASES_EQUAL_TOL = 1e-9
+
+
 class TestBasisComparisonThresholds:
-    @pytest.mark.parametrize("factor, equal", [(0.99, True), (1.01, False)])
-    def test_bases_equal_at_bases_equal_tol(self, z_basis, factor, equal):
-        assert bases_equal(z_basis, tilted_z_basis(factor * BASES_EQUAL_TOL)) == equal
+    @pytest.mark.parametrize("factor, old_equal", [(0.99, True), (1.01, False)])
+    def test_joint_refuses_twin_bases_at_the_old_bases_equal_tol(self, z_plus, z_basis, x_basis,
+                                                                 factor, old_equal):
+        # the same basis objects are accepted; a twin of z refused on either side
+        # of the old tolerance, where the projector rule accepted the nearer one
+        twin = tilted_z_basis(factor * OLD_BASES_EQUAL_TOL)
+        assert oracle_bases_equal(z_basis, twin, OLD_BASES_EQUAL_TOL) == old_equal
+        forward = sequential_distribution(z_plus, z_basis, x_basis)
+        assert not joint_exists(forward, sequential_distribution(z_plus, x_basis, z_basis)).exists
+        with pytest.raises(PreconditionError, match="^tables do not cover the same basis pair "
+                                                    "in opposite orders$"):
+            joint_exists(forward, sequential_distribution(z_plus, x_basis, twin))
 
     @pytest.mark.parametrize("factor, commuting", [(0.99, True), (1.01, False)])
     def test_commuting_bases_at_commutator_tol(self, z_basis, factor, commuting):
@@ -694,7 +706,7 @@ class TestFramePathAgainstOracle:
         dim=st.integers(1, 8),
         kind=st.sampled_from(("generic", "commuting", "orthogonal")),
     )
-    def test_tables_marginals_defects_and_equality(self, seed, dim, kind):
+    def test_tables_marginals_defects_and_basis_identity(self, seed, dim, kind):
         rng = rng_from(seed)
         state = random_state(rng, dim)
         if kind == "commuting":
@@ -713,16 +725,39 @@ class TestFramePathAgainstOracle:
                    - oracle_commutation_defect(state, first, second)) <= 1e-12
         assert abs(nondistribution_defect(state, first, target, second)
                    - oracle_nondistribution_defect(state, first, target, second)) <= 1e-12
+        # joint_exists takes the basis pair by identity: a rephased twin of the
+        # first basis, one basis by the reference projector rule, is refused
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
         phased = MeasurementBasis.from_vectors((first.frame * phases).T, first.labels)
-        assert bases_equal(first, phased)
+        assert oracle_bases_equal(first, phased)
+        forward = sequential_distribution(state, first, second)
+        joint_exists(forward, sequential_distribution(state, second, first))
+        with pytest.raises(PreconditionError):
+            joint_exists(forward, sequential_distribution(state, second, phased))
         for a, b in ((first, second), (first, first), (first, phased)):
-            assert bases_equal(a, b) == oracle_bases_equal(a, b)
             assert commuting_bases(a, b) == oracle_commuting_bases(a, b)
         if kind == "orthogonal" and dim > 1:
             assert np.count_nonzero(sequential_distribution(state, first, second).entries.sum(axis=1)) < dim
         if kind == "commuting":
             assert commuting_bases(first, second)
+
+
+class TestProductsAgainstProjectorOracle:
+    """The Born and overlap products, taken from each basis's one adjoint,
+    against the projector arithmetic."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8))
+    def test_born_probs_and_overlap_kernel(self, seed, dim):
+        rng = rng_from(seed)
+        state = random_state(rng, dim)
+        first, then = random_basis_pair(rng, dim)
+        expected_born = [born_probability(state, p) for p in projectors(first)]
+        assert np.max(np.abs(stats._born_probs(state, first) - expected_born)) <= 1e-12
+        # kernel[i, j] = <a_i|Q_j|a_i>, the Born probability of then = j on ray i of first
+        expected_kernel = [[born_probability(StateVector(ray.copy()), q) for q in projectors(then)]
+                           for ray in first.frame.T]
+        assert np.max(np.abs(overlap_kernel(first, then) - expected_kernel)) <= 1e-12
 
 
 class TestZeroProbabilityThreshold:
