@@ -312,8 +312,8 @@ def _build_model(config: ExperimentConfig):
 
     if config.model is not None:
         model = hidden.load_model(config.model)
-        ids = model.ensemble.context_ids()
-        return model, (ids[0], ids[1]), None
+        id_a, id_b = model.contexts
+        return model, (id_a, id_b), None
     state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
     model = hidden.build_qm_equivalent_model(state, basis_a, basis_b, (name_a, name_b))
     return model, (name_a, name_b), state
@@ -323,27 +323,27 @@ def _cmd_hv_build(config: ExperimentConfig) -> Report:
     from . import hidden
 
     model, (id_a, id_b), _state = _build_model(config)
-    ensemble = model.ensemble
+    contexts = model.contexts
 
     report = Report(title="dispersion-free ensemble construction")
     report.add("contexts", f"{id_a}, {id_b}")
-    report.add("members", len(ensemble.weights))
-    labels_a, labels_b = ensemble.contexts[id_a].labels, ensemble.contexts[id_b].labels
+    report.add("members", len(model.weights))
+    labels_a, labels_b = contexts[id_a].labels, contexts[id_b].labels
     report.add_table(
         "ensemble (definite values and weights)",
         [id_a, id_b, "weight"],
         [
             [labels_a[a], labels_b[b], weight]
-            for (a, b), weight in zip(ensemble.values.tolist(), ensemble.weights.tolist())
+            for (a, b), weight in zip(model.values.tolist(), model.weights.tolist())
         ],
     )
     for (src, dst), kernel in model.kernels.items():
         report.add_table(
             f"kernel {src} → {dst}",
-            [f"{src} outcome", *ensemble.contexts[dst].labels],
+            [f"{src} outcome", *contexts[dst].labels],
             [
-                [ensemble.contexts[src].labels[i], *[float(x) for x in row]]
-                for i, row in enumerate(kernel.rows)
+                [contexts[src].labels[i], *[float(x) for x in row]]
+                for i, row in enumerate(kernel)
             ],
         )
     report.verdict = "model constructed; every member is value-definite"
@@ -365,12 +365,9 @@ def _cmd_hv_exact(config: ExperimentConfig) -> Report:
     _add_sequential(report, f"P({id_b} first, {id_a} then)", reverse)
     ok = True
     if state is not None:
-        qm_forward = stats.sequential_distribution(
-            state, model.ensemble.contexts[id_a], model.ensemble.contexts[id_b]
-        )
-        qm_reverse = stats.sequential_distribution(
-            state, model.ensemble.contexts[id_b], model.ensemble.contexts[id_a]
-        )
+        basis_a, basis_b = model.contexts[id_a], model.contexts[id_b]
+        qm_forward = stats.sequential_distribution(state, basis_a, basis_b)
+        qm_reverse = stats.sequential_distribution(state, basis_b, basis_a)
         gap = max(
             float(abs(forward.entries - qm_forward.entries).max()),
             float(abs(reverse.entries - qm_reverse.entries).max()),

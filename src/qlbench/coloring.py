@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigSemanticError, Line, parse_lines
 from .errors import InvariantViolationError, PreconditionError
-from .hilbert import unit_vectors
+from .hilbert import _frozen, is_integer, unit_vectors
 
 RAY_TOL = 1e-9
 
@@ -40,8 +40,7 @@ class RayFamily:
     __slots__ = ("dim", "rays", "bases")
 
     def __init__(self, dim: int, rays: np.ndarray, bases: tuple[tuple[int, ...], ...]) -> None:
-        rays.setflags(write=False)
-        self.dim, self.rays, self.bases = dim, rays, bases
+        self.dim, self.rays, self.bases = dim, _frozen(rays), bases
 
     @classmethod
     def from_vectors(cls, dim: int, vectors, bases) -> RayFamily:
@@ -82,17 +81,13 @@ def _ray_matrix(dim: int, rays) -> np.ndarray:
         return np.array([np.ravel(ray) for ray in rays], dtype=complex)
 
 
-def _is_index(kind: type) -> bool:
-    return kind is not bool and issubclass(kind, (int, np.integer))
-
-
 def _basis_index(dim: int, n: int, bases) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """``bases`` as tuples of ints and as one (len(bases), dim) index array, once
     each names ``dim`` distinct integer indices below ``n``.  All bases are decided
     at once, and walked one by one only to name the first fault."""
     bases = tuple(map(tuple, bases))
-    kinds = set(map(type, chain(*bases)))
-    if set(map(len, bases)) <= {dim} and all(map(_is_index, kinds)):
+    plain = set(map(type, chain(*bases))) <= {int}  # no numpy integer to convert
+    if set(map(len, bases)) <= {dim} and (plain or all(map(is_integer, chain(*bases)))):
         try:
             index = np.fromiter(chain(*bases), np.intp, len(bases) * dim).reshape(-1, dim)
         except OverflowError:  # an index beyond intp, so out of range
@@ -101,10 +96,10 @@ def _basis_index(dim: int, n: int, bases) -> tuple[tuple[tuple[int, ...], ...], 
             ordered = np.sort(index, axis=1)
             if not bases or (ordered[:, 0].min() >= 0 and ordered[:, -1].max() < n
                              and (ordered[:, 1:] != ordered[:, :-1]).all()):
-                return (bases if kinds <= {int} else tuple(map(tuple, index.tolist()))), index
+                return (bases if plain else tuple(map(tuple, index.tolist()))), index
     for b, basis in enumerate(bases):
         for p, i in enumerate(basis):
-            if not _is_index(type(i)):
+            if not is_integer(i):
                 raise InvariantViolationError(f"basis {b} names {i!r}, not a ray index",
                                               ("basis", b, p))
         if len(basis) != dim or len(set(basis)) != dim:

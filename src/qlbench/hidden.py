@@ -22,9 +22,10 @@ import numpy as np
 
 from .config import ConfigSemanticError, Line, format_complex, parse_lines
 from .errors import InvariantViolationError, PreconditionError
-from .hilbert import MAX_DIM, MeasurementBasis, StateVector, _frozen, principal_vector
+from .hilbert import (MAX_DIM, MeasurementBasis, StateVector, _frozen, is_integer,
+                      principal_vector)
 from .stats import (SequentialTable, _born_probs, _commutation_defect, _order_asymmetry,
-                    chain_rule, dispersion, is_integer, overlap_kernel)
+                    chain_rule, dispersion, overlap_kernel)
 
 WEIGHT_TOL = 1e-12
 ROW_TOL = 1e-12
@@ -42,28 +43,35 @@ _MEMBER_GRIDS = tuple(_frozen(np.array(np.divmod(np.arange(d * d), d)).T)
                       for d in range(MAX_DIM + 1))
 
 
-class HiddenEnsemble:
-    """Convex mixture of value-definite members over declared contexts.
+class HiddenModel:
+    """A convex mixture of value-definite members over declared contexts, plus
+    one transition kernel per ordered context pair.
 
-    One integer matrix and one weight vector hold the ensemble: member m
-    yields outcome ``values[m, c]`` in the c-th declared context (in
-    ``contexts`` order) and has weight ``weights[m]``.  The constructor
-    stores what the package built (int64 values, float weights), made
-    read-only, and forms the map ``columns`` from each context to its
-    column once; ``parse_model`` checks a model read from a file.
+    One integer matrix and one weight vector hold the mixture: member m yields
+    outcome ``values[m, c]`` in the c-th declared context (in ``contexts``
+    order) and has weight ``weights[m]``.  ``kernels[(src, dst)][i, j]`` is the
+    probability that, after outcome i in src, the hidden value for dst becomes
+    j: one row per outcome of src, one entry per outcome of dst.  The
+    constructor stores what the package built (int64 values, float weights and
+    kernel rows), made read-only, and forms ``columns``, the map from each
+    context to its column, and ``marginals``, each context's outcome
+    probabilities under the mixture in column order, once; ``parse_model``
+    checks a model read from a file.
     """
 
-    __slots__ = ("values", "weights", "contexts", "columns")
+    __slots__ = ("values", "weights", "contexts", "kernels", "columns", "marginals")
 
     def __init__(self, values: np.ndarray, weights: np.ndarray,
-                 contexts: Mapping[str, MeasurementBasis]) -> None:
+                 contexts: Mapping[str, MeasurementBasis],
+                 kernels: Mapping[tuple[str, str], np.ndarray]) -> None:
         self.values = _frozen(values)
         self.weights = _frozen(weights)
         self.contexts = MappingProxyType(contexts)
+        self.kernels = MappingProxyType({key: _frozen(rows) for key, rows in kernels.items()})
         self.columns = MappingProxyType({name: c for c, name in enumerate(contexts)})
-
-    def context_ids(self) -> tuple[str, ...]:
-        return tuple(self.contexts)
+        self.marginals = tuple(
+            _frozen(np.bincount(values[:, c], weights=weights, minlength=basis.size))
+            for c, basis in enumerate(contexts.values()))
 
     def column(self, context: str) -> int:
         """The column of ``values`` that holds ``context``."""
@@ -74,42 +82,22 @@ class HiddenEnsemble:
 
     def marginal(self, context: str) -> np.ndarray:
         """Probability of each outcome of ``context`` under the mixture."""
-        return np.bincount(self.values[:, self.column(context)], weights=self.weights,
-                           minlength=self.contexts[context].size)
+        return self.marginals[self.column(context)]
 
-
-class TransitionKernel:
-    """Row-stochastic disturbance matrix between two measurement contexts.
-
-    A kernel is stored under its ordered context pair (src, dst) in
-    ``HiddenModel.kernels``: rows[i, j] = probability that, after outcome i
-    in src, the hidden value for dst becomes j.  The constructor stores a
-    float matrix the package built, made read-only.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: np.ndarray) -> None:
-        self.rows = _frozen(rows)
-
-
-class HiddenModel:
-    """A value-definite ensemble plus one transition kernel per ordered context
-    pair, each kernel with one row per outcome of its first context and one
-    entry per outcome of its second."""
-
-    __slots__ = ("ensemble", "kernels")
-
-    def __init__(self, ensemble: HiddenEnsemble,
-                 kernels: Mapping[tuple[str, str], TransitionKernel]) -> None:
-        self.ensemble = ensemble
-        self.kernels = MappingProxyType(kernels)
-
-    def kernel(self, first: str, then: str) -> TransitionKernel:
+    def kernel(self, first: str, then: str) -> np.ndarray:
         try:
             return self.kernels[(first, then)]
         except KeyError:
             raise PreconditionError(f"no kernel declared for order ({first!r}, {then!r})") from None
+
+
+def _row_sum_fault(totals: np.ndarray) -> str | None:
+    """Why a kernel whose rows sum to ``totals`` is not row-stochastic within
+    ``ROW_TOL``, or None when every row sums to 1 within it."""
+    for i, total in enumerate(totals.ravel().tolist()):
+        if not abs(total - 1.0) <= ROW_TOL:
+            return f"kernel row {i} sums to {total!r}, not 1"
+    return None
 
 
 def _not_stochastic(rows: np.ndarray) -> str | None:
@@ -117,10 +105,7 @@ def _not_stochastic(rows: np.ndarray) -> str | None:
     or None when it is."""
     if not all(x >= 0.0 for x in rows.ravel().tolist()):  # NaN fails
         return "kernel entry negative or not a number"
-    for i, total in enumerate(np.add.reduce(rows, axis=1).tolist()):
-        if not abs(total - 1.0) <= ROW_TOL:
-            return f"kernel row {i} sums to {total!r}, not 1"
-    return None
+    return _row_sum_fault(np.add.reduce(rows, axis=1))
 
 
 def build_qm_equivalent_model(
@@ -164,25 +149,17 @@ def _build_model(state: StateVector, basis_a: MeasurementBasis, basis_b: Measure
         # a basis pair within BASIS_TOL can miss row sums of 1 by more than ROW_TOL;
         # squared overlaps are never negative or NaN, so the sums alone decide
         totals = np.add.reduce(rows, axis=1, keepdims=True)
-        if not all(abs(total - 1.0) <= ROW_TOL for total in totals.ravel().tolist()):
-            rows = rows / totals
-        kernels[key] = TransitionKernel(rows)
-    ensemble = HiddenEnsemble(values, weights, {id_a: basis_a, id_b: basis_b})
-    return HiddenModel(ensemble=ensemble, kernels=kernels), born_a, born_b, overlaps
+        kernels[key] = rows / totals if _row_sum_fault(totals) else rows
+    model = HiddenModel(values, weights, {id_a: basis_a, id_b: basis_b}, kernels)
+    return model, born_a, born_b, overlaps
 
 
 def exact_sequential(model: HiddenModel, order: tuple[str, str]) -> SequentialTable:
     """Closed-form ordered table: the chain rule on the first marginal and the kernel rows."""
-    return _exact_table(model, order, model.ensemble.marginal(order[0]))
-
-
-def _exact_table(model: HiddenModel, order: tuple[str, str],
-                 first_marginal: np.ndarray) -> SequentialTable:
-    """:func:`exact_sequential` on the first context's marginal, already formed."""
+    first_marginal = model.marginal(order[0])
     first, then = order
-    entries = chain_rule(first_marginal, model.kernel(first, then).rows)
-    contexts = model.ensemble.contexts
-    return SequentialTable(contexts[first], contexts[then], entries)
+    entries = chain_rule(first_marginal, model.kernel(first, then))
+    return SequentialTable(model.contexts[first], model.contexts[then], entries)
 
 
 def simulate_sequential(
@@ -202,22 +179,20 @@ def simulate_sequential(
     if n_trials < 1:
         raise PreconditionError("need at least one trial")
     first, then = order
-    ensemble = model.ensemble
     kernel = model.kernel(first, then)
     rng = np.random.default_rng(seed)
 
-    weights = ensemble.weights
+    weights = model.weights
     member_counts = rng.multinomial(n_trials, weights / np.add.reduce(weights))
-    counts = np.zeros(kernel.rows.shape)
+    counts = np.zeros(kernel.shape)
     first_counts = [0] * len(counts)  # Python ints: exact at any trial count
-    for i, count in zip(ensemble.values[:, ensemble.column(first)].tolist(),
-                        member_counts.tolist()):
+    for i, count in zip(model.values[:, model.column(first)].tolist(), member_counts.tolist()):
         first_counts[i] += count
     for i, count in enumerate(first_counts):
         if count:
-            row = kernel.rows[i]
+            row = kernel[i]
             counts[i] = rng.multinomial(count, row / np.add.reduce(row))
-    return SequentialTable(ensemble.contexts[first], ensemble.contexts[then], counts / n_trials)
+    return SequentialTable(model.contexts[first], model.contexts[then], counts / n_trials)
 
 
 def _law_lhs(a, b):
@@ -271,15 +246,14 @@ def audit_no_go(
 ) -> NoGoAudit:
     """Build the model and check every auditable link of the chain."""
     model, born_a, born_b, overlaps = _build_model(state, basis_a, basis_b, context_ids)
-    ensemble = model.ensemble
     id_a, id_b = context_ids
 
     # proposition k is (context columns[k], outcome outcomes[k]), context by
     # context; truths[m, k] = 1 if member m yields proposition k, else 0
-    sizes = [basis.size for basis in ensemble.contexts.values()]
+    sizes = [basis.size for basis in model.contexts.values()]
     columns = [c for c, size in enumerate(sizes) for _ in range(size)]
     outcomes = [k for size in sizes for k in range(size)]
-    truths = (ensemble.values[:, columns] == outcomes).astype(int)
+    truths = (model.values[:, columns] == outcomes).astype(int)
     # each check below reads a member's proposition pair (k, l) only through its truth
     # values (a, b), so the value pairs that some member holds decide all m * k * k
     pairs = {(a, b) for row in set(map(frozenset, truths.tolist())) for a in row for b in row}
@@ -288,11 +262,10 @@ def audit_no_go(
     distributive = all(_law_lhs(a, b) == _law_rhs(a, b) for a, b in pairs)
     pairs_checked = truths.shape[0] * truths.shape[1] ** 2
 
-    marginal_a, marginal_b = ensemble.marginal(id_a), ensemble.marginal(id_b)
-    mixture_max_dispersion = max(dispersion(np.concatenate((marginal_a, marginal_b))).tolist())
+    mixture_max_dispersion = max(dispersion(np.concatenate(model.marginals)).tolist())
 
-    table_ab = _exact_table(model, (id_a, id_b), marginal_a)
-    table_ba = _exact_table(model, (id_b, id_a), marginal_b)
+    table_ab = exact_sequential(model, (id_a, id_b))
+    table_ba = exact_sequential(model, (id_b, id_a))
     hv_defect = float(np.maximum.reduce(_order_asymmetry(table_ab.entries, table_ba.entries),
                                         axis=None))
     qm_defect = _commutation_defect(born_a, born_b, overlaps)
@@ -301,7 +274,7 @@ def audit_no_go(
 
     return NoGoAudit(
         context_ids=context_ids,
-        member_count=len(ensemble.weights),
+        member_count=len(model.weights),
         members_value_definite=value_definite,
         members_distributive=distributive,
         member_pairs_checked=pairs_checked,
@@ -319,23 +292,20 @@ def audit_no_go(
 
 def serialize_model(model: HiddenModel) -> str:
     """Render a model in the replayable line-oriented experiment format."""
-    ensemble = model.ensemble
-    ids = ensemble.context_ids()
-    dim = ensemble.contexts[ids[0]].dim
-    lines = [f"model-dim {dim}"]
-    for name in ids:
-        basis = ensemble.contexts[name]
+    ids = tuple(model.contexts)
+    lines = [f"model-dim {model.contexts[ids[0]].dim}"]
+    for name, basis in model.contexts.items():
         vectors = " ; ".join(
             " ".join(map(format_complex, principal_vector(column)))
             for column in basis.frame.T
         )
         labels = " ".join(basis.labels)
         lines.append(f"context {name} labels {labels} vectors {vectors}")
-    for row, weight in zip(ensemble.values.tolist(), ensemble.weights.tolist()):
+    for row, weight in zip(model.values.tolist(), model.weights.tolist()):
         values = " ".join(f"{name}={value}" for name, value in zip(ids, row))
         lines.append(f"member {values} weight {weight!r}")
     for (src, dst), kernel in model.kernels.items():
-        rows = " ; ".join(" ".join(repr(float(x)) for x in row) for row in kernel.rows)
+        rows = " ; ".join(" ".join(repr(float(x)) for x in row) for row in kernel)
         lines.append(f"kernel {src} {dst} rows {rows}")
     return "\n".join(lines) + "\n"
 
@@ -349,7 +319,7 @@ def parse_model(text: str) -> HiddenModel:
     contexts: dict[str, MeasurementBasis] = {}
     members: list[tuple[Line, list[str], list[int]]] = []  # line, context names, outcomes
     weights: list[float] = []
-    kernels: dict[tuple[str, str], TransitionKernel] = {}
+    kernels: dict[tuple[str, str], np.ndarray] = {}
     declared_at: dict = {}  # context name or kernel key -> its Line
 
     def declare(key, line: Line, what: str) -> None:
@@ -397,7 +367,7 @@ def parse_model(text: str) -> HiddenModel:
         fault = _not_stochastic(rows)
         if fault:
             raise line.error(fault, 1, ConfigSemanticError)
-        kernels[key] = TransitionKernel(rows)
+        kernels[key] = rows
 
     parse_lines(text, {"model-dim": model_dim, "context": context, "member": member,
                        "kernel": kernel}, "model")
@@ -440,18 +410,18 @@ def parse_model(text: str) -> HiddenModel:
         line = members[-1][0]
         raise line.error(f"weights sum to {total!r}, not 1", len(line.tokens) - 1,
                          ConfigSemanticError)
-    for (src, dst), record in kernels.items():
+    for (src, dst), rows in kernels.items():
         line = declared_at[(src, dst)]
         for name in (src, dst):
             if name not in contexts:
                 raise line.error(f"kernel references an undeclared context {name!r}", 1,
                                  ConfigSemanticError)
         expected = (contexts[src].size, contexts[dst].size)
-        if record.rows.shape != expected:
-            raise line.error(f"kernel {src} {dst} rows have shape {record.rows.shape}, expected "
+        if rows.shape != expected:
+            raise line.error(f"kernel {src} {dst} rows have shape {rows.shape}, expected "
                              f"{expected} (outcomes of {src} × outcomes of {dst})", 1,
                              ConfigSemanticError)
-    return HiddenModel(HiddenEnsemble(values, np.array(weights), contexts), kernels)
+    return HiddenModel(values, np.array(weights), contexts, kernels)
 
 
 def load_model(path) -> HiddenModel:

@@ -82,6 +82,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def is_integer(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class StateVector:
     """A unit vector of complex amplitudes; squared magnitudes sum to one."""
 

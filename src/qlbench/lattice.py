@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, InvariantViolationError, PreconditionError
-from .hilbert import MAX_DIM, unit_vectors
+from .hilbert import MAX_DIM, _frozen, unit_vectors
 
 RANK_TOL = 1e-10       # singular values below this count as zero
 INCLUSION_TOL = 1e-9   # residual norm allowed when testing containment
@@ -65,8 +65,7 @@ class Subspace:
     __slots__ = ("frame",)
 
     def __init__(self, frame: np.ndarray) -> None:
-        frame.setflags(write=False)
-        self.frame = frame
+        self.frame = _frozen(frame)
 
     @property
     def ambient_dim(self) -> int:

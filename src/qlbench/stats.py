@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
-from .hilbert import MeasurementBasis, StateVector, ZERO_PROBABILITY, _frozen
+from .hilbert import MeasurementBasis, StateVector, ZERO_PROBABILITY, _frozen, is_integer
 
 ENTRY_TOL = 1e-12
 BINOMIAL_Z = 4.0         # standard deviations a Monte-Carlo entry may stray
@@ -31,9 +31,6 @@ class Distribution:
     def __init__(self, labels: tuple[str, ...], probs: np.ndarray) -> None:
         self.labels = labels
         self.probs = _frozen(probs.clip(0.0, 1.0))
-
-    def __getitem__(self, index: int) -> float:
-        return float(self.probs[index])
 
 
 class SequentialTable:
@@ -184,11 +181,6 @@ def joint_exists(t_ab: SequentialTable, t_ba: SequentialTable, tol: float = 1e-9
         reverse=float(t_ba.entries[j, i]),
     )
     return JointVerdict(exists=False, joint=None, witness=witness)
-
-
-def is_integer(value) -> bool:
-    """An int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def dispersion(p):

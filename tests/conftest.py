@@ -12,8 +12,7 @@ from qlbench.errors import (
     PreconditionError,
     QLBenchError,
 )
-from qlbench.hidden import (ROW_TOL, WEIGHT_TOL, HiddenEnsemble, HiddenModel, TransitionKernel,
-                            _law_lhs, _law_rhs)
+from qlbench.hidden import ROW_TOL, WEIGHT_TOL, HiddenModel, _law_lhs, _law_rhs
 from qlbench.hilbert import (AXIS_NAMES, BASIS_TOL, MAX_DIM, STATE_PRESET_NAMES, MeasurementBasis,
                              StateVector, named_axis_basis, named_state)
 from qlbench.lattice import Subspace, _orthonormal_frame
@@ -272,10 +271,9 @@ def random_nested_pair(rng: np.random.Generator, ambient_dim: int) -> tuple[Subs
 
 
 def checked_kernel(rows) -> np.ndarray:
-    """Kernel rows made outside the package, checked first as
-    ``TransitionKernel`` checked them when its constructor did: a matrix of
-    nonnegative entries whose rows sum to 1 within ``ROW_TOL``.  A read-only
-    copy."""
+    """Kernel rows made outside the package, checked first as the kernel
+    record's constructor once checked them: a matrix of nonnegative entries
+    whose rows sum to 1 within ``ROW_TOL``.  A read-only copy."""
     rows = np.array(rows, dtype=float)
     if rows.ndim != 2:
         raise InvariantViolationError("kernel rows must form a matrix")
@@ -290,12 +288,11 @@ def checked_kernel(rows) -> np.ndarray:
 
 def checked_model(values, weights, contexts, kernels) -> HiddenModel:
     """The model of fields made outside the package, checked first as the
-    ``HiddenEnsemble`` and ``HiddenModel`` constructors checked them when they
-    did: integer outcomes in range for each context, nonnegative weights that
-    sum to 1 within ``WEIGHT_TOL``, and each kernel (rows as
-    :func:`checked_kernel` takes them, under its (src, dst) key) between two
-    declared contexts with one row per outcome of src and one entry per
-    outcome of dst.  A refusal names a weight (``("weight", m)``) or kernel
+    model records' constructors once checked them: integer outcomes in range
+    for each context, nonnegative weights that sum to 1 within
+    ``WEIGHT_TOL``, and each kernel (rows as :func:`checked_kernel` takes
+    them, under its (src, dst) key) between two declared contexts with one
+    row per outcome of src and one entry per outcome of dst.  A refusal names a weight (``("weight", m)``) or kernel
     (``("kernel", key)``) in its ``part``.  The reference form that built and
     read models are held against."""
     contexts = MappingProxyType(dict(contexts))
@@ -337,8 +334,7 @@ def checked_model(values, weights, contexts, kernels) -> HiddenModel:
             raise InvariantViolationError(
                 f"kernel {src} {dst} rows have shape {rows.shape}, expected {expected} "
                 f"(outcomes of {src} × outcomes of {dst})", part)
-    ensemble = HiddenEnsemble(values.astype(np.int64, copy=False), weights, dict(contexts))
-    return HiddenModel(ensemble, {key: TransitionKernel(rows) for key, rows in kernels.items()})
+    return HiddenModel(values.astype(np.int64, copy=False), weights, dict(contexts), kernels)
 
 
 def checked_distribution(labels, probs) -> Distribution:

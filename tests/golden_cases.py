@@ -6,8 +6,10 @@ format on their defaults; the 9 quantum commands in every format on four
 experiment files in ``golden/configs`` (d = 4 and d = 8 random vectors, a
 commuting d = 3 pair, and spin angles); and, for the default and each of
 those files, the model that ``hv-build --out`` writes plus the
-``hv-exact``/``hv-simulate`` output that replays it; and ``ks-search`` in
-every format on ``builtin:triads-d3`` and on a chain of 12 complex triads.
+``hv-exact``/``hv-simulate`` output that replays it; ``demo-eq10`` and
+``demo-mismatch`` in every format on two universes and two atoms read from an
+experiment file; and ``ks-search`` in every format on ``builtin:triads-d3``
+and on a chain of 12 complex triads.
 Every case runs with ``golden/configs`` as its working directory, where a
 family path in a config file is found.
 
@@ -32,6 +34,7 @@ COMMANDS = ("demo-eq5", "demo-eq10", "demo-mismatch", "stats-seq", "stats-commut
             "stats-joint", "stats-nondist", "hv-build", "hv-exact", "hv-simulate",
             "hv-audit", "ks-search", "lattice-check")
 QUANTUM = COMMANDS[:1] + COMMANDS[3:11]
+EVENTS = COMMANDS[1:3]
 REPLAY = ("hv-exact", "hv-simulate")
 
 
@@ -89,10 +92,12 @@ CONFIGS = {
     "random-d8": _random_config(8, 8),
     "commuting-d3": _commuting_config(3, 3),
     "angles": "state angles 0.7 2.1\ncontext angles 0 0\ncontext angles 1.9 -0.4\ntrials 5000\n",
+    "events": "universe spin up down\nuniverse coin heads tails edge\natoms down edge\n",
     "triads-d3": "family builtin:triads-d3\n",
     "chain": "family chain.rays\n",
 }
 QUANTUM_CONFIGS = ("random-d4", "random-d8", "commuting-d3", "angles")
+EVENT_CONFIGS = ("events",)
 FAMILY_CONFIGS = ("triads-d3", "chain")
 
 
@@ -101,7 +106,8 @@ def cases():
     for command in COMMANDS:
         for fmt in FORMATS:
             yield f"default/{command}.{fmt}", [command, "--format", fmt]
-    for configs, commands in ((QUANTUM_CONFIGS, QUANTUM), (FAMILY_CONFIGS, ("ks-search",))):
+    for configs, commands in ((QUANTUM_CONFIGS, QUANTUM), (EVENT_CONFIGS, EVENTS),
+                              (FAMILY_CONFIGS, ("ks-search",))):
         for config in configs:
             for command in commands:
                 for fmt in FORMATS:

@@ -179,7 +179,7 @@ class TestHiddenVariableCommands:
         assert code == 0
         assert "value-definite" in out
         model = load_model(model_path)
-        assert model.ensemble.context_ids() == ("z", "x")
+        assert tuple(model.contexts) == ("z", "x")
 
         replay = tmp_path / "replay.cfg"
         replay.write_text(f"model {model_path}\n")

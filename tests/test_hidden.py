@@ -63,9 +63,8 @@ def zx_model(z_plus, z_basis, x_basis):
 
 class TestBuildModel:
     def test_weights_are_product_of_marginals(self, zx_model):
-        ensemble = zx_model.ensemble
         weights = {
-            tuple(row): w for row, w in zip(ensemble.values.tolist(), ensemble.weights.tolist())
+            tuple(row): w for row, w in zip(zx_model.values.tolist(), zx_model.weights.tolist())
         }
         assert abs(weights[(0, 0)] - 0.5) < 1e-12
         assert abs(weights[(0, 1)] - 0.5) < 1e-12
@@ -73,13 +72,13 @@ class TestBuildModel:
         assert weights[(1, 1)] == 0.0
 
     def test_kernel_rows_are_squared_overlaps(self, zx_model):
-        assert_table(zx_model.kernel("A", "B").rows, [[0.5, 0.5], [0.5, 0.5]])
-        assert_table(zx_model.kernel("B", "A").rows, [[0.5, 0.5], [0.5, 0.5]])
+        assert_table(zx_model.kernel("A", "B"), [[0.5, 0.5], [0.5, 0.5]])
+        assert_table(zx_model.kernel("B", "A"), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_repeated_context_gives_identity_kernels(self, z_plus, z_basis):
         model = build_qm_equivalent_model(z_plus, z_basis, z_basis, ("A", "B"))
-        assert_table(model.kernel("A", "B").rows, np.eye(2))
-        assert_table(model.kernel("B", "A").rows, np.eye(2))
+        assert_table(model.kernel("A", "B"), np.eye(2))
+        assert_table(model.kernel("B", "A"), np.eye(2))
 
     def test_construction_invariants(self):
         rng = rng_from(401)
@@ -89,10 +88,10 @@ class TestBuildModel:
             first = spin_direction_basis(*p1)
             second = spin_direction_basis(*p2)
             model = build_qm_equivalent_model(state, first, second)
-            total = sum(model.ensemble.weights.tolist())
+            total = sum(model.weights.tolist())
             assert abs(total - 1.0) < 1e-12
             for kernel in model.kernels.values():
-                assert_table(kernel.rows.sum(axis=1), np.ones(2))
+                assert_table(kernel.sum(axis=1), np.ones(2))
 
     def test_context_ids_must_differ(self, z_plus, z_basis, x_basis):
         with pytest.raises(PreconditionError):
@@ -129,8 +128,8 @@ class TestBasesAtBasisTol:
         first, then = (MeasurementBasis.from_vectors(random_unitary(rng, dim).T) for _ in range(2))
         overlaps = overlap_kernel(first, then)
         model = build_qm_equivalent_model(random_state(rng, dim), first, then)
-        assert np.array_equal(model.kernels[("A", "B")].rows, overlaps)
-        assert np.array_equal(model.kernels[("B", "A")].rows, overlaps.T)
+        assert np.array_equal(model.kernels[("A", "B")], overlaps)
+        assert np.array_equal(model.kernels[("B", "A")], overlaps.T)
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_pair_past_basis_tol_is_refused(self, dim):
@@ -169,10 +168,10 @@ class TestBuildDecidesOnTheReadersRowSums:
             gaps.append(row_gap(factor))
             model = build_qm_equivalent_model(state, first_at(factor), then)
             loaded = parse_model(serialize_model(model))
-            assert [kernel.rows.tobytes() for kernel in loaded.kernels.values()] == [
-                kernel.rows.tobytes() for kernel in model.kernels.values()]
-            assert loaded.ensemble.weights.tobytes() == model.ensemble.weights.tobytes()
-            assert loaded.ensemble.values.tobytes() == model.ensemble.values.tobytes()
+            assert [kernel.tobytes() for kernel in loaded.kernels.values()] == [
+                kernel.tobytes() for kernel in model.kernels.values()]
+            assert loaded.weights.tobytes() == model.weights.tobytes()
+            assert loaded.values.tobytes() == model.values.tobytes()
         assert min(gaps) <= ROW_TOL < max(gaps)
         assert max(abs(gap - ROW_TOL) for gap in gaps) <= 16 * np.finfo(float).eps
 
@@ -236,18 +235,17 @@ class TestEnsembleInvariants:
     def test_values_and_weights_are_read_only_arrays(self):
         members = "member z=0 x=1 weight 0.25\nmember z=1 x=0 weight 0.75\n"
         model = parse_model(zx_model_text(members))
-        ensemble = model.ensemble
-        assert ensemble.values.dtype == np.int64 and ensemble.weights.dtype == float
-        assert ensemble.column("x") == 1
-        assert_table(ensemble.marginal("x"), [0.75, 0.25])
+        assert model.values.dtype == np.int64 and model.weights.dtype == float
+        assert model.column("x") == 1
+        assert_table(model.marginal("x"), [0.75, 0.25])
         with pytest.raises(ValueError):
-            ensemble.values[0, 0] = 1
+            model.values[0, 0] = 1
         with pytest.raises(ValueError):
-            ensemble.weights[0] = 1.0
+            model.weights[0] = 1.0
         with pytest.raises(ValueError):
-            model.kernels[("z", "x")].rows[0, 0] = 1.0
+            model.kernels[("z", "x")][0, 0] = 1.0
         with pytest.raises(PreconditionError):
-            ensemble.marginal("C")
+            model.marginal("C")
 
     @pytest.mark.parametrize("members, error, message", [
         ("member z=2 x=0 weight 1\n", ConfigSemanticError,
@@ -278,7 +276,7 @@ class TestEnsembleInvariants:
         weight = 0.5 + sign * factor * WEIGHT_TOL
         text = zx_model_text(f"member z=0 x=0 weight 0.5\nmember z=0 x=1 weight {weight!r}\n")
         if accepted:
-            assert parse_model(text).ensemble.weights.tolist() == [0.5, weight]
+            assert parse_model(text).weights.tolist() == [0.5, weight]
         else:
             assert located_refusal(text) == (
                 ConfigSemanticError, 5, 23, f"weights sum to {0.5 + weight!r}, not 1")
@@ -307,7 +305,7 @@ class TestEnsembleInvariants:
         rows = [[0.5, 0.5 + sign * factor * ROW_TOL], [0.5, 0.5]]
         text = zx_model_text(kernels=kernel_line("z", "x", rows))
         if accepted:
-            assert parse_model(text).kernels[("z", "x")].rows.tolist() == rows
+            assert parse_model(text).kernels[("z", "x")].tolist() == rows
         else:
             assert located_refusal(text) == (
                 ConfigSemanticError, 6, 8, f"kernel row 0 sums to {0.5 + rows[0][1]!r}, not 1")
@@ -416,19 +414,18 @@ def per_trial_simulate(model, order, n_trials, seed):
     trial draws a member, reads its first value and redraws the second from
     the kernel row."""
     first, then = order
-    ensemble = model.ensemble
     kernel = model.kernel(first, then)
     rng = np.random.default_rng(seed)
-    weights = ensemble.weights
-    first_values = ensemble.values[:, ensemble.context_ids().index(first)]
+    weights = model.weights
+    first_values = model.values[:, tuple(model.contexts).index(first)]
     member_idx = rng.choice(len(weights), size=n_trials, p=weights / weights.sum())
     firsts = first_values[member_idx]
-    cumulative = np.cumsum(kernel.rows, axis=1)
+    cumulative = np.cumsum(kernel, axis=1)
     cumulative[:, -1] = 1.0
     thens = (rng.random(n_trials)[:, None] > cumulative[firsts]).sum(axis=1)
-    counts = np.zeros((ensemble.contexts[first].size, ensemble.contexts[then].size))
+    counts = np.zeros((model.contexts[first].size, model.contexts[then].size))
     np.add.at(counts, (firsts, thens), 1.0)
-    return SequentialTable(ensemble.contexts[first], ensemble.contexts[then], counts / n_trials)
+    return SequentialTable(model.contexts[first], model.contexts[then], counts / n_trials)
 
 
 def _models():
@@ -474,19 +471,19 @@ class TestTwoStageSamplerAgainstPerTrial:
                 assert within_binomial_bound(exact, empirical, n)
 
 
-def per_member_audit_fields(ensemble):
+def per_member_audit_fields(model):
     """The per-member loop of the no-go audit, kept as the oracle for the
     truth-matrix version: (value definite, distributive, pairs, max dispersion)."""
     propositions = [
         (column, outcome)
-        for column, basis in enumerate(ensemble.contexts.values())
+        for column, basis in enumerate(model.contexts.values())
         for outcome in range(basis.size)
     ]
     value_definite = True
     distributive = True
     pairs_checked = 0
     max_dispersion = 0.0
-    for member in ensemble.values.tolist():
+    for member in model.values.tolist():
         truths = {(c, outcome): 1 if member[c] == outcome else 0 for c, outcome in propositions}
         if any(t not in (0, 1) for t in truths.values()):
             value_definite = False
@@ -509,7 +506,7 @@ class TestAuditAgainstPerMemberLoop:
         for state, a, b in cases:
             audit = audit_no_go(state, a, b)
             model = build_qm_equivalent_model(state, a, b)
-            expected = per_member_audit_fields(model.ensemble)
+            expected = per_member_audit_fields(model)
             got = (audit.members_value_definite, audit.members_distributive,
                    audit.member_pairs_checked, audit.member_max_dispersion)
             assert got == expected
@@ -517,17 +514,17 @@ class TestAuditAgainstPerMemberLoop:
             assert audit.member_pairs_checked == a.size ** 2 * (2 * a.size) ** 2
 
 
-def generator_dispersions(ensemble):
+def generator_dispersions(model):
     """The audit's two dispersion fields as it computed them before the array
     forms: the member truths through np.repeat and np.concatenate with np.max,
     and the mixture's as a generator over scalar dispersions."""
-    sizes = [basis.size for basis in ensemble.contexts.values()]
+    sizes = [basis.size for basis in model.contexts.values()]
     columns = np.repeat(np.arange(len(sizes)), sizes)
     outcomes = np.concatenate([np.arange(size) for size in sizes])
-    truths = (ensemble.values[:, columns] == outcomes).astype(int)
+    truths = (model.values[:, columns] == outcomes).astype(int)
     member = float(np.max(truths - truths * truths))
     mixture = max(scalar_dispersion(float(p))
-                  for name in ensemble.contexts for p in ensemble.marginal(name))
+                  for name in model.contexts for p in model.marginal(name))
     return member, mixture
 
 
@@ -536,7 +533,7 @@ class TestAuditDispersionsAgainstGeneratorForms:
     @given(audit_inputs())
     def test_identical(self, inputs):
         audit = audit_no_go(*inputs)
-        member, mixture = generator_dispersions(build_qm_equivalent_model(*inputs).ensemble)
+        member, mixture = generator_dispersions(build_qm_equivalent_model(*inputs))
         assert type(audit.member_max_dispersion) is float
         assert type(audit.mixture_max_dispersion) is float
         assert audit.member_max_dispersion == member
@@ -588,7 +585,7 @@ class TestRecordChecksAgainstNumpyForms:
             assert located_refusal(text)[3].startswith(
                 f"kernel z x rows have shape {rows.shape}, expected (2, 2)")
         else:
-            assert parse_model(text).kernels[("z", "x")].rows.tobytes() == rows.tobytes()
+            assert parse_model(text).kernels[("z", "x")].tobytes() == rows.tobytes()
 
     @settings(max_examples=500, derandomize=True)
     @given(st.integers(1, 8).flatmap(lambda m: near_threshold_floats(m, WEIGHT_TOL)),
@@ -607,9 +604,9 @@ class TestRecordChecksAgainstNumpyForms:
             message, m = numpy_weight_checks(weights)
             assert located_refusal(text) == (ConfigSemanticError, 4 + m, 23, message)
         else:
-            ensemble = parse_model(text).ensemble
-            assert ensemble.weights.tobytes() == weights.tobytes()
-            assert ensemble.values.tobytes() == values.tobytes()
+            model = parse_model(text)
+            assert model.weights.tobytes() == weights.tobytes()
+            assert model.values.tobytes() == values.tobytes()
 
 
 class TestBuiltModelsPassTheChecks:
@@ -619,11 +616,9 @@ class TestBuiltModelsPassTheChecks:
     @given(model_inputs())
     def test_checked_model_accepts_it(self, inputs):
         model = build_qm_equivalent_model(*inputs)
-        ensemble = model.ensemble
-        checked_model(ensemble.values, ensemble.weights, ensemble.contexts,
-                      {key: kernel.rows for key, kernel in model.kernels.items()})
-        assert ensemble.values.dtype == np.int64
-        arrays = [ensemble.values, ensemble.weights, *(k.rows for k in model.kernels.values())]
+        checked_model(model.values, model.weights, model.contexts, model.kernels)
+        assert model.values.dtype == np.int64
+        arrays = [model.values, model.weights, *model.kernels.values(), *model.marginals]
         assert not any(array.flags.writeable for array in arrays)
 
 
@@ -649,15 +644,14 @@ def numpy_audit_fields(state, a, b):
     law and the member dispersion on (m, k, k) and (m, k) int arrays, and
     numpy maxima."""
     model = build_qm_equivalent_model(state, a, b)
-    ensemble = model.ensemble
-    sizes = [basis.size for basis in ensemble.contexts.values()]
+    sizes = [basis.size for basis in model.contexts.values()]
     columns = [c for c, size in enumerate(sizes) for _ in range(size)]
     outcomes = [k for size in sizes for k in range(size)]
-    truths = (ensemble.values[:, columns] == outcomes).astype(int)
+    truths = (model.values[:, columns] == outcomes).astype(int)
     x, y = truths[:, :, None], truths[:, None, :]
     lhs = np.minimum(x, np.maximum(y, 1 - y))
     rhs = np.maximum(np.minimum(x, y), np.minimum(x, 1 - y))
-    marginals = np.concatenate([ensemble.marginal(name) for name in ensemble.contexts])
+    marginals = np.concatenate([model.marginal(name) for name in model.contexts])
     marginals = np.minimum(np.maximum(marginals, 0.0), 1.0)
     table_ab, table_ba = (exact_sequential(model, order) for order in (("A", "B"), ("B", "A")))
     hv = float(abs(table_ab.entries - table_ba.entries.T).max())
@@ -666,7 +660,7 @@ def numpy_audit_fields(state, a, b):
     reverse = chain_rule(_born_probs(state, b), kernel.T)
     qm = float(abs(forward - reverse.T).max())
     return {
-        "context_ids": ("A", "B"), "member_count": len(ensemble.weights),
+        "context_ids": ("A", "B"), "member_count": len(model.weights),
         "members_value_definite": bool(((truths == 0) | (truths == 1)).all()),
         "members_distributive": bool((lhs == rhs).all()),
         "member_pairs_checked": truths.shape[0] * truths.shape[1] ** 2,
@@ -699,10 +693,10 @@ class TestBuildAndAuditAgainstNumpyForms:
     def test_build_fields_are_identical(self, inputs):
         model = build_qm_equivalent_model(*inputs)
         values, weights, kernels = numpy_build_fields(*inputs)
-        assert model.ensemble.values.dtype == values.dtype
-        assert model.ensemble.values.tobytes() == values.tobytes()
-        assert model.ensemble.weights.tobytes() == weights.tobytes()
-        assert [kernel.rows.tobytes() for kernel in model.kernels.values()] == [
+        assert model.values.dtype == values.dtype
+        assert model.values.tobytes() == values.tobytes()
+        assert model.weights.tobytes() == weights.tobytes()
+        assert [kernel.tobytes() for kernel in model.kernels.values()] == [
             rows.tobytes() for rows in kernels]
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -721,12 +715,13 @@ class TestBuildAndAuditAgainstNumpyForms:
     def test_tilted_pairs_take_the_renormalizing_branch(self, inputs):
         model = build_qm_equivalent_model(*inputs)
         overlaps = overlap_kernel(*inputs[1:])
-        assert any(not np.array_equal(kernel.rows, plain)
+        assert any(not np.array_equal(kernel, plain)
                    for kernel, plain in zip(model.kernels.values(), (overlaps, overlaps.T)))
 
 
 class TestAuditFormsEachQuantityOnce:
-    """One audit forms each Born vector, the overlap kernel and each marginal once."""
+    """One audit forms each Born vector, the overlap kernel and each marginal
+    once; a marginal is formed by ``np.bincount``, in the model's constructor."""
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_call_counts(self, monkeypatch, dim):
@@ -736,24 +731,35 @@ class TestAuditFormsEachQuantityOnce:
         calls = Counter()
 
         def counting(name, function):
-            def counted(*args):
+            def counted(*args, **kwargs):
                 calls[name] += 1
-                return function(*args)
+                return function(*args, **kwargs)
             return counted
 
         for name in ("_born_probs", "overlap_kernel"):
             wrapper = counting(name, getattr(stats, name))
             for module in (stats, hidden):
                 monkeypatch.setattr(module, name, wrapper)
-        monkeypatch.setattr(hidden.HiddenEnsemble, "marginal",
-                            counting("marginal", hidden.HiddenEnsemble.marginal))
+        monkeypatch.setattr(np, "bincount", counting("marginal", np.bincount))
         audit_no_go(*inputs)
         assert calls == {"_born_probs": 2, "overlap_kernel": 1, "marginal": 2}
 
 
+@st.composite
+def built_or_parsed_models(draw):
+    """A model built from a random state and basis pair (d = 1..8), or the
+    model ``parse_model`` reads back from its file."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 8))
+    ids = tuple(draw(st.lists(st.text("abxyz", min_size=1, max_size=3), min_size=2, max_size=2,
+                              unique=True)))
+    model = build_qm_equivalent_model(random_state(rng, dim), *random_basis_pair(rng, dim), ids)
+    return parse_model(serialize_model(model)) if draw(st.booleans()) else model
+
+
 class TestFormedOncePerModel:
     """Built models share one read-only member grid per dimension, and each
-    ensemble forms its map from context to column once."""
+    model forms its map from context to column and its marginals once."""
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8))
@@ -762,13 +768,32 @@ class TestFormedOncePerModel:
         rng = np.random.default_rng(seed)
         state = random_state(rng, dim)
         first, then = random_basis_pair(rng, dim)
-        values = build_qm_equivalent_model(state, first, then).ensemble.values
+        values = build_qm_equivalent_model(state, first, then).values
         assert values is hidden._MEMBER_GRIDS[dim]
         expected = np.array([divmod(m, dim) for m in range(dim * dim)], dtype=np.int64)
         assert values.dtype == np.int64
         assert values.tobytes() == expected.tobytes()
         with pytest.raises(ValueError):
             values[0, 0] = 1
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(built_or_parsed_models())
+    def test_marginals_are_the_bincounts_and_read_only(self, model):
+        assert len(model.marginals) == len(model.contexts)
+        for name, basis in model.contexts.items():
+            col = model.column(name)
+            marginal = model.marginals[col]
+            expected = np.bincount(model.values[:, col], weights=model.weights,
+                                   minlength=basis.size)
+            assert marginal.dtype == expected.dtype and marginal.shape == expected.shape
+            assert marginal.tobytes() == expected.tobytes()
+            assert model.marginal(name) is marginal
+            with pytest.raises(ValueError):
+                marginal[0] = 0.5
+        for (first, then), rows in model.kernels.items():
+            assert model.kernel(first, then) is rows
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.5
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
@@ -778,13 +803,19 @@ class TestFormedOncePerModel:
     def test_column_refuses_an_undeclared_context(self, seed, dim, ids, asked):
         rng = np.random.default_rng(seed)
         state = random_state(rng, dim)
-        ensemble = build_qm_equivalent_model(state, *random_basis_pair(rng, dim),
-                                             tuple(ids)).ensemble
-        assert [ensemble.column(name) for name in ids] == [0, 1]
+        model = build_qm_equivalent_model(state, *random_basis_pair(rng, dim), tuple(ids))
+        assert [model.column(name) for name in ids] == [0, 1]
         assume(asked not in ids)
         message = f"context {asked!r} not declared"
-        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
-            ensemble.column(asked)
+        for read in (model.column, model.marginal):
+            with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+                read(asked)
+        if isinstance(asked, list):
+            return  # unhashable: no kernel key to look up
+        for order in ((asked, ids[0]), (ids[1], asked), (ids[0], ids[0])):
+            message = f"no kernel declared for order ({order[0]!r}, {order[1]!r})"
+            with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+                model.kernel(*order)
 
 
 class TestTruthTable:
@@ -864,8 +895,8 @@ class TestModelSerialization:
                 exact_sequential(zx_model, order).entries,
                 1e-12,
             )
-        assert loaded.ensemble.weights.tolist() == zx_model.ensemble.weights.tolist()
-        assert np.array_equal(loaded.ensemble.values, zx_model.ensemble.values)
+        assert loaded.weights.tolist() == zx_model.weights.tolist()
+        assert np.array_equal(loaded.values, zx_model.values)
 
     def test_round_trip_generic_direction_pair(self):
         rng = rng_from(404)
@@ -875,7 +906,7 @@ class TestModelSerialization:
             state, spin_direction_basis(*d1), spin_direction_basis(*d2), ("north", "tilt")
         )
         loaded = parse_model(serialize_model(model))
-        assert loaded.ensemble.context_ids() == ("north", "tilt")
+        assert tuple(loaded.contexts) == ("north", "tilt")
         assert_table(
             exact_sequential(loaded, ("tilt", "north")).entries,
             exact_sequential(model, ("tilt", "north")).entries,
@@ -890,7 +921,7 @@ class TestModelSerialization:
 class TestModelFileChecks:
     def test_well_formed(self):
         model = parse_model("model-dim 2\n" + ZX_CONTEXTS + ZX_MEMBERS + ZX_KERNEL)
-        assert model.ensemble.context_ids() == ("z", "x")
+        assert tuple(model.contexts) == ("z", "x")
 
     @pytest.mark.parametrize("text, line, column, message", [
         ("model-dim 2\n" + ZX_CONTEXTS + "context z labels u d vectors 1 0 ; 0 1\n"
@@ -1104,9 +1135,8 @@ def read_or_refused(parse, text: str) -> tuple:
     except QLBenchError as exc:
         return ("refused", type(exc), str(exc), getattr(exc, "line", None),
                 getattr(exc, "column", None))
-    contexts = model.ensemble.contexts
-    arrays = [model.ensemble.values, model.ensemble.weights,
-              *(kernel.rows for kernel in model.kernels.values()),
+    contexts = model.contexts
+    arrays = [model.values, model.weights, *model.kernels.values(), *model.marginals,
               *(basis.frame for basis in contexts.values())]
     return ("read", tuple(model.kernels), [(name, basis.labels) for name, basis in contexts.items()],
             [(a.dtype.str, a.shape, a.tobytes(), a.flags.writeable) for a in arrays])

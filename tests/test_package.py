@@ -126,9 +126,7 @@ RECORD_PARAMETERS = {
     "events.MismatchReport": (
         "a_label", "b_label", "lhs_mixed", "rhs_omega", "flag_raised", "flag",
         "consistent_space", "consistent_universe", "coercions"),
-    "hidden.HiddenEnsemble": ("values", "weights", "contexts"),
-    "hidden.TransitionKernel": ("rows",),
-    "hidden.HiddenModel": ("ensemble", "kernels"),
+    "hidden.HiddenModel": ("values", "weights", "contexts", "kernels"),
     "hidden.NoGoAudit": (
         "context_ids", "member_count", "members_value_definite", "members_distributive",
         "member_pairs_checked", "member_max_dispersion", "mixture_max_dispersion",
@@ -185,17 +183,17 @@ def test_each_record_is_built_through_its_constructor():
 
 
 STORING_RECORDS = ("lattice.Subspace", "coloring.RayFamily", "events.EventSet",
-                   "hilbert.MeasurementBasis", "hidden.HiddenEnsemble", "hidden.TransitionKernel",
-                   "hidden.HiddenModel", "stats.Distribution", "stats.SequentialTable")
+                   "hilbert.MeasurementBasis", "hidden.HiddenModel", "stats.Distribution",
+                   "stats.SequentialTable")
 
 
 def test_storing_records_neither_check_nor_copy():
     # each of these records is checked by its one entry for outside input
     # (``from_vectors``, ``parse_model`` or ``OutcomeSpace.event``), or is only
     # computed by the package (the distributions and tables of ``stats``), so
-    # its constructor raises nothing, makes no array and scans no list; the two
-    # fields a constructor derives are the basis's ``adjoint`` and the
-    # ensemble's ``columns`` map, each formed once, from what it stores
+    # its constructor raises nothing, makes no array and scans no list; the
+    # fields a constructor derives are the basis's ``adjoint`` and the model's
+    # ``columns`` map and ``marginals``, each formed once, from what it stores
     found = []
     for record in STORING_RECORDS:
         module, name = record.split(".")

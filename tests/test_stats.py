@@ -250,7 +250,7 @@ class TestNondistributionDefect:
         assert direct == float(stats._born_probs(state, target)[index])
         # before both sides came from one call, the report read the direct side off
         # a Distribution (clipped into [0, 1]) and the other off the reverse table
-        assert min(direct, 1.0) == born_distribution(state, target)[index]
+        assert min(direct, 1.0) == born_distribution(state, target).probs[index]
         reverse = sequential_distribution(state, interposed, target)
         assert through == float(reverse.entries[:, index].sum())
         assert nondistribution_defect(state, target, index, interposed) == abs(direct - through)
@@ -559,7 +559,7 @@ class TestWorstCaseTotals:
             checked_distribution(first.labels, sums)
         marginal = marginal_over_second(table)
         assert marginal.probs.tobytes() == np.clip(sums, 0.0, 1.0).tobytes()
-        assert marginal[0] == 1.0
+        assert marginal.probs[0] == 1.0
 
 
 def minus_zeros(text: str) -> str:
