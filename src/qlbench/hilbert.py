@@ -77,6 +77,13 @@ def unit_vectors(vectors: np.ndarray, axis: int | None = None) -> tuple[np.ndarr
     return scaled / np.where(ok, norms, 1.0), None if ok.all() else int(np.argmin(ok))
 
 
+def _not_scalable(vectors: np.ndarray) -> str:
+    """Why :func:`unit_vectors` could not scale ``vectors``; a non-finite entry
+    is named first, in ``Subspace.from_vectors``'s words."""
+    return ("cannot normalize a zero vector" if np.isfinite(vectors).all()
+            else "vector has a non-finite entry")
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -108,9 +115,10 @@ class StateVector:
     @classmethod
     def normalized(cls, values) -> StateVector:
         """Scale an arbitrary nonzero vector onto the unit sphere."""
-        unit, bad = unit_vectors(_as_complex_vector(values))
+        vector = _as_complex_vector(values)
+        unit, bad = unit_vectors(vector)
         if bad is not None:
-            raise InvariantViolationError("cannot normalize a zero vector")
+            raise InvariantViolationError(_not_scalable(vector))
         return cls(unit)
 
     def __repr__(self) -> str:
@@ -158,7 +166,7 @@ class MeasurementBasis:
         # layout (on a transposed stack it sums pairwise, which moves a norm's last bit)
         frame, bad = unit_vectors(np.ascontiguousarray(rows.T), axis=0)
         if bad is not None:
-            raise InvariantViolationError("cannot normalize a zero vector")
+            raise InvariantViolationError(_not_scalable(rows))
         dim, count = frame.shape
         if labels is None:
             labels = _DEFAULT_LABELS[count] if count <= MAX_DIM else tuple(map(str, range(count)))

@@ -46,9 +46,7 @@ _BLOCK_ENTRIES = 2 ** 13
 
 
 def _orthonormal_frame(columns: np.ndarray) -> np.ndarray:
-    """Rank-revealing orthonormalization of a (dim, k) column stack."""
-    if columns.shape[1] == 0:
-        return columns
+    """Rank-revealing orthonormalization of a (dim, k) column stack, k >= 1."""
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
     rank = np.count_nonzero(s > RANK_TOL)
     return np.ascontiguousarray(u[:, :rank])

@@ -23,8 +23,8 @@ BINOMIAL_Z = 4.0         # standard deviations a Monte-Carlo entry may stray
 
 
 class Distribution:
-    """Labelled outcome probabilities, stored clipped into [0, 1]: a probability
-    can pass 1 by rounding, a marginal also by its bases' Gram error."""
+    """Labelled outcome probabilities, stored clipped into [0, 1]: a Born
+    probability can pass 1 by rounding and by the state's ``NORM_TOL``."""
 
     __slots__ = ("labels", "probs")
 

@@ -201,7 +201,8 @@ def audit_inputs(draw, max_dim=5):
 @st.composite
 def model_inputs(draw):
     """``audit_inputs(max_dim=8)``, or a random state with two bases (d = 2..8)
-    each tilted to 0.99 ``BASIS_TOL``, so that the build divides kernel rows."""
+    each tilted to 0.99 ``BASIS_TOL``, whose kernel rows miss sums of 1 by up to
+    (d - 1) ``BASIS_TOL``."""
     if draw(st.booleans()):
         return draw(audit_inputs(max_dim=8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -498,7 +498,7 @@ class TestInterface:
 @pytest.mark.parametrize("command", ["stats-seq", "hv-build", "hv-exact", "hv-simulate", "hv-audit"])
 def test_context_within_basis_tol_runs_every_command(capsys, tmp_path, command):
     # the vectors overlap by 5e-11, within BASIS_TOL; with context x their
-    # squared overlaps miss row sums of 1 by about as much, past ROW_TOL
+    # squared overlaps miss row sums of 1 by about as much, within ROW_TOL
     config = tmp_path / "exp.cfg"
     config.write_text("state z+\ncontext vectors 1 0 ; 5e-11 1\ncontext x\n")
     code, out, err = run(capsys, command, "--config", str(config), "--trials", "100")

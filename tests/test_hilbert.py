@@ -30,6 +30,7 @@ from qlbench.hilbert import (
     spin_direction_basis,
     unit_vectors,
 )
+from qlbench.lattice import Subspace
 from qlbench.sampling import rng_from
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -231,6 +232,8 @@ def reference_basis(vectors, labels=None) -> tuple[np.ndarray, tuple[str, ...]]:
         if any(v.size != vecs[0].size for v in vecs):
             raise DimensionMismatchError("vectors of mixed dimension in one basis")
         rows = np.array(vecs)
+    if not np.isfinite(rows).all():
+        raise InvariantViolationError("vector has a non-finite entry")
     frame, bad = unit_vectors(np.ascontiguousarray(rows.T), axis=0)
     if bad is not None:
         raise InvariantViolationError("cannot normalize a zero vector")
@@ -414,13 +417,24 @@ class TestUnitVectors:
         assert np.allclose(units[:, 1], [0.6, 0.8j], rtol=0.0, atol=1e-15)
         assert not units[:, 2:].any()
 
-    @pytest.mark.parametrize("bad",
-                             [[0.0, 0.0], [math.inf, 1.0], [math.nan, 1.0], [1e308j, -math.inf]])
-    def test_zero_and_non_finite_are_refused(self, bad):
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [0j, -0.0]])
+    def test_zero_is_refused(self, bad):
         with pytest.raises(InvariantViolationError, match="^cannot normalize a zero vector$"):
             StateVector.normalized(bad)
         with pytest.raises(InvariantViolationError, match="^cannot normalize a zero vector$"):
             MeasurementBasis.from_vectors([bad, [0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad",
+                             [[math.inf, 1.0], [math.nan, 1.0], [1e308j, -math.inf], [0.0, math.nan]])
+    def test_non_finite_is_refused(self, bad):
+        # named as Subspace.from_vectors names it, also beside a zero vector
+        with pytest.raises(InvariantViolationError, match="^vector has a non-finite entry$"):
+            StateVector.normalized(bad)
+        for vectors in ([bad, [0.0, 1.0]], [[0.0, 1.0], bad], [[0.0, 0.0], bad]):
+            with pytest.raises(InvariantViolationError, match="^vector has a non-finite entry$"):
+                MeasurementBasis.from_vectors(vectors)
+        with pytest.raises(InvariantViolationError, match="^vector has a non-finite entry$"):
+            Subspace.from_vectors(2, [bad])
 
 
 class TestBornProbability:
