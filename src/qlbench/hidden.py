@@ -24,8 +24,8 @@ from .config import ConfigSemanticError, Line, format_complex, parse_lines
 from .errors import InvariantViolationError, PreconditionError
 from .hilbert import (MAX_DIM, MeasurementBasis, StateVector, _frozen, is_integer,
                       principal_vector)
-from .stats import (SequentialTable, _born_probs, _commutation_defect, _order_asymmetry,
-                    chain_rule, dispersion, overlap_kernel)
+from .stats import (SequentialTable, _memo_born, _memo_kernel, _order_asymmetry, chain_rule,
+                    commutation_defect, dispersion)
 
 WEIGHT_TOL = 1e-12
 # a basis pair within BASIS_TOL has squared-overlap rows that sum to 1 within
@@ -116,32 +116,28 @@ def build_qm_equivalent_model(
     Member weights are the product of the two single-measurement marginals,
     so both orders see their correct first-measurement distribution; the
     kernels carry the conditional statistics.  Every member has a definite
-    outcome for both contexts.
+    outcome for both contexts.  The model is built once per state, basis
+    pair and context ids, and kept in the state's memo: a second call
+    returns the same read-only model.
     """
-    return _build_model(state, basis_a, basis_b, context_ids)[0]
-
-
-def _build_model(state: StateVector, basis_a: MeasurementBasis, basis_b: MeasurementBasis,
-                 context_ids: tuple[str, str],
-                 ) -> tuple[HiddenModel, np.ndarray, np.ndarray, np.ndarray]:
-    """The model of :func:`build_qm_equivalent_model`, with the two Born
-    vectors and the a-then-b overlap kernel it was built from."""
     id_a, id_b = context_ids
     if id_a == id_b:
         raise PreconditionError("context ids must be distinct")
     if state.dim != basis_a.dim or state.dim != basis_b.dim:
         raise PreconditionError("state and bases must share one dimension")
-    born_a, born_b = _born_probs(state, basis_a), _born_probs(state, basis_b)
-    overlaps = overlap_kernel(basis_a, basis_b)
-
-    values = _MEMBER_GRIDS[state.dim]
-    # a Born probability can pass 1 by rounding; weigh by what a Distribution stores
-    weights = (born_a.clip(0.0, 1.0)[:, None] * born_b.clip(0.0, 1.0)).ravel()
-    weights = weights / sum(weights.tolist())
-
-    kernels = {(id_a, id_b): overlaps, (id_b, id_a): overlaps.T}
-    model = HiddenModel(values, weights, {id_a: basis_a, id_b: basis_b}, kernels)
-    return model, born_a, born_b, overlaps
+    key = (basis_a, basis_b, id_a, id_b)
+    model = state._memo.get(key)
+    if model is None:
+        born_a, born_b = _memo_born(state, basis_a), _memo_born(state, basis_b)
+        overlaps = _memo_kernel(state, basis_a, basis_b)
+        values = _MEMBER_GRIDS[state.dim]
+        # a Born probability can pass 1 by rounding; weigh by what a Distribution stores
+        weights = (born_a.clip(0.0, 1.0)[:, None] * born_b.clip(0.0, 1.0)).ravel()
+        weights = weights / sum(weights.tolist())
+        kernels = {(id_a, id_b): overlaps, (id_b, id_a): overlaps.T}
+        model = state._memo[key] = HiddenModel(values, weights, {id_a: basis_a, id_b: basis_b},
+                                               kernels)
+    return model
 
 
 def exact_sequential(model: HiddenModel, order: tuple[str, str]) -> SequentialTable:
@@ -234,8 +230,11 @@ def audit_no_go(
     basis_b: MeasurementBasis,
     context_ids: tuple[str, str] = ("A", "B"),
 ) -> NoGoAudit:
-    """Build the model and check every auditable link of the chain."""
-    model, born_a, born_b, overlaps = _build_model(state, basis_a, basis_b, context_ids)
+    """Build the model and check every auditable link of the chain.  The
+    model, the Born vectors and the overlap kernel come from the state's
+    memo, so an audit after a build or a table on the same inputs forms
+    none of them again."""
+    model = build_qm_equivalent_model(state, basis_a, basis_b, context_ids)
     id_a, id_b = context_ids
 
     # proposition k is (context columns[k], outcome outcomes[k]), context by
@@ -258,7 +257,7 @@ def audit_no_go(
     table_ba = exact_sequential(model, (id_b, id_a))
     hv_defect = float(np.maximum.reduce(_order_asymmetry(table_ab.entries, table_ba.entries),
                                         axis=None))
-    qm_defect = _commutation_defect(born_a, born_b, overlaps)
+    qm_defect = commutation_defect(state, basis_a, basis_b)
     defects_match = abs(hv_defect - qm_defect) <= AGREEMENT_TOL
     noncommuting = qm_defect > NONCOMMUTING_TOL
 

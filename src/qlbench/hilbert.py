@@ -5,6 +5,9 @@ and each rank-1 proposition "outcome k" is column k of that frame.  Born
 probabilities and the measure-collapse-measure chain rule are computed on
 frames in ``stats``.  Their arrays are read-only and every operation is a
 pure function, so the whole layer is safe for unrestricted concurrent use.
+A state's memo is the one thing written after construction; two threads
+that miss it at once each form the same pure value and store it, so a racing
+memo write is benign.
 Dimensions are capped at 8; the structure of interest already appears in
 dimension 2.
 """
@@ -95,9 +98,18 @@ def is_integer(value) -> bool:
 
 
 class StateVector:
-    """A unit vector of complex amplitudes; squared magnitudes sum to one."""
+    """A unit vector of complex amplitudes; squared magnitudes sum to one.
 
-    __slots__ = ("amplitudes",)
+    ``_memo`` holds what ``stats`` and ``hidden`` formed from this state, so
+    that each is formed once: the Born vector under its basis, the overlap
+    kernel under ``(first, then)`` and the built model under ``(basis_a,
+    basis_b, id_a, id_b)``.  Keys hold basis objects by identity, as
+    ``joint_exists`` decides a basis pair: an equal basis built apart misses.
+    Stored arrays are read-only, and a refused input stores nothing.  The
+    memo lives and grows with the state.
+    """
+
+    __slots__ = ("amplitudes", "_memo")
 
     def __init__(self, amplitudes: np.ndarray) -> None:
         amps = _as_complex_vector(amplitudes)
@@ -107,6 +119,7 @@ class StateVector:
                 f"state not normalized: squared norm {norm_sq!r}"
             )
         self.amplitudes = _frozen(amps)
+        self._memo = {}
 
     @property
     def dim(self) -> int:

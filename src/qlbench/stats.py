@@ -9,12 +9,17 @@ bases with unitary frames U (first) and V (then).  Argument order is named
 ``Distribution`` and ``SequentialTable`` are computed only here and in
 ``hidden``, from checked states, bases and models: their constructors store
 what they are given, clipped and made read-only, and check nothing.
+
+A Born vector is formed only by ``_born_probs`` and an overlap kernel only by
+``overlap_kernel``; every caller reads them through the state's memo
+(``_memo_born``, ``_memo_kernel``), so a state forms each once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .config import DEFAULT_TOL
 from .errors import DimensionMismatchError, PreconditionError
 from .hilbert import MeasurementBasis, StateVector, ZERO_PROBABILITY, _frozen, is_integer
 
@@ -59,6 +64,26 @@ def overlap_kernel(first: MeasurementBasis, then: MeasurementBasis) -> np.ndarra
     return np.abs(first.adjoint @ then.frame) ** 2
 
 
+def _memo_born(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
+    """:func:`_born_probs`, formed once per state and basis object and kept,
+    read-only, in the state's memo."""
+    probs = state._memo.get(basis)
+    if probs is None:
+        probs = state._memo[basis] = _frozen(_born_probs(state, basis))
+    return probs
+
+
+def _memo_kernel(state: StateVector, first: MeasurementBasis,
+                 then: MeasurementBasis) -> np.ndarray:
+    """:func:`overlap_kernel`, formed once per ordered pair of basis objects
+    and kept, read-only, in the memo of the state it is used on."""
+    key = (first, then)
+    kernel = state._memo.get(key)
+    if kernel is None:
+        kernel = state._memo[key] = _frozen(overlap_kernel(first, then))
+    return kernel
+
+
 def chain_rule(first_probs, kernel) -> np.ndarray:
     """entries[i, j] = P(first = i) * kernel[i, j].
 
@@ -71,7 +96,7 @@ def chain_rule(first_probs, kernel) -> np.ndarray:
 
 def born_distribution(state: StateVector, basis: MeasurementBasis) -> Distribution:
     """Outcome distribution of one measurement on ``state``."""
-    return Distribution(basis.labels, _born_probs(state, basis))
+    return Distribution(basis.labels, _memo_born(state, basis))
 
 
 def sequential_distribution(
@@ -79,7 +104,7 @@ def sequential_distribution(
 ) -> SequentialTable:
     """Measure ``first``, collapse on its outcome, then measure ``second``: the
     :func:`chain_rule`, so rows at or below ``ZERO_PROBABILITY`` are exactly zero."""
-    entries = chain_rule(_born_probs(state, first), overlap_kernel(first, second))
+    entries = chain_rule(_memo_born(state, first), _memo_kernel(state, first, second))
     return SequentialTable(first_basis=first, second_basis=second, entries=entries)
 
 
@@ -105,8 +130,9 @@ def _nondistribution_sides(state: StateVector, target_basis: MeasurementBasis, t
     sum_j P(interposed = j, then target = i)."""
     if not (is_integer(target_index) and 0 <= target_index < target_basis.size):
         raise PreconditionError(f"outcome index {target_index} out of range")
-    direct = _born_probs(state, target_basis)[target_index]
-    through = chain_rule(_born_probs(state, interposed), overlap_kernel(interposed, target_basis))
+    direct = _memo_born(state, target_basis)[target_index]
+    through = chain_rule(_memo_born(state, interposed),
+                         _memo_kernel(state, interposed, target_basis))
     return float(direct), float(through[:, target_index].sum())
 
 
@@ -120,14 +146,9 @@ def commutation_defect(
     state: StateVector, basis_a: MeasurementBasis, basis_b: MeasurementBasis
 ) -> float:
     """Largest order asymmetry max_ij |P(a_i then b_j) - P(b_j then a_i)|."""
-    kernel = overlap_kernel(basis_a, basis_b)
-    return _commutation_defect(_born_probs(state, basis_a), _born_probs(state, basis_b), kernel)
-
-
-def _commutation_defect(born_a: np.ndarray, born_b: np.ndarray, kernel: np.ndarray) -> float:
-    """Eq. (7) from the Born vectors of a and b and the a-then-b overlap kernel."""
-    forward = chain_rule(born_a, kernel)
-    reverse = chain_rule(born_b, kernel.T)
+    kernel = _memo_kernel(state, basis_a, basis_b)
+    forward = chain_rule(_memo_born(state, basis_a), kernel)
+    reverse = chain_rule(_memo_born(state, basis_b), kernel.T)
     return float(np.maximum.reduce(_order_asymmetry(forward, reverse), axis=None))
 
 
@@ -154,7 +175,8 @@ class JointVerdict:
         self.exists, self.joint, self.witness = exists, joint, witness
 
 
-def joint_exists(t_ab: SequentialTable, t_ba: SequentialTable, tol: float = 1e-9) -> JointVerdict:
+def joint_exists(t_ab: SequentialTable, t_ba: SequentialTable,
+                 tol: float = DEFAULT_TOL) -> JointVerdict:
     """Decide whether the two ordered tables admit one symmetric joint.
 
     A joint distribution over outcome pairs exists iff the order of

@@ -748,29 +748,76 @@ class TestBuildAndAuditAgainstNumpyForms:
 
 
 class TestAuditFormsEachQuantityOnce:
-    """One audit forms each Born vector, the overlap kernel and each marginal
-    once; a marginal is formed by ``np.bincount``, in the model's constructor."""
+    """A state forms each Born vector, overlap kernel and model once: the
+    forming functions run only on a miss of the state's memo.  A marginal is
+    formed by ``np.bincount``, in the model's constructor, so a model costs
+    two.  The counts are of formations, not of calls."""
 
-    @pytest.mark.parametrize("dim", [2, 4, 8])
-    def test_call_counts(self, monkeypatch, dim):
-        rng = rng_from(407)
-        inputs = (random_state(rng, dim),
-                  *(MeasurementBasis.from_vectors(tilted_vectors(rng, dim, 0.99)) for _ in "ab"))
-        calls = Counter()
+    @staticmethod
+    def count_formations(monkeypatch) -> Counter:
+        formed = Counter()
 
         def counting(name, function):
             def counted(*args, **kwargs):
-                calls[name] += 1
+                formed[name] += 1
                 return function(*args, **kwargs)
             return counted
 
         for name in ("_born_probs", "overlap_kernel"):
-            wrapper = counting(name, getattr(stats, name))
-            for module in (stats, hidden):
-                monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(stats, name, counting(name, getattr(stats, name)))
         monkeypatch.setattr(np, "bincount", counting("marginal", np.bincount))
-        audit_no_go(*inputs)
-        assert calls == {"_born_probs": 2, "overlap_kernel": 1, "marginal": 2}
+        return formed
+
+    @staticmethod
+    def inputs(dim):
+        rng = rng_from(407)
+        return (random_state(rng, dim),
+                *(MeasurementBasis.from_vectors(tilted_vectors(rng, dim, 0.99)) for _ in "ab"))
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_audit(self, monkeypatch, dim):
+        formed = self.count_formations(monkeypatch)
+        audit_no_go(*self.inputs(dim))
+        assert formed == {"_born_probs": 2, "overlap_kernel": 1, "marginal": 2}
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_table_case(self, monkeypatch, dim):
+        # the calls of a quantum-sweep table case: both ordered tables, a Born
+        # distribution, both defects and the joint verdict
+        state, a, b = self.inputs(dim)
+        formed = self.count_formations(monkeypatch)
+        forward, reverse = sequential_distribution(state, a, b), sequential_distribution(state, b, a)
+        stats.born_distribution(state, a)
+        stats.commutation_defect(state, a, b)
+        stats.nondistribution_defect(state, a, dim - 1, b)
+        stats.joint_exists(forward, reverse)
+        assert formed == {"_born_probs": 2, "overlap_kernel": 2}
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_hv_case(self, monkeypatch, dim):
+        # the calls of a quantum-sweep hv case: the build, its exact tables, the
+        # direct tables both ways and the audit, which finds the model built
+        state, a, b = self.inputs(dim)
+        formed = self.count_formations(monkeypatch)
+        model = build_qm_equivalent_model(state, a, b)
+        for order in (("A", "B"), ("B", "A")):
+            exact_sequential(model, order)
+        sequential_distribution(state, a, b)
+        sequential_distribution(state, b, a)
+        audit = audit_no_go(state, a, b)
+        assert formed == {"_born_probs": 2, "overlap_kernel": 2, "marginal": 2}
+        assert build_qm_equivalent_model(state, a, b) is model
+        assert audit.table_first_then.entries.tobytes() == (
+            exact_sequential(model, ("A", "B")).entries.tobytes())
+
+    def test_default_stats_seq(self, monkeypatch, capsys):
+        # the first context's Born vector serves its table and the marginal
+        # identity; the (b, a) kernel is formed on its own, because the
+        # transpose of the (a, b) one can differ in its last bits
+        formed = self.count_formations(monkeypatch)
+        assert cli.main(["stats-seq"]) == 0
+        capsys.readouterr()
+        assert formed == {"_born_probs": 2, "overlap_kernel": 2}
 
 
 @st.composite
@@ -910,8 +957,8 @@ class TestAuditThresholds:
     def test_defects_match_at_agreement_tol(self, monkeypatch, z_plus, z_basis, x_basis,
                                             factor, match):
         # the direct chain's defect, planted factor × AGREEMENT_TOL above the model's
-        direct = hidden._commutation_defect
-        monkeypatch.setattr(hidden, "_commutation_defect",
+        direct = hidden.commutation_defect
+        monkeypatch.setattr(hidden, "commutation_defect",
                             lambda *args: direct(*args) + factor * AGREEMENT_TOL)
         assert audit_no_go(z_plus, z_basis, x_basis).defects_match == match
 

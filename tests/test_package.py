@@ -222,6 +222,42 @@ def test_frame_adjoint_is_formed_only_by_the_basis():
     assert found == []
 
 
+def located_nodes(module: str):
+    """(qualified name of the innermost enclosing function or class, node)
+    for every node of ``qlbench.<module>``."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = (f"{where}.{child.name}"
+                     if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where)
+            yield inner, child
+            yield from visit(child, inner)
+    yield from visit(ast.parse((SRC / "qlbench" / f"{module}.py").read_text(encoding="utf-8")),
+                     module)
+
+
+def test_born_and_overlap_products_are_formed_only_through_the_memo():
+    # a Born vector |Fᴴψ|² (a product with a state's amplitudes) and an overlap
+    # kernel |UᴴV|² (a basis adjoint times a frame) are each formed in one
+    # function, and only the readers of the state's memo call those two, so no
+    # caller forms either outside the memo
+    products, calls = [], []
+    for module in [path.stem for path in sorted((SRC / "qlbench").glob("*.py"))]:
+        for where, node in located_nodes(module):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                names = [operand.attr for operand in (node.left, node.right)
+                         if isinstance(operand, ast.Attribute)]
+                if "amplitudes" in names:
+                    products.append((where, "Born"))
+                elif names == ["adjoint", "frame"]:
+                    products.append((where, "overlap"))
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("_born_probs", "overlap_kernel"):
+                    calls.append((where, name))
+    assert products == [("stats._born_probs", "Born"), ("stats.overlap_kernel", "overlap")]
+    assert calls == [("stats._memo_born", "_born_probs"), ("stats._memo_kernel", "overlap_kernel")]
+
+
 # The keywords each library function keeps; a setting no caller changes is a
 # module constant (``lattice.TUPLE_LIMIT``, ``stats.BINOMIAL_Z``), not a keyword.
 FUNCTION_PARAMETERS = {

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from unittest import mock
@@ -379,6 +380,10 @@ class TestJointExists:
         reverse = SequentialTable(x_basis, z_basis, (entries + [[gap, -gap], [0.0, 0.0]]).T)
         assert joint_exists(forward, reverse).exists == exists
         assert joint_exists(forward, reverse, tol=DEFAULT_TOL).exists == exists
+
+    def test_default_tol_is_the_command_line_constant(self):
+        # the same object, not an equal literal that could drift from it
+        assert inspect.signature(joint_exists).parameters["tol"].default is DEFAULT_TOL
 
 
 class TestDispersion:
