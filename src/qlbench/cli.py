@@ -311,19 +311,17 @@ def _build_model(config: ExperimentConfig):
     from . import hidden
 
     if config.model is not None:
-        model = hidden.load_model(config.model)
-        id_a, id_b = model.contexts
-        return model, (id_a, id_b), None
+        return hidden.load_model(config.model), None
     state, (name_a, basis_a), (name_b, basis_b) = _quantum_inputs(config)
-    model = hidden.build_qm_equivalent_model(state, basis_a, basis_b, (name_a, name_b))
-    return model, (name_a, name_b), state
+    return hidden.build_qm_equivalent_model(state, basis_a, basis_b, (name_a, name_b)), state
 
 
 def _cmd_hv_build(config: ExperimentConfig) -> Report:
     from . import hidden
 
-    model, (id_a, id_b), _state = _build_model(config)
+    model, _state = _build_model(config)
     contexts = model.contexts
+    id_a, id_b = contexts
 
     report = Report(title="dispersion-free ensemble construction")
     report.add("contexts", f"{id_a}, {id_b}")
@@ -355,7 +353,8 @@ def _cmd_hv_build(config: ExperimentConfig) -> Report:
 def _cmd_hv_exact(config: ExperimentConfig) -> Report:
     from . import hidden, stats
 
-    model, (id_a, id_b), state = _build_model(config)
+    model, state = _build_model(config)
+    id_a, id_b = model.contexts
     forward = hidden.exact_sequential(model, (id_a, id_b))
     reverse = hidden.exact_sequential(model, (id_b, id_a))
 
@@ -382,7 +381,8 @@ def _cmd_hv_exact(config: ExperimentConfig) -> Report:
 def _cmd_hv_simulate(config: ExperimentConfig) -> Report:
     from . import hidden, stats
 
-    model, (id_a, id_b), _state = _build_model(config)
+    model, _state = _build_model(config)
+    id_a, id_b = model.contexts
     report = Report(title="dispersion-free ensemble — Monte-Carlo run")
     report.add("contexts", f"{id_a}, {id_b}")
     report.add("trials", config.trials)

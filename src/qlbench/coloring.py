@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigSemanticError, Line, parse_lines
 from .errors import InvariantViolationError, PreconditionError
-from .hilbert import _frozen, is_integer, unit_vectors
+from .hilbert import _frozen, is_integer, unit_vectors, vector_rows
 
 RAY_TOL = 1e-9
 
@@ -45,10 +45,13 @@ class RayFamily:
     @classmethod
     def from_vectors(cls, dim: int, vectors, bases) -> RayFamily:
         """Build a family from arbitrary nonzero vectors (normalized here)."""
-        rays = _ray_matrix(dim, vectors)
+        rays, k = vector_rows(vectors, dim)
+        if k is not None:
+            raise InvariantViolationError(f"ray {k} has length {rays[k].size}, expected {dim}",
+                                          ("ray", k, 0))
         finite = np.isfinite(rays).all(axis=1)
         if finite.all():
-            rays, k = unit_vectors(rays, axis=1)
+            rays, k = unit_vectors(np.ascontiguousarray(rays), axis=1)  # rows summed in one order
             if k is not None:
                 raise InvariantViolationError(f"ray {k} is a zero vector", ("ray", k, 0))
         if dim < 3:
@@ -67,18 +70,6 @@ class RayFamily:
                     f"rays {bases[b][p]} and {bases[b][q]} in basis {b} are not orthogonal",
                     ("basis", int(b), int(q)))
         return cls(dim, rays, bases)
-
-
-def _ray_matrix(dim: int, rays) -> np.ndarray:
-    """A fresh (n, dim) complex matrix whose row k is ``rays[k]`` flattened."""
-    try:
-        return np.array(rays, dtype=complex).reshape(len(rays), dim)
-    except ValueError:  # a ray of the wrong length, or rays of mixed shapes
-        for k, ray in enumerate(rays):
-            if np.size(ray) != dim:
-                raise InvariantViolationError(f"ray {k} has length {np.size(ray)}, expected {dim}",
-                                              ("ray", k, 0)) from None
-        return np.array([np.ravel(ray) for ray in rays], dtype=complex)
 
 
 def _basis_index(dim: int, n: int, bases) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:

@@ -45,6 +45,26 @@ def _as_complex_vector(values) -> np.ndarray:
     return vec
 
 
+def vector_rows(vectors, dim: int | None = None) -> tuple[np.ndarray | list[np.ndarray], int | None]:
+    """Outside ``vectors`` as the rows of one (n, d) complex array, maybe the
+    caller's own, and None; d is ``dim``, or the first vector's length when
+    ``dim`` is None.  When some vector's length is not d: the flattened
+    vectors as a list, and the index of the first such vector.  An (n, d)
+    array converts in one call, other input is read vector by vector."""
+    try:
+        rows = np.asarray(vectors, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        rows = np.empty(0)
+    if rows.ndim == 2 and dim in (None, rows.shape[1]):
+        return rows, None
+    rows = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    width = (rows[0].size if rows else 0) if dim is None else dim
+    for k, row in enumerate(rows):
+        if row.size != width:
+            return rows, k
+    return np.array(rows, dtype=complex).reshape(len(rows), width), None
+
+
 def unit_vectors(vectors: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, int | None]:
     """The complex ``vectors`` scaled to unit norm along ``axis`` (None: a
     1-D vector), and the index of the first vector that is zero or not
@@ -164,17 +184,13 @@ class MeasurementBasis:
     @classmethod
     def from_vectors(cls, vectors, labels=None) -> MeasurementBasis:
         """Basis whose k-th outcome is the ray of ``vectors[k]`` (normalized first)."""
-        try:  # an (n, d) array converts at once, other input is diagnosed vector by vector
-            rows = np.asarray(vectors, dtype=complex)
-        except (TypeError, ValueError):  # ragged, or not numbers
-            rows = np.empty(0)
-        if rows.ndim != 2 or not rows.size or rows.shape[1] > MAX_DIM:
-            vecs = [_as_complex_vector(v) for v in vectors]
-            if not vecs:
+        rows, k = vector_rows(vectors)
+        if k is not None or not rows.size or rows.shape[1] > MAX_DIM:
+            for vector in rows:
+                _as_complex_vector(vector)  # names an empty or over-long vector first
+            if not len(rows):
                 raise InvariantViolationError("empty measurement basis")
-            if any(v.size != vecs[0].size for v in vecs):
-                raise DimensionMismatchError("vectors of mixed dimension in one basis")
-            rows = np.array(vecs)
+            raise DimensionMismatchError("vectors of mixed dimension in one basis")
         # C order: unit_vectors then sums each column in one order whatever the input's
         # layout (on a transposed stack it sums pairwise, which moves a norm's last bit)
         frame, bad = unit_vectors(np.ascontiguousarray(rows.T), axis=0)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, InvariantViolationError, PreconditionError
-from .hilbert import MAX_DIM, _frozen, unit_vectors
+from .hilbert import MAX_DIM, _frozen, unit_vectors, vector_rows
 
 RANK_TOL = 1e-10       # singular values below this count as zero
 INCLUSION_TOL = 1e-9   # residual norm allowed when testing containment
@@ -77,18 +77,10 @@ class Subspace:
     def from_vectors(cls, ambient_dim: int, vectors) -> Subspace:
         """Span of arbitrary (possibly dependent, unnormalized) vectors; rank is
         decided on their unit directions, and a non-finite entry is refused."""
-        try:  # a (k, d) array converts at once, other input is diagnosed vector by vector
-            rows = np.asarray(vectors, dtype=complex)
-        except (TypeError, ValueError):  # ragged, or not numbers
-            rows = np.empty(0)
-        if rows.ndim != 2 or rows.shape[1] != ambient_dim:
-            vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-            for v in vecs:
-                if v.size != ambient_dim:
-                    raise DimensionMismatchError(
-                        f"vector of length {v.size} in ambient dimension {ambient_dim}"
-                    )
-            rows = np.array(vecs)
+        rows, k = vector_rows(vectors, ambient_dim)
+        if k is not None:
+            raise DimensionMismatchError(
+                f"vector of length {rows[k].size} in ambient dimension {ambient_dim}")
         if ambient_dim < 1 or ambient_dim > MAX_DIM:
             raise InvariantViolationError(f"ambient dimension {ambient_dim} outside [1, {MAX_DIM}]")
         if not rows.size:

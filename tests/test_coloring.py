@@ -14,7 +14,6 @@ from qlbench.coloring import (
     AssignmentSearchResult,
     RayFamily,
     _basis_index,
-    _ray_matrix,
     builtin_family,
     load_ray_family,
     parse_ray_family,
@@ -445,6 +444,20 @@ class TestBasisChecks:
         assert info.value.part == ("basis", 0, 2)
 
 
+def _ray_matrix(dim: int, rays) -> np.ndarray:
+    """A fresh (n, dim) complex matrix whose row k is ``rays[k]`` flattened:
+    the read ``RayFamily.from_vectors`` made before ``hilbert.vector_rows``
+    served it, which refused a generator."""
+    try:
+        return np.array(rays, dtype=complex).reshape(len(rays), dim)
+    except ValueError:  # a ray of the wrong length, or rays of mixed shapes
+        for k, ray in enumerate(rays):
+            if np.size(ray) != dim:
+                raise InvariantViolationError(f"ray {k} has length {np.size(ray)}, expected {dim}",
+                                              ("ray", k, 0)) from None
+        return np.array([np.ravel(ray) for ray in rays], dtype=complex)
+
+
 def reference_family(dim: int, vectors, bases) -> RayFamily:
     """Oracle: ``RayFamily.from_vectors`` as it was when the constructor checked
     its arguments, unchanged but for the text that names a non-finite ray:
@@ -512,7 +525,8 @@ def planted_rays(draw):
         elif fault == "long":
             ray = np.append(ray, 0.5)
         elif fault == "near-unit":
-            ray *= 1.0 + draw(st.sampled_from((0.99, 1.01, -0.99, -1.01))) * RAY_TOL
+            with np.errstate(invalid="ignore"):  # an infinite entry times 1 + 0j has a NaN part
+                ray *= 1.0 + draw(st.sampled_from((0.99, 1.01, -0.99, -1.01))) * RAY_TOL
         else:
             parts = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
             ray = np.array(draw(st.lists(parts, min_size=dim, max_size=dim)), dtype=complex)
@@ -522,18 +536,47 @@ def planted_rays(draw):
 
 def family_fields(family: RayFamily) -> tuple:
     rays = family.rays
-    return family.dim, rays.dtype, rays.shape, rays.tobytes(), rays.flags.writeable, family.bases
+    return (family.dim, rays.dtype, rays.shape, rays.tobytes(), rays.flags.writeable,
+            rays.flags.c_contiguous, family.bases)
+
+
+RAY_LAYOUTS = ("C array", "Fortran array", "column stack", "list of arrays", "lists", "generator")
+
+
+def ray_layout(rays: list, layout: str):
+    """The rays of a ``planted_rays`` case in ``layout``; the array layouts
+    need rays of one length, and a ragged case is a list of arrays or, for a
+    column stack, a list of (length, 1) columns."""
+    uniform = len({ray.size for ray in rays}) == 1
+    if layout == "C array" and uniform:
+        return np.array(rays)
+    if layout == "Fortran array" and uniform:
+        return np.asfortranarray(rays)
+    if layout == "column stack":
+        return np.array(rays)[:, :, None] if uniform else [ray[:, None] for ray in rays]
+    if layout == "lists":
+        return [ray.tolist() for ray in rays]
+    if layout == "generator":
+        return (ray for ray in rays)
+    return rays
 
 
 class TestFromVectorsAgainstReference:
-    """``from_vectors`` runs every check the constructor ran, in the same order."""
+    """``from_vectors`` runs every check the constructor ran, in the same
+    order, on rays in any layout; the reference reads them as a list."""
 
     @settings(derandomize=True, max_examples=400, deadline=None)
-    @given(case=planted_rays())
-    def test_matches_the_checked_constructor(self, case):
+    @given(case=planted_rays(), layout=st.sampled_from(RAY_LAYOUTS))
+    def test_matches_the_checked_constructor(self, case, layout):
         dim, rays, bases = case
-        got = built_or_refused(lambda: family_fields(RayFamily.from_vectors(dim, rays, bases)))
+        vectors = ray_layout(rays, layout)
+        got = built_or_refused(lambda: family_fields(RayFamily.from_vectors(dim, vectors, bases)))
         assert got == built_or_refused(lambda: family_fields(reference_family(dim, rays, bases)))
+
+    def test_a_generator_of_rays_builds_the_family(self):
+        family = RayFamily.from_vectors(3, (r for r in np.eye(3)), [(0, 1, 2)])
+        assert family_fields(family) == family_fields(reference_family(3, list(np.eye(3)),
+                                                                       [(0, 1, 2)]))
 
     @pytest.mark.parametrize("dim, refusal", [
         (3, ("ray 2 has a non-finite entry", ("ray", 2, 0))),

@@ -49,6 +49,7 @@ from qlbench.hilbert import (BASIS_TOL, MAX_DIM, MeasurementBasis, StateVector,
                              spin_direction_basis)
 from qlbench.sampling import rng_from
 from qlbench.stats import (
+    ENTRY_TOL,
     SequentialTable,
     _born_probs,
     binomial_bound,
@@ -213,6 +214,59 @@ class TestRowTolBudget:
         else:
             assert located_refusal(text) == (
                 ConfigSemanticError, at + 1, 8, f"kernel row 0 sums to {total!r}, not 1")
+
+
+# a few ulps of 1, above the most a built model's weight total or marginal is
+# seen to pass its exact value by (7 ulps, in the first structured case below)
+FEW_ULPS = 8 * np.finfo(float).eps
+
+
+def assert_weights_within_few_ulps(model: HiddenModel) -> None:
+    # parse_model sums the weights it reads with the builtin sum, in member order
+    assert abs(sum(model.weights.tolist()) - 1.0) <= FEW_ULPS
+    for marginal in model.marginals:
+        assert -FEW_ULPS <= float(marginal.min()) and float(marginal.max()) <= 1.0 + FEW_ULPS
+
+
+def dominant_state(delta: float) -> StateVector:
+    """|0> plus ``delta`` in every other amplitude of C^8, normalized."""
+    amplitudes = np.full(MAX_DIM, delta, dtype=complex)
+    amplitudes[0] = 1.0
+    return StateVector.normalized(amplitudes)
+
+
+class TestWeightTolBudget:
+    """``WEIGHT_TOL`` and ``ENTRY_TOL`` bound only rounding: the build divides
+    the weights by their sum, so their total misses 1, and a marginal passes
+    [0, 1], by a few ulps.  The structured d = 8 worst cases take a state with
+    one dominant amplitude: measured in the Hadamard frame twice, its 64 near
+    equal weights sum 7 ulps off 1; measured in z then the Hadamard frame, its
+    z marginal passes 1 by an ulp."""
+
+    def test_tolerances_are_far_above_a_few_ulps(self):
+        assert min(WEIGHT_TOL, ENTRY_TOL) > 500 * FEW_ULPS
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(dim=st.integers(1, MAX_DIM), seed=st.integers(0, 2**32 - 1))
+    def test_random_models_stay_within_a_few_ulps(self, dim, seed):
+        rng = rng_from(seed)
+        state, (first, then) = random_state(rng, dim), random_basis_pair(rng, dim)
+        assert_weights_within_few_ulps(build_qm_equivalent_model(state, first, then))
+
+    def test_near_equal_weights_sum_within_a_few_ulps(self):
+        hadamard = MeasurementBasis.from_vectors(hadamard_frame(MAX_DIM).T)
+        model = build_qm_equivalent_model(dominant_state(3e-8), hadamard, hadamard)
+        assert abs(sum(model.weights.tolist()) - 1.0) > FEW_ULPS / 2
+        assert_weights_within_few_ulps(model)
+        assert parse_model(serialize_model(model)).weights.tobytes() == model.weights.tobytes()
+
+    def test_a_marginal_passes_one_by_a_few_ulps(self):
+        z = MeasurementBasis.from_vectors(np.eye(MAX_DIM))
+        hadamard = MeasurementBasis.from_vectors(hadamard_frame(MAX_DIM).T)
+        model = build_qm_equivalent_model(dominant_state(1e-8), z, hadamard)
+        assert float(model.marginals[0].max()) > 1.0
+        assert_weights_within_few_ulps(model)
+        assert dispersion(model.marginals[0]).min() == 0.0  # clipped to 1, not refused
 
 
 ZX_CONTEXTS = (

@@ -16,6 +16,7 @@ from projector_oracle import (
     projector_principal_vector,
     projectors,
 )
+from qlbench.coloring import RayFamily
 from qlbench.errors import DimensionMismatchError, InvariantViolationError, QLBenchError
 from qlbench.hilbert import (
     BASIS_TOL,
@@ -29,6 +30,7 @@ from qlbench.hilbert import (
     principal_vector,
     spin_direction_basis,
     unit_vectors,
+    vector_rows,
 )
 from qlbench.lattice import Subspace
 from qlbench.sampling import rng_from
@@ -320,6 +322,62 @@ class TestFromVectorsAgainstReference:
     @given(planted_vectors())
     def test_same_refusal_or_the_same_basis(self, case):
         assert built_or_refused(basis_fields, case) == built_or_refused(reference_basis, case)
+
+
+class TestVectorRows:
+    """The one reader of outside vectors: an (n, d) array in one call, other
+    input vector by vector, and the first vector of the wrong length named."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", [None, 3])
+    def test_a_complex_array_comes_back_as_given(self, order, dim):
+        given = np.array(np.eye(3, dtype=complex)[:2], order=order)
+        rows, k = vector_rows(given, dim)
+        assert rows is given and k is None
+
+    @pytest.mark.parametrize("make_vectors", [
+        lambda: np.eye(3)[:2], lambda: np.eye(3)[:2, :, None], lambda: [[1, 0, 0], [0, 1, 0]],
+        lambda: list(np.eye(3)[:2]), lambda: (v for v in np.eye(3)[:2]),
+        lambda: [[[1], [0], [0]], [0, 1, 0]],
+    ], ids=["real", "column-stack", "lists", "list-of-arrays", "generator", "nested"])
+    @pytest.mark.parametrize("dim", [None, 3])
+    def test_other_input_gives_the_same_rows(self, make_vectors, dim):
+        rows, k = vector_rows(make_vectors(), dim)
+        assert k is None and rows.flags.c_contiguous and rows.dtype == complex
+        assert rows.tobytes() == np.eye(3, dtype=complex)[:2].tobytes()
+
+    @pytest.mark.parametrize("vectors, dim, k", [
+        ([[1, 0], [1, 0, 0], [1]], None, 1), ([[1, 0], [1, 0, 0], [1]], 3, 0),
+        (np.ones((2, 3)), 2, 0), ((v for v in [[1, 0], [0, 1], []]), 2, 2),
+    ], ids=["ragged", "ragged-dim", "wrong-width", "generator"])
+    def test_names_the_first_vector_of_the_wrong_length(self, vectors, dim, k):
+        rows, bad = vector_rows(vectors, dim)
+        assert bad == k and isinstance(rows, list)
+        assert all(row.ndim == 1 and row.dtype == complex for row in rows)
+
+    @pytest.mark.parametrize("vectors, dim, shape", [
+        ([], None, (0, 0)), ([], 3, (0, 3)), (iter([]), 2, (0, 2)), (np.empty((0, 3)), 3, (0, 3)),
+    ])
+    def test_no_vectors_are_an_empty_stack(self, vectors, dim, shape):
+        rows, k = vector_rows(vectors, dim)
+        assert k is None and rows.shape == shape and rows.dtype == complex
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("stored", [
+    lambda given: MeasurementBasis.from_vectors(given).frame,
+    lambda given: Subspace.from_vectors(3, given).frame,
+    lambda given: RayFamily.from_vectors(3, given, [(0, 1, 2)]).rays,
+    lambda given: Subspace.ray(given[0]).frame,
+], ids=["basis", "subspace", "ray-family", "ray"])
+def test_no_record_stores_the_callers_array(stored, order):
+    # vector_rows may hand back the caller's own array; each record still
+    # stores arrays of its own, and the caller's array is left as it was
+    given = np.array(random_unitary(rng_from(31), 3), order=order)
+    before = given.copy()
+    array = stored(given)
+    assert given.flags.writeable and given.tobytes() == before.tobytes()
+    assert not np.shares_memory(array, given)
 
 
 class TestFormedOncePerBasis:

@@ -258,6 +258,32 @@ def test_born_and_overlap_products_are_formed_only_through_the_memo():
     assert calls == [("stats._memo_born", "_born_probs"), ("stats._memo_kernel", "overlap_kernel")]
 
 
+VECTOR_ENTRIES = {"hilbert.MeasurementBasis.from_vectors", "lattice.Subspace.from_vectors",
+                  "coloring.RayFamily.from_vectors"}
+
+
+def test_outside_vectors_are_read_by_one_function():
+    # one function converts a sequence of outside vectors with a fallback for
+    # input that is not an (n, d) array: hilbert.vector_rows; each from_vectors
+    # entry calls it and holds no try statement of its own
+    readers, tries, callers, functions = set(), set(), set(), set()
+    for module in [path.stem for path in sorted((SRC / "qlbench").glob("*.py"))]:
+        for where, node in located_nodes(module):
+            if isinstance(node, ast.FunctionDef):
+                functions.add(where)
+            elif isinstance(node, ast.Try):
+                tries.add(where)
+                if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                       and call.func.attr in ("array", "asarray", "ascontiguousarray")
+                       for statement in node.body for call in ast.walk(statement)):
+                    readers.add(where)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vector_rows":
+                callers.add(where)
+    assert readers == {"hilbert.vector_rows"}
+    assert callers == VECTOR_ENTRIES and not tries & VECTOR_ENTRIES
+    assert "coloring._ray_matrix" not in functions
+
+
 # The keywords each library function keeps; a setting no caller changes is a
 # module constant (``lattice.TUPLE_LIMIT``, ``stats.BINOMIAL_Z``), not a keyword.
 FUNCTION_PARAMETERS = {

@@ -28,7 +28,8 @@ LOGIC_SWEEP = "reached by the benchmark only (bench/logic_sweep.py)"
 QUANTUM_SWEEP = "reached by the benchmark only (bench/quantum_sweep.py)"
 ERROR = "error path: builds, returns or prints a refusal"
 WALK = "fault walk: runs once a refusal is decided, to name the faulty entry"
-READ = "input other than an (n, d) array, read vector by vector: library callers"
+READ = ("input other than an (n, d) array, read vector by vector by hilbert.vector_rows: "
+        "library callers")
 FAILED = "a failing verdict, reached only if the package computed a law wrongly"
 REPR = "__repr__, for debugging"
 
@@ -44,11 +45,6 @@ ALLOWED = {
     "coloring._basis_index: if len(basis) != dim or len(set(basis)) != dim:": WALK,
     "coloring._basis_index: if not 0 <= i < n:": WALK,
     "coloring._basis_index: if not is_integer(i):": WALK,
-    "coloring._ray_matrix: except ValueError:  # a ray of the wrong length, or rays of mixed "
-    "shapes": WALK,
-    "coloring._ray_matrix: for k, ray in enumerate(rays):": WALK,
-    "coloring._ray_matrix: if np.size(ray) != dim:": WALK,
-    "coloring._ray_matrix: return np.array([np.ravel(ray) for ray in rays], dtype=complex)": READ,
     # exclusive_pairs=True, which no command sets
     "coloring.search_bivalent_assignment: rays = family.rays": LOGIC_SWEEP,
     "coloring.search_bivalent_assignment: packed = np.packbits(np.abs(rays @ rays.conj().T) <= "
@@ -77,25 +73,19 @@ ALLOWED = {
     "hidden._not_stochastic: return \"kernel entry negative or not a number\"": ERROR,
     "hidden._not_stochastic: return f\"kernel row {i} sums to {total!r}, not 1\"": ERROR,
     "hilbert.MeasurementBasis.__repr__": REPR,
-    "hilbert.MeasurementBasis.from_vectors: except (TypeError, ValueError):  # ragged, or not "
-    "numbers": READ,
-    "hilbert.MeasurementBasis.from_vectors: rows = np.empty(0)": READ,
-    "hilbert.MeasurementBasis.from_vectors: vecs = [_as_complex_vector(v) for v in vectors]": READ,
-    "hilbert.MeasurementBasis.from_vectors: if not vecs:": READ,
-    "hilbert.MeasurementBasis.from_vectors: if any(v.size != vecs[0].size for v in vecs):": READ,
-    "hilbert.MeasurementBasis.from_vectors: rows = np.array(vecs)": READ,
     "hilbert.StateVector.__repr__": REPR,
     "hilbert._not_scalable": ERROR,
+    "hilbert.vector_rows: except (TypeError, ValueError):  # ragged, or not numbers": READ,
+    "hilbert.vector_rows: rows = np.empty(0)": READ,
+    "hilbert.vector_rows: rows = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]": READ,
+    "hilbert.vector_rows: width = (rows[0].size if rows else 0) if dim is None else dim": READ,
+    "hilbert.vector_rows: for k, row in enumerate(rows):": READ,
+    "hilbert.vector_rows: if row.size != width:": READ,
+    "hilbert.vector_rows: return rows, k": READ,
+    "hilbert.vector_rows: return np.array(rows, dtype=complex).reshape(len(rows), width), None":
+        READ,
     "lattice.LatticeAxiomReport.all_passed": LOGIC_SWEEP,
     "lattice.Subspace.__repr__": REPR,
-    "lattice.Subspace.from_vectors: except (TypeError, ValueError):  # ragged, or not "
-    "numbers": READ,
-    "lattice.Subspace.from_vectors: rows = np.empty(0)": READ,
-    "lattice.Subspace.from_vectors: vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in "
-    "vectors]": READ,
-    "lattice.Subspace.from_vectors: for v in vecs:": READ,
-    "lattice.Subspace.from_vectors: if v.size != ambient_dim:": READ,
-    "lattice.Subspace.from_vectors: rows = np.array(vecs)": READ,
     "lattice.Subspace.from_vectors: return cls(np.zeros((ambient_dim, 0), dtype=complex))":
         "no vectors, the zero subspace: library callers",
     "lattice._pairwise: return result": "empty stacks: library callers of the stacked laws",
