@@ -120,31 +120,36 @@ def search_bivalent_assignment(family: RayFamily, *,
     """Exhaustive backtracking for a 0/1 assignment with exactly one 1 per basis.
 
     Rays are ordered most-constrained first (descending basis membership).
-    Unit propagation forces the obvious consequences of each decision: once a
-    basis has its 1 the rest of its rays are 0, and a basis with all but one
-    ray at 0 forces the last one to 1.  ``proved_none`` is returned only
-    after the whole decision tree is exhausted; ``nodes`` counts decisions
-    tried, not propagated forcings.
+    Unit propagation forces the obvious consequences of each decision: a ray
+    at 1 forces its mates (every other ray of its bases) to 0, and a basis
+    with all but one ray at 0 and no 1 forces the last one to 1.
+    ``proved_none`` is returned only after the whole decision tree is
+    exhausted; ``nodes`` counts decisions tried, not propagated forcings.
 
     With ``exclusive_pairs`` set, at most one of any two orthogonal rays may
-    take the value 1, whether or not they share a declared basis; the pairs
-    are read off the Gram matrix ``|R Rᴴ| <= RAY_TOL``.
+    take the value 1, whether or not they share a declared basis: the rays
+    orthogonal to a ray, read off the Gram matrix ``|R Rᴴ| <= RAY_TOL``, are
+    among its mates too.
 
-    The state is two bitmasks over the rays, ``ones`` and ``zeros``.
+    The state is two bitmasks over the rays, ``ones`` and ``zeros``; each
+    basis and each ray's mates are a mask, formed once before the search.
     """
     n = len(family.rays)
     bits = [1 << r for r in range(n)]
     masks: list[list[int]] = [[] for _ in range(n)]  # per ray, the masks of its bases
+    mates = [0] * n  # per ray, the mask of the rays a 1 on it forces to 0
     for basis in family.bases:
         mask = sum(map(bits.__getitem__, basis))
         for ray in basis:
             masks[ray].append(mask)
+            mates[ray] |= mask ^ bits[ray]
     # the rays' bits, most-constrained first; the sort is stable, so ties keep index order
     order = [bits[r] for r in sorted(range(n), key=lambda r: -len(masks[r]))]
-    if exclusive_pairs:  # per ray, the mask of the rays orthogonal to it
+    if exclusive_pairs:  # a unit ray is not orthogonal to itself, so no ray is its own mate
         rays = family.rays
         packed = np.packbits(np.abs(rays @ rays.conj().T) <= RAY_TOL, axis=1, bitorder="little")
-        neighbours = [int.from_bytes(bytes(row), "little") for row in packed.tolist()]
+        mates = [mate | int.from_bytes(bytes(row), "little")
+                 for mate, row in zip(mates, packed.tolist())]
 
     def propagate(ones: int, zeros: int, pending: int, value: int) -> tuple[int, int] | None:
         """The two masks after setting the ray of bit ``pending`` to ``value``
@@ -157,28 +162,24 @@ def search_bivalent_assignment(family: RayFamily, *,
             low = pending & -pending
             pending ^= low
             r = low.bit_length() - 1
-            if exclusive_pairs and ones & low:
-                if neighbours[r] & ones:
+            if ones & low:  # every 1 is popped, so this settles each basis that gets a 1
+                if mates[r] & ones:
                     return None
-                fresh = neighbours[r] & ~zeros
+                fresh = mates[r] & ~zeros
                 zeros |= fresh
                 pending |= fresh
+                continue
             for mask in masks[r]:
-                # a basis with its 1 forces its other rays to 0; one with a
-                # single open ray and no 1 forces that ray to 1
-                one = mask & ones
-                if one:
-                    if one & (one - 1):
-                        return None
-                    fresh = mask & ~(ones | zeros)
-                    zeros |= fresh
-                else:
-                    fresh = mask & ~zeros
-                    if not fresh:
-                        return None
-                    if fresh & (fresh - 1):
-                        continue
-                    ones |= fresh
+                # a basis with its 1 was settled when the 1 was popped; one with
+                # a single open ray and no 1 forces that ray to 1
+                if mask & ones:
+                    continue
+                fresh = mask & ~zeros
+                if not fresh:
+                    return None
+                if fresh & (fresh - 1):
+                    continue
+                ones |= fresh
                 pending |= fresh
         return ones, zeros
 

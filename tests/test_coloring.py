@@ -237,6 +237,93 @@ def trail_search(family: RayFamily, *, exclusive_pairs: bool = False) -> Assignm
             return AssignmentSearchResult(assignment=None, proved_none=True, nodes=nodes)
 
 
+def per_basis_mask_search(family: RayFamily, *,
+                          exclusive_pairs: bool = False) -> AssignmentSearchResult:
+    """Oracle: the bitmask search before a ray at 1 cleared its mates in one
+    mask operation, unchanged: each popped ray walks the masks of its bases,
+    and the rays orthogonal to a ray at 1 are cleared on a separate branch."""
+    n = len(family.rays)
+    bits = [1 << r for r in range(n)]
+    masks: list[list[int]] = [[] for _ in range(n)]  # per ray, the masks of its bases
+    for basis in family.bases:
+        mask = sum(map(bits.__getitem__, basis))
+        for ray in basis:
+            masks[ray].append(mask)
+    # the rays' bits, most-constrained first; the sort is stable, so ties keep index order
+    order = [bits[r] for r in sorted(range(n), key=lambda r: -len(masks[r]))]
+    if exclusive_pairs:  # per ray, the mask of the rays orthogonal to it
+        rays = family.rays
+        packed = np.packbits(np.abs(rays @ rays.conj().T) <= RAY_TOL, axis=1, bitorder="little")
+        neighbours = [int.from_bytes(bytes(row), "little") for row in packed.tolist()]
+
+    def propagate(ones: int, zeros: int, pending: int, value: int) -> tuple[int, int] | None:
+        """The two masks after setting the ray of bit ``pending`` to ``value``
+        and everything it forces, or None on a conflict."""
+        if value:
+            ones |= pending
+        else:
+            zeros |= pending
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            r = low.bit_length() - 1
+            if exclusive_pairs and ones & low:
+                if neighbours[r] & ones:
+                    return None
+                fresh = neighbours[r] & ~zeros
+                zeros |= fresh
+                pending |= fresh
+            for mask in masks[r]:
+                # a basis with its 1 forces its other rays to 0; one with a
+                # single open ray and no 1 forces that ray to 1
+                one = mask & ones
+                if one:
+                    if one & (one - 1):
+                        return None
+                    fresh = mask & ~(ones | zeros)
+                    zeros |= fresh
+                else:
+                    fresh = mask & ~zeros
+                    if not fresh:
+                        return None
+                    if fresh & (fresh - 1):
+                        continue
+                    ones |= fresh
+                pending |= fresh
+        return ones, zeros
+
+    # Depth-first over an explicit stack of open decisions (position in
+    # ``order``, value, the masks before it), trying 1 then 0 at each; every
+    # ray before a decision's position in ``order`` is assigned while it is open.
+    nodes = 0
+    stack: list[tuple[int, int, int, int]] = []
+    pos, value, ones, zeros = 0, 1, 0, 0
+    while True:
+        assigned = ones | zeros
+        while pos < n and assigned & order[pos]:
+            pos += 1
+        if pos == n:
+            assignment = tuple(1 if ones & bit else 0 for bit in bits)
+            return AssignmentSearchResult(assignment=assignment, proved_none=False, nodes=nodes)
+        nodes += 1
+        state = propagate(ones, zeros, order[pos], value)
+        if state is not None:
+            stack.append((pos, value, ones, zeros))
+            ones, zeros = state
+            value = 1
+            continue
+        if value == 1:
+            value = 0
+            continue
+        while stack:
+            pos, value, ones, zeros = stack.pop()
+            if value == 1:
+                value = 0
+                break
+        else:
+            return AssignmentSearchResult(assignment=None, proved_none=True, nodes=nodes)
+
+
 def per_basis_checks(dim: int, rays: np.ndarray, bases) -> tuple[tuple[int, ...], ...]:
     """Oracle: the basis checks of ``RayFamily`` before it decided all bases at
     once, unchanged: one Python element at a time, then the orthogonality
@@ -701,6 +788,21 @@ class TestExclusivePairsFlag:
             if abs(np.vdot(family.rays[i], family.rays[j])) <= 1e-9:
                 assert result.assignment[i] + result.assignment[j] <= 1
 
+    @pytest.mark.parametrize("factor, orthogonal", [(0.99, True), (1.01, False)])
+    def test_undeclared_overlap_at_ray_tol(self, factor, orthogonal):
+        # rays 3 and 4 share no basis and overlap by eps; neither is orthogonal
+        # to ray 0, the basis's 1, so each is tried at 1 in turn
+        eps = factor * RAY_TOL
+        u, w = np.array([1.0, 1.0, 0.0]), np.array([1.0, -1.0, 0.0])
+        u, w = u / np.linalg.norm(u), w / np.linalg.norm(w)
+        rays = ([1, 0, 0], [0, 1, 0], [0, 0, 1], u, eps * u + math.sqrt(1.0 - eps * eps) * w)
+        family = RayFamily.from_vectors(3, rays, [(0, 1, 2)])
+        assert abs(np.vdot(family.rays[3], family.rays[4])) == pytest.approx(eps, rel=1e-6)
+        result = search_bivalent_assignment(family, exclusive_pairs=True)
+        assert result.assignment == (1, 0, 0, 1, 0 if orthogonal else 1)
+        assert search_bivalent_assignment(family).assignment == (1, 0, 0, 1, 1)
+        TestIterativeSearch.assert_same(family, exclusive_pairs=True)
+
 
 class TestRayFamilyFiles:
     def test_round_trip(self):
@@ -727,14 +829,56 @@ class TestRayFamilyFiles:
             builtin_family("nope")
 
 
+def signed_rays(dim: int) -> np.ndarray:
+    """The rays of C^dim whose entries are 0 or ±1, one per sign pair, scaled
+    to unit length: two of them are orthogonal exactly when their integer
+    dot product is 0."""
+    vectors = [v for v in itertools.product((0, 1, -1), repeat=dim)
+               if any(v) and v[np.flatnonzero(v)[0]] == 1]
+    return np.array(vectors, dtype=complex) / np.linalg.norm(vectors, axis=1)[:, None]
+
+
+SIGNED_RAYS_D4 = signed_rays(4)
+
+
+@st.composite
+def mixed_families(draw):
+    """A family for the search alone, stored with the unchecked constructor:
+    4 to 16 of the 40 signed rays of C^4 and up to 10 bases, each 3 or 4
+    pairwise-orthogonal rays among them in a drawn order.  So some rays lie
+    in no basis, many orthogonal pairs share no basis, and 3- and 4-ray bases
+    mix.  In half the cases the rays are rotated and rephased, which leaves
+    their overlaps within rounding, and in some a random ray in no basis is
+    added."""
+    picked = draw(st.lists(st.integers(0, len(SIGNED_RAYS_D4) - 1), min_size=4, max_size=16,
+                           unique=True))
+    rays = SIGNED_RAYS_D4[picked]
+    orthogonal = np.abs(rays @ rays.conj().T) < 0.5
+    cliques = [c for size in (3, 4) for c in itertools.combinations(range(len(rays)), size)
+               if all(orthogonal[i, j] for i, j in itertools.combinations(c, 2))]
+    bases = ()
+    if cliques:
+        chosen = draw(st.lists(st.sampled_from(cliques), max_size=10))
+        bases = tuple(tuple(draw(st.permutations(c))) for c in chosen)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        phases = np.exp(2j * np.pi * rng.random(len(rays)))
+        rays = (rays @ random_rotation(rng, 4).T) * phases[:, None]
+    if draw(st.booleans()):
+        extra = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rays = np.vstack([rays, extra / np.linalg.norm(extra)])
+    return RayFamily(4, rays, bases)
+
+
 class TestIterativeSearch:
-    """The bitmask search against both oracles, the recursive search and the
-    trail-and-undo search: same assignment, same verdict, same node count."""
+    """The bitmask search against the three searches it replaced, the
+    recursive search, the trail-and-undo search and the per-basis mask
+    search: same assignment, same verdict, same node count."""
 
     @staticmethod
     def assert_same(family, exclusive_pairs):
         got = search_bivalent_assignment(family, exclusive_pairs=exclusive_pairs)
-        for oracle in (recursive_search, trail_search):
+        for oracle in (recursive_search, trail_search, per_basis_mask_search):
             want = oracle(family, exclusive_pairs=exclusive_pairs)
             assert (got.assignment, got.proved_none, got.nodes) == (
                 want.assignment, want.proved_none, want.nodes)
@@ -776,6 +920,11 @@ class TestIterativeSearch:
         bases = tuple(b for i, b in enumerate(ks18.bases) if i not in drop)
         self.assert_same(RayFamily(4, ks18.rays, bases), exclusive_pairs)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(family=mixed_families(), exclusive_pairs=st.booleans())
+    def test_matches_the_oracles_on_mixed_families(self, family, exclusive_pairs):
+        self.assert_same(family, exclusive_pairs)
+
     def test_1200_disjoint_triads_find_an_assignment(self):
         # deeper than Python's default recursion limit of 1000
         rng = np.random.default_rng(1200)
@@ -785,4 +934,24 @@ class TestIterativeSearch:
         result = search_bivalent_assignment(family)
         assert result.found
         assert result.nodes == 1200
+        assert assignment_is_valid(family, result.assignment)
+
+
+class TestPinnedNodeCounts:
+    """Node counts the search has given since before a ray at 1 cleared its
+    mates in one mask operation, held apart from any oracle."""
+
+    def test_ks18(self):
+        result = search_bivalent_assignment(builtin_family("ks18-d4"))
+        assert (result.proved_none, result.nodes) == (True, 48)
+
+    def test_peres_with_exclusive_pairs(self):
+        family = RayFamily.from_vectors(3, PERES_RAYS, PERES_TRIADS)
+        result = search_bivalent_assignment(family, exclusive_pairs=True)
+        assert (result.proved_none, result.nodes) == (True, 46)
+
+    def test_triad_tree_of_100(self):
+        family = triad_tree(np.random.default_rng(100), 100)
+        result = search_bivalent_assignment(family)
+        assert (result.found, result.nodes) == (True, 50)
         assert assignment_is_valid(family, result.assignment)

@@ -49,13 +49,8 @@ ALLOWED = {
     "coloring.search_bivalent_assignment: rays = family.rays": LOGIC_SWEEP,
     "coloring.search_bivalent_assignment: packed = np.packbits(np.abs(rays @ rays.conj().T) <= "
     "RAY_TOL, axis=1, bitorder=\"little\")": LOGIC_SWEEP,
-    "coloring.search_bivalent_assignment: neighbours = [int.from_bytes(bytes(row), \"little\") "
-    "for row in packed.tolist()]": LOGIC_SWEEP,
-    "coloring.search_bivalent_assignment.propagate: if neighbours[r] & ones:": LOGIC_SWEEP,
-    "coloring.search_bivalent_assignment.propagate: return None": LOGIC_SWEEP,
-    "coloring.search_bivalent_assignment.propagate: fresh = neighbours[r] & ~zeros": LOGIC_SWEEP,
-    "coloring.search_bivalent_assignment.propagate: zeros |= fresh": LOGIC_SWEEP,
-    "coloring.search_bivalent_assignment.propagate: pending |= fresh": LOGIC_SWEEP,
+    "coloring.search_bivalent_assignment: mates = [mate | int.from_bytes(bytes(row), \"little\")":
+        LOGIC_SWEEP,
     "config.ConfigError.__init__": ERROR,
     "config.Line.column": ERROR,
     "config.Line.error": ERROR,
