@@ -484,7 +484,7 @@ def _cmd_lattice_check(config: ExperimentConfig) -> Report:
             axiom_rows.append(
                 [dim, check.name, check.checked, check.passed, check.counterexample or ""]
             )
-            all_ok = all_ok and check.passed
+        all_ok = all_ok and axioms.all_passed
         rotated = sample[1:] + sample[:1]
         absorption = bool(lattice.absorption_holds_stacked(sample, rotated).all())
         de_morgan = bool(lattice.de_morgan_holds_stacked(sample, rotated).all())

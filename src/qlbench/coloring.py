@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigSemanticError, Line, parse_lines
 from .errors import InvariantViolationError, PreconditionError
-from .hilbert import _frozen, is_integer, unit_vectors, vector_rows
+from .hilbert import _MAX_WIDTH, _frozen, is_integer, unit_vectors, vector_rows
 
 RAY_TOL = 1e-9
 
@@ -56,6 +56,9 @@ class RayFamily:
                 raise InvariantViolationError(f"ray {k} is a zero vector", ("ray", k, 0))
         if dim < 3:
             raise InvariantViolationError("ray families need ambient dimension >= 3", ("dim", 0, 0))
+        if dim > _MAX_WIDTH:  # so wide that only a family of no rays gets here
+            raise InvariantViolationError(f"ray families need ambient dimension <= {_MAX_WIDTH}",
+                                          ("dim", 0, 0))
         if not finite.all():
             k = int(np.argmin(finite))
             raise InvariantViolationError(f"ray {k} has a non-finite entry", ("ray", k, 0))

@@ -165,16 +165,8 @@ class Line:
 
     def numbers(self, kind: type, start: int = 1, stop: int | None = None) -> list:
         """``tokens[start:stop]`` as numbers, each as :meth:`number` reads it."""
-        convert, _ = _NUMBER_KINDS[kind]
-        try:
-            values = list(map(convert, self.tokens[start:stop]))
-            if kind is int or all(map(cmath.isfinite, values)):
-                return values
-        except ValueError:
-            pass
-        for index in range(start, len(self.tokens) if stop is None else stop):
-            self.number(kind, index)  # raises at the first bad token
-        raise AssertionError("unreachable")
+        stop = len(self.tokens) if stop is None else stop
+        return [self.number(kind, index) for index in range(start, stop)]
 
     def groups(self, kind: type, start: int = 1) -> list[list]:
         """The numbers from ``tokens[start]`` on, in the non-empty groups

@@ -81,7 +81,7 @@ class OutcomeSpace:
         except KeyError:
             stray = sorted(members.difference(self.labels))
             raise InvariantViolationError(f"label(s) {stray} not in the outcome space") from None
-        return EventSet(self, mask, members)
+        return EventSet(self, mask)
 
     def atom(self, label: str) -> EventSet:
         return self.event([label])
@@ -92,20 +92,18 @@ class EventSet:
 
     Bit ``k`` of ``mask`` stands for ``space.labels[k]``.  The constructor
     takes a mask known to lie in ``space``; ``OutcomeSpace.event`` builds an
-    event from labels and checks them.  ``members`` is the frozenset of the
-    mask's labels, made on first use when not given.
+    event from labels and checks them.
     """
 
-    __slots__ = ("space", "mask", "_members")
+    __slots__ = ("space", "mask")
 
-    def __init__(self, space: OutcomeSpace, mask: int, members: frozenset[str] | None = None) -> None:
-        self.space, self.mask, self._members = space, mask, members
+    def __init__(self, space: OutcomeSpace, mask: int) -> None:
+        self.space, self.mask = space, mask
 
     @property
     def members(self) -> frozenset[str]:
-        if self._members is None:
-            self._members = self.space.labels_of(self.mask)
-        return self._members
+        """The frozenset of the mask's labels."""
+        return self.space.labels_of(self.mask)
 
     def _check_space(self, other: EventSet) -> OutcomeSpace:
         if self.space is not other.space:
@@ -242,16 +240,11 @@ def eq10_trace(a_label: str, b_label: str, space: OutcomeSpace) -> ComplementCha
             out = out.union(e)
         return out
 
+    law = distributes_classical(a, b, cx[b_label])
     lines = [
         TraceLine(f"{a_label} ∩ X", a.intersect(space.event(labels)).members),
-        TraceLine(
-            f"{a_label} ∩ ({b_label} ∪ {b_label}'_X)",
-            a.intersect(b.union(cx[b_label])).members,
-        ),
-        TraceLine(
-            f"({a_label} ∩ {b_label}) ∪ ({a_label} ∩ {b_label}'_X)",
-            a.intersect(b).union(a.intersect(cx[b_label])).members,
-        ),
+        TraceLine(f"{a_label} ∩ ({b_label} ∪ {b_label}'_X)", law.lhs.members),
+        TraceLine(f"({a_label} ∩ {b_label}) ∪ ({a_label} ∩ {b_label}'_X)", law.rhs.members),
         TraceLine(
             f"({a_label} ∩ {b_label}) ∪ [{a_label} ∩ ({' ∪ '.join(b_rest)})]",
             a.intersect(b).union(a.intersect(big_union(atom[x] for x in b_rest))).members,
@@ -322,25 +315,21 @@ def universe_mismatch_demo(a_label: str, b_label: str, space: OutcomeSpace) -> M
     b = space.atom(b_label)
     b_in_space = complement_relative(b, space)
     b_in_omega = complement_relative(b, universe_b)
-
-    lhs_mixed = a.intersect(b.union(b_in_space)).members
-    rhs_omega = a.intersect(b).union(a.intersect(b_in_omega)).members
-    flag_raised = lhs_mixed != rhs_omega
-
-    consistent_space = SideBySide(
-        lhs=lhs_mixed,
-        rhs=a.intersect(b).union(a.intersect(b_in_space)).members,
-    )
-
     coerced_a = restricted_to(a, universe_b, coerce=True)
+    # b' is taken in X, in Ω_b, and in Ω_b with a coerced there
+    in_space = distributes_classical(a, b, b_in_space)
+    in_omega = distributes_classical(a, b, b_in_omega)
+    in_universe = distributes_classical(coerced_a, b, b_in_omega)
+
+    lhs_mixed = in_space.lhs.members
+    rhs_omega = in_omega.rhs.members
+    flag_raised = lhs_mixed != rhs_omega
+    consistent_space = SideBySide(lhs=lhs_mixed, rhs=in_space.rhs.members)
     coercions = (
         f"event {{{a_label}}} coerced into universe {universe_b.name!r}: "
         f"dropped {sorted(a.members - coerced_a.members)}",
     )
-    consistent_universe = SideBySide(
-        lhs=coerced_a.intersect(b.union(b_in_omega)).members,
-        rhs=coerced_a.intersect(b).union(coerced_a.intersect(b_in_omega)).members,
-    )
+    consistent_universe = SideBySide(lhs=in_universe.lhs.members, rhs=in_universe.rhs.members)
 
     return MismatchReport(
         a_label=a_label,

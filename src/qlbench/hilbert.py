@@ -32,6 +32,9 @@ ZERO_PROBABILITY = 1e-12  # below this, conditioning on the outcome is refused
 # change it by less than rounding.
 _PLAIN_NORMS = (1e-150, 1e150)
 
+# The widest complex row numpy can shape, even in a stack of no rows.
+_MAX_WIDTH = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+
 # the labels ("0", ..., "n-1") of a basis of n unlabelled vectors, for each n up to MAX_DIM
 _DEFAULT_LABELS = tuple(tuple(map(str, range(n))) for n in range(MAX_DIM + 1))
 
@@ -49,8 +52,10 @@ def vector_rows(vectors, dim: int | None = None) -> tuple[np.ndarray | list[np.n
     """Outside ``vectors`` as the rows of one (n, d) complex array, maybe the
     caller's own, and None; d is ``dim``, or the first vector's length when
     ``dim`` is None.  When some vector's length is not d: the flattened
-    vectors as a list, and the index of the first such vector.  An (n, d)
-    array converts in one call, other input is read vector by vector."""
+    vectors as a list, and the index of the first such vector.  No vectors
+    and a d no array can have (negative, or wider than ``_MAX_WIDTH``) give
+    a (0, 0) stack, so that the caller refuses d itself.  An (n, d) array
+    converts in one call, other input is read vector by vector."""
     try:
         rows = np.asarray(vectors, dtype=complex)
     except (TypeError, ValueError):  # ragged, or not numbers
@@ -62,7 +67,9 @@ def vector_rows(vectors, dim: int | None = None) -> tuple[np.ndarray | list[np.n
     for k, row in enumerate(rows):
         if row.size != width:
             return rows, k
-    return np.array(rows, dtype=complex).reshape(len(rows), width), None
+    # a d no array can have gets this far only with no rows
+    return np.array(rows, dtype=complex).reshape(
+        len(rows), width if 0 <= width <= _MAX_WIDTH else 0), None
 
 
 def unit_vectors(vectors: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, int | None]:

@@ -8,7 +8,7 @@ from conftest import gram_tilted_frame, hadamard_frame
 from qlbench import cli, coloring, hidden, stats
 from qlbench.cli import main
 from qlbench.hidden import AGREEMENT_TOL, load_model
-from qlbench.hilbert import BASIS_TOL
+from qlbench.hilbert import _MAX_WIDTH, BASIS_TOL
 
 
 def run(capsys, *argv):
@@ -372,6 +372,25 @@ class TestSearchCommands:
         assert (code, out) == (2, "")
         assert err == f"error: ray-family {located}\n"
 
+    @pytest.mark.parametrize("family_text, located", [
+        ("dim -1\n", "line 1, column 5: ray families need ambient dimension >= 3"),
+        ("dim 0\n", "line 1, column 5: ray families need ambient dimension >= 3"),
+        ("dim 99999999999999999999\n",
+         f"line 1, column 5: ray families need ambient dimension <= {_MAX_WIDTH}"),
+        ("dim 99999999999999999999\nray 1 0 0\n",
+         "line 2, column 5: ray 0 has length 3, expected 99999999999999999999"),
+        ("dim -1\nray 1 0 0\n", "line 2, column 5: ray 0 has length 3, expected -1"),
+    ], ids=["negative", "zero", "wider-than-an-array", "wide-with-a-ray", "negative-with-a-ray"])
+    def test_a_dimension_no_array_can_have_is_located(self, capsys, tmp_path, family_text,
+                                                       located):
+        # numpy cannot shape a stack of no rays this wide or of negative width;
+        # the family's own refusal names the dim line, and a ray still comes first
+        (tmp_path / "f.rays").write_text(family_text)
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"family {tmp_path / 'f.rays'}\n")
+        assert run(capsys, "ks-search", "--config", str(config)) == (
+            2, "", f"error: ray-family {located}\n")
+
     def test_lattice_check(self, capsys, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text("samples 40\n")
@@ -401,6 +420,26 @@ class TestSearchCommands:
         dims = len((2, 3, 4))
         assert (calls.count("svd"), calls.count("qr")) == (9 * dims, (2 + 6) * dims)
         assert sum(svd_items) <= 1491
+
+    def test_lattice_check_verdict_is_the_axiom_reports(self, capsys, monkeypatch, tmp_path):
+        # one failed axiom check, in dimension 3 only, fails the run
+        from qlbench import lattice
+
+        checked = lattice.check_lattice_axioms
+
+        def failing_in_three(sample, seed):
+            report = checked(sample, seed=seed)
+            if sample[0].ambient_dim == 3:
+                first, *rest = report.checks
+                report.checks = (lattice.AxiomCheck(first.name, 1, False, "planted"), *rest)
+            return report
+
+        monkeypatch.setattr(lattice, "check_lattice_axioms", failing_in_three)
+        config = tmp_path / "exp.cfg"
+        config.write_text("samples 4\n")
+        code, out, _ = run(capsys, "lattice-check", "--config", str(config))
+        assert (code, out.splitlines()[-1]) == (1, "verdict: law violation found")
+        assert "planted" in out
 
 
 class TestInterface:

@@ -21,7 +21,7 @@ from qlbench.coloring import (
 )
 from qlbench.config import format_complex
 from qlbench.errors import InvariantViolationError, PreconditionError
-from qlbench.hilbert import unit_vectors
+from qlbench.hilbert import _MAX_WIDTH, unit_vectors
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -394,6 +394,24 @@ class TestRayFamilyValidation:
     def test_rejects_low_dimension(self):
         with pytest.raises(InvariantViolationError):
             RayFamily.from_vectors(2, [[1, 0], [0, 1]], [(0, 1)])
+
+    @pytest.mark.parametrize("dim, message", [
+        (-1, "ray families need ambient dimension >= 3"),
+        (0, "ray families need ambient dimension >= 3"),
+        (_MAX_WIDTH + 1, f"ray families need ambient dimension <= {_MAX_WIDTH}"),
+        (99999999999999999999, f"ray families need ambient dimension <= {_MAX_WIDTH}"),
+    ])
+    def test_no_rays_in_a_dimension_no_array_can_have(self, dim, message):
+        # numpy shapes no stack of rays -1 or _MAX_WIDTH + 1 complex entries
+        # wide; the family's own refusal names the dimension instead
+        with pytest.raises(InvariantViolationError) as info:
+            RayFamily.from_vectors(dim, [], [])
+        assert (type(info.value), str(info.value), info.value.part) == (
+            InvariantViolationError, message, ("dim", 0, 0))
+
+    def test_no_rays_in_the_widest_dimension_is_an_empty_family(self):
+        family = RayFamily.from_vectors(_MAX_WIDTH, [], [])
+        assert (family.dim, family.rays.shape, family.bases) == (_MAX_WIDTH, (0, _MAX_WIDTH), ())
 
     def test_rejects_non_orthogonal_basis(self):
         with pytest.raises(InvariantViolationError):

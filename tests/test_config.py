@@ -1,16 +1,21 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import same_ray
 from qlbench.coloring import parse_ray_family
 from qlbench.config import (
+    _NUMBER_KINDS,
     ConfigSemanticError,
     ConfigSyntaxError,
     DEFAULT_SEED,
     MAX_SAMPLES,
     MAX_TRIALS,
+    Line,
     parse_experiment_config,
 )
 from qlbench.errors import InvariantViolationError
@@ -213,3 +218,84 @@ class TestSharedReader:
         with pytest.raises(ConfigSyntaxError) as info:
             parse_experiment_config("context vectors 1 1 ; 11 1x\n")
         assert (info.value.line, info.value.column) == (1, 26)
+
+
+def two_path_numbers(line: Line, kind: type, start: int = 1, stop: int | None = None) -> list:
+    """Oracle: ``Line.numbers`` as it was with a fast path.  The whole window
+    converts in one ``map`` and is checked finite in one ``all``; only when
+    that fails are the tokens walked with ``Line.number``, which raises at the
+    first bad one."""
+    convert, _ = _NUMBER_KINDS[kind]
+    try:
+        values = list(map(convert, line.tokens[start:stop]))
+        if kind is int or all(map(cmath.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    for index in range(start, len(line.tokens) if stop is None else stop):
+        line.number(kind, index)  # raises at the first bad token
+    raise AssertionError("unreachable")
+
+
+def read_or_refused(read, line: Line, kind: type, start: int, stop: int | None):
+    """Each value's type and repr, or the refusal's class, text and column."""
+    try:
+        values = read(line, kind, start, stop)
+    except ConfigSyntaxError as exc:
+        return type(exc), str(exc), exc.column
+    return [(type(v), repr(v)) for v in values]
+
+
+# Tokens of every kind a number line holds: base-prefixed and plain integers,
+# floats and complex literals in repr form, the non-finite spellings, and
+# malformed text.
+number_tokens = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70).flatmap(
+        lambda i: st.sampled_from([str(i), hex(i), oct(i), bin(i)])),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(repr).map(
+        lambda text: text.replace(" ", "")),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-1e999", "nanj", "infj", "1e999j",
+                     "(1+nanj)", "1_0", "0x1_f", "1.5", "2j", "1e-320"]),
+    st.sampled_from(["x", "1x", "0x", "0b2", "1..2", "(1+", "1+2", "j", "--1", "1e", ";", "0o9",
+                     "_1", "+-1"]),
+)
+
+
+@st.composite
+def number_lines(draw):
+    """A line of a key and up to twelve number tokens, spaced at random, and a
+    window of it: ``start`` from 0 to the end, ``stop`` None or at least ``start``."""
+    tokens = ["key"] + draw(st.lists(number_tokens, max_size=12))
+    gaps = draw(st.lists(st.sampled_from([" ", "  ", "\t"]), min_size=len(tokens),
+                         max_size=len(tokens)))
+    text = "".join(gap + token for gap, token in zip(gaps, tokens))
+    start = draw(st.integers(0, len(tokens)))
+    stop = draw(st.one_of(st.none(), st.integers(start, len(tokens))))
+    return Line("", 1, text, text.split()), start, stop
+
+
+class TestNumbersAgainstTwoPathReader:
+    """``Line.numbers`` reads token by token through ``Line.number``; the
+    two-path form it replaced gives the same values or the same refusal."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(case=number_lines(), kind=st.sampled_from([int, float, complex]))
+    def test_same_values_or_the_same_refusal(self, case, kind):
+        line, start, stop = case
+        assert (read_or_refused(Line.numbers, line, kind, start, stop)
+                == read_or_refused(two_path_numbers, line, kind, start, stop))
+
+    @pytest.mark.parametrize("text, kind, read", [
+        ("key 1 2 0x1f", int, ["1", "2", "31"]),
+        ("key " + " ".join(map(str, range(40))), float, [repr(float(i)) for i in range(40)]),
+        ("key 1 nan x", float, "line 1, column 7: non-finite number 'nan'"),
+        ("key 1 x nan", complex, "line 1, column 7: malformed complex number 'x'"),
+        ("key 1e999 2", float, "line 1, column 5: non-finite number '1e999'"),
+        ("key 0b1 1.5", int, "line 1, column 9: malformed integer '1.5'"),
+    ], ids=["integers", "forty", "nan-first", "malformed-first", "overflow", "float-as-int"])
+    def test_values_or_the_first_bad_token(self, text, kind, read):
+        line = Line("", 1, text, text.split())
+        got = read_or_refused(Line.numbers, line, kind, 1, None)
+        assert got == read_or_refused(two_path_numbers, line, kind, 1, None)
+        assert ([text for _, text in got] if isinstance(got, list) else got[1]) == read

@@ -375,3 +375,125 @@ class TestAgainstFrozensetOracle:
                 assert outcome(
                     lambda e, u: restricted_to(e, u, coerce=coerce), ea, universe
                 ) == outcome(oracle_restricted_to, a, universe.outcomes, coerce)
+
+
+
+def inline_eq10_trace(a_label: str, b_label: str, space: OutcomeSpace) -> list:
+    """Oracle: the (expression, value) lines of ``eq10_trace`` as it was, each
+    side of the distribution law built inline from unions and intersections."""
+    labels = space.labels
+    for label in (a_label, b_label):
+        if label not in labels:
+            raise PreconditionError(f"label {label!r} is not an atom of the space")
+    atom = {label: space.atom(label) for label in labels}
+    cx = {label: complement_relative(atom[label], space) for label in labels}
+    a, b = atom[a_label], atom[b_label]
+    b_rest = [x for x in labels if x != b_label]
+
+    def big_union(events):
+        out = EventSet(space, 0)
+        for e in events:
+            out = out.union(e)
+        return out
+
+    return [
+        (f"{a_label} ∩ X", a.intersect(space.event(labels)).members),
+        (f"{a_label} ∩ ({b_label} ∪ {b_label}'_X)", a.intersect(b.union(cx[b_label])).members),
+        (f"({a_label} ∩ {b_label}) ∪ ({a_label} ∩ {b_label}'_X)",
+         a.intersect(b).union(a.intersect(cx[b_label])).members),
+        (f"({a_label} ∩ {b_label}) ∪ [{a_label} ∩ ({' ∪ '.join(b_rest)})]",
+         a.intersect(b).union(a.intersect(big_union(atom[x] for x in b_rest))).members),
+        (f"{a_label} ∩ [" + " ∪ ".join(f"({x} ∪ {x}'_X)" for x in labels) + "]",
+         a.intersect(big_union(atom[x].union(cx[x]) for x in labels)).members),
+        (" ∪ ".join(f"({a_label} ∩ {x}) ∪ ({a_label} ∩ {x}'_X)" for x in labels),
+         big_union(a.intersect(atom[x]).union(a.intersect(cx[x])) for x in labels).members),
+        (a_label, a.members),
+    ]
+
+
+def inline_mismatch_demo(a_label: str, b_label: str, space: OutcomeSpace) -> tuple:
+    """Oracle: the fields of ``universe_mismatch_demo`` as it was, each side of
+    the distribution law built inline: lhs_mixed, rhs_omega, the consistent
+    pairs in X and in Ω_b, and the coercion log."""
+    universe_b = space.universe_of(b_label)
+    if space.universe_of(a_label) is universe_b:
+        raise PreconditionError(
+            "atoms from the same universe: the demo needs incompatible contexts")
+    a, b = space.atom(a_label), space.atom(b_label)
+    b_in_space = complement_relative(b, space)
+    b_in_omega = complement_relative(b, universe_b)
+    lhs_mixed = a.intersect(b.union(b_in_space)).members
+    coerced_a = restricted_to(a, universe_b, coerce=True)
+    return (
+        lhs_mixed,
+        a.intersect(b).union(a.intersect(b_in_omega)).members,
+        (lhs_mixed, a.intersect(b).union(a.intersect(b_in_space)).members),
+        (coerced_a.intersect(b.union(b_in_omega)).members,
+         coerced_a.intersect(b).union(coerced_a.intersect(b_in_omega)).members),
+        (f"event {{{a_label}}} coerced into universe {universe_b.name!r}: "
+         f"dropped {sorted(a.members - coerced_a.members)}",),
+    )
+
+
+def computed_or_refused(compute, *args):
+    try:
+        return compute(*args)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def spaces_with_atoms(draw):
+    """A space of two or three universes of one to four labels each, its bit
+    order unlike sorted order, and two labels of it, one now and then a
+    stranger."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    names = draw(st.permutations([f"x{i}" for i in range(sum(sizes))]))
+    cuts = list(itertools.accumulate([0] + sizes))
+    space = OutcomeSpace(tuple(Universe(f"u{k}", tuple(names[lo:hi]))
+                               for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))))
+    label = st.sampled_from(names)
+    if draw(st.integers(0, 9)) == 0:
+        label = st.one_of(label, st.just("stranger"))
+    return space, draw(label), draw(label)
+
+
+def trace_fields(a_label: str, b_label: str, space: OutcomeSpace) -> list:
+    trace = eq10_trace(a_label, b_label, space)
+    assert (trace.a_label, trace.b_label) == (a_label, b_label)
+    assert trace.all_equal_to_atom
+    assert trace.verdict == f"distributive, {a_label} = {a_label}"
+    return [(line.expression, line.value) for line in trace.lines]
+
+
+def demo_fields(a_label: str, b_label: str, space: OutcomeSpace) -> tuple:
+    demo = universe_mismatch_demo(a_label, b_label, space)
+    assert (demo.a_label, demo.b_label) == (a_label, b_label)
+    assert demo.flag_raised == (demo.lhs_mixed != demo.rhs_omega)
+    assert demo.flag == (MISMATCH_FLAG if demo.flag_raised else "")
+    for pair in (demo.consistent_space, demo.consistent_universe):
+        assert pair.equal == (pair.lhs == pair.rhs)
+    return (demo.lhs_mixed, demo.rhs_omega,
+            (demo.consistent_space.lhs, demo.consistent_space.rhs),
+            (demo.consistent_universe.lhs, demo.consistent_universe.rhs),
+            demo.coercions)
+
+
+class TestDemosAgainstInlineSides:
+    """``eq10_trace`` and ``universe_mismatch_demo`` take the sides of the
+    distribution law from ``distributes_classical``; the inline evaluation they
+    replaced gives every record field the same value, or the same refusal."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=spaces_with_atoms())
+    def test_eq10_trace(self, case):
+        space, a_label, b_label = case
+        assert (computed_or_refused(trace_fields, a_label, b_label, space)
+                == computed_or_refused(inline_eq10_trace, a_label, b_label, space))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=spaces_with_atoms())
+    def test_mismatch_demo(self, case):
+        space, a_label, b_label = case
+        assert (computed_or_refused(demo_fields, a_label, b_label, space)
+                == computed_or_refused(inline_mismatch_demo, a_label, b_label, space))

@@ -9,7 +9,7 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlbench.cli import COMMANDS, main
@@ -62,6 +62,31 @@ file_text = st.one_of(
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(text=file_text)
 def test_parsers_give_a_value_or_a_qlbench_error(parse, text):
+    try:
+        parse(text)
+    except QLBenchError:
+        pass
+
+
+# A ``dim`` or ``model-dim`` line whose value is negative, zero or wider than
+# any array, alone or ahead of the rest of a family, a model or random lines.
+DIMENSIONS = ("-1", "0", "3", "99999999999999999999")
+dimension_text = st.builds(
+    "{} {}\n{}".format, st.sampled_from(["dim", "model-dim"]), st.sampled_from(DIMENSIONS),
+    st.one_of(st.sampled_from(["", TRIADS.split("\n", 1)[1], ZX_MODEL.split("\n", 1)[1]]),
+              st.lists(line_text, max_size=4).map("\n".join)),
+)
+
+
+@pytest.mark.parametrize("parse", [parse_experiment_config, parse_model, parse_ray_family])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(text=dimension_text)
+@example(text="dim -1\n")
+@example(text="dim 0\n")
+@example(text="dim 99999999999999999999\n")
+@example(text="model-dim -1\n")
+@example(text="model-dim 99999999999999999999\n" + ZX_MODEL.split("\n", 1)[1])
+def test_dimension_words_give_a_value_or_a_qlbench_error(parse, text):
     try:
         parse(text)
     except QLBenchError:

@@ -24,6 +24,7 @@ from qlbench.hilbert import (
     NORM_TOL,
     MeasurementBasis,
     StateVector,
+    _MAX_WIDTH,
     _as_complex_vector,
     named_axis_basis,
     named_state,
@@ -361,6 +362,12 @@ class TestVectorRows:
     def test_no_vectors_are_an_empty_stack(self, vectors, dim, shape):
         rows, k = vector_rows(vectors, dim)
         assert k is None and rows.shape == shape and rows.dtype == complex
+
+    @pytest.mark.parametrize("dim", [-1, _MAX_WIDTH + 1, 99999999999999999999])
+    def test_no_vectors_in_a_width_no_array_can_have(self, dim):
+        # left for the caller's own refusal of ``dim``
+        rows, k = vector_rows([], dim)
+        assert k is None and rows.shape == (0, 0) and rows.dtype == complex
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -18,7 +18,7 @@ from conftest import (
 from qlbench import lattice
 from qlbench.config import DEFAULT_SEED
 from qlbench.errors import DimensionMismatchError, InvariantViolationError, PreconditionError
-from qlbench.hilbert import MAX_DIM, unit_vectors
+from qlbench.hilbert import _MAX_WIDTH, MAX_DIM, unit_vectors
 from qlbench.lattice import (
     INCLUSION_TOL,
     RANK_TOL,
@@ -863,6 +863,24 @@ class TestFromVectors:
             Subspace.ray([bad, 0])
         with pytest.raises(InvariantViolationError, match="non-finite"):
             Subspace.from_vectors(2, [[1, 0], [0, bad]])
+
+    @pytest.mark.parametrize("ambient_dim",
+                             [-1, 0, MAX_DIM + 1, _MAX_WIDTH + 1, 99999999999999999999])
+    @pytest.mark.parametrize("make_vectors", [list, lambda: iter([])], ids=["list", "iterator"])
+    def test_no_vectors_out_of_range_is_the_range_refusal(self, ambient_dim, make_vectors):
+        # no array is -1 or _MAX_WIDTH + 1 complex entries wide; the refusal
+        # is the range check's, not numpy's, as in the column-stacked form
+        with pytest.raises(InvariantViolationError) as info:
+            Subspace.from_vectors(ambient_dim, make_vectors())
+        assert type(info.value) is InvariantViolationError
+        assert str(info.value) == f"ambient dimension {ambient_dim} outside [1, {MAX_DIM}]"
+        assert same_as_column_stack(ambient_dim, make_vectors)
+
+    @pytest.mark.parametrize("ambient_dim", [-1, 99999999999999999999])
+    def test_a_vector_out_of_range_is_still_named_first(self, ambient_dim):
+        with pytest.raises(DimensionMismatchError,
+                           match=f"vector of length 2 in ambient dimension {ambient_dim}$"):
+            Subspace.from_vectors(ambient_dim, [[1, 0]])
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 5), count=st.integers(1, 4))

@@ -118,7 +118,7 @@ RECORD_PARAMETERS = {
     "config.ExperimentConfig": (),
     "events.Universe": ("name", "outcomes"),
     "events.OutcomeSpace": ("universes",),
-    "events.EventSet": ("space", "mask", ("members", None)),
+    "events.EventSet": ("space", "mask"),
     "events.ClassicalDistributivityVerdict": ("lhs", "rhs", "distributive"),
     "events.TraceLine": ("expression", "value"),
     "events.ComplementChainTrace": ("a_label", "b_label", "lines"),
