@@ -247,7 +247,7 @@ def eq10_trace(a_label: str, b_label: str, space: OutcomeSpace) -> ComplementCha
         TraceLine(f"({a_label} ∩ {b_label}) ∪ ({a_label} ∩ {b_label}'_X)", law.rhs.members),
         TraceLine(
             f"({a_label} ∩ {b_label}) ∪ [{a_label} ∩ ({' ∪ '.join(b_rest)})]",
-            a.intersect(b).union(a.intersect(big_union(atom[x] for x in b_rest))).members,
+            distributes_classical(a, b, big_union(atom[x] for x in b_rest)).rhs.members,
         ),
         TraceLine(
             f"{a_label} ∩ [" + " ∪ ".join(f"({x} ∪ {x}'_X)" for x in labels) + "]",
@@ -255,7 +255,7 @@ def eq10_trace(a_label: str, b_label: str, space: OutcomeSpace) -> ComplementCha
         ),
         TraceLine(
             " ∪ ".join(f"({a_label} ∩ {x}) ∪ ({a_label} ∩ {x}'_X)" for x in labels),
-            big_union(a.intersect(atom[x]).union(a.intersect(cx[x])) for x in labels).members,
+            big_union(distributes_classical(a, atom[x], cx[x]).rhs for x in labels).members,
         ),
         TraceLine(a_label, a.members),
     ]

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import ConfigSemanticError, Line, format_complex, parse_lines
+from .config import MAX_TRIALS, ConfigSemanticError, Line, format_complex, parse_lines
 from .errors import InvariantViolationError, PreconditionError
 from .hilbert import (MAX_DIM, MeasurementBasis, StateVector, _frozen, is_integer,
                       principal_vector)
@@ -162,8 +162,8 @@ def simulate_sequential(
     if not (is_integer(n_trials) and is_integer(seed) and seed >= 0):
         raise PreconditionError(f"trial count {n_trials!r} and seed {seed!r} must be "
                                 "integers, the seed nonnegative")
-    if n_trials < 1:
-        raise PreconditionError("need at least one trial")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise PreconditionError(f"need 1 to {MAX_TRIALS} trials, not {n_trials}")
     first, then = order
     kernel = model.kernel(first, then)
     rng = np.random.default_rng(seed)

@@ -24,7 +24,7 @@ The laws also come in stacked forms (``absorption_holds_stacked`` and the
 rest) that check many pairs at once.  They run the same constructions on
 padded frames, (n, d, d) stacks that hold each frame in its first columns and
 zeros after, with each item's dimension kept as a count; one stacked SVD
-serves every pair of a row block.  The per-pair functions are their oracle.
+serves every pair.  The per-pair functions are their oracle.
 """
 
 from __future__ import annotations
@@ -32,16 +32,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, InvariantViolationError, PreconditionError
-from .hilbert import MAX_DIM, _frozen, unit_vectors, vector_rows
+from .hilbert import MAX_DIM, _frozen, is_integer, unit_vectors, vector_rows
 
 RANK_TOL = 1e-10       # singular values below this count as zero
 INCLUSION_TOL = 1e-9   # residual norm allowed when testing containment
 # pairs and triples check_lattice_axioms checks at most; above it, a seeded draw
 TUPLE_LIMIT = 4000
 
-# Complex entries in one row block of a stacked computation: each temporary
-# of a block stays near 128 kB for any sample size, so the stacks add nothing
-# measurable to peak memory.
+# Complex entries in one row block of _inclusion_matrix's (rows·d, m·d)
+# product, the one stacked temporary that grows faster than its inputs: a
+# block stays near 128 kB for any sample size.
 _BLOCK_ENTRIES = 2 ** 13
 
 
@@ -217,14 +217,6 @@ def _kept(frames: np.ndarray, dims: np.ndarray) -> _Stack:
     return _Stack(frames * (np.arange(frames.shape[-1]) < dims[:, None])[:, None, :], dims)
 
 
-def _row_blocks(n: int, row_entries: int) -> list[slice]:
-    """Slices covering ``range(n)`` whose temporaries of ``row_entries``
-    entries a row hold at most ``_BLOCK_ENTRIES`` entries (one row when a
-    single row is larger)."""
-    rows = max(1, _BLOCK_ENTRIES // row_entries)
-    return [slice(start, start + rows) for start in range(0, n, rows)]
-
-
 def _proper_pairs(a: _Stack, b: _Stack) -> np.ndarray:
     """Indices of the pairs with no zero or full side; of the dimensions
     0..d, d divides just 0 and d."""
@@ -318,20 +310,13 @@ def _within(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pairwise(law, a, b) -> np.ndarray:
-    """``law`` on the stacks of a[i], b[i], in row blocks whose largest
-    temporaries, (rows, d, 2d) and (rows, 2d, d), hold at most
-    ``_BLOCK_ENTRIES`` entries."""
+    """``law`` on the stacks of a[i], b[i], in one call."""
     if len(a) != len(b):
         raise PreconditionError(f"{len(a)} first and {len(b)} second subspaces")
-    result = np.ones(len(a), dtype=bool)
-    if not result.size:
-        return result
+    if not len(a):
+        return np.ones(0, dtype=bool)
     both = _stack([*a, *b])
-    first, second = both[: len(a)], both[len(a):]
-    d = both.frames.shape[-1]
-    for rows in _row_blocks(len(a), 2 * d * d):
-        result[rows] = law(first[rows], second[rows])
-    return result
+    return law(both[: len(a)], both[len(a):])
 
 
 def _inclusion_matrix(inner: np.ndarray, outer_complements: np.ndarray) -> np.ndarray:
@@ -345,7 +330,7 @@ def _inclusion_matrix(inner: np.ndarray, outer_complements: np.ndarray) -> np.nd
     ``INCLUSION_TOL``.  Every C_jᴴf of a row block comes from one product of
     the block's frame vectors, one a row, with every conj(C_j) column; a block
     holds at most ``_BLOCK_ENTRIES`` of those entries (one inner subspace
-    when a single one has more).
+    when a single one has more), since that product alone grows as n·m.
     """
     n, d, _ = inner.shape
     m = len(outer_complements)
@@ -353,11 +338,12 @@ def _inclusion_matrix(inner: np.ndarray, outer_complements: np.ndarray) -> np.nd
     complement_columns = outer_complements.conj().transpose(1, 0, 2).reshape(d, m * d)
     result = np.empty((n, m), dtype=bool)
     ones = np.ones(2 * d)  # sums a row's 2d squared parts; a sum over a short axis is slow
-    for rows in _row_blocks(n, m * d * d):
+    rows = max(1, _BLOCK_ENTRIES // (m * d * d))
+    for start in range(0, n, rows):
         # row (i, c), column (j, a, real or imaginary part) of C_jᴴ f_ic
-        parts = (vectors[rows.start * d: rows.stop * d] @ complement_columns).view(float)
+        parts = (vectors[start * d: (start + rows) * d] @ complement_columns).view(float)
         squares = (np.square(parts, out=parts).reshape(-1, 2 * d) @ ones).reshape(-1, d, m)
-        result[rows] = np.sqrt(squares.max(axis=1)) <= INCLUSION_TOL
+        result[start: start + rows] = np.sqrt(squares.max(axis=1)) <= INCLUSION_TOL
     return result
 
 
@@ -466,35 +452,32 @@ def check_lattice_axioms(sample, *, seed: int = 0) -> LatticeAxiomReport:
     exhaustively when the sample has at most ``TUPLE_LIMIT`` of them,
     otherwise on ``TUPLE_LIMIT`` tuples drawn from ``seed``.  Each check
     counts the tuples up to and including its first failure and names that
-    failure.  The orthocomplements and the inclusion matrices of the sample
-    and of its complements are computed once, so the ordering axioms are
-    lookups; the involution and disjointness rows are stacked constructions
-    over the whole sample.  Antisymmetry holds a pair's mutual inclusion against equality
-    of their projectors, max|P_a − P_b| ≤ ``INCLUSION_TOL``, so it fails
-    where two subspaces include each other within tolerance yet differ by
-    more than it.
+    failure; ``seed`` must be a nonnegative integer.  The orthocomplements
+    and the inclusion matrices of the sample and of its complements are
+    computed once, so the ordering axioms are lookups; the involution and
+    disjointness rows are stacked constructions over the whole sample.
+    Antisymmetry holds a pair's mutual inclusion against equality of their
+    projectors, max|P_a − P_b| ≤ ``INCLUSION_TOL``, so it fails where two
+    subspaces include each other within tolerance yet differ by more than
+    it; the projectors are compared only on the mutually included pairs.
     """
+    if not (is_integer(seed) and seed >= 0):
+        raise PreconditionError(f"seed {seed!r} must be a nonnegative integer")
     sample = list(sample)
     if not sample:
         raise PreconditionError("empty sample")
     stack = _stack(sample)
-    n, d, _ = stack.frames.shape
+    n = len(sample)
     rng = np.random.default_rng(seed)
     singles = np.arange(n)[:, None]
     pairs = _index_tuples(n, 2, TUPLE_LIMIT, rng)
     triples = _index_tuples(n, 3, TUPLE_LIMIT, rng)
-    complements = np.empty_like(stack.frames)
-    involution = np.empty(n, dtype=bool)
-    disjoint = np.empty(n, dtype=bool)
-    for rows in _row_blocks(n, 2 * d * d):
-        block = stack[rows]
-        complement = _orthocomplement_stacked(block)
-        complements[rows] = complement.frames
-        involution[rows] = _equal_stacked(_orthocomplement_stacked(complement), block)
-        disjoint[rows] = _meet_stacked(block, complement).dims == 0
+    complement = _orthocomplement_stacked(stack)
+    involution = _equal_stacked(_orthocomplement_stacked(complement), stack)
+    disjoint = _meet_stacked(stack, complement).dims == 0
     # the sample spans the complements of its complements
-    inc = _inclusion_matrix(stack.frames, complements)
-    inc_complements = _inclusion_matrix(complements, stack.frames)
+    inc = _inclusion_matrix(stack.frames, complement.frames)
+    inc_complements = _inclusion_matrix(complement.frames, stack.frames)
     checks = []
 
     def record(name, cases, ok):
@@ -509,17 +492,13 @@ def check_lattice_axioms(sample, *, seed: int = 0) -> LatticeAxiomReport:
                                      counterexample=None))
 
     i, j = pairs.T
+    mutual = (inc[i, j] & inc[j, i]).nonzero()[0]
     projectors = stack.frames @ stack.frames.conj().swapaxes(1, 2)
-    equal = np.empty(len(pairs), dtype=bool)
-    for rows in _row_blocks(len(pairs), d * d):
-        gap = projectors[i[rows]] - projectors[j[rows]]
-        equal[rows] = np.abs(gap).max(axis=(1, 2)) <= INCLUSION_TOL
+    antisymmetric = np.ones(len(pairs), dtype=bool)
+    gap = projectors[i[mutual]] - projectors[j[mutual]]
+    antisymmetric[mutual] = np.abs(gap).max(axis=(1, 2)) <= INCLUSION_TOL
     record("reflexivity: a ⊆ a", singles, np.diagonal(inc))
-    record(
-        "antisymmetry: a ⊆ b and b ⊆ a imply a = b",
-        pairs,
-        ~(inc[i, j] & inc[j, i]) | equal,
-    )
+    record("antisymmetry: a ⊆ b and b ⊆ a imply a = b", pairs, antisymmetric)
     ti, tj, tk = triples.T
     record(
         "transitivity: a ⊆ b ⊆ c implies a ⊆ c",

@@ -27,8 +27,8 @@ from conftest import (
     truth_table_distributivity,
 )
 from qlbench import cli, hidden, stats
-from qlbench.config import (DEFAULT_TOL, ConfigSemanticError, ConfigSyntaxError, Line,
-                            format_complex, parse_lines)
+from qlbench.config import (DEFAULT_TOL, MAX_TRIALS, ConfigSemanticError, ConfigSyntaxError,
+                            Line, format_complex, parse_lines)
 from qlbench.errors import InvariantViolationError, PreconditionError, QLBenchError
 from qlbench.hidden import (
     AGREEMENT_TOL,
@@ -500,6 +500,16 @@ class TestSimulateSequential:
         table = simulate_sequential(zx_model, ("A", "B"), np.int64(100), np.uint32(3))
         assert np.array_equal(table.entries,
                               simulate_sequential(zx_model, ("A", "B"), 100, 3).entries)
+
+    def test_most_trials_numpy_draws_accepted(self, zx_model):
+        table = simulate_sequential(zx_model, ("A", "B"), MAX_TRIALS, 0)
+        assert abs(float(table.entries.sum()) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n_trials", [MAX_TRIALS + 1, 2**64, 10**30])
+    def test_more_trials_than_numpy_draws_refused(self, zx_model, n_trials):
+        refusal = f"need 1 to {MAX_TRIALS} trials, not {n_trials}"
+        with pytest.raises(PreconditionError, match=refusal):
+            simulate_sequential(zx_model, ("A", "B"), n_trials, 0)
 
 
 def per_trial_simulate(model, order, n_trials, seed):

@@ -456,6 +456,77 @@ class TestAxiomCheckAgainstPerPairLoop:
         )
 
 
+ANTISYMMETRY = "antisymmetry: a ⊆ b and b ⊆ a imply a = b"
+
+
+def unequal_planes(dim, factor):
+    """The planes of ``test_antisymmetry_fails_on_mutually_included_unequal_planes``
+    in C^dim: each frame vector lies ``factor`` × ``INCLUSION_TOL`` / √2 from
+    the other plane, and their projectors differ by about ``factor`` ×
+    ``INCLUSION_TOL``."""
+    t = factor * INCLUSION_TOL
+    e1, e2, e3 = (e(k, dim) for k in range(3))
+    b1 = math.cos(t) * e1 + math.sin(t) * e3
+    return tuple(checked_subspace(np.column_stack([(x + e2) * INV_SQRT2, (x - e2) * INV_SQRT2]))
+                 for x in (e1, b1))
+
+
+class TestAxiomCheckOnWholeStacks:
+    """Samples larger than one row block of ``_BLOCK_ENTRIES`` entries: the
+    complement, involution and disjointness rows and the antisymmetry
+    projector gaps each run as one stacked call."""
+
+    @pytest.mark.parametrize("dim, n", [
+        (8, 130),  # 130 complement rows of 2·8·8 entries: three blocks of 2**13
+        (4, 64),   # 4000 drawn pairs of 4·4 projector entries: eight blocks of 2**13
+    ])
+    def test_planted_planes_against_the_per_pair_loop(self, dim, n):
+        rng = rng_from(dim * 1000 + n)
+        sample = [random_subspace(rng, dim) for _ in range(n)]
+        assert n * n > lattice.TUPLE_LIMIT  # so the pairs are drawn
+        # the planes go to a drawn pair with two members, past the 999th
+        pairs = np.random.default_rng(DEFAULT_SEED).integers(0, n, size=(lattice.TUPLE_LIMIT, 2))
+        p, q = next(pair for pair in pairs[999:].tolist() if pair[0] != pair[1])
+        sample[p], sample[q] = unequal_planes(dim, 1.3)
+        report = check_lattice_axioms(sample, seed=DEFAULT_SEED)
+        assert outcomes(report) == oracle_check_lattice_axioms(sample, seed=DEFAULT_SEED)
+        _, _, passed, counterexample = by_name(report, ANTISYMMETRY)
+        assert not passed
+        assert counterexample in (f"sample[{p}], sample[{q}]", f"sample[{q}], sample[{p}]")
+
+    @pytest.mark.parametrize("planes, passed", [(1, True), (2, False)])
+    def test_every_pair_mutually_included(self, planes, passed):
+        # 200 copies of one plane, or of two unequal planes taken in turn
+        sample = list(unequal_planes(4, 1.3)[:planes]) * (200 // planes)
+        report = check_lattice_axioms(sample, seed=DEFAULT_SEED)
+        assert outcomes(report) == oracle_check_lattice_axioms(sample, seed=DEFAULT_SEED)
+        assert by_name(report, ANTISYMMETRY)[2] is passed
+        assert report.all_passed is passed
+
+
+def chain_sample():
+    """Twenty subspaces of C^3 holding the 0 / 0.6 / 1.2 × ``INCLUSION_TOL``
+    ray chain, so the drawn triples decide where transitivity fails."""
+    rng = rng_from(34)
+    sample = [random_subspace(rng, 3) for _ in range(17)]
+    for k, t in zip((3, 9, 14), (0.0, 0.6, 1.2)):
+        sample.insert(k, tilted_ray(3, t * INCLUSION_TOL))
+    return sample
+
+
+class TestAxiomCheckSeed:
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "7", True, False])
+    def test_seed_other_than_a_nonnegative_integer_refused(self, seed):
+        with pytest.raises(PreconditionError, match="must be a nonnegative integer"):
+            check_lattice_axioms(chain_sample(), seed=seed)
+
+    @pytest.mark.parametrize("seed, oracle_seed", [(np.int64(3), 3), (2**64, 2**64)])
+    def test_numpy_and_wide_integer_seeds_accepted(self, seed, oracle_seed):
+        sample = chain_sample()
+        assert outcomes(check_lattice_axioms(sample, seed=seed)) == oracle_check_lattice_axioms(
+            sample, seed=oracle_seed)
+
+
 def unstacked(stack):
     """The items of a stack as checked subspaces, so each frame is orthonormal."""
     return [checked_subspace(frame[:, :k]) for frame, k in zip(stack.frames, stack.dims.tolist())]
