@@ -10,7 +10,7 @@ constrained unless the stricter pairwise-exclusive variant is switched on.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from .errors import InvariantViolationError, PreconditionError
 from .hilbert import _MAX_WIDTH, _frozen, is_integer, unit_vectors, vector_rows
 
 RAY_TOL = 1e-9
+_BINARY = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" digits to 0/1 bytes
 
 BUILTIN_FAMILIES = {
     "ks18-d4": "ks18_d4.rays",
@@ -64,14 +65,18 @@ class RayFamily:
             raise InvariantViolationError(f"ray {k} has a non-finite entry", ("ray", k, 0))
         bases, index = _basis_index(dim, len(rays), bases)
         if bases:
-            frames = rays[index]
-            overlaps = np.abs(frames @ frames.conj().transpose(0, 2, 1))
-            bad = np.triu(~(overlaps <= RAY_TOL), 1)
+            # each basis's declared pairs (p, q), p < q, in row-major order, so
+            # the first fault found is the first in basis order
+            first, second = zip(*combinations(range(dim), 2))
+            overlaps = abs(np.add.reduce(rays[index[:, first]] * rays[index[:, second]].conj(),
+                                         axis=2))
+            bad = ~(overlaps <= RAY_TOL)
             if bad.any():
-                b, p, q = np.argwhere(bad)[0]
+                b, pair = np.argwhere(bad)[0]
+                p, q = first[pair], second[pair]
                 raise InvariantViolationError(
                     f"rays {bases[b][p]} and {bases[b][q]} in basis {b} are not orthogonal",
-                    ("basis", int(b), int(q)))
+                    ("basis", int(b), q))
         return cls(dim, rays, bases)
 
 
@@ -142,17 +147,24 @@ def search_bivalent_assignment(family: RayFamily, *,
     masks: list[list[int]] = [[] for _ in range(n)]  # per ray, the masks of its bases
     mates = [0] * n  # per ray, the mask of the rays a 1 on it forces to 0
     for basis in family.bases:
-        mask = sum(map(bits.__getitem__, basis))
+        mask = 0
+        for ray in basis:
+            mask |= bits[ray]
         for ray in basis:
             masks[ray].append(mask)
-            mates[ray] |= mask ^ bits[ray]
-    # the rays' bits, most-constrained first; the sort is stable, so ties keep index order
-    order = [bits[r] for r in sorted(range(n), key=lambda r: -len(masks[r]))]
+            mates[ray] |= mask
+    # each ray in a basis has its own bit among its mates; no ray is its own mate
+    mates = [mate ^ bit if mate else 0 for mate, bit in zip(mates, bits)]
+    # the rays' bits, most-constrained first; the sort is stable, even reversed, so
+    # ties keep index order
+    counts = list(map(len, masks))
+    order = [bits[r] for r in sorted(range(n), key=counts.__getitem__, reverse=True)]
     if exclusive_pairs:  # a unit ray is not orthogonal to itself, so no ray is its own mate
-        rays = family.rays
-        packed = np.packbits(np.abs(rays @ rays.conj().T) <= RAY_TOL, axis=1, bitorder="little")
-        mates = [mate | int.from_bytes(bytes(row), "little")
-                 for mate, row in zip(mates, packed.tolist())]
+        packed = np.packbits(np.abs(family.rays @ family.rays.conj().T) <= RAY_TOL, axis=1,
+                             bitorder="little")
+        width, rows = packed.shape[1], packed.tobytes()  # one row of ``width`` bytes per ray
+        mates = [mate | int.from_bytes(rows[r * width:r * width + width], "little")
+                 for r, mate in enumerate(mates)]
 
     def propagate(ones: int, zeros: int, pending: int, value: int) -> tuple[int, int] | None:
         """The two masks after setting the ray of bit ``pending`` to ``value``
@@ -197,7 +209,8 @@ def search_bivalent_assignment(family: RayFamily, *,
         while pos < n and assigned & order[pos]:
             pos += 1
         if pos == n:
-            assignment = tuple(1 if ones & bit else 0 for bit in bits)
+            # ones's bits, lowest first, below a leading 1 that keeps n = 0 empty
+            assignment = tuple(format(ones | 1 << n, "b")[:0:-1].encode().translate(_BINARY))
             return AssignmentSearchResult(assignment=assignment, proved_none=False, nodes=nodes)
         nodes += 1
         state = propagate(ones, zeros, order[pos], value)

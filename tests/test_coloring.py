@@ -337,16 +337,26 @@ def per_basis_checks(dim: int, rays: np.ndarray, bases) -> tuple[tuple[int, ...]
             if not 0 <= i < len(rays):
                 raise InvariantViolationError(f"basis {b} references unknown ray {i}",
                                               ("basis", b, p))
+    fault = stacked_orthogonality_fault(rays, bases)
+    if fault is not None:
+        raise InvariantViolationError(*fault)
+    return bases
+
+
+def stacked_orthogonality_fault(rays: np.ndarray, bases) -> tuple[str, tuple] | None:
+    """Oracle: the orthogonality check of ``RayFamily`` before it checked each
+    declared pair apart, unchanged: one stacked Gram product of the bases'
+    frames, its strict upper triangle read in row-major order.  The text and
+    part of the first fault, or None."""
     if bases:
         frames = rays[np.array(bases)]
         overlaps = np.abs(frames @ frames.conj().transpose(0, 2, 1))
         bad = np.triu(~(overlaps <= RAY_TOL), 1)
         if bad.any():
             b, p, q = np.argwhere(bad)[0]
-            raise InvariantViolationError(
-                f"rays {bases[b][p]} and {bases[b][q]} in basis {b} are not orthogonal",
-                ("basis", int(b), int(q)))
-    return bases
+            return (f"rays {bases[b][p]} and {bases[b][q]} in basis {b} are not orthogonal",
+                    ("basis", int(b), int(q)))
+    return None
 
 
 def random_rotation(rng, dim: int) -> np.ndarray:
@@ -366,6 +376,21 @@ def triad_tree(rng, triads: int) -> RayFamily:
         p = np.cross(u, rng.normal(size=3)).conj()
         p /= np.linalg.norm(p)
         q = np.cross(u, p).conj()
+        rays += [p, q / np.linalg.norm(q)]
+        bases.append((shared, len(rays) - 2, len(rays) - 1))
+    return RayFamily.from_vectors(3, rays, bases)
+
+
+def triad_chain(rng, triads: int) -> RayFamily:
+    """Triads in dimension 3, each sharing its last ray with the next, as the
+    benchmark's logic sweep builds its chains: an assignment always exists."""
+    rays = list(random_rotation(rng, 3).T)
+    bases = [(0, 1, 2)]
+    for _ in range(triads - 1):
+        shared = bases[-1][2]
+        p = np.cross(rays[shared], rng.normal(size=3)).conj()
+        p /= np.linalg.norm(p)
+        q = np.cross(rays[shared], p).conj()
         rays += [p, q / np.linalg.norm(q)]
         bases.append((shared, len(rays) - 2, len(rays) - 1))
     return RayFamily.from_vectors(3, rays, bases)
@@ -547,6 +572,46 @@ class TestBasisChecks:
         with pytest.raises(InvariantViolationError, match="unknown ray") as info:
             RayFamily.from_vectors(3, np.eye(3), [(0, 1, index)])
         assert info.value.part == ("basis", 0, 2)
+
+
+@st.composite
+def skewed_frames(draw):
+    """Rays: 1 to 60 orthonormal frames of C^dim, dim 3 to 6, one basis each
+    in a drawn order.  Then one to six planted overlaps: the rays at entries
+    p != q of a drawn basis get an overlap of 0.99 or 1.01 times ``RAY_TOL``,
+    each pair once, so a family is refused exactly when a plant is at 1.01.
+    Also the plants, as (basis, p, q, factor)."""
+    dim, count = draw(st.integers(3, 6)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rays = np.vstack([random_rotation(rng, dim).T for _ in range(count)])
+    bases = [tuple(k * dim + int(i) for i in rng.permutation(dim)) for k in range(count)]
+    # half the plants in one basis, so that a basis often has several faults
+    hot = st.just(draw(st.integers(0, count - 1)))
+    plant = st.tuples(st.one_of(hot, st.integers(0, count - 1)), st.integers(0, dim - 1),
+                      st.integers(1, dim - 1), st.sampled_from((0.99, 1.01)))
+    plants = {}
+    for b, p, step, factor in draw(st.lists(plant, min_size=1, max_size=6)):
+        q = (p + step) % dim
+        plants.setdefault((b, frozenset((p, q))), (b, p, q, factor))
+    for b, p, q, factor in plants.values():
+        # to second order in RAY_TOL, this leaves the ray's length and its other overlaps alone
+        rays[bases[b][q]] += factor * RAY_TOL * rays[bases[b][p]]
+    return dim, rays, bases, tuple(plants.values())
+
+
+class TestOrthogonalityCheck:
+    """Each declared pair checked apart, against the stacked Gram product it
+    replaced: the same families accepted, the same first fault named."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=skewed_frames())
+    def test_matches_the_stacked_gram_product(self, case):
+        dim, rays, bases, plants = case
+        got = built_or_refused(lambda: RayFamily.from_vectors(dim, rays, bases).bases)
+        fault = stacked_orthogonality_fault(unit_vectors(rays.copy(), axis=1)[0], bases)
+        assert got == (("accepted", tuple(bases)) if fault is None
+                       else ("refused", InvariantViolationError, *fault))
+        assert (got[0] == "refused") == any(factor > 1 for *_, factor in plants)
 
 
 def _ray_matrix(dim: int, rays) -> np.ndarray:
@@ -859,6 +924,28 @@ def signed_rays(dim: int) -> np.ndarray:
 SIGNED_RAYS_D4 = signed_rays(4)
 
 
+SIGNED_RAYS_D3 = signed_rays(3)
+SIGNED_TRIADS_D3 = tuple(
+    t for t in itertools.combinations(range(len(SIGNED_RAYS_D3)), 3)
+    if all(abs(np.vdot(SIGNED_RAYS_D3[i], SIGNED_RAYS_D3[j])) < 1e-9
+           for i, j in itertools.combinations(t, 2)))
+
+
+def signed_copies(n: int) -> RayFamily:
+    """``n`` rays: rotated copies of the 13 signed rays of C^3, the last one
+    cut short, in a shuffled order; the bases are each copy's orthogonal
+    triads that it keeps whole, so many orthogonal pairs share no basis."""
+    rng = np.random.default_rng(n)
+    copies = -(-n // len(SIGNED_RAYS_D3))
+    rays = np.vstack([SIGNED_RAYS_D3 @ random_rotation(rng, 3).T for _ in range(copies)])[:n]
+    shuffle = rng.permutation(n)
+    where = np.argsort(shuffle)  # the new index of each ray
+    bases = [tuple(int(where[k * len(SIGNED_RAYS_D3) + i]) for i in triad)
+             for k in range(copies) for triad in SIGNED_TRIADS_D3
+             if k * len(SIGNED_RAYS_D3) + max(triad) < n]
+    return RayFamily.from_vectors(3, rays[shuffle], bases)
+
+
 @st.composite
 def mixed_families(draw):
     """A family for the search alone, stored with the unchecked constructor:
@@ -943,6 +1030,14 @@ class TestIterativeSearch:
     def test_matches_the_oracles_on_mixed_families(self, family, exclusive_pairs):
         self.assert_same(family, exclusive_pairs)
 
+    @pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65])
+    def test_exclusive_pairs_across_packed_row_widths(self, n):
+        # each ray's orthogonal rays are read from its row of packed bytes,
+        # 1, 1, 2, 8, 8 and 9 bytes wide here
+        family = signed_copies(n)
+        assert len(family.rays) == n
+        self.assert_same(family, exclusive_pairs=True)
+
     def test_1200_disjoint_triads_find_an_assignment(self):
         # deeper than Python's default recursion limit of 1000
         rng = np.random.default_rng(1200)
@@ -973,3 +1068,17 @@ class TestPinnedNodeCounts:
         result = search_bivalent_assignment(family)
         assert (result.found, result.nodes) == (True, 50)
         assert assignment_is_valid(family, result.assignment)
+
+    @pytest.mark.parametrize("triads, nodes", [(100, 50), (150, 75), (200, 100)])
+    def test_triad_chain(self, triads, nodes):
+        family = triad_chain(np.random.default_rng(triads), triads)
+        result = search_bivalent_assignment(family)
+        assert (result.found, result.nodes) == (True, nodes)
+        assert assignment_is_valid(family, result.assignment)
+        assert result.assignment == per_basis_mask_search(family).assignment
+
+    @pytest.mark.parametrize("exclusive_pairs", [False, True])
+    def test_empty_family(self, exclusive_pairs):
+        result = search_bivalent_assignment(RayFamily.from_vectors(3, [], []),
+                                            exclusive_pairs=exclusive_pairs)
+        assert (result.assignment, result.proved_none, result.nodes) == ((), False, 0)

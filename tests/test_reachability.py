@@ -46,11 +46,12 @@ ALLOWED = {
     "coloring._basis_index: if not 0 <= i < n:": WALK,
     "coloring._basis_index: if not is_integer(i):": WALK,
     # exclusive_pairs=True, which no command sets
-    "coloring.search_bivalent_assignment: rays = family.rays": LOGIC_SWEEP,
-    "coloring.search_bivalent_assignment: packed = np.packbits(np.abs(rays @ rays.conj().T) <= "
-    "RAY_TOL, axis=1, bitorder=\"little\")": LOGIC_SWEEP,
-    "coloring.search_bivalent_assignment: mates = [mate | int.from_bytes(bytes(row), \"little\")":
-        LOGIC_SWEEP,
+    "coloring.search_bivalent_assignment: packed = np.packbits(np.abs(family.rays @ "
+    "family.rays.conj().T) <= RAY_TOL, axis=1,": LOGIC_SWEEP,
+    "coloring.search_bivalent_assignment: width, rows = packed.shape[1], packed.tobytes()  # one "
+    "row of ``width`` bytes per ray": LOGIC_SWEEP,
+    "coloring.search_bivalent_assignment: mates = [mate | int.from_bytes(rows[r * width:r * width "
+    "+ width], \"little\")": LOGIC_SWEEP,
     "config.ConfigError.__init__": ERROR,
     "config.Line.column": ERROR,
     "config.Line.error": ERROR,
